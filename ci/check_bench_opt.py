@@ -29,7 +29,7 @@ TOP_KEYS = {"bench", "unit", "passes", "iterations", "plateau", "seed",
 ROW_KEYS = {"topology", "family", "n", "links", "shortcuts", "degree_min",
             "degree_max", "degree_avg", "sample_sources", "seed_point",
             "front", "archive_size", "proposals", "accepted", "invalid",
-            "resweeps", "full_sweeps", "beats_seed",
+            "full_sweeps", "beats_seed",
             "best_cable_m_at_seed_aspl", "cable_saved_pct", "best_aspl",
             "wall_ms", "proposals_per_sec"}
 POINT_KEYS = {"cable_m", "aspl", "max_normalized_load", "throughput_bound",

@@ -213,7 +213,7 @@ class OptGateInvariantTest(unittest.TestCase):
                  "seed_point": point(100.0, 5.0),
                  "front": [point(90.0, 5.0), point(95.0, 4.5)],
                  "archive_size": 2, "proposals": 10, "accepted": 5,
-                 "invalid": 0, "resweeps": 1, "full_sweeps": 4,
+                 "invalid": 0, "full_sweeps": 4,
                  "beats_seed": True, "best_cable_m_at_seed_aspl": 90.0,
                  "cable_saved_pct": 10.0, "best_aspl": 4.5, "wall_ms": 1.0,
                  "proposals_per_sec": 10000.0}

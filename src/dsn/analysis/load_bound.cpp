@@ -30,7 +30,7 @@ TreeLoadBound compute_tree_load_bound(const CsrView& csr,
   b.n = csr.num_nodes();
   b.sample_sources = static_cast<std::uint32_t>(sources.size());
   b.links = csr.num_arcs() / 2;
-  const std::vector<std::int64_t> loads = compute_tree_loads(csr, sources);
+  const std::vector<std::int64_t> loads = compute_tree_loads(csr, sources).loads;
 
   std::vector<std::uint64_t> plain(loads.size());
   for (std::size_t l = 0; l < loads.size(); ++l) {

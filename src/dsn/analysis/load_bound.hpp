@@ -4,10 +4,10 @@
 // estimator counts the loads a topology's *canonical BFS trees* put on each
 // physical link — a routing-independent lower bound on congestion that any
 // minimal routing at best equals. The optimizer (dsn/opt) anneals against it
-// incrementally via SampledPathEstimator; this wrapper is the one-shot view
-// for analyzer/tool consumers, exact (all sources) or sampled, sharing the
-// same tree-load kernel and the same normalization so numbers are comparable
-// across dsn-lint commands.
+// via SampledPathEstimator, one sampled sweep per candidate; this wrapper is
+// the one-shot view for analyzer/tool consumers, exact (all sources) or
+// sampled. Both run the same sweep (dsn::compute_tree_loads) with the same
+// normalization, so numbers are comparable across dsn-lint commands.
 #pragma once
 
 #include <cstdint>

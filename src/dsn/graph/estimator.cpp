@@ -1,10 +1,11 @@
 // dsn-slint: deterministic — estimates feed the byte-identical Pareto-front
-// gates; sampling, re-sweep order and merges must be pure functions of
-// (graph, config), never of thread count or timing.
+// gates; sampling and shard merges must be pure functions of (graph, config),
+// never of thread count or timing.
 #include "dsn/graph/estimator.hpp"
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "dsn/common/error.hpp"
 #include "dsn/common/rng.hpp"
@@ -29,12 +30,21 @@ std::vector<NodeId> sample_sources(NodeId n, std::uint32_t count, std::uint64_t 
   return all;
 }
 
+namespace {
+
+/// Scratch for accumulate_tree_loads (reused across calls).
+struct TreeLoadScratch {
+  std::vector<NodeId> order;           // nodes by descending distance
+  std::vector<std::uint64_t> weight;   // subtree destination counts
+  std::vector<std::size_t> bucket;     // counting-sort offsets by distance
+};
+
+/// Add the hop sum, reachable count and per-link loads of the canonical
+/// shortest-path tree rooted at the unique dist-0 node (see TreeLoads::loads
+/// for the parent rule) to `out`. O(n + m).
 void accumulate_tree_loads(const CsrView& g, std::span<const std::uint32_t> dist,
-                           std::int64_t sign, std::span<std::int64_t> link_loads,
-                           TreeLoadScratch& scratch) {
+                           TreeLoads& out, TreeLoadScratch& scratch) {
   const NodeId n = g.num_nodes();
-  DSN_REQUIRE(dist.size() == n, "distance row size mismatch");
-  DSN_REQUIRE(link_loads.size() == g.num_arcs() / 2, "load vector size mismatch");
 
   // Counting sort of the reachable non-root nodes by distance: weights flow
   // strictly from larger to smaller distance, so any order within one level
@@ -45,8 +55,10 @@ void accumulate_tree_loads(const CsrView& g, std::span<const std::uint32_t> dist
     const std::uint32_t d = dist[v];
     if (d == 0 || d == kUnreachable) continue;
     maxd = std::max(maxd, d);
+    out.sum_hops += d;
     ++cnt;
   }
+  out.reachable_pairs += cnt;
   if (cnt == 0) return;
   scratch.bucket.assign(static_cast<std::size_t>(maxd) + 2, 0);
   for (NodeId v = 0; v < n; ++v) {
@@ -80,27 +92,46 @@ void accumulate_tree_loads(const CsrView& g, std::span<const std::uint32_t> dist
       }
     }
     DSN_ASSERT(best_u != kInvalidNode, "reachable node must have a tight parent");
-    link_loads[best_link] += sign * static_cast<std::int64_t>(scratch.weight[v]);
+    out.loads[best_link] += static_cast<std::int64_t>(scratch.weight[v]);
     scratch.weight[best_u] += scratch.weight[v];
   }
 }
 
-std::vector<std::int64_t> compute_tree_loads(const CsrView& csr,
-                                             std::span<const NodeId> sources) {
+EstimateView make_view(const TreeLoads& sweep, NodeId n, std::uint64_t num_sources) {
+  EstimateView v;
+  v.sum_hops = sweep.sum_hops;
+  v.reachable_pairs = sweep.reachable_pairs;
+  if (sweep.reachable_pairs > 0)
+    v.aspl = static_cast<double>(sweep.sum_hops) / static_cast<double>(sweep.reachable_pairs);
+  v.sample_connected = sweep.reachable_pairs == num_sources * (n - 1);
+  for (const std::int64_t l : sweep.loads)
+    v.max_link_load = std::max(v.max_link_load, static_cast<std::uint64_t>(l));
+  if (v.max_link_load > 0) {
+    v.max_normalized_load = static_cast<double>(v.max_link_load) * static_cast<double>(n) /
+                            (static_cast<double>(num_sources) * static_cast<double>(n - 1));
+    v.throughput_bound = 1.0 / v.max_normalized_load;
+  }
+  return v;
+}
+
+}  // namespace
+
+TreeLoads compute_tree_loads(const CsrView& csr, std::span<const NodeId> sources) {
   const NodeId n = csr.num_nodes();
   const std::size_t num_links = csr.num_arcs() / 2;
-  std::vector<std::int64_t> loads(num_links, 0);
-  if (n == 0 || sources.empty()) return loads;
+  TreeLoads out;
+  out.loads.assign(num_links, 0);
+  if (n == 0 || sources.empty()) return out;
 
   ThreadPool& pool = ThreadPool::global();
   const std::size_t batches = (sources.size() + kMsBfsBatch - 1) / kMsBfsBatch;
   const std::size_t shards =
       std::max<std::size_t>(1, std::min(batches, 4 * pool.size()));
-  std::vector<std::vector<std::int64_t>> shard_loads(shards);
+  std::vector<TreeLoads> shard_out(shards);
 
   pool.parallel_for(0, shards, [&](std::size_t k) {
-    std::vector<std::int64_t>& sl = shard_loads[k];
-    sl.assign(num_links, 0);
+    TreeLoads& so = shard_out[k];
+    so.loads.assign(num_links, 0);
     MsBfsScratch scratch;
     TreeLoadScratch tls;
     std::vector<std::uint32_t> batch_dist(static_cast<std::size_t>(n) * kMsBfsBatch);
@@ -115,293 +146,52 @@ std::vector<std::int64_t> compute_tree_loads(const CsrView& csr,
       for (std::size_t i = 0; i < lanes; ++i) {
         for (NodeId v = 0; v < n; ++v)
           row[v] = batch_dist[static_cast<std::size_t>(v) * kMsBfsBatch + i];
-        accumulate_tree_loads(csr, row, +1, sl, tls);
+        accumulate_tree_loads(csr, row, so, tls);
       }
     }
   });
 
-  for (const std::vector<std::int64_t>& sl : shard_loads)
-    for (std::size_t l = 0; l < num_links; ++l) loads[l] += sl[l];
-  return loads;
+  // Integer sums merged in shard order: identical for any shard count.
+  for (const TreeLoads& so : shard_out) {
+    for (std::size_t l = 0; l < num_links; ++l) out.loads[l] += so.loads[l];
+    out.sum_hops += so.sum_hops;
+    out.reachable_pairs += so.reachable_pairs;
+  }
+  return out;
 }
 
 SampledPathEstimator::SampledPathEstimator(const CsrView& csr, const EstimatorConfig& cfg)
-    : cfg_(cfg), n_(csr.num_nodes()), num_links_(csr.num_arcs() / 2) {
+    : n_(csr.num_nodes()) {
   DSN_REQUIRE(n_ > 1, "estimator needs at least two nodes");
-  std::uint32_t count = cfg_.sample_sources;
+  std::uint32_t count = cfg.sample_sources;
   if (count == 0) count = n_ <= 1024 ? n_ : 128;
   count = static_cast<std::uint32_t>(std::min<std::uint64_t>(count, n_));
-  sources_ = sample_sources(n_, count, cfg_.seed);
-  full_sweep(csr, rows_, src_sum_, src_reached_, loads_);
-  refresh_current();
-  delta_.assign(num_links_, 0);
+  sources_ = sample_sources(n_, count, cfg.seed);
+  committed_ = compute_tree_loads(csr, sources_);
+  current_ = make_view(committed_, n_, sources_.size());
 }
 
-std::span<const std::uint32_t> SampledPathEstimator::distance_row(
-    std::size_t source_index) const {
-  DSN_REQUIRE(source_index < sources_.size(), "source index out of range");
-  return {rows_.data() + source_index * n_, n_};
-}
-
-void SampledPathEstimator::full_sweep(const CsrView& csr, std::vector<std::uint32_t>& rows,
-                                      std::vector<std::uint64_t>& sums,
-                                      std::vector<std::uint32_t>& reached,
-                                      std::vector<std::int64_t>& loads) {
-  const std::size_t num_sources = sources_.size();
-  rows.resize(num_sources * n_);
-  sums.assign(num_sources, 0);
-  reached.assign(num_sources, 0);
-  loads.assign(num_links_, 0);
-
-  ThreadPool& pool = ThreadPool::global();
-  const std::size_t batches = (num_sources + kMsBfsBatch - 1) / kMsBfsBatch;
-  const std::size_t shards =
-      std::max<std::size_t>(1, std::min(batches, 4 * pool.size()));
-  // Per-shard load accumulators, merged serially in shard order below. The
-  // merge is an integer sum, so the result is identical for any shard count.
-  std::vector<std::vector<std::int64_t>> shard_loads(shards);
-
-  pool.parallel_for(0, shards, [&](std::size_t k) {
-    std::vector<std::int64_t>& sl = shard_loads[k];
-    sl.assign(num_links_, 0);
-    MsBfsScratch scratch;
-    TreeLoadScratch tls;
-    std::vector<std::uint32_t> batch_dist(static_cast<std::size_t>(n_) * kMsBfsBatch);
-    const std::size_t begin = k * batches / shards;
-    const std::size_t end = (k + 1) * batches / shards;
-    for (std::size_t b = begin; b < end; ++b) {
-      const std::size_t lo = b * kMsBfsBatch;
-      const std::size_t lanes =
-          std::min<std::size_t>(num_sources - lo, kMsBfsBatch);
-      msbfs_batch(csr, std::span<const NodeId>(sources_).subspan(lo, lanes),
-                  batch_dist.data(), scratch);
-      for (std::size_t i = 0; i < lanes; ++i) {
-        const std::size_t si = lo + i;
-        std::uint32_t* row = rows.data() + si * n_;
-        std::uint64_t sum = 0;
-        std::uint32_t rc = 0;
-        for (NodeId v = 0; v < n_; ++v) {
-          const std::uint32_t d = batch_dist[static_cast<std::size_t>(v) * kMsBfsBatch + i];
-          row[v] = d;
-          if (d != 0 && d != kUnreachable) {
-            sum += d;
-            ++rc;
-          }
-        }
-        sums[si] = sum;
-        reached[si] = rc;
-        accumulate_tree_loads(csr, {row, n_}, +1, sl, tls);
-      }
-    }
-  });
-
-  for (const std::vector<std::int64_t>& sl : shard_loads)
-    for (std::size_t l = 0; l < num_links_; ++l) loads[l] += sl[l];
-}
-
-EstimateView SampledPathEstimator::make_view(std::uint64_t sum, std::uint64_t reachable,
-                                             std::uint64_t max_load) const {
-  EstimateView v;
-  const auto num_sources = static_cast<std::uint64_t>(sources_.size());
-  v.sum_hops = sum;
-  v.reachable_pairs = reachable;
-  v.aspl = reachable == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(reachable);
-  v.sample_connected = reachable == num_sources * (n_ - 1);
-  v.max_link_load = max_load;
-  if (max_load > 0) {
-    v.max_normalized_load = static_cast<double>(max_load) * static_cast<double>(n_) /
-                            (static_cast<double>(num_sources) * static_cast<double>(n_ - 1));
-    v.throughput_bound = 1.0 / v.max_normalized_load;
-  }
-  return v;
-}
-
-void SampledPathEstimator::refresh_current() {
-  std::uint64_t sum = 0;
-  std::uint64_t reach = 0;
-  for (std::size_t k = 0; k < sources_.size(); ++k) {
-    sum += src_sum_[k];
-    reach += src_reached_[k];
-  }
-  std::uint64_t maxl = 0;
-  for (const std::int64_t l : loads_)
-    maxl = std::max(maxl, static_cast<std::uint64_t>(std::max<std::int64_t>(l, 0)));
-  current_ = make_view(sum, reach, maxl);
-}
-
-namespace {
-
-/// Canonical tree parent of v under this distance row: the minimum-id
-/// neighbor at distance dist[v] - 1 (kInvalidNode when v is the root or
-/// unreachable). Matches accumulate_tree_loads' parent rule at node level.
-NodeId canonical_parent(const CsrView& g, const std::uint32_t* dist, NodeId v) {
-  const std::uint32_t d = dist[v];
-  NodeId best = kInvalidNode;
-  for (const NodeId u : g.neighbors(v)) {
-    if (dist[u] + 1 == d && u < best) best = u;
-  }
-  return best;
-}
-
-}  // namespace
-
-std::size_t SampledPathEstimator::count_affected(
-    const CsrView& cur, std::span<const std::pair<NodeId, NodeId>> removed,
-    std::span<const std::pair<NodeId, NodeId>> added) {
-  DSN_REQUIRE(pending_ == Pending::kNone, "previous candidate not committed/discarded");
-  affected_.clear();
-  const std::size_t num_sources = sources_.size();
-  for (std::size_t k = 0; k < num_sources; ++k) {
-    const std::uint32_t* d = rows_.data() + k * n_;
-    bool aff = false;
-    for (const auto& [u, v] : removed) {
-      // An existing link has |delta| <= 1 (and never infinite-vs-finite).
-      // Non-tight links carry no tree load; a tight link matters only when
-      // it is the farther endpoint's canonical parent edge.
-      if (d[u] == d[v]) continue;
-      const NodeId parent = d[u] < d[v] ? u : v;
-      const NodeId child = d[u] < d[v] ? v : u;
-      if (canonical_parent(cur, d, child) == parent) {
-        aff = true;
-        break;
-      }
-    }
-    if (!aff) {
-      for (const auto& [u, v] : added) {
-        const std::uint32_t du = d[u];
-        const std::uint32_t dv = d[v];
-        if (du == dv) continue;  // never tight, nothing moves
-        const NodeId lo = du < dv ? u : v;
-        const NodeId hi = du < dv ? v : u;
-        const std::uint32_t diff = d[hi] - d[lo];  // well-defined: d[hi] > d[lo]
-        // diff >= 2 (or reaching a previously unreachable side) shortens
-        // distances; diff == 1 only matters when the new tight link steals
-        // hi's min-id canonical parent.
-        if (diff != 1 || lo < canonical_parent(cur, d, hi)) {
-          aff = true;
-          break;
-        }
-      }
-    }
-    if (aff) affected_.push_back(static_cast<std::uint32_t>(k));
-  }
-  pending_ = Pending::kClean;
-  return affected_.size();
-}
-
-const EstimateView& SampledPathEstimator::evaluate(const CsrView& cur, const CsrView& next) {
-  DSN_REQUIRE(pending_ == Pending::kClean, "evaluate needs a preceding count_affected");
-  DSN_REQUIRE(next.num_nodes() == n_ && next.num_arcs() / 2 == num_links_,
+const EstimateView& SampledPathEstimator::evaluate(const CsrView& next) {
+  DSN_REQUIRE(!has_pending_, "previous candidate not committed/discarded");
+  DSN_REQUIRE(next.num_nodes() == n_ && next.num_arcs() / 2 == committed_.loads.size(),
               "candidate graph shape mismatch");
-  const std::size_t num_sources = sources_.size();
-  if (affected_.empty()) {
-    pending_view_ = current_;
-    return pending_view_;
-  }
-
-  if (static_cast<double>(affected_.size()) >
-      cfg_.max_affected_fraction * static_cast<double>(num_sources)) {
-    // Drift fallback: one fresh 64-lane sampled sweep beats many
-    // single-source re-sweeps.
-    ++full_sweeps_;
-    full_sweep(next, pending_rows_, pending_sum_, pending_reached_, full_loads_);
-    std::uint64_t sum = 0;
-    std::uint64_t reach = 0;
-    for (std::size_t k = 0; k < num_sources; ++k) {
-      sum += pending_sum_[k];
-      reach += pending_reached_[k];
-    }
-    std::uint64_t maxl = 0;
-    for (const std::int64_t l : full_loads_)
-      maxl = std::max(maxl, static_cast<std::uint64_t>(std::max<std::int64_t>(l, 0)));
-    pending_view_ = make_view(sum, reach, maxl);
-    pending_ = Pending::kFull;
-    return pending_view_;
-  }
-
-  const std::size_t num_affected = affected_.size();
-  resweeps_ += num_affected;
-  pending_rows_.resize(num_affected * n_);
-  pending_sum_.resize(num_affected);
-  pending_reached_.resize(num_affected);
-  // Re-sweep affected sources in parallel; each writes a disjoint row, and
-  // BFS itself is sequential per source, so the result is thread-invariant.
-  ThreadPool::global().parallel_for(0, num_affected, [&](std::size_t a) {
-    const NodeId src = sources_[affected_[a]];
-    std::uint32_t* row = pending_rows_.data() + a * n_;
-    MsBfsScratch scratch;
-    csr_bfs_distances(next, src, row, 1, scratch);
-    std::uint64_t sum = 0;
-    std::uint32_t rc = 0;
-    for (NodeId v = 0; v < n_; ++v) {
-      const std::uint32_t d = row[v];
-      if (d != 0 && d != kUnreachable) {
-        sum += d;
-        ++rc;
-      }
-    }
-    pending_sum_[a] = sum;
-    pending_reached_[a] = rc;
-  });
-
-  std::fill(delta_.begin(), delta_.end(), 0);
-  TreeLoadScratch tls;
-  std::int64_t dsum = 0;
-  std::int64_t dreach = 0;
-  for (std::size_t a = 0; a < num_affected; ++a) {
-    const std::size_t k = affected_[a];
-    accumulate_tree_loads(cur, {rows_.data() + k * n_, n_}, -1, delta_, tls);
-    accumulate_tree_loads(next, {pending_rows_.data() + a * n_, n_}, +1, delta_, tls);
-    dsum += static_cast<std::int64_t>(pending_sum_[a]) -
-            static_cast<std::int64_t>(src_sum_[k]);
-    dreach += static_cast<std::int64_t>(pending_reached_[a]) -
-              static_cast<std::int64_t>(src_reached_[k]);
-  }
-  const auto sum = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(current_.sum_hops) + dsum);
-  const auto reach = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(current_.reachable_pairs) + dreach);
-  std::uint64_t maxl = 0;
-  for (std::size_t l = 0; l < num_links_; ++l) {
-    const std::int64_t x = loads_[l] + delta_[l];
-    DSN_ASSERT(x >= 0, "tree loads cannot go negative");
-    maxl = std::max(maxl, static_cast<std::uint64_t>(x));
-  }
-  pending_view_ = make_view(sum, reach, maxl);
-  pending_ = Pending::kIncremental;
+  ++full_sweeps_;
+  pending_ = compute_tree_loads(next, sources_);
+  pending_view_ = make_view(pending_, n_, sources_.size());
+  has_pending_ = true;
   return pending_view_;
 }
 
 void SampledPathEstimator::commit() {
-  DSN_REQUIRE(pending_ != Pending::kNone, "no pending candidate to commit");
-  switch (pending_) {
-    case Pending::kIncremental:
-      for (std::size_t a = 0; a < affected_.size(); ++a) {
-        const std::size_t k = affected_[a];
-        std::copy_n(pending_rows_.data() + a * n_, n_, rows_.data() + k * n_);
-        src_sum_[k] = pending_sum_[a];
-        src_reached_[k] = pending_reached_[a];
-      }
-      for (std::size_t l = 0; l < num_links_; ++l) loads_[l] += delta_[l];
-      current_ = pending_view_;
-      break;
-    case Pending::kFull:
-      rows_.swap(pending_rows_);
-      src_sum_.swap(pending_sum_);
-      src_reached_.swap(pending_reached_);
-      loads_.swap(full_loads_);
-      current_ = pending_view_;
-      break;
-    case Pending::kClean:  // swap did not touch any sampled tree
-    case Pending::kNone:
-      break;
-  }
-  pending_ = Pending::kNone;
+  DSN_REQUIRE(has_pending_, "no pending candidate to commit");
+  std::swap(committed_, pending_);
+  current_ = pending_view_;
+  has_pending_ = false;
 }
 
 void SampledPathEstimator::discard() {
-  DSN_REQUIRE(pending_ != Pending::kNone, "no pending candidate to discard");
-  pending_ = Pending::kNone;
+  DSN_REQUIRE(has_pending_, "no pending candidate to discard");
+  has_pending_ = false;
 }
 
 }  // namespace dsn

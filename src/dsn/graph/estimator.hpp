@@ -1,39 +1,16 @@
 // dsn-slint: deterministic — estimates feed the byte-identical Pareto-front
-// gates; sampling, re-sweep order and merges must be pure functions of
-// (graph, config), never of thread count or timing.
+// gates; sampling and shard merges must be pure functions of (graph, config),
+// never of thread count or timing.
 //
-// Incremental sampled path/load estimator for the shortcut-placement
-// optimizer (dsn/opt). A SampledPathEstimator holds, for a fixed seeded
-// sample of BFS sources, the exact per-source distance rows plus the
-// per-link loads of each source's canonical shortest-path tree. After an
-// edge swap it re-sweeps only the sources whose BFS trees can actually be
-// touched by the mutated links — an exact criterion, not a heuristic. Write
-// w for the endpoint farther from s and p for the other one:
-//
-//   * a removed link affects s iff it was the canonical parent edge of w
-//     (p == min-id neighbor of w at distance d_s[w] - 1). A non-parent tight
-//     link carries no tree load, and w keeps its distance through its
-//     surviving parent, so every other node's distance survives too;
-//   * an added link affects s iff |d_s[u] - d_s[v]| >= 2 (distances shrink),
-//     or |delta| == 1 and p < canonical_parent(w) (the new tight link steals
-//     w's min-id parent, shifting loads); |delta| == 0 links are never tight.
-//
-// The checks compose across a double swap because an unaffected source keeps
-// both its distance row and its canonical parents through each individual
-// edit. One caveat inherited from the min-(id, link) tie-break: the test
-// assumes a mutated endpoint pair is not duplicated by a surviving parallel
-// link (guaranteed under MutableShortcutSet, which rejects duplicates).
-//
-// Skipping unaffected sources is therefore exact: the incremental state is
-// bit-identical to a fresh rebuild (test_opt_estimator.cpp pins this). When
-// a swap affects more than EstimatorConfig::max_affected_fraction of the
-// sample, the estimator falls back to one fresh sampled MS-BFS sweep
-// (cheaper than many single-source re-sweeps, 64 lanes per pass).
+// Sampled path/load estimator for the shortcut-placement optimizer (dsn/opt).
+// A SampledPathEstimator fixes a seeded sample of BFS sources and prices each
+// candidate graph with one exact sampled sweep of their canonical
+// shortest-path trees. There is no incremental path: a swapped shortcut lies
+// on most sampled trees of a small-world graph (DESIGN §10).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "dsn/common/types.hpp"
@@ -43,18 +20,10 @@ namespace dsn {
 
 struct EstimatorConfig {
   /// BFS sources sampled without replacement. 0 = auto: all n sources when
-  /// n <= 1024 (the estimate is then exact), else 128. Memory is O(S * n).
+  /// n <= 1024 (the estimate is then exact), else 128.
   std::uint32_t sample_sources = 0;
   /// Seed for the source sample (independent of the annealing seed).
   std::uint64_t seed = 0x5eed;
-  /// Fall back to a fresh full sampled sweep when a swap affects more than
-  /// this fraction of the sample ("drift"). Break-even: a full sweep costs
-  /// ~S tree-load accumulations plus ceil(S/64) MS-BFS batches, an affected
-  /// source costs one BFS plus two tree accumulations (~3 O(n+m) passes), so
-  /// incremental wins below roughly S/3. Long shortcuts carry most trees'
-  /// load, so global swaps essentially always drift; locality-biased moves
-  /// (see OptimizerConfig::local_bias) land below the threshold.
-  double max_affected_fraction = 0.35;
 };
 
 /// Aggregate estimate over the sampled sources. With sample_sources == n the
@@ -78,96 +47,52 @@ struct EstimateView {
 /// count >= n returns all of [0, n).
 std::vector<NodeId> sample_sources(NodeId n, std::uint32_t count, std::uint64_t seed);
 
-/// Scratch for accumulate_tree_loads (reused across calls).
-struct TreeLoadScratch {
-  std::vector<NodeId> order;           // nodes by descending distance
-  std::vector<std::uint64_t> weight;   // subtree destination counts
-  std::vector<std::size_t> bucket;     // counting-sort offsets by distance
+/// One sweep of canonical shortest-path trees over a source set.
+struct TreeLoads {
+  /// Per-link loads, indexed by the CsrView's link ids: every node v reached
+  /// from a source routes to it through its canonical parent, the minimum-id
+  /// neighbor at distance d(v) - 1 (ties on parallel links broken by minimum
+  /// link id), and adds 1 to each link on that path.
+  std::vector<std::int64_t> loads;
+  std::uint64_t sum_hops = 0;         ///< over ordered (source, t != source) pairs
+  std::uint64_t reachable_pairs = 0;  ///< ditto
 };
 
-/// Add (sign = +1) or subtract (sign = -1) the per-link loads of the
-/// canonical shortest-path tree rooted at the unique dist-0 node: every node
-/// v with dist[v] != kUnreachable routes to the root through its canonical
-/// parent — the minimum-id neighbor u with dist[u] == dist[v] - 1 (ties on
-/// parallel links broken by minimum link id). link_loads is indexed by the
-/// CsrView's link ids. O(n + m).
-void accumulate_tree_loads(const CsrView& g, std::span<const std::uint32_t> dist,
-                           std::int64_t sign, std::span<std::int64_t> link_loads,
-                           TreeLoadScratch& scratch);
-
-/// Per-link canonical-tree loads summed over `sources` (each source's tree
-/// via accumulate_tree_loads). Sharded 64-lane MS-BFS under the global thread
-/// pool; per-shard integer accumulators merged in shard order, so the result
-/// is identical for any thread count. Indexed by the CsrView's link ids.
-std::vector<std::int64_t> compute_tree_loads(const CsrView& csr,
-                                             std::span<const NodeId> sources);
+/// Sharded 64-lane MS-BFS under the global thread pool; per-shard integer
+/// accumulators merged in shard order, so the result is identical for any
+/// thread count. O(S * (n + m)).
+TreeLoads compute_tree_loads(const CsrView& csr, std::span<const NodeId> sources);
 
 class SampledPathEstimator {
  public:
-  /// Full sampled sweep of `csr` (the committed graph). Later candidate
-  /// graphs must keep the same node count, link count and link-id layout.
+  /// Sampled sweep of `csr` (the committed graph; not counted in
+  /// full_sweeps()). Candidate graphs must keep its node and link counts.
   SampledPathEstimator(const CsrView& csr, const EstimatorConfig& cfg);
 
   const std::vector<NodeId>& sources() const { return sources_; }
   const EstimateView& current() const { return current_; }
-  const std::vector<std::int64_t>& link_loads() const { return loads_; }
-  std::span<const std::uint32_t> distance_row(std::size_t source_index) const;
+  const std::vector<std::int64_t>& link_loads() const { return committed_.loads; }
 
-  /// Stage 1 of a candidate evaluation: classify which sampled sources the
-  /// swap affects, from the stored distance rows plus O(degree) canonical-
-  /// parent scans of `cur`, the committed graph (no candidate CSR needed —
-  /// callers can skip the snapshot build when this returns 0).
-  /// `removed`/`added` are the endpoint pairs leaving/entering the graph.
-  std::size_t count_affected(const CsrView& cur,
-                             std::span<const std::pair<NodeId, NodeId>> removed,
-                             std::span<const std::pair<NodeId, NodeId>> added);
+  /// Price candidate graph `next` with one sampled sweep. The result is held
+  /// pending until commit() or discard().
+  const EstimateView& evaluate(const CsrView& next);
 
-  /// Stage 2: evaluate the candidate. `cur` is the committed graph the
-  /// estimator state was built on, `next` the candidate (same link ids).
-  /// Uses the affected set from the preceding count_affected call. The
-  /// result is held pending until commit() or discard().
-  const EstimateView& evaluate(const CsrView& cur, const CsrView& next);
-
-  /// Adopt the pending candidate state (the candidate graph is now the
-  /// committed graph) / drop it (the swap was rejected and undone).
+  /// Adopt the pending candidate (it is now the committed graph) / drop it
+  /// (the swap was rejected and undone).
   void commit();
   void discard();
 
-  std::size_t last_affected() const { return affected_.size(); }
-  std::uint64_t resweeps() const { return resweeps_; }
+  /// Sweeps run by evaluate().
   std::uint64_t full_sweeps() const { return full_sweeps_; }
 
  private:
-  enum class Pending : std::uint8_t { kNone, kClean, kIncremental, kFull };
-
-  void full_sweep(const CsrView& csr, std::vector<std::uint32_t>& rows,
-                  std::vector<std::uint64_t>& sums, std::vector<std::uint32_t>& reached,
-                  std::vector<std::int64_t>& loads);
-  EstimateView make_view(std::uint64_t sum, std::uint64_t reachable,
-                         std::uint64_t max_load) const;
-  void refresh_current();
-
-  EstimatorConfig cfg_;
   NodeId n_ = 0;
-  std::size_t num_links_ = 0;
-
   std::vector<NodeId> sources_;
-  std::vector<std::uint32_t> rows_;       // sources_.size() x n_, row-major
-  std::vector<std::uint64_t> src_sum_;    // per-source sum of hops
-  std::vector<std::uint32_t> src_reached_;
-  std::vector<std::int64_t> loads_;       // per-link tree loads, committed
+  TreeLoads committed_;
   EstimateView current_;
-
-  Pending pending_ = Pending::kNone;
-  std::vector<std::uint32_t> affected_;        // source indices, ascending
-  std::vector<std::uint32_t> pending_rows_;    // affected x n_ (or full)
-  std::vector<std::uint64_t> pending_sum_;
-  std::vector<std::uint32_t> pending_reached_;
-  std::vector<std::int64_t> delta_;            // per-link load delta (incremental)
-  std::vector<std::int64_t> full_loads_;       // full-fallback loads
+  TreeLoads pending_;
   EstimateView pending_view_;
-
-  std::uint64_t resweeps_ = 0;
+  bool has_pending_ = false;
   std::uint64_t full_sweeps_ = 0;
 };
 

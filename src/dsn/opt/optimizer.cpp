@@ -19,11 +19,8 @@ namespace {
 struct OptMetrics {
   obs::MetricId proposals = obs::MetricsRegistry::global().counter("dsn.opt.proposals");
   obs::MetricId accepts = obs::MetricsRegistry::global().counter("dsn.opt.accepts");
-  obs::MetricId resweeps = obs::MetricsRegistry::global().counter("dsn.opt.resweeps");
   obs::MetricId full_sweeps =
       obs::MetricsRegistry::global().counter("dsn.opt.full_sweeps");
-  obs::MetricId affected =
-      obs::MetricsRegistry::global().gauge("dsn.opt.affected_sources");
   obs::MetricId plateau_ns = obs::MetricsRegistry::global().counter("dsn.opt.plateau_ns");
   obs::MetricId plateaus = obs::MetricsRegistry::global().counter("dsn.opt.plateaus");
 
@@ -72,22 +69,16 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
     seed_cable += layout.cable_length_m(u, v);
   }
 
-  // Seed estimate (one extra full sweep; per-pass estimators redo it, which
-  // is noise next to passes * iterations proposals).
-  std::uint64_t seed_reachable = 0;
-  {
-    const MutableShortcutSet seed_view(topo);
-    result.shortcuts = seed_view.num_shortcuts();
-    const CsrView seed_csr = seed_view.snapshot();
-    const SampledPathEstimator seed_est(seed_csr, cfg.estimator);
-    result.sample_sources = static_cast<std::uint32_t>(seed_est.sources().size());
-    const EstimateView& sv = seed_est.current();
-    seed_reachable = sv.reachable_pairs;
-    result.seed_point = OptPoint{seed_cable, sv.aspl, sv.max_normalized_load,
-                                 sv.throughput_bound, 0, 0};
-    result.best_shortcuts.assign(seed_view.shortcuts().begin(),
-                                 seed_view.shortcuts().end());
-  }
+  // The seed placement is swept once; every pass starts from a copy.
+  const MutableShortcutSet seed_view(topo);
+  const SampledPathEstimator seed_est(seed_view.snapshot(), cfg.estimator);
+  const EstimateView& sv = seed_est.current();
+  const std::uint64_t seed_reachable = sv.reachable_pairs;
+  result.shortcuts = seed_view.num_shortcuts();
+  result.sample_sources = static_cast<std::uint32_t>(seed_est.sources().size());
+  result.seed_point = OptPoint{seed_cable, sv.aspl, sv.max_normalized_load,
+                               sv.throughput_bound, 0, 0};
+  result.best_shortcuts.assign(seed_view.shortcuts().begin(), seed_view.shortcuts().end());
 
   ParetoArchive archive;
   archive.insert(result.seed_point);
@@ -108,9 +99,8 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
              w[2] * load / load_scale;
     };
 
-    MutableShortcutSet view(topo);
-    CsrView cur = view.snapshot();
-    SampledPathEstimator est(cur, cfg.estimator);
+    MutableShortcutSet view = seed_view;
+    SampledPathEstimator est = seed_est;
     double cable = seed_cable;
     const std::size_t num_slots = view.num_shortcuts();
     double temperature = cfg.initial_temperature;
@@ -119,7 +109,7 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
     // (endpoint, slot * 2 + side) ordered by endpoint id. Under the linear
     // placement, adjacency in this order is adjacency in cable space, so an
     // exchange between neighboring entries approximately preserves both
-    // shortcut spans — the move class the incremental estimator is built for.
+    // shortcut spans.
     std::vector<std::pair<NodeId, std::uint32_t>> endpoint_index;
     endpoint_index.reserve(2 * num_slots);
     for (std::uint32_t s = 0; s < num_slots; ++s) {
@@ -191,23 +181,7 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
         const std::pair<NodeId, NodeId> new_j = view.shortcut(j);
         const double cand_cable = cable + pair_cable(new_i) + pair_cable(new_j) -
                                   pair_cable(old_i) - pair_cable(old_j);
-
-        const std::array<std::pair<NodeId, NodeId>, 2> removed{old_i, old_j};
-        const std::array<std::pair<NodeId, NodeId>, 2> added{new_i, new_j};
-        const std::size_t affected = est.count_affected(cur, removed, added);
-        DSN_OBS_GAUGE_SET(OptMetrics::get().affected,
-                          static_cast<std::uint64_t>(affected));
-
-        CsrView next;
-        EstimateView cand;
-        if (affected == 0) {
-          // The swap touches no sampled tree: paths/loads are unchanged and
-          // the candidate differs in cable only — no snapshot, no sweep.
-          cand = est.current();
-        } else {
-          next = view.snapshot();
-          cand = est.evaluate(cur, next);
-        }
+        const EstimateView cand = est.evaluate(view.snapshot());
 
         // Never walk through placements the sampled sweep cannot certify as
         // reachable-equivalent to the seed (swaps cannot disconnect the
@@ -231,7 +205,6 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
 
         est.commit();
         cable = cand_cable;
-        cur = affected == 0 ? view.snapshot() : std::move(next);
         index_remove(old_i.first, static_cast<std::uint32_t>(2 * i));
         index_remove(old_i.second, static_cast<std::uint32_t>(2 * i + 1));
         index_remove(old_j.first, static_cast<std::uint32_t>(2 * j));
@@ -256,9 +229,7 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
       temperature = std::max(cfg.min_temperature, temperature * cfg.cooling);
     }
 
-    result.resweeps += est.resweeps();
     result.full_sweeps += est.full_sweeps();
-    DSN_OBS_ADD(OptMetrics::get().resweeps, est.resweeps());
     DSN_OBS_ADD(OptMetrics::get().full_sweeps, est.full_sweeps());
   }
 
@@ -307,7 +278,6 @@ Json optimizer_result_to_json(const OptimizerResult& r) {
   j.set("proposals", r.proposals);
   j.set("accepted", r.accepted);
   j.set("invalid", r.invalid);
-  j.set("resweeps", r.resweeps);
   j.set("full_sweeps", r.full_sweeps);
   j.set("beats_seed", r.beats_seed);
   j.set("best_cable_m_at_seed_aspl", r.best_cable_m_at_seed_aspl);

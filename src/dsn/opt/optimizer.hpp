@@ -7,11 +7,10 @@
 // double-edge swaps of the LinkRole::kShortcut links, exploring the
 // (cable length, ASPL, 1 / throughput-bound) trade-off at *exactly* the
 // seed topology's degree sequence — swaps preserve degrees by construction
-// (see MutableShortcutSet). The estimator makes each proposal cheap: only
-// sources whose BFS trees touch the swapped links are re-swept
-// (SampledPathEstimator), and cable deltas are exact O(1) lookups under the
-// machine-room layout model. Non-dominated placements accumulate in a
-// ParetoArchive whose 2-D staircase is the committed-bench artifact.
+// (see MutableShortcutSet). Each valid proposal costs one sampled sweep of the
+// candidate graph (SampledPathEstimator); cable deltas are exact O(1) lookups
+// under the machine-room layout model. Non-dominated placements accumulate in
+// a ParetoArchive whose 2-D staircase is the committed-bench artifact.
 #pragma once
 
 #include <cstdint>
@@ -41,16 +40,13 @@ struct OptimizerConfig {
   /// Fraction of proposals drawn as *local partner exchanges*: pick two
   /// shortcuts whose endpoints are adjacent in sorted-endpoint order and
   /// exchange their far partners, which approximately preserves both spans.
-  /// Local moves barely perturb the sampled BFS trees (the estimator's
-  /// incremental path), and they are the cable fine-tuning moves; the
-  /// remaining fraction are global random swaps that explore ASPL. A truly
-  /// random swap rewires long-range structure and touches most trees, so an
-  /// all-global mix degenerates to full re-sweeps every proposal.
+  /// Local moves are the cable fine-tuning moves; the remaining fraction are
+  /// global random swaps that rewire long-range structure and explore ASPL.
   double local_bias = 0.75;
   /// Neighborhood half-width (in sorted-endpoint positions) for local moves.
-  /// Small is better for the estimator (tighter moves perturb fewer trees)
-  /// but 1 wastes ~half the draws on no-op self-exchanges — nodes carry ~2
-  /// shortcut endpoints, so the adjacent entry is often the same node.
+  /// Small keeps the moves cable-local, but 1 wastes ~half the draws on no-op
+  /// self-exchanges — nodes carry ~2 shortcut endpoints, so the adjacent
+  /// entry is often the same node.
   std::uint32_t local_window = 4;
   EstimatorConfig estimator;
   MachineRoomConfig room;
@@ -73,8 +69,10 @@ struct OptimizerResult {
   std::uint64_t proposals = 0;
   std::uint64_t accepted = 0;
   std::uint64_t invalid = 0;     ///< rejected by swap validity, pre-estimator
-  std::uint64_t resweeps = 0;    ///< single-source BFS re-sweeps
-  std::uint64_t full_sweeps = 0; ///< drift fallbacks to a full sampled sweep
+  /// Always 0: the estimator has no per-source re-sweeps. Kept only because
+  /// bench/e2e/e2e.cpp reads it; not part of the JSON projection.
+  std::uint64_t resweeps = 0;
+  std::uint64_t full_sweeps = 0; ///< sampled sweeps, one per valid proposal
 
   /// True when some placement strictly beats the seed on cable at ASPL no
   /// worse than the seed's — the "cable-per-ASPL at equal degree" headline.

@@ -635,9 +635,9 @@ int run_optimize_command(int argc, const char* const* argv) {
                           "no front point is at least as good as the seed "
                           "placement in both cable and ASPL"});
   }
-  // The optimizer's seed estimate and the analyzer's bound count the same
-  // canonical trees over the same sources; any gap means the incremental
-  // estimator and the one-shot kernel diverged.
+  // The optimizer's seed estimate and the analyzer's bound run the same
+  // tree sweep over the same sources; any gap means the estimator's view or
+  // the bound's normalization diverged.
   if (std::abs(res.seed_point.max_normalized_load - seed_bound.max_normalized) >
       1e-12) {
     violations.push_back(
@@ -678,8 +678,7 @@ int run_optimize_command(int argc, const char* const* argv) {
     }
     std::cout << "\n  moves  " << res.proposals << " proposals, "
               << res.accepted << " accepted, " << res.invalid << " invalid, "
-              << res.resweeps << " re-sweeps, " << res.full_sweeps
-              << " full sweeps\n"
+              << res.full_sweeps << " full sweeps\n"
               << "  best   cable " << res.best_cable_m_at_seed_aspl
               << " m at aspl <= seed (" << res.cable_saved_pct << "% saved, "
               << (res.beats_seed ? "beats seed" : "does not beat seed")
@@ -777,7 +776,7 @@ int run_stats_command(int argc, const char* const* argv) {
   stages.emplace_back("graph", registry.snapshot());
 
   // Opt stage: a short annealing run on the same instance exercises the
-  // optimizer's proposal/accept counters, drift gauge and plateau timer.
+  // optimizer's proposal/accept/sweep counters and plateau timer.
   {
     dsn::opt::OptimizerConfig ocfg;
     ocfg.seed = cli.get_uint("seed");
@@ -845,9 +844,8 @@ int run_stats_command(int argc, const char* const* argv) {
         "dsn.sim.packet_latency_cycles", "dsn.flow.flows",
         "dsn.flow.flows_completed", "dsn.flow.epochs",
         "dsn.flow.waterfill_rounds", "dsn.flow.fct_cycles",
-        "dsn.opt.proposals", "dsn.opt.accepts", "dsn.opt.resweeps",
-        "dsn.opt.full_sweeps", "dsn.opt.affected_sources", "dsn.opt.plateau_ns",
-        "dsn.opt.plateaus"}) {
+        "dsn.opt.proposals", "dsn.opt.accepts", "dsn.opt.full_sweeps",
+        "dsn.opt.plateau_ns", "dsn.opt.plateaus"}) {
     if (final_snap.find(required) == nullptr) {
       violations.push_back({"metric-missing",
                             std::string("expected metric '") + required +
