@@ -15,8 +15,11 @@ Validates a micro_opt JSON report. Two modes:
 In BOTH modes every row's Pareto front must be a strict staircase (cable
 strictly ascending, ASPL strictly descending — the front_2d invariant) and
 must never be worse than the seed placement: some front point has cable and
-ASPL both <= the seed's. These are deterministic optimizer invariants, not
-runner-dependent measurements, so a smoke run gates them too.
+ASPL both <= the seed's. Every row must also have run exactly one estimator
+sweep per valid proposal (full_sweeps == proposals - invalid, DESIGN §10),
+which pins the work proposals_per_sec measures. These are deterministic
+optimizer invariants, not runner-dependent measurements, so a smoke run
+gates them too.
 
 Exits 1 listing every failed check — never just the first.
 """
@@ -46,6 +49,11 @@ def check_row(gate, path, row):
     name = row_name(row)
     if row["proposals"] <= 0 or row["proposals_per_sec"] <= 0:
         gate.fail(f"{path}: row {name} has non-positive throughput")
+    valid = row["proposals"] - row["invalid"]
+    if row["full_sweeps"] != valid:
+        gate.fail(f"{path}: row {name} ran {row['full_sweeps']} full sweeps "
+                  f"for {valid} valid proposals; the optimizer prices each "
+                  "valid proposal with exactly one sweep")
 
     seed = row["seed_point"]
     front = row["front"]

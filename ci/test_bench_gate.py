@@ -213,7 +213,7 @@ class OptGateInvariantTest(unittest.TestCase):
                  "seed_point": point(100.0, 5.0),
                  "front": [point(90.0, 5.0), point(95.0, 4.5)],
                  "archive_size": 2, "proposals": 10, "accepted": 5,
-                 "invalid": 0, "full_sweeps": 4,
+                 "invalid": 2, "full_sweeps": 8,
                  "beats_seed": True, "best_cable_m_at_seed_aspl": 90.0,
                  "cable_saved_pct": 10.0, "best_aspl": 4.5, "wall_ms": 1.0,
                  "proposals_per_sec": 10000.0}
@@ -261,6 +261,14 @@ class OptGateInvariantTest(unittest.TestCase):
         code, _, err = self.run_opt(report)
         self.assertEqual(code, 1)
         self.assertIn("empty Pareto front", err)
+
+    def test_sweeps_not_one_per_valid_proposal(self):
+        report = self.make_report()
+        report["results"][1]["full_sweeps"] = 9  # 10 proposals - 2 invalid
+        for mode in ([], ["--smoke"]):
+            code, _, err = self.run_opt(report, *mode)
+            self.assertEqual(code, 1, mode)
+            self.assertIn("ran 9 full sweeps for 8 valid proposals", err)
 
     def test_missing_scale_row(self):
         report = self.make_report()

@@ -4,6 +4,7 @@
 #include "dsn/graph/estimator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <utility>
 
@@ -32,69 +33,117 @@ std::vector<NodeId> sample_sources(NodeId n, std::uint32_t count, std::uint64_t 
 
 namespace {
 
-/// Scratch for accumulate_tree_loads (reused across calls).
-struct TreeLoadScratch {
-  std::vector<NodeId> order;           // nodes by descending distance
-  std::vector<std::uint64_t> weight;   // subtree destination counts
-  std::vector<std::size_t> bucket;     // counting-sort offsets by distance
+/// Each node's arcs as (neighbor << 32 | link id) keys, ascending: the first
+/// tight arc a lane meets in this order is its canonical parent (TreeLoads).
+struct SortedArcs {
+  std::vector<std::size_t> begin;  // node v's keys are [begin[v], begin[v + 1])
+  std::vector<std::uint64_t> key;
+
+  explicit SortedArcs(const CsrView& g) : begin(g.num_nodes() + std::size_t{1}, 0) {
+    key.reserve(g.num_arcs());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const auto nbrs = g.neighbors(v);
+      const auto lnks = g.links(v);
+      for (std::size_t k = 0; k < nbrs.size(); ++k)
+        key.push_back(std::uint64_t{nbrs[k]} << 32 | lnks[k]);
+      std::sort(key.begin() + static_cast<std::ptrdiff_t>(begin[v]), key.end());
+      begin[v + 1] = key.size();
+    }
+  }
+};
+
+/// Per-shard working set of the level-mask kernel, recycled across batches.
+struct LevelMaskScratch {
+  MsBfsScratch bfs;
+  // One entry per (node, BFS level >= 1) with a nonzero lane mask: the lanes
+  // that first reached the node at that level. Level d's entries are
+  // [level_begin[d - 1], level_begin[d]).
+  std::vector<NodeId> node;
+  std::vector<std::uint64_t> mask;
+  std::vector<std::size_t> level_begin;
+  std::vector<std::size_t> slot;    // per node: its most recent entry
+  std::vector<std::uint64_t> at;    // per node: lanes at the level being parented into
+  // Node-major n x 64: destinations strictly below (node, lane) in that
+  // lane's tree. All zero between batches: the walk zeroes what it reads.
+  std::vector<std::uint32_t> sub;
+
+  explicit LevelMaskScratch(NodeId n)
+      : slot(n, 0), at(n, 0), sub(static_cast<std::size_t>(n) * kMsBfsBatch, 0) {}
 };
 
 /// Add the hop sum, reachable count and per-link loads of the canonical
-/// shortest-path tree rooted at the unique dist-0 node (see TreeLoads::loads
-/// for the parent rule) to `out`. O(n + m).
-void accumulate_tree_loads(const CsrView& g, std::span<const std::uint32_t> dist,
-                           TreeLoads& out, TreeLoadScratch& scratch) {
-  const NodeId n = g.num_nodes();
-
-  // Counting sort of the reachable non-root nodes by distance: weights flow
-  // strictly from larger to smaller distance, so any order within one level
-  // is correct; bucketing by (distance, node id) keeps it canonical.
-  std::uint32_t maxd = 0;
-  std::size_t cnt = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    const std::uint32_t d = dist[v];
-    if (d == 0 || d == kUnreachable) continue;
-    maxd = std::max(maxd, d);
-    out.sum_hops += d;
-    ++cnt;
-  }
-  out.reachable_pairs += cnt;
-  if (cnt == 0) return;
-  scratch.bucket.assign(static_cast<std::size_t>(maxd) + 2, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    const std::uint32_t d = dist[v];
-    if (d == 0 || d == kUnreachable) continue;
-    ++scratch.bucket[d + 1];
-  }
-  for (std::size_t i = 1; i <= maxd; ++i) scratch.bucket[i + 1] += scratch.bucket[i];
-  scratch.order.resize(cnt);
-  for (NodeId v = 0; v < n; ++v) {
-    const std::uint32_t d = dist[v];
-    if (d == 0 || d == kUnreachable) continue;
-    scratch.order[scratch.bucket[d]++] = v;
-  }
-
-  scratch.weight.assign(n, 1);
-  for (std::size_t idx = cnt; idx-- > 0;) {
-    const NodeId v = scratch.order[idx];
-    const std::uint32_t d = dist[v];
-    const auto nbrs = g.neighbors(v);
-    const auto lnks = g.links(v);
-    NodeId best_u = kInvalidNode;
-    LinkId best_link = 0;
-    for (std::size_t k = 0; k < nbrs.size(); ++k) {
-      const NodeId u = nbrs[k];
-      if (dist[u] + 1 != d) continue;  // kUnreachable + 1 wraps to 0 != d (d >= 1)
-      const LinkId l = lnks[k];
-      if (best_u == kInvalidNode || u < best_u || (u == best_u && l < best_link)) {
-        best_u = u;
-        best_link = l;
-      }
+/// shortest-path trees of up to 64 sources to `out`. One MS-BFS records the
+/// lane masks of every level; the walk then runs from the deepest level up,
+/// and each entry ANDs its unparented lanes with each neighbor's lanes one
+/// level up, in SortedArcs order, so the first hit per lane is that lane's
+/// canonical parent. O(entries * degree) on top of the sweep: small-world
+/// levels share one entry among many lanes, long-diameter ones do not.
+void add_level_mask_loads(const CsrView& g, const SortedArcs& arcs,
+                          std::span<const NodeId> sources, TreeLoads& out,
+                          LevelMaskScratch& s) {
+  s.node.clear();
+  s.mask.clear();
+  s.level_begin.clear();
+  msbfs_sweep(g, sources, s.bfs, [&s](NodeId v, std::uint32_t level, std::uint64_t fresh) {
+    if (level > s.level_begin.size()) s.level_begin.push_back(s.node.size());
+    // v already has an entry at this level iff its latest one is here.
+    const std::size_t k = s.slot[v];
+    if (k >= s.level_begin.back() && k < s.node.size() && s.node[k] == v) {
+      s.mask[k] |= fresh;
+      return;
     }
-    DSN_ASSERT(best_u != kInvalidNode, "reachable node must have a tight parent");
-    out.loads[best_link] += static_cast<std::int64_t>(scratch.weight[v]);
-    scratch.weight[best_u] += scratch.weight[v];
+    s.slot[v] = s.node.size();
+    s.node.push_back(v);
+    s.mask.push_back(fresh);
+  });
+  s.level_begin.push_back(s.node.size());
+
+  // Set at[] to the lanes of level d (0 = the sources), or clear it.
+  const auto mark_level = [&s, sources](std::size_t d, bool set) {
+    if (d == 0) {
+      for (std::size_t i = 0; i < sources.size(); ++i)
+        s.at[sources[i]] = set ? s.at[sources[i]] | std::uint64_t{1} << i : 0;
+      return;
+    }
+    for (std::size_t k = s.level_begin[d - 1]; k < s.level_begin[d]; ++k)
+      s.at[s.node[k]] = set ? s.mask[k] : 0;
+  };
+
+  std::uint32_t* const sub = s.sub.data();
+  for (std::size_t d = s.level_begin.size() - 1; d >= 1; --d) {
+    mark_level(d - 1, true);
+    std::uint64_t lanes = 0;
+    for (std::size_t k = s.level_begin[d - 1]; k < s.level_begin[d]; ++k) {
+      const NodeId v = s.node[k];
+      std::uint64_t need = s.mask[k];
+      lanes += static_cast<std::uint64_t>(std::popcount(need));
+      std::uint32_t* const sub_v = sub + static_cast<std::size_t>(v) * kMsBfsBatch;
+      for (std::size_t a = arcs.begin[v]; need != 0 && a < arcs.begin[v + 1]; ++a) {
+        const auto u = static_cast<NodeId>(arcs.key[a] >> 32);
+        std::uint64_t hit = need & s.at[u];
+        if (hit == 0) continue;
+        need &= ~hit;
+        std::uint32_t* const sub_u = sub + static_cast<std::size_t>(u) * kMsBfsBatch;
+        std::uint64_t load = 0;
+        do {
+          const int i = std::countr_zero(hit);
+          const std::uint32_t w = sub_v[i] + 1;
+          sub_v[i] = 0;
+          sub_u[i] += w;
+          load += w;
+          hit &= hit - 1;
+        } while (hit != 0);
+        out.loads[static_cast<LinkId>(arcs.key[a])] += load;
+      }
+      DSN_ASSERT(need == 0, "reachable node must have a tight parent");
+    }
+    out.sum_hops += lanes * d;
+    out.reachable_pairs += lanes;
+    mark_level(d - 1, false);
   }
+  // The roots' counts are never read; clear them for the next batch.
+  for (std::size_t i = 0; i < sources.size(); ++i)
+    sub[static_cast<std::size_t>(sources[i]) * kMsBfsBatch + i] = 0;
 }
 
 EstimateView make_view(const TreeLoads& sweep, NodeId n, std::uint64_t num_sources) {
@@ -104,8 +153,7 @@ EstimateView make_view(const TreeLoads& sweep, NodeId n, std::uint64_t num_sourc
   if (sweep.reachable_pairs > 0)
     v.aspl = static_cast<double>(sweep.sum_hops) / static_cast<double>(sweep.reachable_pairs);
   v.sample_connected = sweep.reachable_pairs == num_sources * (n - 1);
-  for (const std::int64_t l : sweep.loads)
-    v.max_link_load = std::max(v.max_link_load, static_cast<std::uint64_t>(l));
+  for (const std::uint64_t l : sweep.loads) v.max_link_load = std::max(v.max_link_load, l);
   if (v.max_link_load > 0) {
     v.max_normalized_load = static_cast<double>(v.max_link_load) * static_cast<double>(n) /
                             (static_cast<double>(num_sources) * static_cast<double>(n - 1));
@@ -129,25 +177,18 @@ TreeLoads compute_tree_loads(const CsrView& csr, std::span<const NodeId> sources
       std::max<std::size_t>(1, std::min(batches, 4 * pool.size()));
   std::vector<TreeLoads> shard_out(shards);
 
+  const SortedArcs arcs(csr);
   pool.parallel_for(0, shards, [&](std::size_t k) {
     TreeLoads& so = shard_out[k];
     so.loads.assign(num_links, 0);
-    MsBfsScratch scratch;
-    TreeLoadScratch tls;
-    std::vector<std::uint32_t> batch_dist(static_cast<std::size_t>(n) * kMsBfsBatch);
-    std::vector<std::uint32_t> row(n);
+    LevelMaskScratch scratch(n);
     const std::size_t begin = k * batches / shards;
     const std::size_t end = (k + 1) * batches / shards;
     for (std::size_t b = begin; b < end; ++b) {
       const std::size_t lo = b * kMsBfsBatch;
       const std::size_t lanes =
           std::min<std::size_t>(sources.size() - lo, kMsBfsBatch);
-      msbfs_batch(csr, sources.subspan(lo, lanes), batch_dist.data(), scratch);
-      for (std::size_t i = 0; i < lanes; ++i) {
-        for (NodeId v = 0; v < n; ++v)
-          row[v] = batch_dist[static_cast<std::size_t>(v) * kMsBfsBatch + i];
-        accumulate_tree_loads(csr, row, so, tls);
-      }
+      add_level_mask_loads(csr, arcs, sources.subspan(lo, lanes), so, scratch);
     }
   });
 

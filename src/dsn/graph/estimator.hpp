@@ -53,14 +53,16 @@ struct TreeLoads {
   /// from a source routes to it through its canonical parent, the minimum-id
   /// neighbor at distance d(v) - 1 (ties on parallel links broken by minimum
   /// link id), and adds 1 to each link on that path.
-  std::vector<std::int64_t> loads;
+  std::vector<std::uint64_t> loads;
   std::uint64_t sum_hops = 0;         ///< over ordered (source, t != source) pairs
   std::uint64_t reachable_pairs = 0;  ///< ditto
 };
 
-/// Sharded 64-lane MS-BFS under the global thread pool; per-shard integer
-/// accumulators merged in shard order, so the result is identical for any
-/// thread count. O(S * (n + m)).
+/// Sharded under the global thread pool, 64 sources per MS-BFS batch. Each
+/// batch records the lane mask of every (node, level) and finds all 64
+/// lanes' canonical parents in one deepest-first walk of those masks (DESIGN
+/// §10). Per-shard integer accumulators are merged in shard order, so the
+/// result is identical for any thread count. O(S * (n + m)).
 TreeLoads compute_tree_loads(const CsrView& csr, std::span<const NodeId> sources);
 
 class SampledPathEstimator {
@@ -71,7 +73,7 @@ class SampledPathEstimator {
 
   const std::vector<NodeId>& sources() const { return sources_; }
   const EstimateView& current() const { return current_; }
-  const std::vector<std::int64_t>& link_loads() const { return committed_.loads; }
+  const std::vector<std::uint64_t>& link_loads() const { return committed_.loads; }
 
   /// Price candidate graph `next` with one sampled sweep. The result is held
   /// pending until commit() or discard().

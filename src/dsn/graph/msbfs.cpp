@@ -2,68 +2,30 @@
 // traversal order here must be a function of the data, never a hash seed.
 #include "dsn/graph/msbfs.hpp"
 
-#include <bit>
-
 namespace dsn {
 
-void csr_bfs_distances(const CsrView& g, NodeId src, std::uint32_t* dist,
-                       std::size_t stride, MsBfsScratch& scratch) {
+std::vector<std::uint32_t> csr_bfs_distances(const CsrView& g, NodeId src) {
   const NodeId n = g.num_nodes();
   DSN_REQUIRE(src < n, "source out of range");
-  for (NodeId v = 0; v < n; ++v) dist[static_cast<std::size_t>(v) * stride] = kUnreachable;
-  scratch.frontier.clear();
-  scratch.next_frontier.clear();
-  scratch.frontier.push_back(src);
-  dist[static_cast<std::size_t>(src) * stride] = 0;
+  std::vector<std::uint32_t> dist(n, kUnreachable);
+  std::vector<NodeId> frontier{src};
+  std::vector<NodeId> next_frontier;
+  dist[src] = 0;
   std::uint32_t level = 0;
-  while (!scratch.frontier.empty()) {
+  while (!frontier.empty()) {
     ++level;
-    scratch.next_frontier.clear();
-    for (const NodeId u : scratch.frontier) {
+    next_frontier.clear();
+    for (const NodeId u : frontier) {
       for (const NodeId v : g.neighbors(u)) {
-        std::uint32_t& d = dist[static_cast<std::size_t>(v) * stride];
-        if (d == kUnreachable) {
-          d = level;
-          scratch.next_frontier.push_back(v);
+        if (dist[v] == kUnreachable) {
+          dist[v] = level;
+          next_frontier.push_back(v);
         }
       }
     }
-    scratch.frontier.swap(scratch.next_frontier);
+    frontier.swap(next_frontier);
   }
-}
-
-std::vector<std::uint32_t> csr_bfs_distances(const CsrView& g, NodeId src) {
-  std::vector<std::uint32_t> dist(g.num_nodes());
-  MsBfsScratch scratch;
-  csr_bfs_distances(g, src, dist.data(), 1, scratch);
   return dist;
-}
-
-void msbfs_batch(const CsrView& g, std::span<const NodeId> sources, std::uint32_t* dist,
-                 MsBfsScratch& scratch) {
-  const NodeId n = g.num_nodes();
-  const std::size_t b = sources.size();
-  DSN_REQUIRE(b >= 1 && b <= kMsBfsBatch, "batch size must be in [1, 64]");
-  if (b == 1) {  // masking overhead buys nothing for a lone tail source
-    csr_bfs_distances(g, sources[0], dist, kMsBfsBatch, scratch);
-    return;
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    std::uint32_t* row = dist + static_cast<std::size_t>(v) * kMsBfsBatch;
-    for (std::size_t i = 0; i < b; ++i) row[i] = kUnreachable;
-  }
-  for (std::size_t i = 0; i < b; ++i) {
-    DSN_REQUIRE(sources[i] < n, "source out of range");
-    dist[static_cast<std::size_t>(sources[i]) * kMsBfsBatch + i] = 0;
-  }
-  msbfs_sweep(g, sources, scratch,
-              [dist](NodeId v, std::uint32_t level, std::uint64_t fresh) {
-                std::uint32_t* row = dist + static_cast<std::size_t>(v) * kMsBfsBatch;
-                do {
-                  row[std::countr_zero(fresh)] = level;
-                  fresh &= fresh - 1;
-                } while (fresh != 0);
-              });
 }
 
 }  // namespace dsn

@@ -94,24 +94,9 @@ void msbfs_sweep(const CsrView& g, std::span<const NodeId> sources, MsBfsScratch
   }
 }
 
-/// Run one bit-parallel BFS batch from up to kMsBfsBatch sources into a
-/// distance matrix. `dist` must hold at least num_nodes * kMsBfsBatch entries
-/// and is written in node-major layout: dist[v * kMsBfsBatch + i] = hops from
-/// sources[i] to v (kUnreachable when disconnected). Lanes beyond
-/// sources.size() are left untouched. Distances are bit-identical to
-/// bfs_distances on the source Graph. A single-source batch takes a plain
-/// frontier-BFS fast path.
-void msbfs_batch(const CsrView& g, std::span<const NodeId> sources, std::uint32_t* dist,
-                 MsBfsScratch& scratch);
-
-/// Frontier BFS over the CSR snapshot into a caller-provided row of `stride`-
-/// spaced entries: dist[v * stride] = hops from src to v. Used as the
-/// single-source tail fallback of msbfs_batch and by is_connected.
-void csr_bfs_distances(const CsrView& g, NodeId src, std::uint32_t* dist,
-                       std::size_t stride, MsBfsScratch& scratch);
-
-/// Convenience: full distance vector from one source (CSR-backed equivalent
-/// of bfs_distances).
+/// Full distance vector from one source by a plain frontier BFS over the CSR
+/// snapshot (CSR-backed equivalent of bfs_distances). Used by is_connected
+/// and the up*/down* tree build.
 std::vector<std::uint32_t> csr_bfs_distances(const CsrView& g, NodeId src);
 
 }  // namespace dsn

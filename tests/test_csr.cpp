@@ -5,7 +5,9 @@
 // graphs smaller than one batch (n < 64).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "dsn/graph/csr.hpp"
@@ -69,6 +71,27 @@ std::vector<std::uint32_t> reference_eccentricities(const Graph& g) {
   return ecc;
 }
 
+/// Per-lane distances of one msbfs_sweep batch, node-major:
+/// dist[v * sources.size() + i] = hops from sources[i] to v (kUnreachable
+/// when lane i never reaches v). Fails the test if a lane reports a node
+/// twice.
+std::vector<std::uint32_t> sweep_distances(const CsrView& csr,
+                                           std::span<const NodeId> sources,
+                                           MsBfsScratch& scratch) {
+  const std::size_t b = sources.size();
+  std::vector<std::uint32_t> dist(static_cast<std::size_t>(csr.num_nodes()) * b,
+                                  kUnreachable);
+  msbfs_sweep(csr, sources, scratch, [&](NodeId v, std::uint32_t level, std::uint64_t fresh) {
+    for (; fresh != 0; fresh &= fresh - 1) {
+      std::uint32_t& d = dist[static_cast<std::size_t>(v) * b + std::countr_zero(fresh)];
+      EXPECT_EQ(d, kUnreachable) << "node " << v << " reached twice";
+      d = level;
+    }
+  });
+  for (std::size_t i = 0; i < b; ++i) dist[static_cast<std::size_t>(sources[i]) * b + i] = 0;
+  return dist;
+}
+
 /// Assert that every kernel of the new engine agrees with the adjacency-list
 /// reference on `g`, for every source, bit for bit.
 void expect_engine_matches(const Graph& g, const std::string& label) {
@@ -92,20 +115,19 @@ void expect_engine_matches(const Graph& g, const std::string& label) {
     }
   }
 
-  // MS-BFS distances: whole-range batches (exercising the n % 64 tail and the
-  // single-source fallback when the tail is one node).
+  // MS-BFS distances: whole-range batches (exercising the n % 64 tail, which
+  // is a one-source batch when n % 64 == 1).
   std::vector<std::uint32_t> reference;
-  std::vector<std::uint32_t> batch_dist(static_cast<std::size_t>(n) * kMsBfsBatch);
   MsBfsScratch scratch;
   for (NodeId lo = 0; lo < n; lo += kMsBfsBatch) {
     const NodeId hi = std::min<NodeId>(n, lo + kMsBfsBatch);
     std::vector<NodeId> sources(hi - lo);
     std::iota(sources.begin(), sources.end(), lo);
-    msbfs_batch(csr, sources, batch_dist.data(), scratch);
+    const auto dist = sweep_distances(csr, sources, scratch);
     for (std::size_t i = 0; i < sources.size(); ++i) {
       reference = bfs_distances(g, sources[i]);
       for (NodeId v = 0; v < n; ++v) {
-        ASSERT_EQ(batch_dist[static_cast<std::size_t>(v) * kMsBfsBatch + i], reference[v])
+        ASSERT_EQ(dist[static_cast<std::size_t>(v) * sources.size() + i], reference[v])
             << "source " << sources[i] << " node " << v;
       }
     }
@@ -255,11 +277,12 @@ TEST(Csr, MsBfsRejectsBadBatches) {
   const auto topo = make_ring(8);
   const CsrView csr(topo.graph);
   MsBfsScratch scratch;
-  std::vector<std::uint32_t> dist(8 * kMsBfsBatch);
   const std::vector<NodeId> empty_sources;
-  EXPECT_THROW(msbfs_batch(csr, empty_sources, dist.data(), scratch), PreconditionError);
+  EXPECT_THROW(sweep_distances(csr, empty_sources, scratch), PreconditionError);
   const std::vector<NodeId> out_of_range{9};
-  EXPECT_THROW(msbfs_batch(csr, out_of_range, dist.data(), scratch), PreconditionError);
+  EXPECT_THROW(sweep_distances(csr, out_of_range, scratch), PreconditionError);
+  const std::vector<NodeId> too_many(kMsBfsBatch + 1, 0);
+  EXPECT_THROW(sweep_distances(csr, too_many, scratch), PreconditionError);
 }
 
 TEST(Csr, ScratchReuseAcrossGraphSizes) {
@@ -268,16 +291,15 @@ TEST(Csr, ScratchReuseAcrossGraphSizes) {
   for (const std::uint32_t n : {66u, 10u, 129u}) {
     const auto topo = make_ring(n);
     const CsrView csr(topo.graph);
-    std::vector<std::uint32_t> dist(static_cast<std::size_t>(n) * kMsBfsBatch);
     for (NodeId lo = 0; lo < n; lo += kMsBfsBatch) {
       const NodeId hi = std::min<NodeId>(n, lo + kMsBfsBatch);
       std::vector<NodeId> sources(hi - lo);
       std::iota(sources.begin(), sources.end(), lo);
-      msbfs_batch(csr, sources, dist.data(), scratch);
+      const auto dist = sweep_distances(csr, sources, scratch);
       for (std::size_t i = 0; i < sources.size(); ++i) {
         const auto expected = bfs_distances(topo.graph, sources[i]);
         for (NodeId v = 0; v < n; ++v) {
-          ASSERT_EQ(dist[static_cast<std::size_t>(v) * kMsBfsBatch + i], expected[v]);
+          ASSERT_EQ(dist[static_cast<std::size_t>(v) * sources.size() + i], expected[v]);
         }
       }
     }

@@ -10,8 +10,10 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "dsn/common/rng.hpp"
 #include "dsn/graph/csr.hpp"
 #include "dsn/graph/estimator.hpp"
+#include "dsn/graph/graph.hpp"
 #include "dsn/graph/metrics.hpp"
 #include "dsn/opt/optimizer.hpp"
 #include "dsn/topology/generators.hpp"
@@ -133,6 +136,102 @@ void expect_commits_match_fresh(NodeId n, std::vector<std::pair<NodeId, NodeId>>
   }
   // Every evaluate() is one sweep; the constructor's sweep is not counted.
   EXPECT_EQ(est.full_sweeps(), evaluated);
+}
+
+/// Brute-force tree loads, independent of the MS-BFS kernel: one
+/// adjacency-list BFS per source, each node's canonical parent picked by an
+/// explicit minimum over (neighbor id, link id) among its tight neighbors,
+/// and every destination's parent chain walked back to the source.
+TreeLoads oracle_tree_loads(const Graph& g, std::span<const NodeId> sources) {
+  TreeLoads out;
+  out.loads.assign(g.num_links(), 0);
+  const NodeId n = g.num_nodes();
+  std::vector<NodeId> parent(n);
+  std::vector<LinkId> parent_link(n);
+  for (const NodeId src : sources) {
+    const std::vector<std::uint32_t> dist = bfs_distances(g, src);
+    for (NodeId v = 0; v < n; ++v) {
+      if (v == src || dist[v] == kUnreachable) continue;
+      std::pair<NodeId, LinkId> best{kInvalidNode, kInvalidLink};
+      for (const AdjHalf& h : g.neighbors(v)) {
+        if (dist[h.to] != kUnreachable && dist[h.to] + 1 == dist[v])
+          best = std::min(best, std::pair<NodeId, LinkId>{h.to, h.link});
+      }
+      if (best.first == kInvalidNode) ADD_FAILURE() << "no tight parent for " << v;
+      parent[v] = best.first;
+      parent_link[v] = best.second;
+    }
+    for (NodeId t = 0; t < n; ++t) {
+      if (t == src || dist[t] == kUnreachable) continue;
+      out.sum_hops += dist[t];
+      ++out.reachable_pairs;
+      for (NodeId w = t; w != src; w = parent[w]) ++out.loads[parent_link[w]];
+    }
+  }
+  return out;
+}
+
+Graph graph_from_edges(NodeId n, const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  Graph g(n);
+  for (const auto& [u, v] : edges) g.add_link(u, v);
+  return g;
+}
+
+/// compute_tree_loads on `g` must equal the oracle exactly for source sets
+/// of 1, 63, 64, 65 and 130 sources, an unsorted set and one with duplicates.
+void expect_tree_loads_match_oracle(const std::string& name, const Graph& g) {
+  const auto n = static_cast<NodeId>(g.num_nodes());
+  std::vector<std::pair<std::string, std::vector<NodeId>>> sets;
+  for (const std::uint32_t count : {1u, 63u, 64u, 65u, 130u}) {
+    // Sorted and distinct up to n; past n the extra sources repeat.
+    std::vector<NodeId> set = sample_sources(n, count, 11);
+    for (NodeId i = 0; set.size() < count; ++i) set.push_back((i * 7) % n);
+    sets.emplace_back(std::to_string(count) + " sources", std::move(set));
+  }
+  std::vector<NodeId> unsorted = sample_sources(n, 70, 12);
+  std::reverse(unsorted.begin(), unsorted.end());
+  sets.emplace_back("unsorted", std::move(unsorted));
+  std::vector<NodeId> dup = sample_sources(n, 66, 13);
+  dup[5] = dup[4];   // within the first batch
+  dup[65] = dup[0];  // across batches
+  sets.emplace_back("duplicate", std::move(dup));
+
+  const CsrView csr(g);
+  for (const auto& [label, sources] : sets) {
+    SCOPED_TRACE(name + ", " + label);
+    const TreeLoads want = oracle_tree_loads(g, sources);
+    const TreeLoads got = compute_tree_loads(csr, sources);
+    EXPECT_EQ(got.sum_hops, want.sum_hops);
+    EXPECT_EQ(got.reachable_pairs, want.reachable_pairs);
+    EXPECT_EQ(got.loads, want.loads);
+  }
+}
+
+TEST(OptEstimator, TreeLoadsMatchBruteForceOracle) {
+  expect_tree_loads_match_oracle("dsn-256", make_topology_by_name("dsn", 256, 3).graph);
+  expect_tree_loads_match_oracle("dln-128", make_topology_by_name("dln", 128, 3).graph);
+  expect_tree_loads_match_oracle("random-regular-256",
+                                 make_topology_by_name("random-regular", 256, 3).graph);
+  expect_tree_loads_match_oracle("watts-strogatz-256",
+                                 make_watts_strogatz(256, 4, 0.3, 5).graph);
+  expect_tree_loads_match_oracle("ring-with-chords-400",
+                                 graph_from_edges(400, ring_with_chords(400, 8)));
+
+  // Multigraph: a ring with chords plus parallel copies of two ring links and
+  // of the 0-75 chord, added after (so with higher link ids than) the
+  // originals.
+  Graph multi = graph_from_edges(150, ring_with_chords(150, 4));
+  multi.add_link(3, 4);
+  multi.add_link(80, 79);
+  multi.add_link(0, 75);
+  multi.add_link(75, 0);
+  expect_tree_loads_match_oracle("multigraph-150", multi);
+
+  // Two rings of 70 and 90 nodes: every source misses the other ring.
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId u = 0; u < 70; ++u) edges.emplace_back(u, (u + 1) % 70);
+  for (NodeId u = 0; u < 90; ++u) edges.emplace_back(70 + u, 70 + (u + 1) % 90);
+  expect_tree_loads_match_oracle("two-rings-160", graph_from_edges(160, edges));
 }
 
 TEST(OptEstimator, CommitMatchesFreshAfterSwaps) {
