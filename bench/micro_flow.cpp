@@ -106,7 +106,8 @@ int main(int argc, char** argv) {
   // batches a congestion window per solve without moving the makespan.
   cli.add_flag("min-epoch", "512", "epoch floor in cycles");
   cli.add_flag("seed", "1", "placement / generator seed");
-  cli.add_flag("shards", "0", "solver shard count (0 = auto; result-invariant)");
+  cli.add_flag("shards", "0",
+               "admission route shard count (0 = auto; result-invariant)");
   cli.add_flag("verify-max-n", "65536",
                "run the max-min invariant check on rows up to this n");
   cli.add_flag("bfs-max-n", "16384",

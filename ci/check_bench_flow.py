@@ -18,6 +18,11 @@ Validates a micro_flow JSON report. Two modes:
     invariant checks are gated — never timings or sweep extents, which
     depend on the runner.
 
+In both modes the round counters must describe the work a row measured:
+every epoch solves once with at least one round, so
+epochs <= waterfill_rounds_total and
+waterfill_rounds_max <= waterfill_rounds_total <= epochs * waterfill_rounds_max.
+
 Exits 1 listing every failed check — never just the first.
 """
 import sys
@@ -45,10 +50,24 @@ def check_row(gate, path, row):
         gate.fail(f"{path}: row {row_name(row)} has non-positive volume")
     if row["converged"] is not True:
         gate.fail(f"{path}: row {row_name(row)} did not converge")
-    if row["waterfill_rounds_max"] > ROUNDS_CEILING:
-        gate.fail(f"{path}: row {row_name(row)} needed "
-                  f"{row['waterfill_rounds_max']} water-filling rounds in one "
-                  f"solve; ceiling is {ROUNDS_CEILING}")
+    epochs = row["epochs"]
+    rounds_max = row["waterfill_rounds_max"]
+    rounds_total = row["waterfill_rounds_total"]
+    if rounds_max > ROUNDS_CEILING:
+        gate.fail(f"{path}: row {row_name(row)} needed {rounds_max} "
+                  f"water-filling rounds in one solve; ceiling is "
+                  f"{ROUNDS_CEILING}")
+    if epochs > rounds_total:
+        gate.fail(f"{path}: row {row_name(row)} ran {epochs} epochs but "
+                  f"only {rounds_total} water-filling rounds; every epoch "
+                  f"solves with at least one round")
+    if rounds_max > rounds_total:
+        gate.fail(f"{path}: row {row_name(row)} waterfill_rounds_max "
+                  f"{rounds_max} exceeds waterfill_rounds_total {rounds_total}")
+    if rounds_total > epochs * rounds_max:
+        gate.fail(f"{path}: row {row_name(row)} waterfill_rounds_total "
+                  f"{rounds_total} exceeds epochs x waterfill_rounds_max = "
+                  f"{epochs * rounds_max}")
     # The 'check' field (gated by bench_gate) is the per-solve max-min
     # invariant verification on rows up to --verify-max-n.
 

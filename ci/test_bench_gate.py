@@ -197,6 +197,80 @@ class CommittedBaselineTest(unittest.TestCase):
         self.run_real(check_bench_opt, "BENCH_opt.json")
 
 
+class FlowGateInvariantTest(unittest.TestCase):
+    """Synthetic violations of the flow gate's per-row invariants."""
+
+    def make_report(self):
+        def row(topology, n, workload, check=None):
+            r = {"topology": topology, "n": n, "hosts": 4 * n,
+                 "workload": workload, "flows": 64, "flits": 4096,
+                 "epochs": 3, "waterfill_rounds_max": 5,
+                 "waterfill_rounds_total": 12, "converged": True,
+                 "makespan_cycles": 900.0, "per_host_flits_per_cycle": 0.01,
+                 "wall_ms": 2.0, "flows_per_sec": 32000.0}
+            if check is not None:
+                r["check"] = check
+            return r
+
+        return {"bench": "micro_flow", "unit": "flows_per_sec",
+                "clients": 16, "shuffle_clients": 8, "units": 4,
+                "unit_flits": 64, "window": 4, "min_epoch_cycles": 512,
+                "results": [row("dsn-11-4096", 4096, "hdfs-write", check="ok"),
+                            row("dln-18-262144", 262144, "shuffle")]}
+
+    def run_flow(self, report, *args):
+        gate = copy.copy(check_bench_flow.GATE)
+        gate.errors = []
+        return run_gate(gate, report, *args)
+
+    def assert_fails_both_modes(self, report, message):
+        for mode in ([], ["--smoke"]):
+            code, _, err = self.run_flow(report, *mode)
+            self.assertEqual(code, 1, mode)
+            self.assertIn(message, err)
+            self.assertIn("1 check(s) failed", err)
+
+    def test_synthetic_committed_pass(self):
+        for mode in ([], ["--smoke"]):
+            code, _, err = self.run_flow(self.make_report(), *mode)
+            self.assertEqual(code, 0, err)
+
+    def test_fewer_rounds_than_epochs(self):
+        report = self.make_report()
+        report["results"][1].update(epochs=10, waterfill_rounds_max=3,
+                                    waterfill_rounds_total=8)
+        self.assert_fails_both_modes(
+            report, "ran 10 epochs but only 8 water-filling rounds")
+
+    def test_round_max_above_total(self):
+        report = self.make_report()
+        report["results"][1].update(epochs=1, waterfill_rounds_max=5,
+                                    waterfill_rounds_total=4)
+        self.assert_fails_both_modes(
+            report, "waterfill_rounds_max 5 exceeds waterfill_rounds_total 4")
+
+    def test_round_total_above_epochs_times_max(self):
+        report = self.make_report()
+        report["results"][1].update(epochs=2, waterfill_rounds_max=3,
+                                    waterfill_rounds_total=7)
+        self.assert_fails_both_modes(
+            report, "waterfill_rounds_total 7 exceeds epochs x "
+                    "waterfill_rounds_max = 6")
+
+    def test_non_converged_row(self):
+        report = self.make_report()
+        report["results"][0]["converged"] = False
+        self.assert_fails_both_modes(report, "did not converge")
+
+    def test_rounds_over_ceiling(self):
+        report = self.make_report()
+        over = check_bench_flow.ROUNDS_CEILING + 1
+        report["results"][1].update(epochs=1, waterfill_rounds_max=over,
+                                    waterfill_rounds_total=over)
+        self.assert_fails_both_modes(
+            report, f"needed {over} water-filling rounds in one solve")
+
+
 class OptGateInvariantTest(unittest.TestCase):
     """Synthetic violations of the opt gate's front invariants."""
 

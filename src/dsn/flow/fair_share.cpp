@@ -2,12 +2,11 @@
 #include "dsn/flow/fair_share.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "dsn/common/error.hpp"
-#include "dsn/common/thread_pool.hpp"
 
 namespace dsn::flow {
 
@@ -17,12 +16,29 @@ namespace {
 /// noise relative to its capacity is full.
 double saturation_eps(double capacity) { return 1e-9 * std::max(1.0, capacity); }
 
-struct ShardRange {
-  std::size_t begin, end;
-};
+/// `FairShareScratch::local` entry of a resource the current solve has not
+/// numbered (every entry, between solves).
+constexpr std::uint32_t kUnmapped = ~std::uint32_t{0};
 
-ShardRange shard_range(std::size_t total, std::size_t shard, std::size_t shards) {
-  return {total * shard / shards, total * (shard + 1) / shards};
+/// The input contract shared by the solver and the checker; returns the flow
+/// count.
+std::size_t checked_flow_count(const std::vector<double>& capacity,
+                               const std::vector<std::uint32_t>& route_pool,
+                               const std::vector<std::uint64_t>& route_begin) {
+  DSN_REQUIRE(!route_begin.empty(), "route_begin must hold flows + 1 offsets");
+  DSN_REQUIRE(route_begin.back() == route_pool.size(),
+              "route_begin does not cover the route pool");
+  const std::size_t flows = route_begin.size() - 1;
+  for (std::size_t f = 0; f < flows; ++f) {
+    DSN_REQUIRE(route_begin[f + 1] > route_begin[f],
+                "every flow must cross at least one resource");
+    for (std::uint64_t i = route_begin[f]; i < route_begin[f + 1]; ++i) {
+      const std::uint32_t c = route_pool[i];
+      DSN_REQUIRE(c < capacity.size(), "route resource index out of range");
+      DSN_REQUIRE(capacity[c] > 0.0, "a used resource must have positive capacity");
+    }
+  }
+  return flows;
 }
 
 }  // namespace
@@ -30,128 +46,140 @@ ShardRange shard_range(std::size_t total, std::size_t shard, std::size_t shards)
 FairShareResult max_min_fair_rates(const std::vector<double>& capacity,
                                    const std::vector<std::uint32_t>& route_pool,
                                    const std::vector<std::uint64_t>& route_begin,
-                                   std::uint32_t max_rounds, std::uint32_t shards) {
-  DSN_REQUIRE(!route_begin.empty(), "route_begin must hold flows + 1 offsets");
-  DSN_REQUIRE(route_begin.back() == route_pool.size(),
-              "route_begin does not cover the route pool");
-  const std::size_t flows = route_begin.size() - 1;
-  const std::size_t caps = capacity.size();
+                                   FairShareScratch& s, std::uint32_t max_rounds) {
+  const std::size_t flows = checked_flow_count(capacity, route_pool, route_begin);
+  DSN_REQUIRE(flows < kNoBottleneck, "flow count exceeds the 32-bit flow id range");
 
   FairShareResult res;
   res.rate.assign(flows, 0.0);
   res.bottleneck.assign(flows, kNoBottleneck);
   if (flows == 0) return res;
 
-  ThreadPool& pool = ThreadPool::global();
-  const std::size_t num_shards = std::max<std::size_t>(
-      1, std::min<std::size_t>(flows, shards != 0 ? shards : 4 * pool.size()));
-
-  // Residual capacity and the number of unfrozen flows crossing each
-  // resource. Counts are plain integers mutated through relaxed atomic_ref:
-  // additions commute, so the totals are exact for any shard interleaving.
-  std::vector<double> residual = capacity;
-  std::vector<std::uint32_t> count(caps, 0);
-  std::vector<std::uint8_t> saturated(caps, 0);
-  std::vector<std::uint8_t> frozen(flows, 0);
-
-  pool.parallel_for(0, num_shards, [&](std::size_t k) {
-    const auto [begin, end] = shard_range(flows, k, num_shards);
-    for (std::size_t f = begin; f < end; ++f) {
-      DSN_REQUIRE(route_begin[f + 1] > route_begin[f],
-                  "every flow must cross at least one resource");
-      for (std::uint64_t i = route_begin[f]; i < route_begin[f + 1]; ++i) {
-        const std::uint32_t c = route_pool[i];
-        DSN_REQUIRE(c < caps, "route resource index out of range");
-        std::atomic_ref<std::uint32_t>(count[c]).fetch_add(1, std::memory_order_relaxed);
-      }
+  // Number the used resources in first-use order and translate the routes to
+  // those local ids. Both arrays are sized first, so nothing can throw while
+  // `local` holds this solve's entries; they are reset before the rounds.
+  const std::uint64_t base = route_begin.front();
+  const std::size_t entries = route_pool.size() - base;
+  if (s.local.size() < capacity.size()) s.local.resize(capacity.size(), kUnmapped);
+  s.global.clear();
+  s.global.reserve(std::min(entries, capacity.size()));
+  s.route.resize(entries);
+  for (std::size_t i = 0; i < entries; ++i) {
+    std::uint32_t& id = s.local[route_pool[base + i]];
+    if (id == kUnmapped) {
+      id = static_cast<std::uint32_t>(s.global.size());
+      s.global.push_back(route_pool[base + i]);
     }
-  });
-
-  // Resources touched by any flow: the per-round scans only walk this list.
-  std::vector<std::uint32_t> active_caps;
-  for (std::size_t c = 0; c < caps; ++c) {
-    if (count[c] > 0) {
-      DSN_REQUIRE(capacity[c] > 0.0, "a used resource must have positive capacity");
-      active_caps.push_back(static_cast<std::uint32_t>(c));
-    }
+    s.route[i] = id;
   }
-  const std::size_t cap_shards =
-      std::max<std::size_t>(1, std::min(active_caps.size(), num_shards));
+  for (const std::uint32_t c : s.global) s.local[c] = kUnmapped;
+  const std::size_t used = s.global.size();
+
+  // Per local resource: residual capacity, saturation threshold and the
+  // number of unfrozen route entries crossing it (a repeated resource counts
+  // once per entry).
+  s.residual.resize(used);
+  s.full.resize(used);
+  for (std::size_t l = 0; l < used; ++l) {
+    s.residual[l] = capacity[s.global[l]];
+    s.full[l] = saturation_eps(s.residual[l]);
+  }
+  s.count.assign(used, 0);
+  for (const std::uint32_t l : s.route) ++s.count[l];
+  s.saturated.assign(used, 0);
+
+  // Resource -> flow index (CSR): each list is filled backwards from its end,
+  // so the flows come out in flow order.
+  s.users_begin.resize(used + 1);
+  std::uint64_t end_offset = 0;
+  for (std::size_t l = 0; l < used; ++l) {
+    end_offset += s.count[l];
+    s.users_begin[l] = end_offset;
+  }
+  s.users_begin[used] = entries;
+  s.users.resize(entries);
+  for (std::size_t f = flows; f-- > 0;) {
+    for (std::uint64_t i = route_begin[f + 1] - base; i-- > route_begin[f] - base;)
+      s.users[--s.users_begin[s.route[i]]] = static_cast<std::uint32_t>(f);
+  }
+
+  // Every resource starts live; the first increment is the tightest share.
+  s.live.resize(used);
+  std::iota(s.live.begin(), s.live.end(), 0u);
+  double share = std::numeric_limits<double>::infinity();
+  for (const std::uint32_t l : s.live) share = std::min(share, s.residual[l] / s.count[l]);
 
   // Every round saturates at least one resource, so the loop needs at most
-  // |active resources| rounds; max_rounds 0 means exactly that natural bound.
+  // |used resources| rounds; max_rounds 0 means exactly that natural bound.
   const std::uint32_t round_limit =
-      max_rounds != 0 ? max_rounds
-                      : static_cast<std::uint32_t>(
-                            std::min<std::size_t>(active_caps.size(),
-                                                  ~std::uint32_t{0}));
+      max_rounds != 0
+          ? max_rounds
+          : static_cast<std::uint32_t>(std::min<std::size_t>(used, ~std::uint32_t{0}));
+  // The water level: the shares summed in round order. A flow frozen in round
+  // r holds the level after round r, the same additions a per-flow running
+  // sum would make, so the rates are bitwise those of the textbook loop.
+  double level = 0.0;
   std::size_t unfrozen = flows;
   while (unfrozen > 0 && res.rounds < round_limit) {
     ++res.rounds;
+    if (!std::isfinite(share)) break;  // every live resource is uncapacitated
+    level += share;
 
-    // Equal increment for every unfrozen flow: the tightest residual share.
-    // Per-shard minima merge with min — order-independent, so the increment
-    // (and through it every rate) is bitwise reproducible.
-    std::vector<double> shard_min(cap_shards, std::numeric_limits<double>::infinity());
-    pool.parallel_for(0, cap_shards, [&](std::size_t k) {
-      const auto [begin, end] = shard_range(active_caps.size(), k, cap_shards);
-      double local = std::numeric_limits<double>::infinity();
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::uint32_t c = active_caps[i];
-        if (count[c] == 0) continue;
-        local = std::min(local, residual[c] / count[c]);
+    s.saturating.clear();
+    for (const std::uint32_t l : s.live) {
+      s.residual[l] -= share * s.count[l];
+      if (s.residual[l] <= s.full[l]) {
+        s.saturated[l] = 1;
+        s.saturating.push_back(l);
       }
-      shard_min[k] = local;
-    });
-    double share = std::numeric_limits<double>::infinity();
-    for (const double m : shard_min) share = std::min(share, m);
-    if (!std::isfinite(share)) break;  // no capacitated resource left (cannot happen)
+    }
 
-    pool.parallel_for(0, num_shards, [&](std::size_t k) {
-      const auto [begin, end] = shard_range(flows, k, num_shards);
-      for (std::size_t f = begin; f < end; ++f) {
-        if (frozen[f] == 0) res.rate[f] += share;
+    // Freeze the unfrozen flows under each saturated resource; their counts
+    // leave the sharing pool so the survivors split the remaining headroom.
+    // Every flag is set before any flow freezes, so a flow's bottleneck (the
+    // first saturated resource on its route) does not depend on which
+    // resource's list reached it first.
+    for (const std::uint32_t l : s.saturating) {
+      for (std::uint64_t k = s.users_begin[l]; k < s.users_begin[l + 1]; ++k) {
+        const std::uint32_t f = s.users[k];
+        if (res.bottleneck[f] != kNoBottleneck) continue;  // frozen already
+        const std::uint64_t begin = route_begin[f] - base;
+        const std::uint64_t end = route_begin[f + 1] - base;
+        std::uint64_t i = begin;
+        while (s.saturated[s.route[i]] == 0) ++i;
+        res.bottleneck[f] = s.global[s.route[i]];
+        res.rate[f] = level;
+        for (i = begin; i < end; ++i) --s.count[s.route[i]];
+        --unfrozen;
       }
-    });
+    }
 
-    pool.parallel_for(0, cap_shards, [&](std::size_t k) {
-      const auto [begin, end] = shard_range(active_caps.size(), k, cap_shards);
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::uint32_t c = active_caps[i];
-        if (count[c] == 0) continue;
-        residual[c] -= share * count[c];
-        if (residual[c] <= saturation_eps(capacity[c])) saturated[c] = 1;
-      }
-    });
-
-    // Freeze flows crossing a saturated resource; their counts leave the
-    // sharing pool so the survivors split the remaining headroom.
-    std::vector<std::uint64_t> shard_frozen(num_shards, 0);
-    pool.parallel_for(0, num_shards, [&](std::size_t k) {
-      const auto [begin, end] = shard_range(flows, k, num_shards);
-      for (std::size_t f = begin; f < end; ++f) {
-        if (frozen[f] != 0) continue;
-        std::uint32_t bottleneck = kNoBottleneck;
-        for (std::uint64_t i = route_begin[f]; i < route_begin[f + 1]; ++i) {
-          if (saturated[route_pool[i]] != 0) {
-            bottleneck = route_pool[i];
-            break;
-          }
-        }
-        if (bottleneck == kNoBottleneck) continue;
-        frozen[f] = 1;
-        res.bottleneck[f] = bottleneck;
-        ++shard_frozen[k];
-        for (std::uint64_t i = route_begin[f]; i < route_begin[f + 1]; ++i) {
-          std::atomic_ref<std::uint32_t>(count[route_pool[i]])
-              .fetch_sub(1, std::memory_order_relaxed);
-        }
-      }
-    });
-    for (const std::uint64_t n : shard_frozen) unfrozen -= n;
+    // Drop the resources no unfrozen flow crosses any more; the tightest
+    // residual share among the rest is the next round's increment.
+    share = std::numeric_limits<double>::infinity();
+    std::size_t kept = 0;
+    for (const std::uint32_t l : s.live) {
+      if (s.count[l] == 0) continue;
+      s.live[kept++] = l;
+      share = std::min(share, s.residual[l] / s.count[l]);
+    }
+    s.live.resize(kept);
+  }
+  if (unfrozen > 0) {
+    for (std::size_t f = 0; f < flows; ++f) {
+      if (res.bottleneck[f] == kNoBottleneck) res.rate[f] = level;
+    }
   }
   res.converged = unfrozen == 0;
   return res;
+}
+
+FairShareResult max_min_fair_rates(const std::vector<double>& capacity,
+                                   const std::vector<std::uint32_t>& route_pool,
+                                   const std::vector<std::uint64_t>& route_begin,
+                                   std::uint32_t max_rounds) {
+  FairShareScratch scratch;
+  return max_min_fair_rates(capacity, route_pool, route_begin, scratch, max_rounds);
 }
 
 std::vector<std::string> check_max_min(const std::vector<double>& capacity,
@@ -159,7 +187,9 @@ std::vector<std::string> check_max_min(const std::vector<double>& capacity,
                                        const std::vector<std::uint64_t>& route_begin,
                                        const FairShareResult& result, double tol,
                                        std::size_t max_violations) {
-  const std::size_t flows = route_begin.size() - 1;
+  const std::size_t flows = checked_flow_count(capacity, route_pool, route_begin);
+  DSN_REQUIRE(result.rate.size() == flows && result.bottleneck.size() == flows,
+              "the result must hold one rate and one bottleneck per flow");
   const std::size_t caps = capacity.size();
   std::vector<std::string> violations;
   const auto report = [&](std::string msg) {
@@ -189,6 +219,7 @@ std::vector<std::string> check_max_min(const std::vector<double>& capacity,
         report("flow " + std::to_string(f) + " has no bottleneck on a converged solve");
       continue;
     }
+    DSN_REQUIRE(c < caps, "bottleneck id is neither a resource nor kNoBottleneck");
     const double slack = capacity[c] * tol + tol;
     if (usage[c] < capacity[c] - slack) {
       report("flow " + std::to_string(f) + " bottleneck " + std::to_string(c) +

@@ -1,6 +1,6 @@
 // dsn-slint: deterministic — flow rates feed byte-identical replay gates;
-// every reduction here is a min, an integer add, or a serial index-order sum,
-// so the solution is bitwise identical for any shard or thread count.
+// the solver is serial, and every reduction here is a min, an integer add, or
+// one fixed-order sum, so the solution is bitwise reproducible.
 //
 // Max-min fair-share allocation by progressive water-filling. Given resource
 // capacities (directed link halves plus host injection/ejection ports) and
@@ -9,6 +9,11 @@
 // current level and the rest keep growing. The result is the unique max-min
 // fair allocation: every flow is bottlenecked at a saturated resource where
 // it holds a maximal rate.
+//
+// A solve works only on the resources its flows use, numbered in first-use
+// order, and each round only on the *live* ones (crossed by at least one
+// unfrozen flow). A resource -> flow index lets a round freeze just the flows
+// under the resources that saturated in it.
 #pragma once
 
 #include <cstdint>
@@ -28,26 +33,51 @@ struct FairShareResult {
   bool converged = true;                  ///< false iff max_rounds was hit
 };
 
+/// Reusable solver workspace, one per caller (never shared between threads).
+/// `local` is the only array sized to all resources: it maps a resource id to
+/// its solve-local id, and every solve resets exactly the entries it set, so
+/// one scratch serves any sequence of problems. The rest is sized to the
+/// resources, route entries and flows of the current solve.
+struct FairShareScratch {
+  std::vector<std::uint32_t> local;        ///< resource -> local id (unmapped between solves)
+  std::vector<std::uint32_t> global;       ///< local id -> resource, first-use order
+  std::vector<std::uint32_t> route;        ///< the route pool in local ids
+  std::vector<double> residual;            ///< per local resource
+  std::vector<double> full;                ///< saturation threshold per local resource
+  std::vector<std::uint32_t> count;        ///< unfrozen route entries per local resource
+  std::vector<std::uint8_t> saturated;     ///< per local resource
+  std::vector<std::uint64_t> users_begin;  ///< local resource -> its flows in `users`
+  std::vector<std::uint32_t> users;        ///< flow ids per resource, in flow order
+  std::vector<std::uint32_t> live;         ///< local resources an unfrozen flow crosses
+  std::vector<std::uint32_t> saturating;   ///< local resources saturated this round
+};
+
 /// Solve the max-min allocation. Flow f uses resources
 /// `route_pool[route_begin[f] .. route_begin[f+1])`; `capacity[c]` > 0 is the
 /// capacity of resource c in flits/cycle. Every flow must cross at least one
 /// resource. `max_rounds` 0 uses the natural bound (one saturated resource
 /// per round, so at most the number of used resources); a positive value is
 /// an explicit ceiling below which the solve may report converged=false.
-/// `shards` 0 auto-sizes from the global pool; the result is bitwise
-/// independent of it.
 FairShareResult max_min_fair_rates(const std::vector<double>& capacity,
                                    const std::vector<std::uint32_t>& route_pool,
                                    const std::vector<std::uint64_t>& route_begin,
-                                   std::uint32_t max_rounds = 0,
-                                   std::uint32_t shards = 0);
+                                   FairShareScratch& scratch, std::uint32_t max_rounds = 0);
+
+/// One-shot solve with a scratch of its own.
+FairShareResult max_min_fair_rates(const std::vector<double>& capacity,
+                                   const std::vector<std::uint32_t>& route_pool,
+                                   const std::vector<std::uint64_t>& route_begin,
+                                   std::uint32_t max_rounds = 0);
 
 /// Verify the max-min invariant on a solution: (a) feasibility — no resource
 /// is used beyond capacity * (1 + tol); (b) bottleneck — every flow's
 /// bottleneck resource is saturated (usage >= capacity * (1 - tol)) and the
 /// flow holds a maximal rate there (rate >= max rate across the resource
 /// - tol). Returns human-readable violations (empty = invariant holds),
-/// capped at `max_violations`. Used by the property tests and dsn-lint flow.
+/// capped at `max_violations`. Malformed input (the route checks of
+/// max_min_fair_rates, a result shorter than the flow count, a bottleneck id
+/// that is neither a resource nor kNoBottleneck) throws PreconditionError.
+/// Used by the property tests and dsn-lint flow.
 std::vector<std::string> check_max_min(const std::vector<double>& capacity,
                                        const std::vector<std::uint32_t>& route_pool,
                                        const std::vector<std::uint64_t>& route_begin,

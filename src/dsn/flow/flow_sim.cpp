@@ -176,6 +176,8 @@ FlowResult FlowSimulator::run_loop(WorkloadDriver& driver) {
   res.route_mode = routes_->mode();
   res.workload = driver.name();
   res.hosts = num_hosts_;
+  flows_ = Flows{};
+  active_.clear();
 
   std::vector<Demand> pending;
   driver.start(pending);
@@ -211,9 +213,9 @@ FlowResult FlowSimulator::run_loop(WorkloadDriver& driver) {
                         flows_.pool.begin() + flows_.route_begin[f + 1]);
       solve_begin.push_back(solve_pool.size());
     }
-    const FairShareResult fs = max_min_fair_rates(
-        capacity_, solve_pool, solve_begin, config_.max_waterfill_rounds,
-        config_.shards);
+    const FairShareResult fs = max_min_fair_rates(capacity_, solve_pool, solve_begin,
+                                                  solver_scratch_,
+                                                  config_.max_waterfill_rounds);
     res.max_waterfill_rounds = std::max(res.max_waterfill_rounds, fs.rounds);
     res.waterfill_rounds_total += fs.rounds;
     DSN_OBS_ONLY(DSN_OBS_ADD(FlowMetrics::get().waterfill_rounds, fs.rounds);)

@@ -1,6 +1,6 @@
 // dsn-slint: deterministic — FlowResult feeds byte-identical replay gates
-// across DSN_THREADS and shard counts; see fair_share.hpp for why every
-// reduction in the tier is partition-independent.
+// across DSN_THREADS and admission shard counts: routes merge in shard order
+// and the fair-share solver is serial (see fair_share.hpp).
 //
 // The flow-level simulation tier. Where the flit simulator moves individual
 // flits cycle by cycle, this tier treats each demand as a fluid *flow* over
@@ -10,7 +10,8 @@
 //      merged in shard order);
 //   2. solve the max-min fair rate allocation over per-resource capacities
 //      (directed link halves + host injection/ejection ports, each 1
-//      flit/cycle like the flit sim) by progressive water-filling;
+//      flit/cycle like the flit sim) by progressive water-filling, in a
+//      solver workspace the simulator keeps across epochs;
 //   3. advance to the earliest flow completion (clamped to the configured
 //      epoch bounds), retire completed flows at their exact completion time,
 //      and hand them to the workload driver, which may emit successors.
@@ -52,7 +53,9 @@ struct FlowConfig {
   /// Per-solve round ceiling; 0 = the natural bound (one saturated resource
   /// per round, at most the number of used resources).
   std::uint32_t max_waterfill_rounds = 0;
-  std::uint32_t shards = 0;                 ///< 0 = auto from the global pool
+  /// Admission route shards (per-pair routes run in parallel, merged in
+  /// shard order); 0 = auto from the global pool. The solver is serial.
+  std::uint32_t shards = 0;
   std::uint32_t updown_max_n = 4096;        ///< FlowRoutes table fallback cap
   bool verify = false;  ///< run check_max_min on every solve (tests, dsn-lint)
 
@@ -109,8 +112,10 @@ class FlowSimulator {
   FlowSimulator(const Topology& topo, const FlowConfig& config);
 
   /// Run a static demand batch to completion (all demands start at cycle 0).
+  /// Every run starts from no flows, so a reused simulator reports what a
+  /// fresh one would.
   FlowResult run(const std::vector<Demand>& demands);
-  /// Run a closed-loop workload to completion.
+  /// Run a closed-loop workload to completion; demand indices start at 0.
   FlowResult run(WorkloadDriver& driver);
 
   const FlowRoutes& routes() const { return *routes_; }
@@ -142,8 +147,9 @@ class FlowSimulator {
   std::unique_ptr<FlowRoutes> routes_;
   std::uint32_t num_hosts_ = 0;
 
-  Flows flows_;
+  Flows flows_;                        ///< this run's flows, admission order
   std::vector<std::uint32_t> active_;  ///< open flow ids, admission order
+  FairShareScratch solver_scratch_;    ///< reused by every epoch's solve
 };
 
 }  // namespace dsn::flow

@@ -1,8 +1,10 @@
 // Determinism gates for the flow tier: results must be byte-identical for
-// every solver shard count (in-process, comparing the full JSON projection)
-// and for every DSN_THREADS value (subprocess, comparing `dsn-lint flow
-// --json` output bytes across thread-pool widths). Registered under
-// `ctest -L determinism` via the determinism.flow entry.
+// every admission shard count and for a simulator reused across runs
+// (in-process, comparing the full JSON projection), and for every
+// DSN_THREADS value (subprocess, comparing `dsn-lint flow --json` output
+// bytes across thread-pool widths). The fair-share solver itself is serial;
+// its bitwise oracle is FlowFairness.SolverMatchesSerialReferenceBitwise.
+// Registered under `ctest -L determinism` via the determinism.flow entry.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -72,6 +74,32 @@ TEST(FlowDeterminism, StaticBatchMatchesRepeatedRun) {
     else
       EXPECT_EQ(first, bytes);
   }
+}
+
+TEST(FlowDeterminism, ReusedSimulatorMatchesFreshOne) {
+  // A simulator carries only its topology, capacities, routes and solver
+  // workspace from one run to the next: back-to-back runs of different
+  // workloads must each report what a fresh simulator reports.
+  const Topology topo = make_topology_by_name("dsn", 128);
+  const FlowConfig cfg;
+  FlowSimulator reused(topo, cfg);
+  WorkloadParams params;
+  params.hosts = reused.num_hosts();
+  params.clients = 16;
+  params.units = 6;
+  params.seed = 3;
+  for (const char* workload : {"shuffle", "hdfs-read"}) {
+    const std::string fresh =
+        to_json(FlowSimulator(topo, cfg).run(*make_workload(workload, params))).dump();
+    for (int run = 0; run < 2; ++run) {
+      EXPECT_EQ(fresh, to_json(reused.run(*make_workload(workload, params))).dump())
+          << workload << " run " << run;
+    }
+  }
+  const std::vector<Demand> batch = expand_all_demands(*make_workload("hdfs-read", params));
+  const std::string fresh = to_json(FlowSimulator(topo, cfg).run(batch)).dump();
+  for (int run = 0; run < 2; ++run)
+    EXPECT_EQ(fresh, to_json(reused.run(batch)).dump()) << "static batch run " << run;
 }
 
 /// Run the real dsn-lint binary (path injected by CMake as DSN_LINT_PATH)

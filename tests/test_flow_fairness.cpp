@@ -1,18 +1,22 @@
 // Property tests for the flow tier's max-min fair-share solver: on fuzzed
 // abstract problems and on real topologies, every converged allocation must
 // satisfy the max-min invariant (feasible, every flow bottlenecked at a
-// saturated resource where it holds a maximal rate), and the solution must be
-// invariant under flow-id permutation and bitwise invariant under shard
-// count. All randomness is seeded.
+// saturated resource where it holds a maximal rate), the solution must be
+// invariant under flow-id permutation, and it must equal the textbook serial
+// water-filling bit for bit, converged or not. All randomness is seeded.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "dsn/analysis/factory.hpp"
+#include "dsn/common/error.hpp"
 #include "dsn/common/rng.hpp"
 #include "dsn/flow/fair_share.hpp"
 #include "dsn/flow/flow_sim.hpp"
@@ -97,23 +101,155 @@ TEST(FlowFairness, RatesInvariantUnderFlowPermutation) {
   }
 }
 
-TEST(FlowFairness, SolverBitwiseInvariantUnderShardCount) {
-  Rng rng(0x5A4D5);
-  for (int trial = 0; trial < 20; ++trial) {
-    const Problem p = fuzz_problem(4 + rng.next_below(60), 8 + rng.next_below(300), rng);
-    const FairShareResult base =
-        max_min_fair_rates(p.capacity, p.pool, p.begin, 256, /*shards=*/1);
-    for (const std::uint32_t shards : {2u, 3u, 8u, 13u}) {
-      const FairShareResult r =
-          max_min_fair_rates(p.capacity, p.pool, p.begin, 256, shards);
-      ASSERT_EQ(base.rate.size(), r.rate.size());
-      for (std::size_t i = 0; i < base.rate.size(); ++i) {
-        // Bitwise, not approximate: determinism gates replay these bytes.
-        EXPECT_EQ(base.rate[i], r.rate[i]) << "shards=" << shards;
-        EXPECT_EQ(base.bottleneck[i], r.bottleneck[i]) << "shards=" << shards;
+/// The textbook serial water-filling, kept as the solver's oracle: each
+/// round takes the tightest share over every resource an unfrozen flow
+/// crosses, adds it to every unfrozen flow, charges every such resource, then
+/// scans every unfrozen flow's route for a saturated resource.
+FairShareResult reference_rates(const Problem& p, std::uint32_t max_rounds) {
+  const std::size_t flows = p.begin.size() - 1;
+  FairShareResult res;
+  res.rate.assign(flows, 0.0);
+  res.bottleneck.assign(flows, kNoBottleneck);
+  std::vector<double> residual = p.capacity;
+  std::vector<std::uint32_t> count(p.capacity.size(), 0);
+  std::vector<std::uint8_t> saturated(p.capacity.size(), 0);
+  std::vector<std::uint8_t> frozen(flows, 0);
+  for (std::uint64_t i = p.begin.front(); i < p.begin.back(); ++i) ++count[p.pool[i]];
+  const auto used = static_cast<std::uint32_t>(
+      std::count_if(count.begin(), count.end(), [](std::uint32_t n) { return n > 0; }));
+  const std::uint32_t limit = max_rounds != 0 ? max_rounds : used;
+
+  std::size_t unfrozen = flows;
+  while (unfrozen > 0 && res.rounds < limit) {
+    ++res.rounds;
+    double share = std::numeric_limits<double>::infinity();
+    for (std::size_t c = 0; c < count.size(); ++c) {
+      if (count[c] > 0) share = std::min(share, residual[c] / count[c]);
+    }
+    if (!std::isfinite(share)) break;
+    for (std::size_t f = 0; f < flows; ++f) {
+      if (frozen[f] == 0) res.rate[f] += share;
+    }
+    for (std::size_t c = 0; c < count.size(); ++c) {
+      if (count[c] == 0) continue;
+      residual[c] -= share * count[c];
+      if (residual[c] <= 1e-9 * std::max(1.0, p.capacity[c])) saturated[c] = 1;
+    }
+    for (std::size_t f = 0; f < flows; ++f) {
+      if (frozen[f] != 0) continue;
+      for (std::uint64_t i = p.begin[f]; i < p.begin[f + 1]; ++i) {
+        if (saturated[p.pool[i]] == 0) continue;
+        frozen[f] = 1;
+        res.bottleneck[f] = p.pool[i];
+        --unfrozen;
+        for (std::uint64_t j = p.begin[f]; j < p.begin[f + 1]; ++j) --count[p.pool[j]];
+        break;
       }
     }
   }
+  res.converged = unfrozen == 0;
+  return res;
+}
+
+/// Fuzz a problem in shapes the solver accepts but the simulator never
+/// builds: routes of 1..8 entries that may repeat a resource, capacities over
+/// 1e-3..15 (every other problem from a few exact values, so resources tie
+/// and saturate together), and sometimes unused route-pool entries before
+/// the first flow.
+Problem fuzz_raw_problem(std::uint32_t resources, std::uint32_t flows, Rng& rng) {
+  Problem p;
+  p.capacity.resize(resources);
+  const bool ties = rng.next_below(2) == 0;
+  for (double& c : p.capacity) {
+    c = ties ? 0.125 * static_cast<double>(1 + rng.next_below(120))
+             : 1e-3 * std::pow(15e3, rng.next_double());
+  }
+  const std::uint64_t prefix = rng.next_below(8) == 0 ? 1 + rng.next_below(5) : 0;
+  for (std::uint64_t i = 0; i < prefix; ++i)
+    p.pool.push_back(static_cast<std::uint32_t>(rng.next_below(resources)));
+  p.begin.push_back(p.pool.size());
+  for (std::uint32_t f = 0; f < flows; ++f) {
+    const std::uint64_t len = 1 + rng.next_below(8);
+    for (std::uint64_t i = 0; i < len; ++i)
+      p.pool.push_back(static_cast<std::uint32_t>(rng.next_below(resources)));
+    p.begin.push_back(p.pool.size());
+  }
+  return p;
+}
+
+TEST(FlowFairness, SolverMatchesSerialReferenceBitwise) {
+  Rng rng(0x5E41A1);
+  FairShareScratch scratch;  // one workspace across problems of every size
+  int stopped_early = 0;
+  for (int trial = 0; trial < 2500; ++trial) {
+    const Problem p = fuzz_raw_problem(1 + static_cast<std::uint32_t>(rng.next_below(60)),
+                                       1 + static_cast<std::uint32_t>(rng.next_below(200)),
+                                       rng);
+    const std::uint32_t max_rounds =
+        trial % 5 == 0 ? 1 + static_cast<std::uint32_t>(rng.next_below(6)) : 0;
+    const FairShareResult want = reference_rates(p, max_rounds);
+    const FairShareResult got =
+        max_min_fair_rates(p.capacity, p.pool, p.begin, scratch, max_rounds);
+    if (!want.converged) ++stopped_early;
+    ASSERT_EQ(got.rounds, want.rounds) << "trial " << trial;
+    ASSERT_EQ(got.converged, want.converged) << "trial " << trial;
+    ASSERT_EQ(got.rate.size(), want.rate.size()) << "trial " << trial;
+    for (std::size_t f = 0; f < want.rate.size(); ++f) {
+      // Bitwise, not approximate: determinism gates replay these bytes.
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.rate[f]),
+                std::bit_cast<std::uint64_t>(want.rate[f]))
+          << "trial " << trial << " flow " << f << ": " << got.rate[f] << " vs "
+          << want.rate[f];
+      ASSERT_EQ(got.bottleneck[f], want.bottleneck[f]) << "trial " << trial << " flow " << f;
+    }
+  }
+  // The ceilings must actually cut solves short, or the level bookkeeping of
+  // unfrozen flows goes unchecked.
+  EXPECT_GT(stopped_early, 100);
+}
+
+TEST(FlowFairness, MalformedInputThrows) {
+  const std::vector<double> capacity = {1.0, 2.0};
+  const std::vector<std::uint32_t> pool = {0, 1, 1};
+  const std::vector<std::uint64_t> begin = {0, 2, 3};
+  FairShareScratch scratch;
+  const FairShareResult good = max_min_fair_rates(capacity, pool, begin, scratch);
+  ASSERT_TRUE(check_max_min(capacity, pool, begin, good).empty());
+
+  // Inputs both functions reject.
+  const std::vector<Problem> bad_routes = {
+      {capacity, pool, {}},                // no offsets at all
+      {capacity, pool, {0, 2}},            // offsets stop short of the pool
+      {capacity, pool, {0, 0, 3}},         // a flow with an empty route
+      {capacity, {0, 2, 1}, begin},        // resource id past the capacities
+      {{1.0, 0.0}, pool, begin},           // a used resource without capacity
+  };
+  for (std::size_t k = 0; k < bad_routes.size(); ++k) {
+    const Problem& r = bad_routes[k];
+    FairShareResult sized;
+    sized.rate.assign(r.begin.empty() ? 0 : r.begin.size() - 1, 0.5);
+    sized.bottleneck.assign(sized.rate.size(), 0);
+    EXPECT_THROW(max_min_fair_rates(r.capacity, r.pool, r.begin, scratch), PreconditionError)
+        << "case " << k;
+    EXPECT_THROW(check_max_min(r.capacity, r.pool, r.begin, sized), PreconditionError)
+        << "case " << k;
+  }
+
+  // Results that do not fit the problem.
+  FairShareResult short_rate = good;
+  short_rate.rate.pop_back();
+  EXPECT_THROW(check_max_min(capacity, pool, begin, short_rate), PreconditionError);
+  FairShareResult short_bottleneck = good;
+  short_bottleneck.bottleneck.pop_back();
+  EXPECT_THROW(check_max_min(capacity, pool, begin, short_bottleneck), PreconditionError);
+  FairShareResult stray_bottleneck = good;
+  stray_bottleneck.bottleneck[1] = 2;  // neither a resource nor kNoBottleneck
+  EXPECT_THROW(check_max_min(capacity, pool, begin, stray_bottleneck), PreconditionError);
+
+  // A refused solve leaves the workspace as good as new.
+  const FairShareResult again = max_min_fair_rates(capacity, pool, begin, scratch);
+  EXPECT_EQ(again.rate, good.rate);
+  EXPECT_EQ(again.bottleneck, good.bottleneck);
 }
 
 TEST(FlowFairness, SingleLinkSharedEqually) {

@@ -489,7 +489,8 @@ int run_flow_command(int argc, const char* const* argv) {
   cli.add_flag("min-epoch", "1",
                "epoch floor in cycles (batches completions per solve; 1 = "
                "exact event stepping)");
-  cli.add_flag("shards", "0", "solver shard count (0 = auto; result-invariant)");
+  cli.add_flag("shards", "0",
+               "admission route shard count (0 = auto; result-invariant)");
   cli.add_flag("no-verify", "false",
                "skip the per-solve max-min invariant check (faster)");
   cli.add_flag("json", "false", "emit a machine-readable JSON report");
