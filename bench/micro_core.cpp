@@ -77,11 +77,13 @@ BENCHMARK(BM_UpDownTables)->RangeMultiplier(4)->Range(64, 512);
 
 void BM_BuildDsnCdg(benchmark::State& state) {
   // All-ordered-pairs CDG construction on DSN-2-n, the low-x configuration
-  // whose routes degenerate toward ring walks — the stress case for the
-  // flat-hash channel index (total hops grow ~ n^2 * n/8 once the shortcut
-  // premise x > p - log p fails). One iteration per size: at n = 4096 a
-  // single build walks billions of hops, so this records wall time rather
-  // than a statistically tight mean.
+  // whose routes degenerate toward ring walks (total hops grow ~ n^2 * n/8
+  // once the shortcut premise x > p - log p fails). Consecutive routes from
+  // one source share 99 % of their hops at n = 1024, and add_route indexes
+  // only the rest, so this now times route generation and the prefix walk
+  // more than the flat-hash channel index. One iteration per size: at
+  // n = 4096 a single build walks billions of hops, so this records wall
+  // time rather than a statistically tight mean.
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const dsn::Dsn d(n, 2);
   for (auto _ : state) {

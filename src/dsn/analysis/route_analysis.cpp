@@ -56,30 +56,38 @@ const char* to_string(ChannelScheme scheme) {
 
 namespace {
 
+/// Evidence against one per-route property: whether any route violated it,
+/// and the first `cap` violating routes.
+struct Refutation {
+  bool refuted = false;
+  std::vector<RouteWitness> witnesses;
+
+  void add(std::size_t cap, NodeId s, NodeId t, const std::vector<NodeId>& path,
+           std::string reason) {
+    refuted = true;
+    if (witnesses.size() < cap) witnesses.push_back({s, t, path, std::move(reason)});
+  }
+
+  /// Fold another shard's evidence in, keeping the first `cap` witnesses.
+  void merge(Refutation& from, std::size_t cap) {
+    refuted = refuted || from.refuted;
+    for (auto& w : from.witnesses) {
+      if (witnesses.size() >= cap) break;
+      witnesses.push_back(std::move(w));
+    }
+  }
+};
+
 /// Thread-local accumulator for a contiguous source range.
 struct Shard {
   ChannelDependencyGraph cdg;
   std::uint32_t max_hops = 0;
   std::uint64_t total_hops = 0;
   std::uint64_t fallbacks = 0;
-  std::vector<RouteWitness> loops, endpoints, bounds;
+  Refutation loops, endpoints, bounds;
   std::vector<std::uint32_t> stamp;  // node -> last generation seen
   std::uint32_t gen = 0;
 };
-
-void keep_witness(std::vector<RouteWitness>& list, std::size_t cap, NodeId s, NodeId t,
-                  const std::vector<NodeId>& path, std::string reason) {
-  if (list.size() >= cap) return;
-  list.push_back({s, t, path, std::move(reason)});
-}
-
-void merge_witnesses(std::vector<RouteWitness>& into, std::vector<RouteWitness>& from,
-                     std::size_t cap) {
-  for (auto& w : from) {
-    if (into.size() >= cap) break;
-    into.push_back(std::move(w));
-  }
-}
 
 double gini_index(std::vector<std::uint64_t> loads) {
   if (loads.empty()) return 0.0;
@@ -96,11 +104,10 @@ double gini_index(std::vector<std::uint64_t> loads) {
 
 }  // namespace
 
-RouteAnalysis analyze_route_function(
-    NodeId n, const std::function<Route(NodeId, NodeId)>& route_fn,
-    const std::function<std::vector<Channel>(const Route&)>& channel_map,
-    std::uint32_t hop_bound, std::string hop_bound_law,
-    const RouteAnalysisOptions& options) {
+RouteAnalysis analyze_route_function(NodeId n, const RouteFill& route_fn,
+                                     const ChannelFill& channel_fn, std::uint32_t hop_bound,
+                                     std::string hop_bound_law,
+                                     const RouteAnalysisOptions& options) {
   DSN_REQUIRE(n >= 2, "route analysis needs at least two nodes");
 
   ThreadPool& pool = ThreadPool::global();
@@ -116,6 +123,8 @@ RouteAnalysis analyze_route_function(
     sh.stamp.assign(n, 0);
     std::vector<NodeId> path;
     path.reserve(64);
+    Route r;
+    std::vector<Channel> channels;
     const NodeId begin = static_cast<NodeId>(k * n / num_shards);
     const NodeId end = static_cast<NodeId>((k + 1) * n / num_shards);
     DSN_OBS_ADD(AnalysisMetrics::get().routes,
@@ -123,7 +132,7 @@ RouteAnalysis analyze_route_function(
     for (NodeId s = begin; s < end; ++s) {
       for (NodeId t = 0; t < n; ++t) {
         if (s == t) continue;
-        const Route r = route_fn(s, t);
+        route_fn(s, t, r);
         const auto len = static_cast<std::uint32_t>(r.length());
         sh.total_hops += len;
         sh.max_hops = std::max(sh.max_hops, len);
@@ -145,16 +154,16 @@ RouteAnalysis analyze_route_function(
           }
         }
         if (!chained || at != t) {
-          keep_witness(sh.endpoints, options.max_witnesses, s, t, path,
-                       !chained ? "route hop chain is broken or empty"
-                                : "route terminates at node " + std::to_string(at) +
-                                      " instead of the destination");
+          sh.endpoints.add(options.max_witnesses, s, t, path,
+                           !chained ? "route hop chain is broken or empty"
+                                    : "route terminates at node " + std::to_string(at) +
+                                          " instead of the destination");
         } else {
           // Loop freedom: no node appears twice in the walked sequence.
           ++sh.gen;
           for (const NodeId v : path) {
             if (sh.stamp[v] == sh.gen) {
-              keep_witness(sh.loops, options.max_witnesses, s, t, path,
+              sh.loops.add(options.max_witnesses, s, t, path,
                            "route revisits node " + std::to_string(v));
               break;
             }
@@ -162,11 +171,12 @@ RouteAnalysis analyze_route_function(
           }
         }
         if (options.check_hop_bound && hop_bound != 0 && len > hop_bound) {
-          keep_witness(sh.bounds, options.max_witnesses, s, t, path,
-                       std::to_string(len) + " hops exceed the analytic bound of " +
-                           std::to_string(hop_bound));
+          sh.bounds.add(options.max_witnesses, s, t, path,
+                        std::to_string(len) + " hops exceed the analytic bound of " +
+                            std::to_string(hop_bound));
         }
-        sh.cdg.add_route(channel_map(r));
+        channel_fn(r, channels);
+        sh.cdg.add_route(channels);
       }
     }
   });
@@ -178,6 +188,7 @@ RouteAnalysis analyze_route_function(
   ra.hop_bound = options.check_hop_bound ? hop_bound : 0;
   ra.hop_bound_law = std::move(hop_bound_law);
   ChannelDependencyGraph cdg = std::move(shards[0].cdg);
+  Refutation loops, endpoints, bounds;
   std::uint64_t total_hops = 0;
   for (std::size_t k = 0; k < num_shards; ++k) {
     Shard& sh = shards[k];
@@ -185,14 +196,17 @@ RouteAnalysis analyze_route_function(
     ra.max_hops = std::max(ra.max_hops, sh.max_hops);
     total_hops += sh.total_hops;
     ra.fallback_routes += sh.fallbacks;
-    merge_witnesses(ra.loop_witnesses, sh.loops, options.max_witnesses);
-    merge_witnesses(ra.endpoint_witnesses, sh.endpoints, options.max_witnesses);
-    merge_witnesses(ra.bound_witnesses, sh.bounds, options.max_witnesses);
+    loops.merge(sh.loops, options.max_witnesses);
+    endpoints.merge(sh.endpoints, options.max_witnesses);
+    bounds.merge(sh.bounds, options.max_witnesses);
   }
   ra.avg_hops = static_cast<double>(total_hops) / static_cast<double>(ra.pairs);
-  ra.loop_free = ra.loop_witnesses.empty();
-  ra.all_reachable = ra.endpoint_witnesses.empty();
-  ra.within_hop_bound = ra.bound_witnesses.empty();
+  ra.loop_free = !loops.refuted;
+  ra.all_reachable = !endpoints.refuted;
+  ra.within_hop_bound = !bounds.refuted;
+  ra.loop_witnesses = std::move(loops.witnesses);
+  ra.endpoint_witnesses = std::move(endpoints.witnesses);
+  ra.bound_witnesses = std::move(bounds.witnesses);
 
   // Static channel load.
   const std::vector<std::uint64_t>& loads = cdg.use_counts();
@@ -245,19 +259,16 @@ std::pair<std::uint32_t, std::string> dsn_hop_bound(const Dsn& d) {
   return {0, "no analytic bound: premise x > p - log p not met"};
 }
 
-Route path_to_route(NodeId s, NodeId t, const std::vector<NodeId>& path) {
-  Route r;
-  r.src = s;
-  r.dst = t;
-  r.hops.reserve(path.empty() ? 0 : path.size() - 1);
+/// Write a node path as a single-phase route into `out`.
+void path_to_route(NodeId s, NodeId t, const std::vector<NodeId>& path, Route& out) {
+  out.reset(s, t);
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    r.hops.push_back({path[i], path[i + 1], RoutePhase::kMain, HopKind::kSucc});
+    out.hops.push_back({path[i], path[i + 1], RoutePhase::kMain, HopKind::kSucc});
   }
-  return r;
 }
 
-std::vector<Channel> single_class_channels(const Route& r) {
-  return dsn_route_channels_basic(r);
+void single_class_channels(const Route& r, std::vector<Channel>& out) {
+  dsn_route_channels_basic(r, out);
 }
 
 /// All maximal digit runs in `name`, in order ("dsn-5-100" -> {5, 100}).
@@ -285,13 +296,14 @@ RouteAnalysis analyze_dsn_routes(const Dsn& dsn, ChannelScheme scheme,
                                  const RouteAnalysisOptions& options) {
   const DsnRouter router(dsn);
   auto [bound, law] = dsn_hop_bound(dsn);
-  const bool extended = scheme == ChannelScheme::kExtended;
+  const ChannelFill channels =
+      scheme == ChannelScheme::kExtended
+          ? ChannelFill([&](const Route& r, std::vector<Channel>& out) {
+              dsn_route_channels_extended(dsn, r, out);
+            })
+          : &single_class_channels;
   RouteAnalysis ra = analyze_route_function(
-      dsn.n(), [&](NodeId s, NodeId t) { return router.route(s, t); },
-      [&](const Route& r) {
-        return extended ? dsn_route_channels_extended(dsn, r)
-                        : dsn_route_channels_basic(r);
-      },
+      dsn.n(), [&](NodeId s, NodeId t, Route& out) { router.route(s, t, out); }, channels,
       bound, std::move(law), options);
   ra.topology = dsn.topology().name;
   ra.family = RoutingFamily::kDsn;
@@ -302,8 +314,10 @@ RouteAnalysis analyze_dsn_routes(const Dsn& dsn, ChannelScheme scheme,
 RouteAnalysis analyze_dsn_d_routes(const DsnD& dd, const RouteAnalysisOptions& options) {
   auto [bound, law] = dsn_hop_bound(dd.base());
   RouteAnalysis ra = analyze_route_function(
-      dd.base().n(), [&](NodeId s, NodeId t) { return route_dsn_d(dd, s, t); },
-      [&](const Route& r) { return dsn_route_channels_extended(dd.base(), r); },
+      dd.base().n(), [&](NodeId s, NodeId t, Route& out) { route_dsn_d(dd, s, t, out); },
+      [&](const Route& r, std::vector<Channel>& out) {
+        dsn_route_channels_extended(dd.base(), r, out);
+      },
       bound, std::move(law), options);
   ra.topology = dd.topology().name;
   ra.family = RoutingFamily::kDsnD;
@@ -361,13 +375,14 @@ BoundRouting make_route_function(const Topology& topo, RoutingFamily family) {
       auto [bound, law] = dsn_hop_bound(state->base);
       b.hop_bound = bound;
       b.hop_bound_law = std::move(law);
-      b.route = [state](NodeId s, NodeId t) { return state->router.route(s, t); };
-      b.channel_map = b.scheme == ChannelScheme::kExtended
-                          ? std::function<std::vector<Channel>(const Route&)>(
-                                [state](const Route& r) {
-                                  return dsn_route_channels_extended(state->base, r);
-                                })
-                          : &single_class_channels;
+      b.fill_route = [state](NodeId s, NodeId t, Route& out) {
+        state->router.route(s, t, out);
+      };
+      b.fill_channels = b.scheme == ChannelScheme::kExtended
+                            ? ChannelFill([state](const Route& r, std::vector<Channel>& out) {
+                                dsn_route_channels_extended(state->base, r, out);
+                              })
+                            : &single_class_channels;
       b.state = std::move(state);
       return b;
     }
@@ -381,9 +396,11 @@ BoundRouting make_route_function(const Topology& topo, RoutingFamily family) {
       b.hop_bound = bound;
       b.hop_bound_law = std::move(law);
       b.scheme = ChannelScheme::kExtended;
-      b.route = [state](NodeId s, NodeId t) { return route_dsn_d(*state, s, t); };
-      b.channel_map = [state](const Route& r) {
-        return dsn_route_channels_extended(state->base(), r);
+      b.fill_route = [state](NodeId s, NodeId t, Route& out) {
+        route_dsn_d(*state, s, t, out);
+      };
+      b.fill_channels = [state](const Route& r, std::vector<Channel>& out) {
+        dsn_route_channels_extended(state->base(), r, out);
       };
       b.state = std::move(state);
       return b;
@@ -397,10 +414,10 @@ BoundRouting make_route_function(const Topology& topo, RoutingFamily family) {
       b.hop_bound = bound;
       b.hop_bound_law = "DOR diameter: sum of per-dimension wrap distances = " +
                         std::to_string(bound);
-      b.route = [&topo](NodeId s, NodeId t) {
-        return path_to_route(s, t, route_torus_dor(topo, s, t));
+      b.fill_route = [&topo](NodeId s, NodeId t, Route& out) {
+        path_to_route(s, t, route_torus_dor(topo, s, t), out);
       };
-      b.channel_map = &single_class_channels;
+      b.fill_channels = &single_class_channels;
       return b;
     }
     case RoutingFamily::kGreedyGrid: {
@@ -411,10 +428,10 @@ BoundRouting make_route_function(const Topology& topo, RoutingFamily family) {
       auto state = std::make_shared<const CsrView>(topo.graph);
       const std::uint32_t side = topo.dims[0];
       b.hop_bound_law = "no analytic per-pair bound (greedy is O(log^2 n) in expectation)";
-      b.route = [state, side](NodeId s, NodeId t) {
-        return path_to_route(s, t, route_greedy_grid(*state, side, s, t));
+      b.fill_route = [state, side](NodeId s, NodeId t, Route& out) {
+        path_to_route(s, t, route_greedy_grid(*state, side, s, t), out);
       };
-      b.channel_map = &single_class_channels;
+      b.fill_channels = &single_class_channels;
       b.state = std::move(state);
       return b;
     }
@@ -423,10 +440,10 @@ BoundRouting make_route_function(const Topology& topo, RoutingFamily family) {
                   "up*/down* analysis needs a connected topology");
       auto state = std::make_shared<const UpDownRouting>(topo.graph, 0);
       b.hop_bound_law = "no analytic per-pair bound for up*/down*";
-      b.route = [state](NodeId s, NodeId t) {
-        return path_to_route(s, t, state->route(s, t));
+      b.fill_route = [state](NodeId s, NodeId t, Route& out) {
+        path_to_route(s, t, state->route(s, t), out);
       };
-      b.channel_map = &single_class_channels;
+      b.fill_channels = &single_class_channels;
       b.state = std::move(state);
       return b;
     }
@@ -437,7 +454,7 @@ BoundRouting make_route_function(const Topology& topo, RoutingFamily family) {
 RouteAnalysis analyze_topology_routes(const Topology& topo, RoutingFamily family,
                                       const RouteAnalysisOptions& options) {
   const BoundRouting b = make_route_function(topo, family);
-  RouteAnalysis ra = analyze_route_function(topo.num_nodes(), b.route, b.channel_map,
+  RouteAnalysis ra = analyze_route_function(topo.num_nodes(), b.fill_route, b.fill_channels,
                                             b.hop_bound, b.hop_bound_law, options);
   ra.topology = topo.name;
   ra.family = family;

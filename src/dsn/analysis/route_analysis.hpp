@@ -21,7 +21,11 @@
 //
 // The sweep shards sources across the global thread pool into thread-local
 // channel-dependency graphs merged deterministically, so n = 4096 (16.7M
-// routes) completes in seconds in Release builds.
+// routes) completes in seconds in Release builds. Nothing is allocated per
+// route: each shard refills one Route and one channel vector through the
+// routing layer's out-parameter forms, and each source's routes reach the
+// CDG in destination order, so ChannelDependencyGraph::add_route indexes only
+// the hops past the prefix a route shares with its predecessor.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +68,8 @@ struct RouteAnalysisOptions {
   /// back to the first DFS cycle past the work cap).
   bool find_min_cycle = true;
   std::uint64_t min_cycle_work_cap = 1ULL << 28;
-  /// Offending routes retained per refuted property.
+  /// Offending routes retained per refuted property. The verdicts do not
+  /// depend on it: with 0, a violated property is still refuted.
   std::size_t max_witnesses = 4;
 };
 
@@ -130,14 +135,19 @@ struct RouteAnalysis {
   }
 };
 
+/// Writes the s -> t route into the given buffer (see Route::reset).
+using RouteFill = std::function<void(NodeId, NodeId, Route&)>;
+/// Overwrites the given vector with the channels a route occupies, in order.
+using ChannelFill = std::function<void(const Route&, std::vector<Channel>&)>;
+
 /// The analyzer core: run `route_fn` over all ordered pairs of an n-node
-/// network, mapping each route onto channels with `channel_map`. `hop_bound`
+/// network, mapping each route onto channels with `channel_fn`. `hop_bound`
 /// of 0 disables the bound check. Deterministic regardless of thread count.
-RouteAnalysis analyze_route_function(
-    NodeId n, const std::function<Route(NodeId, NodeId)>& route_fn,
-    const std::function<std::vector<Channel>(const Route&)>& channel_map,
-    std::uint32_t hop_bound = 0, std::string hop_bound_law = {},
-    const RouteAnalysisOptions& options = {});
+RouteAnalysis analyze_route_function(NodeId n, const RouteFill& route_fn,
+                                     const ChannelFill& channel_fn,
+                                     std::uint32_t hop_bound = 0,
+                                     std::string hop_bound_law = {},
+                                     const RouteAnalysisOptions& options = {});
 
 /// DSN custom routing over a basic DSN (covers DSN-E and DSN-V via `scheme`).
 RouteAnalysis analyze_dsn_routes(const Dsn& dsn, ChannelScheme scheme,
@@ -152,15 +162,23 @@ RouteAnalysis analyze_dsn_d_routes(const DsnD& dd,
 /// mapping and analytic hop bound. The analyzer and the flow tier both build
 /// routes through this factory, so "the routes the analyzer proves" and "the
 /// routes the flow tier loads links with" are the same definition by
-/// construction. `route` and `channel_map` are safe to call concurrently;
-/// both may reference `topo`, which must outlive the returned object.
+/// construction. `fill_route` and `fill_channels` are safe to call
+/// concurrently on distinct buffers; both may reference `topo`, which must
+/// outlive the returned object.
 struct BoundRouting {
-  std::function<Route(NodeId, NodeId)> route;
-  std::function<std::vector<Channel>(const Route&)> channel_map;
+  RouteFill fill_route;
+  ChannelFill fill_channels;
   std::shared_ptr<const void> state;  ///< keep-alive for captured routing structures
   std::uint32_t hop_bound = 0;        ///< analytic per-pair bound; 0 = none applies
   std::string hop_bound_law;
   ChannelScheme scheme = ChannelScheme::kBasic;
+
+  /// The s -> t route in a fresh buffer.
+  Route route(NodeId s, NodeId t) const {
+    Route r;
+    fill_route(s, t, r);
+    return r;
+  }
 };
 
 /// Bind `family`'s routing function to `topo`, reconstructing routing

@@ -76,10 +76,10 @@ void FlowRoutes::switch_path(NodeId s, NodeId t, Scratch& scratch,
     path.push_back(s);
     return;
   }
-  if (bound_.route) {
-    const Route r = bound_.route(s, t);
+  if (bound_.fill_route) {
+    bound_.fill_route(s, t, scratch.route);
     path.push_back(s);
-    for (const RouteHop& h : r.hops) path.push_back(h.to);
+    for (const RouteHop& h : scratch.route.hops) path.push_back(h.to);
     return;
   }
   if (mode_ == "dln-jump") {

@@ -37,9 +37,11 @@ class FlowRoutes {
 
   const std::string& mode() const { return mode_; }
 
-  /// Per-caller scratch for the BFS mode (generation-stamped visit arrays,
-  /// O(n) each); other modes ignore it. One per shard, never shared.
+  /// Per-caller scratch: the route buffer the bound modes refill, and the
+  /// BFS mode's generation-stamped visit arrays (O(n) each). One per shard,
+  /// never shared.
   struct Scratch {
+    Route route;
     std::vector<std::uint32_t> stamp_fwd, stamp_bwd;
     std::vector<NodeId> parent_fwd, parent_bwd;
     std::vector<NodeId> fwd, bwd, next;

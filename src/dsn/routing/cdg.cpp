@@ -53,8 +53,15 @@ std::uint32_t ChannelDependencyGraph::find_index(const Channel& c) const {
 }
 
 void ChannelDependencyGraph::add_route(const std::vector<Channel>& channels) {
-  std::uint32_t prev = 0;
-  for (std::size_t i = 0; i < channels.size(); ++i) {
+  // The prefix this route shares with the previous one is already recorded:
+  // its channels have ids and every dependency inside it exists, so it only
+  // adds load. Merges never renumber ids, so the remembered ids stay valid.
+  const std::size_t common = std::min(channels.size(), last_route_.size());
+  std::size_t i = 0;
+  for (; i < common && channels[i] == last_route_[i]; ++i) ++use_counts_[last_ids_[i]];
+  last_ids_.resize(i);
+  std::uint32_t prev = i > 0 ? last_ids_[i - 1] : 0;
+  for (; i < channels.size(); ++i) {
     const std::uint32_t cur = channel_index(channels[i]);
     ++use_counts_[cur];
     if (i > 0 && prev != cur) {
@@ -65,7 +72,9 @@ void ChannelDependencyGraph::add_route(const std::vector<Channel>& channels) {
       }
     }
     prev = cur;
+    last_ids_.push_back(cur);
   }
+  last_route_ = channels;
 }
 
 void ChannelDependencyGraph::reserve(std::size_t expected_channels) {
@@ -277,11 +286,11 @@ std::vector<Channel> ChannelDependencyGraph::find_shortest_cycle(
   return out;
 }
 
-std::vector<Channel> dsn_route_channels_extended(const Dsn& dsn, const Route& route) {
-  const std::uint32_t p = dsn.p();
-  const NodeId region_hi = 2 * p;  // Extra links connect nodes 0..2p
+void dsn_route_channels_extended(const Dsn& dsn, const Route& route,
+                                 std::vector<Channel>& out) {
+  const NodeId region_hi = 2 * dsn.p();  // Extra links connect nodes 0..2p
   const bool dst_in_region = route.dst + 1 <= region_hi;  // dst <= 2p - 1
-  std::vector<Channel> out;
+  out.clear();
   out.reserve(route.hops.size());
   for (const RouteHop& h : route.hops) {
     std::uint8_t cls = kClassMain;
@@ -293,23 +302,29 @@ std::vector<Channel> dsn_route_channels_extended(const Dsn& dsn, const Route& ro
         cls = kClassMain;
         break;
       case RoutePhase::kFinish:
-        if (dst_in_region && h.from <= region_hi && h.to <= region_hi &&
-            std::max(h.from, h.to) <= region_hi) {
-          cls = kClassExtra;
-        } else {
-          cls = kClassFinish;
-        }
+        cls = dst_in_region && h.from <= region_hi && h.to <= region_hi ? kClassExtra
+                                                                        : kClassFinish;
         break;
     }
     out.push_back({h.from, h.to, cls});
   }
+}
+
+std::vector<Channel> dsn_route_channels_extended(const Dsn& dsn, const Route& route) {
+  std::vector<Channel> out;
+  dsn_route_channels_extended(dsn, route, out);
   return out;
+}
+
+void dsn_route_channels_basic(const Route& route, std::vector<Channel>& out) {
+  out.clear();
+  out.reserve(route.hops.size());
+  for (const RouteHop& h : route.hops) out.push_back({h.from, h.to, 0});
 }
 
 std::vector<Channel> dsn_route_channels_basic(const Route& route) {
   std::vector<Channel> out;
-  out.reserve(route.hops.size());
-  for (const RouteHop& h : route.hops) out.push_back({h.from, h.to, 0});
+  dsn_route_channels_basic(route, out);
   return out;
 }
 
@@ -318,8 +333,10 @@ namespace {
 /// Shard the all-ordered-pairs sweep over sources across the global pool:
 /// each shard accumulates into a private CDG over a contiguous source range,
 /// and shards merge in fixed order so the result is deterministic.
-template <typename PerSource>
-ChannelDependencyGraph build_cdg_sharded(NodeId n, const PerSource& per_source) {
+/// `channels_of(s, t, route, channels)` writes the s -> t route's channels
+/// into `channels`, with `route` as scratch; each shard reuses one of each.
+template <typename ChannelsOf>
+ChannelDependencyGraph build_cdg_sharded(NodeId n, const ChannelsOf& channels_of) {
   ThreadPool& pool = ThreadPool::global();
   const std::size_t num_shards =
       std::max<std::size_t>(1, std::min<std::size_t>(n, 4 * pool.size()));
@@ -327,7 +344,15 @@ ChannelDependencyGraph build_cdg_sharded(NodeId n, const PerSource& per_source) 
   pool.parallel_for(0, num_shards, [&](std::size_t k) {
     const NodeId begin = static_cast<NodeId>(k * n / num_shards);
     const NodeId end = static_cast<NodeId>((k + 1) * n / num_shards);
-    for (NodeId s = begin; s < end; ++s) per_source(s, shards[k]);
+    Route route;
+    std::vector<Channel> channels;
+    for (NodeId s = begin; s < end; ++s) {
+      for (NodeId t = 0; t < n; ++t) {
+        if (s == t) continue;
+        channels_of(s, t, route, channels);
+        shards[k].add_route(channels);
+      }
+    }
   });
   ChannelDependencyGraph cdg = std::move(shards[0]);
   for (std::size_t k = 1; k < num_shards; ++k) cdg.merge(shards[k]);
@@ -340,32 +365,27 @@ ChannelDependencyGraph build_dsn_cdg(const Dsn& dsn, bool extended, bool nearest
   DsnRoutingOptions options;
   options.nearest_prework = nearest_prework;
   DsnRouter router(dsn, options);
-  const NodeId n = dsn.n();
-  return build_cdg_sharded(n, [&](NodeId s, ChannelDependencyGraph& shard) {
-    for (NodeId t = 0; t < n; ++t) {
-      if (s == t) continue;
-      const Route r = router.route(s, t);
-      shard.add_route(extended ? dsn_route_channels_extended(dsn, r)
-                               : dsn_route_channels_basic(r));
-    }
-  });
+  return build_cdg_sharded(
+      dsn.n(), [&](NodeId s, NodeId t, Route& route, std::vector<Channel>& channels) {
+        router.route(s, t, route);
+        if (extended) {
+          dsn_route_channels_extended(dsn, route, channels);
+        } else {
+          dsn_route_channels_basic(route, channels);
+        }
+      });
 }
 
 ChannelDependencyGraph build_updown_cdg(const UpDownRouting& routing) {
-  const NodeId n = routing.graph().num_nodes();
-  return build_cdg_sharded(n, [&](NodeId s, ChannelDependencyGraph& shard) {
-    std::vector<Channel> channels;
-    for (NodeId t = 0; t < n; ++t) {
-      if (s == t) continue;
-      const auto path = routing.route(s, t);
-      channels.clear();
-      channels.reserve(path.size());
-      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        channels.push_back({path[i], path[i + 1], 0});
-      }
-      shard.add_route(channels);
-    }
-  });
+  return build_cdg_sharded(
+      routing.graph().num_nodes(),
+      [&](NodeId s, NodeId t, Route& /*route*/, std::vector<Channel>& channels) {
+        const auto path = routing.route(s, t);
+        channels.clear();
+        for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+          channels.push_back({path[i], path[i + 1], 0});
+        }
+      });
 }
 
 }  // namespace dsn

@@ -14,8 +14,13 @@
 //
 // Channels are indexed through a flat hash table (not an ordered map) and
 // adjacency rows reserve ahead, so all-pairs builds stay cheap at n = 4096.
-// Build functions shard the ordered-pair sweep across the global thread pool
-// into thread-local graphs merged deterministically at the end.
+// add_route remembers the previous route it was given and charges the prefix
+// a new route shares with it as load only: the all-pairs sweeps feed the
+// routes of one source in destination order, and most of each route repeats
+// its predecessor hop for hop, so only the new suffix is hashed. Build
+// functions shard the ordered-pair sweep across the global thread pool into
+// thread-local graphs merged deterministically at the end; each shard
+// refills one route and one channel buffer.
 #pragma once
 
 #include <cstddef>
@@ -53,7 +58,9 @@ class ChannelDependencyGraph {
  public:
   /// Record the channel sequence of one route; consecutive channels create
   /// dependencies. Duplicate dependencies are collapsed; every traversal of a
-  /// channel still counts toward its static load (use_count).
+  /// channel still counts toward its static load (use_count). The prefix
+  /// shared with the previous route given here is only charged as load; ids,
+  /// loads and dependencies come out exactly as if every hop were indexed.
   void add_route(const std::vector<Channel>& channels);
 
   /// Pre-size the index and channel arrays for an expected channel count.
@@ -95,15 +102,18 @@ class ChannelDependencyGraph {
 
   // Open-addressing index over channels_: slots_ holds channel-id + 1 (0 =
   // empty) in a power-of-two table probed linearly. A node-based hash map
-  // here costs a pointer chase per hop; the all-pairs sweeps call
-  // channel_index once per route hop (billions of times at n = 4096), so the
-  // probe table is the difference between seconds and minutes.
+  // here costs a pointer chase per lookup; the all-pairs sweeps still call
+  // channel_index for every hop past each route's shared prefix, so the probe
+  // table is the difference between seconds and minutes.
   std::vector<std::uint32_t> slots_;
   std::size_t slot_mask_ = 0;
   std::vector<Channel> channels_;
   std::vector<std::vector<std::uint32_t>> adjacency_;
   std::vector<std::uint64_t> use_counts_;
   std::size_t num_deps_ = 0;
+  // The previous add_route input and its channel ids (the prefix skip).
+  std::vector<Channel> last_route_;
+  std::vector<std::uint32_t> last_ids_;
 };
 
 /// Channel classes used when mapping DSN routes onto channels.
@@ -117,11 +127,14 @@ enum DsnChannelClass : std::uint8_t {
 /// Map a DSN route onto channels under the *extended* scheme of §V-A
 /// (Theorem 3): PRE-WORK on Up channels, MAIN on main channels, FINISH on
 /// finish channels except that, when the destination lies in [0, 2p-1], hops
-/// with both endpoints in [0, 2p] ride the Extra channels.
+/// with both endpoints in [0, 2p] ride the Extra channels. Overwrites `out`.
+void dsn_route_channels_extended(const Dsn& dsn, const Route& route,
+                                 std::vector<Channel>& out);
 std::vector<Channel> dsn_route_channels_extended(const Dsn& dsn, const Route& route);
 
 /// Map a DSN route onto channels with a single channel class (the basic,
-/// unprotected design — expected to yield a cyclic CDG).
+/// unprotected design — expected to yield a cyclic CDG). Overwrites `out`.
+void dsn_route_channels_basic(const Route& route, std::vector<Channel>& out);
 std::vector<Channel> dsn_route_channels_basic(const Route& route);
 
 /// Build the CDG of the DSN custom routing over all ordered pairs

@@ -50,16 +50,20 @@ std::uint32_t DsnRouter::level_for_distance(std::uint64_t d) const {
 }
 
 Route DsnRouter::route(NodeId s, NodeId t) const {
+  Route r;
+  route(s, t, r);
+  return r;
+}
+
+void DsnRouter::route(NodeId s, NodeId t, Route& r) const {
   const Dsn& d = *dsn_;
   const std::uint32_t n = d.n();
   const std::uint32_t p = d.p();
   const std::uint32_t x = d.x();
   DSN_REQUIRE(s < n && t < n, "node id out of range");
 
-  Route r;
-  r.src = s;
-  r.dst = t;
-  if (s == t) return r;
+  r.reset(s, t);
+  if (s == t) return;
 
   const std::size_t cap = hop_cap(d);
   NodeId u = s;
@@ -69,7 +73,7 @@ Route DsnRouter::route(NodeId s, NodeId t) const {
   // clockwise machinery would otherwise tour the whole ring for them.
   if (n - cw(s, t, n) <= p + d.r()) {
     ring_walk(d, u, t, RoutePhase::kFinish, r.hops);
-    return r;
+    return;
   }
 
   // Short clockwise distances are also pure FINISH: MAIN stops at dist <= p
@@ -77,7 +81,7 @@ Route DsnRouter::route(NodeId s, NodeId t) const {
   // make the route revisit its own source on the way back.
   if (cw(s, t, n) <= p) {
     ring_walk(d, u, t, RoutePhase::kFinish, r.hops);
-    return r;
+    return;
   }
 
   // When the required shortcut level exceeds x, every owned shortcut
@@ -86,7 +90,7 @@ Route DsnRouter::route(NodeId s, NodeId t) const {
   // happens outside the x > p - log p premise of Theorems 1-2.
   if (level_for_distance(cw(s, t, n)) > x) {
     ring_walk(d, u, t, RoutePhase::kFinish, r.hops);
-    return r;
+    return;
   }
 
   // ----- PRE-WORK: reach a node whose level matches the required shortcut
@@ -166,7 +170,6 @@ Route DsnRouter::route(NodeId s, NodeId t) const {
   // ----- FINISH: plain ring walk over the remaining (short) distance.
   if (r.hops.size() >= cap) r.used_fallback = true;
   ring_walk(d, u, t, RoutePhase::kFinish, r.hops);
-  return r;
 }
 
 RoutingScan scan_all_pairs(const DsnRouter& router) {
@@ -240,16 +243,20 @@ void express_walk(const DsnD& dd, NodeId& u, NodeId target, bool succ_ward,
 }  // namespace
 
 Route route_dsn_d(const DsnD& dd, NodeId s, NodeId t, DsnRoutingOptions options) {
+  Route r;
+  route_dsn_d(dd, s, t, r, options);
+  return r;
+}
+
+void route_dsn_d(const DsnD& dd, NodeId s, NodeId t, Route& r, DsnRoutingOptions options) {
   const Dsn& d = dd.base();
   const std::uint32_t n = d.n();
   const std::uint32_t p = d.p();
   const std::uint32_t x = d.x();
   DSN_REQUIRE(s < n && t < n, "node id out of range");
 
-  Route r;
-  r.src = s;
-  r.dst = t;
-  if (s == t) return r;
+  r.reset(s, t);
+  if (s == t) return;
 
   const std::size_t cap = hop_cap(d);
   NodeId u = s;
@@ -263,7 +270,7 @@ Route route_dsn_d(const DsnD& dd, NodeId s, NodeId t, DsnRoutingOptions options)
   // Short counterclockwise destinations go straight to FINISH (see route()).
   if (n - cw(s, t, n) <= p + d.r()) {
     express_walk(dd, u, t, /*succ_ward=*/false, RoutePhase::kFinish, r.hops);
-    return r;
+    return;
   }
 
   // Short clockwise distances are also pure FINISH: MAIN stops at dist <= p
@@ -271,7 +278,7 @@ Route route_dsn_d(const DsnD& dd, NodeId s, NodeId t, DsnRoutingOptions options)
   // revisit its own source on the way back (mirrors DsnRouter::route).
   if (cw(s, t, n) <= p) {
     express_walk(dd, u, t, /*succ_ward=*/true, RoutePhase::kFinish, r.hops);
-    return r;
+    return;
   }
 
   // When the required shortcut level exceeds x, every owned shortcut
@@ -281,7 +288,7 @@ Route route_dsn_d(const DsnD& dd, NodeId s, NodeId t, DsnRoutingOptions options)
   if (level_for(cw(s, t, n)) > x) {
     const std::uint64_t dist_cw = cw(s, t, n);
     express_walk(dd, u, t, /*succ_ward=*/dist_cw <= n - dist_cw, RoutePhase::kFinish, r.hops);
-    return r;
+    return;
   }
 
   // PRE-WORK with express links: target the level-l node reached by walking
@@ -335,7 +342,6 @@ Route route_dsn_d(const DsnD& dd, NodeId s, NodeId t, DsnRoutingOptions options)
   // FINISH with express links along the shorter ring direction.
   const std::uint64_t dist_cw = cw(u, t, n);
   express_walk(dd, u, t, /*succ_ward=*/dist_cw <= n - dist_cw, RoutePhase::kFinish, r.hops);
-  return r;
 }
 
 // ---------------------------------------------------------------------------

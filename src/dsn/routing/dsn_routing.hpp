@@ -32,6 +32,10 @@ class DsnRouter {
   /// Compute the full route from s to t. s == t yields an empty route.
   Route route(NodeId s, NodeId t) const;
 
+  /// The same route written into `out` (see Route::reset), so a sweep can
+  /// reuse one buffer.
+  void route(NodeId s, NodeId t, Route& out) const;
+
   const Dsn& dsn() const { return *dsn_; }
   const DsnRoutingOptions& options() const { return options_; }
 
@@ -46,6 +50,10 @@ class DsnRouter {
 
 /// Route on a DSN-D using express links to shorten PRE-WORK and FINISH.
 Route route_dsn_d(const DsnD& d, NodeId s, NodeId t, DsnRoutingOptions options = {});
+
+/// The same route written into `out` (see Route::reset).
+void route_dsn_d(const DsnD& d, NodeId s, NodeId t, Route& out,
+                 DsnRoutingOptions options = {});
 
 /// Route on a flexible DSN: minor destinations are reached through the
 /// preceding major node, then by succ links (§V-C).

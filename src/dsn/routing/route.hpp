@@ -43,6 +43,15 @@ struct Route {
   bool used_fallback = false;
 
   std::size_t length() const { return hops.size(); }
+
+  /// Start an empty s -> t route in this buffer. The hop storage keeps its
+  /// capacity, so an all-pairs sweep refills one Route without allocating.
+  void reset(NodeId s, NodeId t) {
+    src = s;
+    dst = t;
+    hops.clear();
+    used_fallback = false;
+  }
 };
 
 /// Aggregate statistics of a routing algorithm over all ordered (s, t) pairs.

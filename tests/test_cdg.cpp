@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "dsn/analysis/factory.hpp"
+#include "dsn/common/rng.hpp"
 #include "dsn/routing/cdg.hpp"
 #include "dsn/routing/dsn_routing.hpp"
 #include "dsn/routing/updown.hpp"
@@ -184,6 +188,207 @@ TEST(Cdg, IndexSurvivesRehashGrowth) {
   EXPECT_TRUE(cdg.has_dependency({0, 1, 0}, {1, 2, 0}));
   EXPECT_TRUE(cdg.has_dependency({4999, 5000, 0}, {5000, 5001, 0}));
   EXPECT_FALSE(cdg.has_dependency({5000, 5001, 0}, {4999, 5000, 0}));
+}
+
+// --------------------------------------------------------------------------
+// add_route's prefix skip against an independent reference.
+// --------------------------------------------------------------------------
+
+/// Test-local CDG that indexes every hop: a std::map from channel to
+/// first-seen id, use counts, and dependency lists in first-seen order.
+struct ReferenceCdg {
+  std::map<Channel, std::uint32_t> ids;
+  std::vector<Channel> channels;
+  std::vector<std::uint64_t> uses;
+  std::vector<std::vector<std::uint32_t>> deps;
+  std::size_t num_deps = 0;
+
+  std::uint32_t id(const Channel& c) {
+    const auto [it, fresh] = ids.emplace(c, static_cast<std::uint32_t>(channels.size()));
+    if (fresh) {
+      channels.push_back(c);
+      uses.push_back(0);
+      deps.emplace_back();
+    }
+    return it->second;
+  }
+
+  void depend(std::uint32_t a, std::uint32_t b) {
+    if (a == b || std::find(deps[a].begin(), deps[a].end(), b) != deps[a].end()) return;
+    deps[a].push_back(b);
+    ++num_deps;
+  }
+
+  void add_route(const std::vector<Channel>& route) {
+    for (std::size_t i = 0; i < route.size(); ++i) {
+      const std::uint32_t cur = id(route[i]);
+      ++uses[cur];
+      if (i > 0) depend(id(route[i - 1]), cur);
+    }
+  }
+
+  void merge(const ReferenceCdg& other) {
+    for (std::size_t i = 0; i < other.channels.size(); ++i)
+      uses[id(other.channels[i])] += other.uses[i];
+    for (std::size_t i = 0; i < other.channels.size(); ++i)
+      for (const std::uint32_t j : other.deps[i])
+        depend(id(other.channels[i]), id(other.channels[j]));
+  }
+
+  /// Acyclic iff repeatedly deleting dependency-free channels empties it.
+  bool acyclic() const {
+    std::vector<std::uint32_t> outdeg(deps.size());
+    std::vector<std::vector<std::uint32_t>> preds(deps.size());
+    for (std::uint32_t a = 0; a < deps.size(); ++a) {
+      outdeg[a] = static_cast<std::uint32_t>(deps[a].size());
+      for (const std::uint32_t b : deps[a]) preds[b].push_back(a);
+    }
+    std::vector<std::uint32_t> sinks;
+    for (std::uint32_t a = 0; a < deps.size(); ++a)
+      if (outdeg[a] == 0) sinks.push_back(a);
+    std::size_t removed = 0;
+    while (!sinks.empty()) {
+      const std::uint32_t b = sinks.back();
+      sinks.pop_back();
+      ++removed;
+      for (const std::uint32_t a : preds[b])
+        if (--outdeg[a] == 0) sinks.push_back(a);
+    }
+    return removed == deps.size();
+  }
+
+  /// A ChannelDependencyGraph with exactly these ids and dependency lists,
+  /// built from one-channel routes (ids in order), then one two-channel
+  /// route per dependency in list order. Its cycle searches are the
+  /// reference answers, since they depend only on ids and list order.
+  ChannelDependencyGraph replay() const {
+    ChannelDependencyGraph g;
+    for (const Channel& c : channels) g.add_route({c});
+    for (std::uint32_t a = 0; a < deps.size(); ++a)
+      for (const std::uint32_t b : deps[a]) g.add_route({channels[a], channels[b]});
+    return g;
+  }
+};
+
+void expect_matches_reference(const ChannelDependencyGraph& cdg, const ReferenceCdg& ref) {
+  ASSERT_EQ(cdg.channels(), ref.channels);
+  ASSERT_EQ(cdg.use_counts(), ref.uses);
+  ASSERT_EQ(cdg.num_dependencies(), ref.num_deps);
+  for (std::uint32_t a = 0; a < ref.deps.size(); ++a)
+    for (const std::uint32_t b : ref.deps[a])
+      ASSERT_TRUE(cdg.has_dependency(ref.channels[a], ref.channels[b]));
+  EXPECT_EQ(cdg.is_acyclic(), ref.acyclic());
+  const ChannelDependencyGraph replay = ref.replay();
+  ASSERT_EQ(replay.channels(), ref.channels);
+  ASSERT_EQ(replay.num_dependencies(), ref.num_deps);
+  EXPECT_EQ(cdg.find_cycle(), replay.find_cycle());
+  EXPECT_EQ(cdg.find_shortest_cycle(), replay.find_shortest_cycle());
+}
+
+/// Feed one route to both graphs.
+void add_both(ChannelDependencyGraph& cdg, ReferenceCdg& ref, const std::vector<Channel>& r) {
+  cdg.add_route(r);
+  ref.add_route(r);
+}
+
+TEST(Cdg, PrefixSkipMatchesReferenceOnFuzzedRoutes) {
+  // Routes over 6 nodes and 2 classes, so channels repeat and cycles form.
+  // Each step extends or cuts a random prefix of the previous route, repeats
+  // it, sends an empty or random route (with repeated channels), merges in
+  // a separately built graph, or moves the graph.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const auto channel = [&] {
+      return Channel{static_cast<NodeId>(rng.next_below(6)),
+                     static_cast<NodeId>(rng.next_below(6)),
+                     static_cast<std::uint8_t>(rng.next_below(2))};
+    };
+    const auto random_route = [&] {
+      std::vector<Channel> r;
+      for (std::uint64_t i = 0, len = rng.next_below(7); i < len; ++i)
+        r.push_back(!r.empty() && rng.next_below(4) == 0 ? r.back() : channel());
+      return r;
+    };
+    ChannelDependencyGraph cdg;
+    ReferenceCdg ref;
+    std::vector<Channel> prev;
+    for (int step = 0; step < 300; ++step) {
+      std::vector<Channel> r;
+      switch (rng.next_below(8)) {
+        case 0:  // identical to the previous route
+          r = prev;
+          break;
+        case 1:  // shorter: a strict prefix of the previous route
+          r.assign(prev.begin(), prev.begin() + static_cast<std::ptrdiff_t>(
+                                                   rng.next_below(prev.size() + 1)));
+          break;
+        case 2:  // empty
+          break;
+        case 3:  // a fresh random route
+          r = random_route();
+          break;
+        case 4: {  // merge a separately built graph, then keep going
+          ChannelDependencyGraph other;
+          ReferenceCdg other_ref;
+          for (int i = 0, k = static_cast<int>(rng.next_below(5)); i < k; ++i)
+            add_both(other, other_ref, random_route());
+          cdg.merge(other);
+          ref.merge(other_ref);
+          continue;
+        }
+        case 5: {  // moves keep the remembered route valid
+          ChannelDependencyGraph moved = std::move(cdg);
+          cdg = std::move(moved);
+          continue;
+        }
+        default: {  // keep a random prefix, then append a random tail
+          r.assign(prev.begin(), prev.begin() + static_cast<std::ptrdiff_t>(
+                                                   rng.next_below(prev.size() + 1)));
+          for (const Channel& c : random_route()) r.push_back(c);
+          break;
+        }
+      }
+      add_both(cdg, ref, r);
+      prev = r;
+      if (step % 50 == 49) {
+        expect_matches_reference(cdg, ref);
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(Cdg, PrefixSkipMatchesReferenceOnAllPairs) {
+  // Every source's routes in destination order, as the all-pairs sweeps
+  // feed them: most of each route repeats its predecessor.
+  const auto check = [](const std::string& what, NodeId n, const auto& channels_of) {
+    ChannelDependencyGraph cdg;
+    ReferenceCdg ref;
+    for (NodeId s = 0; s < n; ++s)
+      for (NodeId t = 0; t < n; ++t)
+        if (s != t) add_both(cdg, ref, channels_of(s, t));
+    SCOPED_TRACE(what);
+    expect_matches_reference(cdg, ref);
+  };
+  for (const std::uint32_t n : {64u, 100u, 256u}) {
+    const Dsn d(n, dsn_default_x(n));
+    const DsnRouter router(d);
+    check("dsn basic n = " + std::to_string(n), n, [&](NodeId s, NodeId t) {
+      return dsn_route_channels_basic(router.route(s, t));
+    });
+    check("dsn extended n = " + std::to_string(n), n, [&](NodeId s, NodeId t) {
+      return dsn_route_channels_extended(d, router.route(s, t));
+    });
+  }
+  const Topology rr = make_topology_by_name("random-regular", 48, 3);
+  const UpDownRouting ud(rr.graph, 0);
+  check("up*/down* random-regular-48", 48, [&](NodeId s, NodeId t) {
+    const std::vector<NodeId> path = ud.route(s, t);
+    std::vector<Channel> out;
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) out.push_back({path[i], path[i + 1], 0});
+    return out;
+  });
 }
 
 // --------------------------------------------------------------------------

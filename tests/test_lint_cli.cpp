@@ -212,6 +212,27 @@ TEST(LintCliDeterminism, StatsJsonInvariantAcrossThreadCounts) {
       << projections[0];
 }
 
+TEST(LintCliDeterminism, AnalyzerJsonInvariantAcrossThreadCounts) {
+  // The analyzer runs 4 shards per pool worker, so the thread count moves
+  // the shard boundaries and with them each shard's first route (where the
+  // CDG's shared-prefix state starts over). The report bytes must not move.
+  for (const char* args : {"routes --topology dsn-e --n 256 --json",
+                           "cdg --topology dsn --x 2 --n 128 --json",
+                           "load --topology dsn-e --n 64 --json"}) {
+    std::vector<CliResult> runs;
+    for (const char* threads : {"1", "4", "8"})
+      runs.push_back(run_lint(args, std::string("DSN_THREADS=") + threads));
+    for (const CliResult& r : runs) {
+      EXPECT_EQ(r.exit_code, runs[0].exit_code) << args;
+      EXPECT_EQ(r.output, runs[0].output) << args;
+    }
+    // Sanity: the bytes hold a parsed report with a real CDG.
+    EXPECT_GT(Json::parse(runs[0].output).at("analysis").at("cdg").at("dependencies").as_int(),
+              0)
+        << args;
+  }
+}
+
 TEST(LintCli, LoadReportsThroughputBoundAndThreshold) {
   const CliResult ok = run_lint("load --topology dsn-e --n 64 --json");
   EXPECT_EQ(ok.exit_code, 0) << ok.output;

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <numeric>
+#include <string>
 
 #include "dsn/analysis/factory.hpp"
 #include "dsn/analysis/route_analysis.hpp"
@@ -119,24 +121,26 @@ TEST(RouteAnalysis, TopologyEntryPointsCoverEveryFamily) {
 // Refutation witnesses on injected defects.
 // --------------------------------------------------------------------------
 
-Route make_route(NodeId s, NodeId t, const std::vector<NodeId>& path) {
-  Route r;
-  r.src = s;
-  r.dst = t;
+/// Write `path` into the analyzer's route buffer as a single-class route.
+void set_path(Route& out, NodeId s, NodeId t, const std::vector<NodeId>& path) {
+  out.reset(s, t);
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    r.hops.push_back({path[i], path[i + 1], RoutePhase::kMain, HopKind::kSucc});
+    out.hops.push_back({path[i], path[i + 1], RoutePhase::kMain, HopKind::kSucc});
   }
-  return r;
 }
 
-std::vector<Channel> one_class(const Route& r) { return dsn_route_channels_basic(r); }
+/// Direct one-hop routes, except that the (s, t) route walks `path`.
+analyze::RouteFill direct_except(NodeId s, NodeId t, std::vector<NodeId> path) {
+  return [s, t, path = std::move(path)](NodeId from, NodeId to, Route& out) {
+    set_path(out, from, to, from == s && to == t ? path : std::vector<NodeId>{from, to});
+  };
+}
+
+void one_class(const Route& r, std::vector<Channel>& out) { dsn_route_channels_basic(r, out); }
 
 TEST(RouteAnalysis, LoopingRouteRefutedWithWitness) {
   // 4-node network where the (0, 2) route bounces 0 -> 1 -> 0 -> ... -> 2.
-  const auto route_fn = [](NodeId s, NodeId t) {
-    if (s == 0 && t == 2) return make_route(s, t, {0, 1, 0, 1, 2});
-    return make_route(s, t, {s, t});
-  };
+  const auto route_fn = direct_except(0, 2, {0, 1, 0, 1, 2});
   const RouteAnalysis ra = analyze::analyze_route_function(4, route_fn, one_class);
   EXPECT_FALSE(ra.loop_free);
   EXPECT_FALSE(ra.routes_ok());
@@ -152,10 +156,7 @@ TEST(RouteAnalysis, LoopingRouteRefutedWithWitness) {
 }
 
 TEST(RouteAnalysis, WrongEndpointRefutedWithWitness) {
-  const auto route_fn = [](NodeId s, NodeId t) {
-    if (s == 1 && t == 3) return make_route(s, t, {1, 2});  // stops short
-    return make_route(s, t, {s, t});
-  };
+  const auto route_fn = direct_except(1, 3, {1, 2});  // stops short
   const RouteAnalysis ra = analyze::analyze_route_function(4, route_fn, one_class);
   EXPECT_FALSE(ra.all_reachable);
   ASSERT_FALSE(ra.endpoint_witnesses.empty());
@@ -165,10 +166,7 @@ TEST(RouteAnalysis, WrongEndpointRefutedWithWitness) {
 
 TEST(RouteAnalysis, HopBoundViolationRefutedOnlyUnderStrictBound) {
   // Direct routes except (0, 3), which takes a 3-hop detour.
-  const auto route_fn = [](NodeId s, NodeId t) {
-    if (s == 0 && t == 3) return make_route(s, t, {0, 1, 2, 3});
-    return make_route(s, t, {s, t});
-  };
+  const auto route_fn = direct_except(0, 3, {0, 1, 2, 3});
   const RouteAnalysis tight =
       analyze::analyze_route_function(4, route_fn, one_class, 2, "test bound");
   EXPECT_FALSE(tight.within_hop_bound);
@@ -182,15 +180,52 @@ TEST(RouteAnalysis, HopBoundViolationRefutedOnlyUnderStrictBound) {
 
 TEST(RouteAnalysis, WitnessCountIsCapped) {
   // Every route of this 8-node network loops once; only max_witnesses are kept.
-  const auto route_fn = [](NodeId s, NodeId t) {
-    return make_route(s, t, {s, t, s, t});
-  };
+  const auto route_fn = [](NodeId s, NodeId t, Route& out) { set_path(out, s, t, {s, t, s, t}); };
   RouteAnalysisOptions options;
   options.max_witnesses = 2;
   const RouteAnalysis ra =
       analyze::analyze_route_function(8, route_fn, one_class, 0, {}, options);
   EXPECT_FALSE(ra.loop_free);
   EXPECT_EQ(ra.loop_witnesses.size(), 2u);
+}
+
+TEST(RouteAnalysis, ZeroWitnessCapStillRefutes) {
+  // A verdict comes from the violations, not from the kept witnesses: each
+  // single-defect network refutes exactly its own property at caps 0 and 1,
+  // and so does a network where every route loops and overruns the bound.
+  const struct {
+    const char* defect;
+    analyze::RouteFill route_fn;
+    std::uint32_t hop_bound;
+    bool loop_free, all_reachable, within_hop_bound;
+  } cases[] = {
+      {"loop", direct_except(0, 2, {0, 1, 0, 2}), 3, false, true, true},
+      {"wrong endpoint", direct_except(1, 3, {1, 2}), 3, true, false, true},
+      {"hop bound", direct_except(0, 3, {0, 1, 2, 3}), 2, true, true, false},
+      {"all routes loop and overrun",
+       [](NodeId s, NodeId t, Route& out) { set_path(out, s, t, {s, t, s, t}); }, 1, false,
+       true, false},
+  };
+  for (const auto& c : cases) {
+    for (const std::size_t cap : {std::size_t{0}, std::size_t{1}}) {
+      RouteAnalysisOptions options;
+      options.max_witnesses = cap;
+      const RouteAnalysis ra = analyze::analyze_route_function(
+          8, c.route_fn, one_class, c.hop_bound, "test bound", options);
+      SCOPED_TRACE(std::string(c.defect) + ", cap " + std::to_string(cap));
+      EXPECT_EQ(ra.loop_free, c.loop_free);
+      EXPECT_EQ(ra.all_reachable, c.all_reachable);
+      EXPECT_EQ(ra.within_hop_bound, c.within_hop_bound);
+      EXPECT_FALSE(ra.routes_ok());
+      EXPECT_EQ(ra.loop_witnesses.size(), c.loop_free ? 0 : cap);
+      EXPECT_EQ(ra.endpoint_witnesses.size(), c.all_reachable ? 0 : cap);
+      EXPECT_EQ(ra.bound_witnesses.size(), c.within_hop_bound ? 0 : cap);
+      const Json props = analyze::to_json(ra).at("properties");
+      EXPECT_EQ(props.at("loop_free").as_bool(), c.loop_free);
+      EXPECT_EQ(props.at("all_reachable").as_bool(), c.all_reachable);
+      EXPECT_EQ(props.at("within_hop_bound").as_bool(), c.within_hop_bound);
+    }
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -220,10 +255,10 @@ TEST(RouteAnalysis, LoadStatisticsMatchIndependentCdgUseCounts) {
 TEST(RouteAnalysis, UniformRingLoadHasZeroGini) {
   // Unidirectional ring: every route walks clockwise, so by symmetry every
   // ring channel carries an identical load and the Gini index is exactly 0.
-  const auto route_fn = [](NodeId s, NodeId t) {
+  const auto route_fn = [](NodeId s, NodeId t, Route& out) {
     std::vector<NodeId> path{s};
     for (NodeId u = s; u != t; u = (u + 1) % 16) path.push_back((u + 1) % 16);
-    return make_route(s, t, path);
+    set_path(out, s, t, path);
   };
   const RouteAnalysis ra = analyze::analyze_route_function(16, route_fn, one_class);
   EXPECT_EQ(ra.load.channels, 16u);
@@ -240,6 +275,38 @@ TEST(RouteAnalysis, AnalysisIsDeterministicAcrossRuns) {
   const RouteAnalysis a = analyze::analyze_dsn_routes(d, ChannelScheme::kBasic);
   const RouteAnalysis b = analyze::analyze_dsn_routes(d, ChannelScheme::kBasic);
   EXPECT_EQ(analyze::to_json(a).dump(), analyze::to_json(b).dump());
+}
+
+/// 64-bit FNV-1a of a report's compact JSON, as hex.
+std::string report_digest(const RouteAnalysis& ra) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : analyze::to_json(ra).dump()) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+TEST(RouteAnalysis, GoldenReports) {
+  // Pinned report bytes for every routing family. The digests hold at any
+  // DSN_THREADS; a change here means the analyzer's output changed.
+  const auto topology_digest = [](const char* name, std::uint32_t n, std::uint64_t seed) {
+    const Topology topo = make_topology_by_name(name, n, seed);
+    return report_digest(
+        analyze::analyze_topology_routes(topo, analyze::default_family(topo.kind)));
+  };
+  EXPECT_EQ(topology_digest("dsn-e", 512, 1), "3659cb784b09b779");
+  EXPECT_EQ(report_digest(analyze::analyze_dsn_routes(Dsn(128, 2), ChannelScheme::kBasic)),
+            "8e76cfb5ee862468");
+  EXPECT_EQ(report_digest(analyze::analyze_dsn_routes(Dsn(256, dsn_default_x(256)),
+                                                      ChannelScheme::kExtended)),
+            "10759ee8be83d3fe");
+  EXPECT_EQ(report_digest(analyze::analyze_dsn_d_routes(DsnD(100, 2))), "9374508365950780");
+  EXPECT_EQ(topology_digest("torus", 64, 7), "831d7b07b67358be");
+  EXPECT_EQ(topology_digest("kleinberg", 64, 7), "2adb9722e822fb3d");
+  EXPECT_EQ(topology_digest("random-regular", 48, 3), "be5717f7f5c49e39");
 }
 
 TEST(RouteAnalysis, RenderedWitnessNamesNodesClassesAndLinks) {

@@ -5,9 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "dsn/analysis/factory.hpp"
+#include "dsn/analysis/route_analysis.hpp"
 #include "dsn/common/math.hpp"
 #include "dsn/graph/metrics.hpp"
+#include "dsn/routing/cdg.hpp"
 #include "dsn/routing/dsn_routing.hpp"
 
 namespace dsn {
@@ -325,6 +330,140 @@ TEST(FlexRouting, BoundedInflationOverBase) {
   const auto scan_base = scan_all_pairs(DsnRouter(base));
   // Each minor adds at most ~1 hop near its major plus the final walk.
   EXPECT_LE(scan_flex.max_hops, scan_base.max_hops + 2 * 3 + 2);
+}
+
+// --------------------------------------------------------------------------
+// Out-parameter forms: a reused, dirty buffer gives the value form's result.
+// --------------------------------------------------------------------------
+
+void expect_same_route(const Route& got, const Route& want) {
+  EXPECT_EQ(got.src, want.src);
+  EXPECT_EQ(got.dst, want.dst);
+  EXPECT_EQ(got.used_fallback, want.used_fallback);
+  ASSERT_EQ(got.hops.size(), want.hops.size());
+  for (std::size_t i = 0; i < want.hops.size(); ++i) {
+    EXPECT_EQ(got.hops[i].from, want.hops[i].from) << "hop " << i;
+    EXPECT_EQ(got.hops[i].to, want.hops[i].to) << "hop " << i;
+    EXPECT_EQ(got.hops[i].phase, want.hops[i].phase) << "hop " << i;
+    EXPECT_EQ(got.hops[i].kind, want.hops[i].kind) << "hop " << i;
+  }
+}
+
+/// Leave the previous pair's hops in `r` (adding one if there are none) and
+/// poison its endpoints and fallback flag.
+void dirty(Route& r) {
+  r.src = 12345;
+  r.dst = 54321;
+  r.used_fallback = true;
+  if (r.hops.empty()) r.hops.push_back({7, 8, RoutePhase::kFinish, HopKind::kExpress});
+}
+
+/// Leave the previous route's channels in `c`, plus one stray channel.
+void dirty(std::vector<Channel>& c) { c.push_back({9, 9, 9}); }
+
+/// Compare `fill(s, t, buffer)` on one reused dirty buffer with the value
+/// form `value(s, t)` over all ordered pairs, self pairs included.
+template <typename Fill, typename Value>
+void expect_fill_matches_value(NodeId n, const Fill& fill, const Value& value) {
+  Route buffer;
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId t = 0; t < n; ++t) {
+      dirty(buffer);
+      fill(s, t, buffer);
+      expect_same_route(buffer, value(s, t));
+      if (::testing::Test::HasFailure()) FAIL() << s << " -> " << t;
+    }
+  }
+}
+
+TEST(RouteBuffers, DsnRouterFillsDirtyBufferLikeValueForm) {
+  DsnRoutingOptions avoid, nearest;
+  avoid.avoid_overshoot = true;
+  nearest.nearest_prework = true;
+  for (const std::uint32_t n : {64u, 100u, 256u, 300u}) {
+    for (const std::uint32_t x : {dsn_default_x(n), 2u}) {
+      const Dsn d(n, x);
+      for (const DsnRoutingOptions& options : {DsnRoutingOptions{}, avoid, nearest}) {
+        SCOPED_TRACE("n = " + std::to_string(n) + ", x = " + std::to_string(x) +
+                     ", avoid_overshoot = " + std::to_string(options.avoid_overshoot) +
+                     ", nearest_prework = " + std::to_string(options.nearest_prework));
+        const DsnRouter router(d, options);
+        expect_fill_matches_value(
+            n, [&](NodeId s, NodeId t, Route& out) { router.route(s, t, out); },
+            [&](NodeId s, NodeId t) { return router.route(s, t); });
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(RouteBuffers, DsnDRouteFillsDirtyBufferLikeValueForm) {
+  for (const std::uint32_t n : {64u, 100u, 256u, 300u}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    const DsnD dd(n, 2);
+    expect_fill_matches_value(
+        n, [&](NodeId s, NodeId t, Route& out) { route_dsn_d(dd, s, t, out); },
+        [&](NodeId s, NodeId t) { return route_dsn_d(dd, s, t); });
+    if (HasFailure()) return;
+  }
+}
+
+TEST(RouteBuffers, ChannelMapsFillDirtyBufferLikeValueForms) {
+  for (const std::uint32_t n : {64u, 100u, 256u, 300u}) {
+    for (const std::uint32_t x : {dsn_default_x(n), 2u}) {
+      SCOPED_TRACE("n = " + std::to_string(n) + ", x = " + std::to_string(x));
+      const Dsn d(n, x);
+      const DsnRouter router(d);
+      std::vector<Channel> extended, basic;
+      for (NodeId s = 0; s < n; ++s) {
+        for (NodeId t = 0; t < n; ++t) {
+          const Route r = router.route(s, t);
+          dirty(extended);
+          dirty(basic);
+          dsn_route_channels_extended(d, r, extended);
+          dsn_route_channels_basic(r, basic);
+          ASSERT_EQ(extended, dsn_route_channels_extended(d, r)) << s << " -> " << t;
+          ASSERT_EQ(basic, dsn_route_channels_basic(r)) << s << " -> " << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(RouteBuffers, BoundRoutingFillsDirtyBuffersLikeValueForm) {
+  // Every family's binding: fill_route on a dirty buffer equals route(), and
+  // fill_channels on a dirty vector equals a fill into a fresh one.
+  const struct {
+    const char* topology;
+    analyze::RoutingFamily family;
+  } cases[] = {
+      {"dsn", analyze::RoutingFamily::kDsn},
+      {"dsn-e", analyze::RoutingFamily::kDsn},
+      {"dsn-bidir", analyze::RoutingFamily::kDsn},
+      {"dsn-d", analyze::RoutingFamily::kDsnD},
+      {"torus", analyze::RoutingFamily::kTorusDor},
+      {"kleinberg", analyze::RoutingFamily::kGreedyGrid},
+      {"random-regular", analyze::RoutingFamily::kUpDown},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.topology);
+    const Topology topo = make_topology_by_name(c.topology, 64, 7);
+    const analyze::BoundRouting b = analyze::make_route_function(topo, c.family);
+    expect_fill_matches_value(topo.num_nodes(), b.fill_route,
+                              [&](NodeId s, NodeId t) { return b.route(s, t); });
+    if (HasFailure()) return;
+    std::vector<Channel> reused;
+    for (NodeId s = 0; s < topo.num_nodes(); ++s) {
+      for (NodeId t = 0; t < topo.num_nodes(); ++t) {
+        const Route r = b.route(s, t);
+        std::vector<Channel> fresh;
+        b.fill_channels(r, fresh);
+        dirty(reused);
+        b.fill_channels(r, reused);
+        ASSERT_EQ(reused, fresh) << s << " -> " << t;
+      }
+    }
+  }
 }
 
 }  // namespace
