@@ -286,27 +286,26 @@ std::vector<Channel> ChannelDependencyGraph::find_shortest_cycle(
   return out;
 }
 
+DsnChannelClass dsn_hop_class(const Dsn& dsn, NodeId dst, const RouteHop& hop) {
+  switch (hop.phase) {
+    case RoutePhase::kPreWork:
+      return kClassUp;
+    case RoutePhase::kMain:
+      return kClassMain;
+    case RoutePhase::kFinish:
+      break;
+  }
+  const NodeId region_hi = 2 * dsn.p();  // Extra links connect nodes 0..2p
+  return dst + 1 <= region_hi && hop.from <= region_hi && hop.to <= region_hi ? kClassExtra
+                                                                               : kClassFinish;
+}
+
 void dsn_route_channels_extended(const Dsn& dsn, const Route& route,
                                  std::vector<Channel>& out) {
-  const NodeId region_hi = 2 * dsn.p();  // Extra links connect nodes 0..2p
-  const bool dst_in_region = route.dst + 1 <= region_hi;  // dst <= 2p - 1
   out.clear();
   out.reserve(route.hops.size());
   for (const RouteHop& h : route.hops) {
-    std::uint8_t cls = kClassMain;
-    switch (h.phase) {
-      case RoutePhase::kPreWork:
-        cls = kClassUp;
-        break;
-      case RoutePhase::kMain:
-        cls = kClassMain;
-        break;
-      case RoutePhase::kFinish:
-        cls = dst_in_region && h.from <= region_hi && h.to <= region_hi ? kClassExtra
-                                                                        : kClassFinish;
-        break;
-    }
-    out.push_back({h.from, h.to, cls});
+    out.push_back({h.from, h.to, dsn_hop_class(dsn, route.dst, h)});
   }
 }
 

@@ -124,10 +124,16 @@ enum DsnChannelClass : std::uint8_t {
   kClassExtra = 3,   ///< FINISH moves carried by Extra links near node 0
 };
 
-/// Map a DSN route onto channels under the *extended* scheme of §V-A
-/// (Theorem 3): PRE-WORK on Up channels, MAIN on main channels, FINISH on
-/// finish channels except that, when the destination lies in [0, 2p-1], hops
-/// with both endpoints in [0, 2p] ride the Extra channels. Overwrites `out`.
+/// Channel class of one hop of a DSN route toward `dst` under the *extended*
+/// scheme of §V-A (Theorem 3): PRE-WORK on Up channels, MAIN on main
+/// channels, FINISH on finish channels except that, when dst lies in
+/// [0, 2p-1], hops with both endpoints in [0, 2p] ride the Extra channels.
+/// The route proofs and the flit simulator's DSN-V virtual channels both
+/// classify hops here.
+DsnChannelClass dsn_hop_class(const Dsn& dsn, NodeId dst, const RouteHop& hop);
+
+/// Map a DSN route onto channels hop by hop with dsn_hop_class. Overwrites
+/// `out`.
 void dsn_route_channels_extended(const Dsn& dsn, const Route& route,
                                  std::vector<Channel>& out);
 std::vector<Channel> dsn_route_channels_extended(const Dsn& dsn, const Route& route);

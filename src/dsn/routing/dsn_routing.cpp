@@ -17,19 +17,6 @@ std::size_t hop_cap(const Dsn& d) {
   return 10u * (d.p() + d.r()) + 50u;
 }
 
-/// Walk the ring from u to t along the shorter direction, appending hops.
-void ring_walk(const Dsn& d, NodeId& u, NodeId t, RoutePhase phase,
-               std::vector<RouteHop>& hops) {
-  const std::uint32_t n = d.n();
-  const std::uint64_t dist_cw = cw(u, t, n);
-  const bool go_succ = dist_cw <= n - dist_cw;
-  while (u != t) {
-    const NodeId v = go_succ ? d.succ(u) : d.pred(u);
-    hops.push_back({u, v, phase, go_succ ? HopKind::kSucc : HopKind::kPred});
-    u = v;
-  }
-}
-
 }  // namespace
 
 DsnRouter::DsnRouter(const Dsn& dsn, DsnRoutingOptions options)
@@ -49,6 +36,83 @@ std::uint32_t DsnRouter::level_for_distance(std::uint64_t d) const {
   return p;
 }
 
+// Forced inline: route() takes one step per hop, and an out-of-line call per
+// hop made all-pairs route sweeps ~25 % slower.
+[[gnu::always_inline]] inline DsnStep DsnRouter::step_impl(NodeId u, NodeId t,
+                                                           DsnWalkState state) const {
+  const Dsn& d = *dsn_;
+  const std::uint32_t n = d.n();
+  const std::uint32_t p = d.p();
+  const std::uint32_t x = d.x();
+  DSN_ASSERT(u != t, "no hop needed at the destination");
+  const std::uint64_t dist = cw(u, t, n);
+
+  if (state == DsnWalkState::kSource) {
+    // Three kinds of destination are pure FINISH from the source:
+    //  - a short counterclockwise walk away: the clockwise machinery would
+    //    otherwise tour the whole ring for them;
+    //  - a short clockwise distance: MAIN stops at dist <= p anyway, so
+    //    PRE-WORK's counterclockwise descent would only detour, and make the
+    //    route revisit its own source on the way back;
+    //  - a required shortcut level above x: every owned shortcut overshoots,
+    //    so the route degenerates to a ring walk (only outside the
+    //    x > p - log p premise of Theorems 1-2).
+    state = n - dist <= p + d.r() || dist <= p || level_for_distance(dist) > x
+                ? DsnWalkState::kFinish
+                : DsnWalkState::kPreWork;
+  }
+
+  // ----- PRE-WORK: descend to a node whose level matches the required
+  // shortcut level for the current clockwise distance to t.
+  if (state == DsnWalkState::kPreWork) {
+    if (d.level(u) > level_for_distance(dist)) {
+      return {d.pred(u), HopKind::kPred, RoutePhase::kPreWork, DsnWalkState::kPreWork};
+    }
+    state = DsnWalkState::kMain;
+  }
+
+  // ----- MAIN-PROCESS: climb with succ links and take distance-halving
+  // shortcuts until LOOP-STOP (t is within p, or this level owns no
+  // shortcut). The take rule is slightly greedier than the literal
+  // pseudo-code ("take own shortcut whenever it does not overshoot"):
+  // integer spans can leave the walker one level above the recomputed l,
+  // where the literal rule would march to level x+1 and pay a long FINISH.
+  // Levels still increase monotonically, so the Theorem 3 deadlock argument
+  // is unaffected.
+  if (state == DsnWalkState::kMain) {
+    const std::uint32_t lu = d.level(u);
+    if (dist > p && lu != x + 1) {
+      if (lu <= x) {
+        const NodeId v = d.shortcut_target(u);
+        DSN_ASSERT(v != kInvalidNode, "level <= x node must own a shortcut");
+        if (cw(u, v, n) <= dist) {
+          return {v, HopKind::kShortcut, RoutePhase::kMain, DsnWalkState::kMain};
+        }
+        // The designated-level shortcut overshoots t: take it and end MAIN
+        // (LOOP-STOP), or, in the §V-D variant, step forward and use the
+        // successor's shorter shortcut.
+        if (lu >= level_for_distance(dist) && !options_.avoid_overshoot) {
+          return {v, HopKind::kShortcut, RoutePhase::kMain, DsnWalkState::kFinish};
+        }
+      }
+      return {d.succ(u), HopKind::kSucc, RoutePhase::kMain, DsnWalkState::kMain};
+    }
+    state = DsnWalkState::kFinish;
+  }
+
+  // ----- FINISH: plain ring walk over the remaining (short) distance. The
+  // shorter direction stays the shorter one hop after hop, so a walk that
+  // recomputes it never turns around.
+  const bool go_succ = state == DsnWalkState::kFinishSucc ||
+                       (state == DsnWalkState::kFinish && dist <= n - dist);
+  return {go_succ ? d.succ(u) : d.pred(u), go_succ ? HopKind::kSucc : HopKind::kPred,
+          RoutePhase::kFinish, state};
+}
+
+DsnStep DsnRouter::step(NodeId u, NodeId t, DsnWalkState state) const {
+  return step_impl(u, t, state);
+}
+
 Route DsnRouter::route(NodeId s, NodeId t) const {
   Route r;
   route(s, t, r);
@@ -57,119 +121,53 @@ Route DsnRouter::route(NodeId s, NodeId t) const {
 
 void DsnRouter::route(NodeId s, NodeId t, Route& r) const {
   const Dsn& d = *dsn_;
-  const std::uint32_t n = d.n();
-  const std::uint32_t p = d.p();
-  const std::uint32_t x = d.x();
-  DSN_REQUIRE(s < n && t < n, "node id out of range");
+  DSN_REQUIRE(s < d.n() && t < d.n(), "node id out of range");
 
   r.reset(s, t);
   if (s == t) return;
 
-  const std::size_t cap = hop_cap(d);
   NodeId u = s;
-
-  // Destinations a short counterclockwise walk away are handled directly by
-  // FINISH (the same bidirectional local walk the algorithm ends with); the
-  // clockwise machinery would otherwise tour the whole ring for them.
-  if (n - cw(s, t, n) <= p + d.r()) {
-    ring_walk(d, u, t, RoutePhase::kFinish, r.hops);
-    return;
+  DsnWalkState state = DsnWalkState::kSource;
+  if (options_.nearest_prework &&
+      step(s, t, DsnWalkState::kSource).phase == RoutePhase::kPreWork) {
+    nearest_prework_prefix(u, t, r.hops);
+    state = DsnWalkState::kPreWork;
   }
-
-  // Short clockwise distances are also pure FINISH: MAIN stops at dist <= p
-  // anyway, so PRE-WORK's counterclockwise descent would only detour — and
-  // make the route revisit its own source on the way back.
-  if (cw(s, t, n) <= p) {
-    ring_walk(d, u, t, RoutePhase::kFinish, r.hops);
-    return;
-  }
-
-  // When the required shortcut level exceeds x, every owned shortcut
-  // overshoots the destination: the route degenerates to a ring walk, and
-  // PRE-WORK would again detour through already-visited nodes. This only
-  // happens outside the x > p - log p premise of Theorems 1-2.
-  if (level_for_distance(cw(s, t, n)) > x) {
-    ring_walk(d, u, t, RoutePhase::kFinish, r.hops);
-    return;
-  }
-
-  // ----- PRE-WORK: reach a node whose level matches the required shortcut
-  // level l for the current clockwise distance to t.
-  std::uint32_t l = level_for_distance(cw(u, t, n));
-  if (options_.nearest_prework && d.level(u) > l) {
-    // Fact 3: walk to the nearest level-l node in either ring direction.
-    NodeId fwd = u, bwd = u;
-    std::uint32_t fwd_steps = 0, bwd_steps = 0;
-    while (d.level(fwd) != l && fwd_steps <= p + d.r()) {
-      fwd = d.succ(fwd);
-      ++fwd_steps;
+  const std::size_t cap = hop_cap(d);
+  while (u != t) {
+    if (r.hops.size() >= cap && state < DsnWalkState::kFinish) {
+      // The defensive cap hands the walk to FINISH's plain ring walk.
+      r.used_fallback = true;
+      state = DsnWalkState::kFinish;
     }
-    while (d.level(bwd) != l && bwd_steps <= p + d.r()) {
-      bwd = d.pred(bwd);
-      ++bwd_steps;
-    }
-    const bool go_fwd = d.level(fwd) == l && (fwd_steps <= bwd_steps || d.level(bwd) != l);
-    const NodeId target = go_fwd ? fwd : bwd;
-    while (u != target && u != t) {
-      const NodeId v = go_fwd ? d.succ(u) : d.pred(u);
-      r.hops.push_back({u, v, RoutePhase::kPreWork,
-                        go_fwd ? HopKind::kSucc : HopKind::kPred});
-      u = v;
-    }
-    if (u != t) l = level_for_distance(cw(u, t, n));
+    const DsnStep h = step_impl(u, t, state);
+    r.hops.push_back({u, h.next, h.phase, h.kind});
+    u = h.next;
+    state = h.state;
   }
-  while (u != t && d.level(u) > l && r.hops.size() < cap) {
-    const NodeId v = d.pred(u);
-    r.hops.push_back({u, v, RoutePhase::kPreWork, HopKind::kPred});
-    u = v;
-    if (u == t) break;
-    l = level_for_distance(cw(u, t, n));
-  }
+}
 
-  // ----- MAIN-PROCESS: climb to the needed level with succ links and take
-  // distance-halving shortcuts; stop on the LOOP-STOP condition. The take
-  // rule is slightly greedier than the literal pseudo-code ("take own
-  // shortcut whenever it does not overshoot"): integer spans can leave the
-  // walker one level above the recomputed l, where the literal rule would
-  // march to level x+1 and pay a long FINISH. Levels still increase
-  // monotonically, so the Theorem 3 deadlock argument is unaffected.
-  while (u != t && r.hops.size() < cap) {
-    const std::uint64_t dist = cw(u, t, n);
-    if (dist <= p) break;  // close enough — overshooting would waste hops
-    const std::uint32_t lu = d.level(u);
-    if (lu == x + 1) break;  // this level has no shortcut
-    l = level_for_distance(dist);
-    if (lu <= x) {
-      const NodeId v = d.shortcut_target(u);
-      DSN_ASSERT(v != kInvalidNode, "level <= x node must own a shortcut");
-      const std::uint64_t span = cw(u, v, n);
-      if (span <= dist) {
-        r.hops.push_back({u, v, RoutePhase::kMain, HopKind::kShortcut});
-        u = v;
-        continue;
-      }
-      if (lu >= l) {
-        // The designated-level shortcut overshoots t.
-        if (options_.avoid_overshoot) {
-          // §V-D: step forward and use the successor's shorter shortcut.
-          const NodeId w = d.succ(u);
-          r.hops.push_back({u, w, RoutePhase::kMain, HopKind::kSucc});
-          u = w;
-          continue;
-        }
-        r.hops.push_back({u, v, RoutePhase::kMain, HopKind::kShortcut});
-        u = v;
-        break;  // LOOP-STOP: overshot t
-      }
-    }
-    const NodeId v = d.succ(u);
-    r.hops.push_back({u, v, RoutePhase::kMain, HopKind::kSucc});
+void DsnRouter::nearest_prework_prefix(NodeId& u, NodeId t, std::vector<RouteHop>& hops) const {
+  const Dsn& d = *dsn_;
+  const std::uint32_t l = level_for_distance(cw(u, t, d.n()));
+  const std::uint32_t reach = d.p() + d.r();
+  NodeId fwd = u, bwd = u;
+  std::uint32_t fwd_steps = 0, bwd_steps = 0;
+  while (d.level(fwd) != l && fwd_steps <= reach) {
+    fwd = d.succ(fwd);
+    ++fwd_steps;
+  }
+  while (d.level(bwd) != l && bwd_steps <= reach) {
+    bwd = d.pred(bwd);
+    ++bwd_steps;
+  }
+  const bool go_fwd = d.level(fwd) == l && (fwd_steps <= bwd_steps || d.level(bwd) != l);
+  const NodeId target = go_fwd ? fwd : bwd;
+  while (u != target && u != t) {
+    const NodeId v = go_fwd ? d.succ(u) : d.pred(u);
+    hops.push_back({u, v, RoutePhase::kPreWork, go_fwd ? HopKind::kSucc : HopKind::kPred});
     u = v;
   }
-
-  // ----- FINISH: plain ring walk over the remaining (short) distance.
-  if (r.hops.size() >= cap) r.used_fallback = true;
-  ring_walk(d, u, t, RoutePhase::kFinish, r.hops);
 }
 
 RoutingScan scan_all_pairs(const DsnRouter& router) {
@@ -250,9 +248,9 @@ Route route_dsn_d(const DsnD& dd, NodeId s, NodeId t, DsnRoutingOptions options)
 
 void route_dsn_d(const DsnD& dd, NodeId s, NodeId t, Route& r, DsnRoutingOptions options) {
   const Dsn& d = dd.base();
+  const DsnRouter router(d, options);
   const std::uint32_t n = d.n();
   const std::uint32_t p = d.p();
-  const std::uint32_t x = d.x();
   DSN_REQUIRE(s < n && t < n, "node id out of range");
 
   r.reset(s, t);
@@ -260,12 +258,6 @@ void route_dsn_d(const DsnD& dd, NodeId s, NodeId t, Route& r, DsnRoutingOptions
 
   const std::size_t cap = hop_cap(d);
   NodeId u = s;
-
-  const auto level_for = [&](std::uint64_t dist) {
-    for (std::uint32_t l = 1; l < p; ++l)
-      if (n <= (dist << l)) return l;
-    return p;
-  };
 
   // Short counterclockwise destinations go straight to FINISH (see route()).
   if (n - cw(s, t, n) <= p + d.r()) {
@@ -275,7 +267,7 @@ void route_dsn_d(const DsnD& dd, NodeId s, NodeId t, Route& r, DsnRoutingOptions
 
   // Short clockwise distances are also pure FINISH: MAIN stops at dist <= p
   // anyway, so the PRE-WORK descent would only detour — and make the route
-  // revisit its own source on the way back (mirrors DsnRouter::route).
+  // revisit its own source on the way back (mirrors DsnRouter::step).
   if (cw(s, t, n) <= p) {
     express_walk(dd, u, t, /*succ_ward=*/true, RoutePhase::kFinish, r.hops);
     return;
@@ -285,7 +277,7 @@ void route_dsn_d(const DsnD& dd, NodeId s, NodeId t, Route& r, DsnRoutingOptions
   // overshoots the destination: the route degenerates to an express-assisted
   // ring walk, and PRE-WORK would again detour through already-visited
   // nodes. Only happens outside the x > p - log p premise of Theorems 1-2.
-  if (level_for(cw(s, t, n)) > x) {
+  if (router.level_for_distance(cw(s, t, n)) > d.x()) {
     const std::uint64_t dist_cw = cw(s, t, n);
     express_walk(dd, u, t, /*succ_ward=*/dist_cw <= n - dist_cw, RoutePhase::kFinish, r.hops);
     return;
@@ -293,48 +285,25 @@ void route_dsn_d(const DsnD& dd, NodeId s, NodeId t, Route& r, DsnRoutingOptions
 
   // PRE-WORK with express links: target the level-l node reached by walking
   // counterclockwise within the current super node.
-  std::uint32_t l = level_for(cw(u, t, n));
+  const std::uint32_t l = router.level_for_distance(cw(u, t, n));
   if (d.level(u) > l) {
     const NodeId target = static_cast<NodeId>(u - (d.level(u) - l));  // same super node
     express_walk(dd, u, target, /*succ_ward=*/false, RoutePhase::kPreWork, r.hops);
   }
-  while (d.level(u) > level_for(cw(u, t, n)) && r.hops.size() < cap) {
+  while (d.level(u) > router.level_for_distance(cw(u, t, n)) && r.hops.size() < cap) {
     const NodeId v = d.pred(u);
     r.hops.push_back({u, v, RoutePhase::kPreWork, HopKind::kPred});
     u = v;
   }
 
-  // MAIN-PROCESS: identical to the basic algorithm (greedy take rule).
+  // MAIN-PROCESS: the router's own step, until it ends MAIN (an overshooting
+  // shortcut) or hands the walk to FINISH (LOOP-STOP).
   while (u != t && r.hops.size() < cap) {
-    const std::uint64_t dist = cw(u, t, n);
-    if (dist <= p) break;
-    const std::uint32_t lu = d.level(u);
-    if (lu == x + 1) break;
-    l = level_for(dist);
-    if (lu <= x) {
-      const NodeId v = d.shortcut_target(u);
-      DSN_ASSERT(v != kInvalidNode, "level <= x node must own a shortcut");
-      const std::uint64_t span = cw(u, v, n);
-      if (span <= dist) {
-        r.hops.push_back({u, v, RoutePhase::kMain, HopKind::kShortcut});
-        u = v;
-        continue;
-      }
-      if (lu >= l) {
-        if (options.avoid_overshoot) {
-          const NodeId w = d.succ(u);
-          r.hops.push_back({u, w, RoutePhase::kMain, HopKind::kSucc});
-          u = w;
-          continue;
-        }
-        r.hops.push_back({u, v, RoutePhase::kMain, HopKind::kShortcut});
-        u = v;
-        break;  // overshot
-      }
-    }
-    const NodeId v = d.succ(u);
-    r.hops.push_back({u, v, RoutePhase::kMain, HopKind::kSucc});
-    u = v;
+    const DsnStep h = router.step(u, t, DsnWalkState::kMain);
+    if (h.phase != RoutePhase::kMain) break;
+    r.hops.push_back({u, h.next, h.phase, h.kind});
+    u = h.next;
+    if (h.state != DsnWalkState::kMain) break;
   }
 
   if (r.hops.size() >= cap) r.used_fallback = true;

@@ -73,8 +73,8 @@ struct SimConfig {
   // --- simulator core selection (see dsn/sim/simulator.hpp) ---------------
   /// Run the original full-scan core instead of the active-set core. The two
   /// cores produce byte-identical SimResult for any sim_threads value; the
-  /// legacy core exists as the equivalence baseline (ctest -L determinism)
-  /// and is exposed as --legacy-core where simulators are driven from CLIs.
+  /// legacy core exists as the equivalence baseline (ctest -L determinism).
+  /// No CLI flag selects it: only the tests and bench/micro_sim set it.
   bool legacy_core = false;
   /// Shard count for the active-set core (1 = serial inline execution, the
   /// default; 0 = use the global ThreadPool's worker count). Results are

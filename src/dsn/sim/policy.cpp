@@ -1,6 +1,6 @@
 #include "dsn/sim/policy.hpp"
 
-#include "dsn/common/math.hpp"
+#include "dsn/routing/cdg.hpp"
 #include "dsn/routing/dor.hpp"
 
 namespace dsn {
@@ -42,28 +42,22 @@ void AdaptiveUpDownPolicy::candidates(NodeId u, NodeId t, std::uint8_t state,
                                       std::vector<RouteCandidate>& out) const {
   const SimRouting& tables = table();
   out.clear();
-  // Adaptive minimal hops on VCs 1..V-1, preferred over the escape VC.
+  // Adaptive minimal hops on VCs 1..V-1, preferred over the escape VC. The
+  // down-only restriction applies to *consecutive* escape hops: virtual
+  // cut-through absorbs whole packets on adaptive channels, which resets the
+  // escape history (Duato's theory for VCT).
   for (const NodeId v : tables.minimal_next_hops(u, t)) {
     for (std::uint32_t vc = 1; vc < vcs_; ++vc) {
-      out.push_back({v, vc, /*escape=*/false});
+      out.push_back({v, vc, /*escape=*/false, /*state=*/0});
     }
   }
   // Escape hop on VC 0 following up*/down*, honoring the down-only state.
   const bool down_only = (state & 1u) != 0;
   const NodeId esc = tables.escape_next_hop(u, t, down_only);
   if (esc != kInvalidNode) {
-    out.push_back({esc, 0, /*escape=*/true});
+    out.push_back({esc, 0, /*escape=*/true,
+                   static_cast<std::uint8_t>(tables.escape_hop_is_down(u, esc) ? 1 : 0)});
   }
-}
-
-std::uint8_t AdaptiveUpDownPolicy::next_state(NodeId u, NodeId v,
-                                              const RouteCandidate& chosen,
-                                              std::uint8_t /*state*/) const {
-  // The down-only restriction applies to *consecutive* escape hops: virtual
-  // cut-through absorbs whole packets on adaptive channels, which resets the
-  // escape history (Duato's theory for VCT).
-  if (!chosen.escape) return 0;
-  return table().escape_hop_is_down(u, v) ? 1 : 0;
 }
 
 void AdaptiveUpDownPolicy::on_fault_update(const FaultView& view) {
@@ -86,16 +80,12 @@ void UpDownOnlyPolicy::candidates(NodeId u, NodeId t, std::uint8_t state,
   const bool down_only = (state & 1u) != 0;
   const NodeId v = table().escape_next_hop(u, t, down_only);
   if (v == kInvalidNode) return;
-  for (std::uint32_t vc = 0; vc < vcs_; ++vc) {
-    out.push_back({v, vc, /*escape=*/true});
-  }
-}
-
-std::uint8_t UpDownOnlyPolicy::next_state(NodeId u, NodeId v,
-                                          const RouteCandidate& /*chosen*/,
-                                          std::uint8_t state) const {
   // Plain up*/down*: once the path turns downward it stays downward.
-  return (state & 1u) != 0 || table().escape_hop_is_down(u, v) ? 1 : 0;
+  const auto next = static_cast<std::uint8_t>(
+      down_only || table().escape_hop_is_down(u, v) ? 1 : 0);
+  for (std::uint32_t vc = 0; vc < vcs_; ++vc) {
+    out.push_back({v, vc, /*escape=*/true, next});
+  }
 }
 
 void UpDownOnlyPolicy::on_fault_update(const FaultView& view) {
@@ -103,81 +93,24 @@ void UpDownOnlyPolicy::on_fault_update(const FaultView& view) {
 }
 
 // ---------------------------------------------------------------------------
-// DsnCustomPolicy — state holds the routing phase.
+// DsnCustomPolicy — state holds the DsnWalkState.
 // ---------------------------------------------------------------------------
 
 DsnCustomPolicy::DsnCustomPolicy(const Dsn& dsn, std::uint32_t vcs)
-    : dsn_(&dsn), vcs_per_class_(vcs / 4) {
+    : router_(dsn), vcs_per_class_(vcs / 4) {
   DSN_REQUIRE(vcs >= 4 && vcs % 4 == 0, "dsn-custom needs a multiple of 4 VCs");
 }
 
-std::uint32_t DsnCustomPolicy::level_for_distance(std::uint64_t d) const {
-  // Real-arithmetic l = floor(log(n/d)) + 1: smallest l with n <= d * 2^l.
-  const std::uint32_t n = dsn_->n();
-  const std::uint32_t p = dsn_->p();
-  for (std::uint32_t l = 1; l < p; ++l) {
-    if (n <= (d << l)) return l;
+const char* DsnCustomPolicy::phase_name(std::uint8_t state) const {
+  switch (static_cast<DsnWalkState>(state)) {
+    case DsnWalkState::kSource: return nullptr;
+    case DsnWalkState::kPreWork: return "prework";
+    case DsnWalkState::kMain: return "main";
+    case DsnWalkState::kFinish:
+    case DsnWalkState::kFinishSucc:
+    case DsnWalkState::kFinishPred: return "finish";
   }
-  return p;
-}
-
-RouteCandidate DsnCustomPolicy::finish_hop(NodeId u, NodeId t) const {
-  const Dsn& d = *dsn_;
-  const std::uint32_t n = d.n();
-  const std::uint32_t p = d.p();
-  const std::uint64_t cw = ring_cw_distance(u, t, n);
-  const std::uint64_t ccw = n - cw;
-  const bool forward = cw <= ccw;
-  const NodeId v = forward ? d.succ(u) : d.pred(u);
-  // Hops fully inside the Extra region [0, 2p] with the destination inside it
-  // ride the Extra channels, which breaks the FINISH ring cycle (§V-A).
-  const bool region = t < 2 * p && u <= 2 * p && v <= 2 * p;
-  return {v, region ? kVcExtra : kVcFinish, /*escape=*/false};
-}
-
-DsnCustomPolicy::Decision DsnCustomPolicy::decide(NodeId u, NodeId t,
-                                                  std::uint8_t phase) const {
-  const Dsn& d = *dsn_;
-  const std::uint32_t n = d.n();
-  const std::uint32_t p = d.p();
-  const std::uint32_t x = d.x();
-  DSN_REQUIRE(u != t, "no hop needed when already at destination");
-
-  const std::uint64_t cw = ring_cw_distance(u, t, n);
-
-  if (phase == kPhasePreWork) {
-    const std::uint32_t l = level_for_distance(cw);
-    if (d.level(u) > l) {
-      return {{d.pred(u), kVcUp, false}, kPhasePreWork};
-    }
-    phase = kPhaseMain;  // fall through
-  }
-
-  if (phase == kPhaseMain) {
-    if (cw > p) {
-      const std::uint32_t lu = d.level(u);
-      if (lu == x + 1) {
-        // No shortcut at this level: the LOOP-STOP condition fires and the
-        // remaining (bounded) distance is covered by FINISH.
-        return {finish_hop(u, t), kPhaseFinish};
-      }
-      if (lu <= x) {
-        // Greedy take rule: use the node's own shortcut whenever it does not
-        // overshoot (robust to the integer-span level off-by-one); overshoot
-        // at any level is dodged by stepping forward (§V-D) — MAIN never
-        // steps backward, so no oscillation is possible.
-        const NodeId v = d.shortcut_target(u);
-        const std::uint64_t span = ring_cw_distance(u, v, n);
-        if (span <= cw) {
-          return {{v, kVcMain, false}, kPhaseMain};
-        }
-      }
-      return {{d.succ(u), kVcMain, false}, kPhaseMain};
-    }
-    phase = kPhaseFinish;  // close enough — fall through
-  }
-
-  return {finish_hop(u, t), kPhaseFinish};
+  return nullptr;
 }
 
 bool DsnCustomPolicy::hop_alive(NodeId u, NodeId v) const {
@@ -198,51 +131,32 @@ void DsnCustomPolicy::on_fault_update(const FaultView& view) {
 void DsnCustomPolicy::candidates(NodeId u, NodeId t, std::uint8_t state,
                                  std::vector<RouteCandidate>& out) const {
   out.clear();
-  RouteCandidate base = decide(u, t, state).candidate;
-  if (degraded_ && !hop_alive(u, base.next)) {
-    const Dsn& d = *dsn_;
-    if (base.vc == kVcUp) {
-      // PRE-WORK blocked by a dead descent link: skip ahead to MAIN from the
-      // current level (phases only advance, so the class ordering holds).
-      base = decide(u, t, kPhaseMain).candidate;
+  DsnStep hop = router_.step(u, t, static_cast<DsnWalkState>(state));
+  if (degraded_ && !hop_alive(u, hop.next)) {
+    if (hop.phase == RoutePhase::kPreWork) {
+      // PRE-WORK blocked by a dead descent link: skip ahead to MAIN here.
+      hop = router_.step(u, t, DsnWalkState::kMain);
     }
-    if (!hop_alive(u, base.next)) {
-      const NodeId fwd = d.succ(u);
-      const NodeId bwd = d.pred(u);
-      if (base.next != fwd && base.next != bwd) {
+    if (!hop_alive(u, hop.next)) {
+      if (hop.kind == HopKind::kShortcut) {
         // Dead shortcut: walk around it on ring hops, staying in MAIN.
-        base = {fwd, kVcMain, /*escape=*/false};
-      } else {
-        // Dead ring hop: flip the walk direction; the detour rides the
-        // FINISH class (or Extra inside the region) since MAIN's forward
-        // premise is gone either way.
-        const NodeId other = base.next == fwd ? bwd : fwd;
-        const std::uint32_t p = d.p();
-        const bool region = t < 2 * p && u <= 2 * p && other <= 2 * p;
-        base = {other, region ? kVcExtra : kVcFinish, /*escape=*/false};
+        hop = {router_.dsn().succ(u), HopKind::kSucc, RoutePhase::kMain, DsnWalkState::kMain};
+      } else if (hop.state < DsnWalkState::kFinishSucc) {
+        // Dead ring hop: detour the other way round the ring. The walk state
+        // holds the direction, so no later switch turns back toward the dead
+        // link; a detour that meets a second dead link is stranded.
+        hop = router_.step(u, t, hop.kind == HopKind::kSucc ? DsnWalkState::kFinishPred
+                                                            : DsnWalkState::kFinishSucc);
       }
-      if (!hop_alive(u, base.next)) return;  // stranded: TTL accounts the packet
+      if (!hop_alive(u, hop.next)) return;  // stranded: TTL accounts the packet
     }
   }
-  // Expand the channel class into its vcs_per_class physical VCs.
+  // Expand the hop's channel class into its vcs_per_class physical VCs.
+  const std::uint32_t base =
+      dsn_hop_class(router_.dsn(), t, {u, hop.next, hop.phase, hop.kind}) * vcs_per_class_;
+  const auto next_state = static_cast<std::uint8_t>(hop.state);
   for (std::uint32_t k = 0; k < vcs_per_class_; ++k) {
-    out.push_back({base.next, base.vc * vcs_per_class_ + k, base.escape});
-  }
-}
-
-std::uint8_t DsnCustomPolicy::next_state(NodeId /*u*/, NodeId /*v*/,
-                                         const RouteCandidate& chosen,
-                                         std::uint8_t /*state*/) const {
-  // The phase transition is recomputed by decide() at the next switch; we
-  // only need to persist the monotone phase. Derive it from the VC class of
-  // the chosen candidate, which encodes the phase unambiguously.
-  switch (chosen.vc / vcs_per_class_) {
-    case kVcUp:
-      return kPhasePreWork;
-    case kVcMain:
-      return kPhaseMain;
-    default:
-      return kPhaseFinish;
+    out.push_back({hop.next, base + k, /*escape=*/false, next_state});
   }
 }
 
@@ -260,12 +174,7 @@ void RingClockwisePolicy::candidates(NodeId u, NodeId t, std::uint8_t /*state*/,
   if (u == t) return;
   const NodeId succ = (u + 1) % topo_->num_nodes();
   // Single VC, single direction: the textbook deadlocked ring.
-  out.push_back({succ, 0, /*escape=*/false});
-}
-
-std::uint8_t RingClockwisePolicy::next_state(NodeId, NodeId, const RouteCandidate&,
-                                             std::uint8_t) const {
-  return 0;
+  out.push_back({succ, 0, /*escape=*/false, /*state=*/0});
 }
 
 // ---------------------------------------------------------------------------
@@ -303,32 +212,14 @@ void TorusDorPolicy::candidates(NodeId u, NodeId t, std::uint8_t state,
   const std::size_t dim = active_dimension(u, t);
   const bool crossed =
       static_cast<std::size_t>(state >> 1) == dim + 1 && (state & 1u) != 0;
-  out.push_back({next, static_cast<std::uint32_t>(2 * dim + (crossed ? 1 : 0)),
-                 /*escape=*/false});
-}
-
-std::uint8_t TorusDorPolicy::next_state(NodeId u, NodeId v,
-                                        const RouteCandidate& /*chosen*/,
-                                        std::uint8_t state) const {
-  const std::size_t rank = topo_->dims.size();
-  // Which dimension did the hop move in?
-  std::size_t dim = rank;
-  for (std::size_t d = 0; d < rank; ++d) {
-    if (coord(u, d) != coord(v, d)) {
-      dim = d;
-      break;
-    }
-  }
-  if (dim == rank) return 0;
-  const bool same_dim = static_cast<std::size_t>(state >> 1) == dim + 1;
-  const bool prev_crossed = same_dim && (state & 1u) != 0;
-  const std::uint32_t cu = coord(u, dim);
-  const std::uint32_t cv = coord(v, dim);
-  const std::uint32_t size = topo_->dims[dim];
   // Wrap hops (size-1 <-> 0) cross the dateline of the dimension.
+  const std::uint32_t cu = coord(u, dim);
+  const std::uint32_t cv = coord(next, dim);
+  const std::uint32_t size = topo_->dims[dim];
   const bool wrap = (cu == size - 1 && cv == 0) || (cu == 0 && cv == size - 1);
-  return static_cast<std::uint8_t>(((dim + 1) << 1) |
-                                   ((prev_crossed || wrap) ? 1u : 0u));
+  out.push_back({next, static_cast<std::uint32_t>(2 * dim + (crossed ? 1 : 0)),
+                 /*escape=*/false,
+                 static_cast<std::uint8_t>(((dim + 1) << 1) | ((crossed || wrap) ? 1u : 0u))});
 }
 
 }  // namespace dsn

@@ -4,17 +4,19 @@
 // adaptive minimal routing on VCs 1..V-1 with up*/down* shortest legal paths
 // as the escape layer on VC 0 (Duato's methodology for virtual cut-through).
 //
-// DsnCustomPolicy implements the paper's deadlock-free custom routing
-// (Theorem 3, DSN-V realization): the Fig. 2 three-phase algorithm with the
-// phase carried in the packet's routing state and mapped onto four VC
-// classes — PRE-WORK on the Up class, MAIN on the main class, FINISH on the
-// finish class with Extra channels near node 0. Phases only ever advance
+// DsnCustomPolicy runs the paper's deadlock-free custom routing (Theorem 3,
+// DSN-V realization) by calling DsnRouter::step at every switch, with the
+// router's default options: the packet walks exactly the route the analyzer
+// proves and the flow tier loads. Each hop rides the virtual channels of its
+// DsnChannelClass (dsn_hop_class): PRE-WORK on Up, MAIN on Main, FINISH on
+// Finish, with Extra channels near node 0. The walk state only ever advances
 // (PRE-WORK -> MAIN -> FINISH), which is what makes the channel dependency
 // graph acyclic.
 //
 // Each policy threads a small opaque per-packet `state` byte through the
 // engine: the adaptive policy stores its escape down-only bit, the custom
-// policy stores the current phase.
+// policy its DsnWalkState. Every candidate carries the state the packet
+// takes if the simulator grants it.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +24,7 @@
 #include <span>
 #include <vector>
 
+#include "dsn/routing/dsn_routing.hpp"
 #include "dsn/routing/sim_routing.hpp"
 #include "dsn/topology/dsn.hpp"
 
@@ -33,7 +36,8 @@ class ThreadPool;
 struct RouteCandidate {
   NodeId next;
   std::uint32_t vc;
-  bool escape;  ///< true when this candidate uses the escape layer
+  bool escape;         ///< true when this candidate uses the escape layer
+  std::uint8_t state;  ///< the packet's routing state once this hop is granted
 };
 
 /// Snapshot of the simulator's live fault state handed to
@@ -68,10 +72,6 @@ class SimRoutingPolicy {
   virtual void candidates(NodeId u, NodeId t, std::uint8_t state,
                           std::vector<RouteCandidate>& out) const = 0;
 
-  /// New routing state after taking hop u -> v via `chosen`.
-  virtual std::uint8_t next_state(NodeId u, NodeId v, const RouteCandidate& chosen,
-                                  std::uint8_t state) const = 0;
-
   /// Called by the simulator after every topology-changing fault event (when
   /// SimConfig::rebuild_routing_on_fault is set): rebuild whatever routing
   /// state the policy derives from the topology. Default: no recovery.
@@ -86,7 +86,7 @@ class SimRoutingPolicy {
   /// Human-readable name of a routing-state value, or nullptr when the state
   /// has no phase semantics. The simulator uses it to label per-phase hop
   /// counters (dsn.sim.hops.<phase>) for the paper's PRE-WORK/MAIN/FINISH
-  /// accounting.
+  /// accounting: a hop counts toward the state it leaves the packet in.
   virtual const char* phase_name(std::uint8_t state) const {
     (void)state;
     return nullptr;
@@ -104,8 +104,6 @@ class AdaptiveUpDownPolicy final : public SimRoutingPolicy {
   const char* name() const override { return "adaptive-updown"; }
   void candidates(NodeId u, NodeId t, std::uint8_t state,
                   std::vector<RouteCandidate>& out) const override;
-  std::uint8_t next_state(NodeId u, NodeId v, const RouteCandidate& chosen,
-                          std::uint8_t state) const override;
   /// Full recovery: re-derives APSP + up*/down* tables over the alive
   /// subgraph (root = lowest alive switch); drops back to the pristine
   /// tables once everything heals.
@@ -133,8 +131,6 @@ class UpDownOnlyPolicy final : public SimRoutingPolicy {
   const char* name() const override { return "updown-only"; }
   void candidates(NodeId u, NodeId t, std::uint8_t state,
                   std::vector<RouteCandidate>& out) const override;
-  std::uint8_t next_state(NodeId u, NodeId v, const RouteCandidate& chosen,
-                          std::uint8_t state) const override;
   void on_fault_update(const FaultView& view) override;
   bool reset_state_on_fault() const override { return true; }
 
@@ -147,9 +143,8 @@ class UpDownOnlyPolicy final : public SimRoutingPolicy {
   std::unique_ptr<SimRouting> degraded_;
 };
 
-/// The DSN custom routing with per-packet phase state (DSN-V): requires
-/// exactly 4 VCs. Uses the overshoot-avoiding variant of §V-D in MAIN so the
-/// FINISH phase only ever walks forward or backward a short distance.
+/// The DSN custom routing (DSN-V) with the packet's DsnWalkState as its
+/// routing state; needs a multiple of 4 VCs.
 class DsnCustomPolicy final : public SimRoutingPolicy {
  public:
   /// vcs must be a multiple of 4; with vcs = 4k each channel class owns k
@@ -158,56 +153,31 @@ class DsnCustomPolicy final : public SimRoutingPolicy {
   explicit DsnCustomPolicy(const Dsn& dsn, std::uint32_t vcs = 4);
 
   const char* name() const override { return "dsn-custom"; }
-  std::uint8_t initial_state() const override { return kPhasePreWork; }
+  std::uint8_t initial_state() const override {
+    return static_cast<std::uint8_t>(DsnWalkState::kSource);
+  }
   void candidates(NodeId u, NodeId t, std::uint8_t state,
                   std::vector<RouteCandidate>& out) const override;
-  std::uint8_t next_state(NodeId u, NodeId v, const RouteCandidate& chosen,
-                          std::uint8_t state) const override;
   /// Degraded mode: records the alive masks; candidates() then dodges dead
-  /// hops with ring fallbacks (a dead shortcut is walked around on ring
-  /// links in MAIN; a dead ring hop flips the walk direction in FINISH; a
-  /// blocked PRE-WORK descent skips ahead to MAIN). Fallbacks never move a
-  /// phase backward, preserving the Theorem 3 class ordering, but a
+  /// hops: a blocked PRE-WORK descent skips ahead to MAIN, a dead shortcut
+  /// is walked around on succ links in MAIN, and a dead ring hop turns the
+  /// walk into a FINISH detour the other way round the ring, held by the
+  /// walk state (kFinishSucc / kFinishPred) until the destination. The state
+  /// never moves backward, but degraded mode has no deadlock proof, and a
   /// multi-fault pattern can strand a destination — the simulator's TTL
   /// guard then accounts those packets as dropped.
   void on_fault_update(const FaultView& view) override;
-  const char* phase_name(std::uint8_t state) const override {
-    switch (state) {
-      case kPhasePreWork: return "prework";
-      case kPhaseMain: return "main";
-      case kPhaseFinish: return "finish";
-      default: return nullptr;
-    }
-  }
-
-  /// Phase values stored in the packet routing state.
-  static constexpr std::uint8_t kPhasePreWork = 0;
-  static constexpr std::uint8_t kPhaseMain = 1;
-  static constexpr std::uint8_t kPhaseFinish = 2;
-
-  /// VC classes (base VC = class index * vcs_per_class).
-  static constexpr std::uint32_t kVcExtra = 0;
-  static constexpr std::uint32_t kVcUp = 1;
-  static constexpr std::uint32_t kVcMain = 2;
-  static constexpr std::uint32_t kVcFinish = 3;
-
-  /// Deterministic next hop, VC class and successor phase for a packet at u
-  /// headed to t in `phase`. The candidate's vc field holds the class.
-  struct Decision {
-    RouteCandidate candidate;
-    std::uint8_t next_phase;
-  };
-  Decision decide(NodeId u, NodeId t, std::uint8_t phase) const;
+  /// The phase a walk state names; an overshooting MAIN shortcut ends MAIN,
+  /// so dsn.sim.hops.finish counts it.
+  const char* phase_name(std::uint8_t state) const override;
 
   std::uint32_t vcs_per_class() const { return vcs_per_class_; }
 
  private:
-  std::uint32_t level_for_distance(std::uint64_t d) const;
-  RouteCandidate finish_hop(NodeId u, NodeId t) const;
   /// Any alive physical link u -> v (degraded mode only).
   bool hop_alive(NodeId u, NodeId v) const;
 
-  const Dsn* dsn_;
+  DsnRouter router_;
   std::uint32_t vcs_per_class_;
   // Live fault state (empty until the first on_fault_update).
   const Topology* fault_topo_ = nullptr;
@@ -228,8 +198,6 @@ class RingClockwisePolicy final : public SimRoutingPolicy {
   const char* name() const override { return "ring-clockwise-unsafe"; }
   void candidates(NodeId u, NodeId t, std::uint8_t state,
                   std::vector<RouteCandidate>& out) const override;
-  std::uint8_t next_state(NodeId u, NodeId v, const RouteCandidate& chosen,
-                          std::uint8_t state) const override;
 
  private:
   const Topology* topo_;
@@ -248,8 +216,6 @@ class TorusDorPolicy final : public SimRoutingPolicy {
   const char* name() const override { return "torus-dor"; }
   void candidates(NodeId u, NodeId t, std::uint8_t state,
                   std::vector<RouteCandidate>& out) const override;
-  std::uint8_t next_state(NodeId u, NodeId v, const RouteCandidate& chosen,
-                          std::uint8_t state) const override;
 
  private:
   /// Coordinate of node v in dimension d.

@@ -390,18 +390,19 @@ bool Simulator::try_allocate(NodeId sw_id, std::uint32_t in_port, std::uint32_t 
     ivc.out_port = out_port;
     ivc.out_vc = cand.vc;
     ivc.cur_packet = head.packet;
-    // Per-hop packet state update happens at allocation time (head decision).
-    // The hop is attributed to the phase the packet was in when it took it.
+    // Per-hop packet state update happens at allocation time (head decision):
+    // the packet takes the state the granted candidate carries, and the hop
+    // counts toward the phase that state names.
 #if DSN_OBS
     if (obs::metrics_on()) {
       auto& registry = obs::MetricsRegistry::global();
       registry.add(SimMetrics::get().hops, 1);
-      if (pkt.route_state < hop_phase_metrics_.size()) {
-        registry.add(hop_phase_metrics_[pkt.route_state], 1);
+      if (cand.state < hop_phase_metrics_.size()) {
+        registry.add(hop_phase_metrics_[cand.state], 1);
       }
     }
 #endif
-    pkt.route_state = policy_->next_state(sw_id, cand.next, cand, pkt.route_state);
+    pkt.route_state = cand.state;
     ++pkt.hops;
     return true;
   }

@@ -138,16 +138,20 @@ TEST(TorusDorPolicy, CandidateVcEncodesDimensionAndDateline) {
 TEST(TorusDorPolicy, DatelineBitSetsOnWrapAndResetsOnTurn) {
   const Topology topo = make_torus_2d(8, 8);
   const TorusDorPolicy policy(topo, 4);
-  // Wrap hop 0 -> 7 in x sets the crossed bit for dimension 0.
-  const RouteCandidate hop{7, 0, false};
-  const std::uint8_t st = policy.next_state(0, 7, hop, 0);
+  // Wrap hop 0 -> 7 in x (toward 6) sets the crossed bit for dimension 0.
   std::vector<RouteCandidate> cands;
+  policy.candidates(0, 6, 0, cands);
+  ASSERT_EQ(cands.size(), 1u);
+  ASSERT_EQ(cands[0].next, 7u);
+  const std::uint8_t st = cands[0].state;
   policy.candidates(7, 6, st, cands);  // continue in x
   ASSERT_EQ(cands.size(), 1u);
   EXPECT_EQ(cands[0].vc, 1u);  // odd VC after the dateline
   // Turning into y resets the bit: next VC is the even y VC.
-  const std::uint8_t st_y = policy.next_state(7, 7 + 8, {7 + 8, 2, false}, st);
-  policy.candidates(7 + 8, 7 + 3 * 8, st_y, cands);
+  policy.candidates(7, 7 + 3 * 8, st, cands);
+  ASSERT_EQ(cands.size(), 1u);
+  ASSERT_EQ(cands[0].next, 7u + 8);
+  policy.candidates(7 + 8, 7 + 3 * 8, cands[0].state, cands);
   ASSERT_EQ(cands.size(), 1u);
   EXPECT_EQ(cands[0].vc, 2u);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -393,6 +394,67 @@ TEST(RouteBuffers, DsnRouterFillsDirtyBufferLikeValueForm) {
             [&](NodeId s, NodeId t) { return router.route(s, t); });
         if (HasFailure()) return;
       }
+    }
+  }
+}
+
+/// 64-bit FNV-1a over every ordered pair's route — endpoints, each hop's
+/// nodes, phase and kind, and the fallback flag — as hex.
+std::string all_routes_digest(const DsnRouter& router) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const NodeId n = router.dsn().n();
+  Route r;
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId t = 0; t < n; ++t) {
+      router.route(s, t, r);
+      mix(s);
+      mix(t);
+      mix(r.hops.size());
+      for (const RouteHop& hop : r.hops) {
+        mix(hop.from);
+        mix(hop.to);
+        mix(static_cast<std::uint64_t>(hop.phase) << 8 | static_cast<std::uint64_t>(hop.kind));
+      }
+      mix(r.used_fallback ? 1 : 0);
+    }
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+TEST(DsnRouting, AllPairsRoutesPinned) {
+  // route() byte for byte, for every option set: the step-wise router must
+  // reproduce these digests exactly.
+  DsnRoutingOptions avoid, nearest;
+  avoid.avoid_overshoot = true;
+  nearest.nearest_prework = true;
+  const struct {
+    std::uint32_t n;
+    bool default_x;  ///< false = x 2
+    const char* digests[3];  ///< default, avoid_overshoot, nearest_prework
+  } pins[] = {
+      {64, true, {"ed1ffd8da88a60a9", "0f27f5a5f48de071", "562c0007ce6cea10"}},
+      {64, false, {"1d8161a23812c5e0", "05e77990d9199946", "45b1c06b1f519d88"}},
+      {100, true, {"4223e7713d05c013", "e5181875ce43f939", "b326e9cc37e75f7c"}},
+      {100, false, {"7c6231d23868b18a", "7079c548c631c55a", "a4dda2c98fb72a40"}},
+      {256, true, {"26a4d4b993cc7ec5", "d8601e14fb6ef81d", "9f54be3dfedb82bd"}},
+      {256, false, {"02edd2997c98e4d1", "6961764019db3a99", "10a1fbadfb1d6955"}},
+      {300, true, {"3d05436f68288f3f", "89d9c15f090ddcd4", "387e57ab465fb8e0"}},
+      {300, false, {"668c81c7ea815e40", "fbe43c0b021156cf", "d501a2f91a91d670"}},
+  };
+  for (const auto& pin : pins) {
+    const Dsn d(pin.n, pin.default_x ? dsn_default_x(pin.n) : 2u);
+    const DsnRoutingOptions variants[] = {DsnRoutingOptions{}, avoid, nearest};
+    for (std::size_t v = 0; v < 3; ++v) {
+      EXPECT_EQ(all_routes_digest(DsnRouter(d, variants[v])), pin.digests[v])
+          << "n = " << pin.n << ", x = " << d.x() << ", variant " << v;
     }
   }
 }
