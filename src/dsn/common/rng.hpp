@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 
 namespace dsn {
@@ -70,8 +71,22 @@ class Rng {
   /// Uniform double in [0, 1).
   double next_double() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 
+  /// Integer cut of a Bernoulli(prob) draw: the 53-bit draw x = next() >> 11
+  /// succeeds iff x < bernoulli_cut(prob). Since x · 2^-53 is exact, this is
+  /// next_double() < prob for every prob: x < prob · 2^53 iff
+  /// x < ceil(prob · 2^53). Zero, negative and NaN probabilities never
+  /// succeed; probabilities >= 1 always do.
+  static std::uint64_t bernoulli_cut(double prob) {
+    if (!(prob > 0.0)) return 0;
+    if (prob >= 1.0) return std::uint64_t{1} << 53;
+    return static_cast<std::uint64_t>(std::ceil(prob * 0x1.0p53));
+  }
+
+  /// One Bernoulli draw against a precomputed bernoulli_cut.
+  bool bernoulli_below(std::uint64_t cut) { return (next() >> 11) < cut; }
+
   /// True with probability prob (clamped to [0,1]).
-  bool bernoulli(double prob) { return next_double() < prob; }
+  bool bernoulli(double prob) { return bernoulli_below(bernoulli_cut(prob)); }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

@@ -4,12 +4,22 @@
 // every cross-shard merge runs in shard order at an epoch barrier.
 //
 // Active-set simulator engine. The legacy core pays O(switches × ports × vcs)
-// per cycle regardless of load; this engine touches only components with
-// work:
+// per cycle regardless of load, plus one Bernoulli draw per host per cycle;
+// this engine touches only components with work, and a host only when it
+// injects:
 //
 //   - a wakeup calendar per shard (ring of per-cycle buckets + a far heap)
-//     holds exact-time events: wire arrivals, credit returns, head-ready
-//     timestamps, NIC retry wakeups;
+//     holds exact-time events: wire arrivals, head-ready timestamps, NIC
+//     retry wakeups, and each host's next Bernoulli injection;
+//   - look-ahead injection: a host's generator is stepped in one tight loop
+//     to its next successful draw, which becomes a calendar event; the event
+//     draws the destination next, the legacy order. The look-ahead stops at
+//     the earlier of the window end and the next fault-event cycle; at that
+//     cycle every host on a live switch re-arms, so a halted switch's hosts
+//     draw nothing while it is down, exactly as in the legacy loop;
+//   - credit returns are not events: each return is queued at its upstream
+//     output VC, stamped with the cycle it counts from, and VC and switch
+//     allocation add the due ones when they read that VC's credits;
 //   - per-stage active sets: input VCs awaiting VC allocation, switches with
 //     allocated flits to move, NICs with queued packets;
 //   - the network is sharded by contiguous switch ranges across the global
@@ -25,16 +35,24 @@
 //     any queue's contents;
 //   - work lists are processed in ascending global component id — exactly
 //     the legacy scan order — so arbitration (output-VC claiming, round-robin
-//     pointers, RNG draws) sees identical state in identical order;
-//   - packet pool slots and ids are assigned in the serial injection section
-//     in host order, and per-shard frees/latencies/traces/stat deltas are
-//     merged in shard order, which equals the legacy per-cycle append order
-//     because shards cover ascending switch ranges.
+//     pointers) sees identical state in identical order;
+//   - every host owns its generator, which draws once per cycle the host's
+//     switch is alive before the window end, in the legacy order (Bernoulli,
+//     then destination on a hit), whether it runs ahead or not;
+//   - a credit return counts from now + max(link_delay, 1), the cycle in
+//     which the legacy core's start-of-cycle pass applies it, and both cores
+//     read credits only after every due return is in;
+//   - the injections due in a cycle are sorted by host, and packet pool
+//     slots and ids are assigned in the serial injection section in host
+//     order; per-shard frees/latencies/traces/stat deltas are merged in
+//     shard order, which equals the legacy per-cycle append order because
+//     shards cover ascending switch ranges.
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <queue>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -54,12 +72,12 @@ namespace {
 
 // Calendar event encoding: 4-bit type tag in the top bits, component id in
 // the payload. Ordering between event types within a cycle is fixed by the
-// processing passes (wire/credit, then head-ready, then NIC wake), never by
-// the encoded value.
+// processing passes (wire and injection, then head-ready, then NIC wake) and
+// the host sort of injections, never by the encoded value.
 constexpr std::uint64_t kEvWire = 0;    ///< payload: global wire (input port) id
-constexpr std::uint64_t kEvCredit = 1;  ///< payload: global (out port, vc) id
-constexpr std::uint64_t kEvHead = 2;    ///< payload: global input-VC id
-constexpr std::uint64_t kEvNic = 3;     ///< payload: host id
+constexpr std::uint64_t kEvHead = 1;    ///< payload: global input-VC id
+constexpr std::uint64_t kEvNic = 2;     ///< payload: host id
+constexpr std::uint64_t kEvInject = 3;  ///< payload: host id
 
 constexpr std::uint64_t kEvShift = 60;
 constexpr std::uint64_t kEvPayloadMask = (std::uint64_t{1} << kEvShift) - 1;
@@ -84,7 +102,6 @@ class ActiveCore {
 
  private:
   using Arrival = Simulator::Arrival;
-  using CreditReturn = Simulator::CreditReturn;
   using InputVc = Simulator::InputVc;
   using SwitchState = Simulator::SwitchState;
   using NicState = Simulator::NicState;
@@ -124,7 +141,7 @@ class ActiveCore {
   };
   struct CreditMail {
     std::uint32_t credit_gid;
-    CreditReturn c;
+    std::uint64_t due;
   };
 
   struct Shard {
@@ -146,6 +163,7 @@ class ActiveCore {
     std::vector<RouteCandidate> cand_scratch;
     std::vector<PacketSlot> freed;
     std::vector<PacketSlot> ttl_out;
+    /// This cycle's injections as (src, dst), sorted by src after the drain.
     std::vector<std::pair<HostId, HostId>> draws;
     std::vector<std::uint32_t> latencies;
     std::vector<PacketTrace> traces;
@@ -183,15 +201,12 @@ class ActiveCore {
         sh->wire_out[dest].push_back({gid, a});
       }
     }
-    void push_credit(NodeId up_sw, std::uint32_t idx, const CreditReturn& c) {
-      const std::uint32_t gid = C->ivc_base_[up_sw] + idx;
+    void push_credit(NodeId up_sw, std::uint32_t idx, std::uint64_t due) {
       const std::size_t dest = C->shard_of_switch_[up_sw];
       if (dest == s) {
-        C->S.switches_[up_sw].credits[idx].push_back(c);
-        sh->cal.schedule(std::max(c.cycle, C->now_ + 1), C->now_,
-                         enc_event(kEvCredit, gid));
+        C->S.switches_[up_sw].credits[idx].push_back(due);
       } else {
-        sh->credit_out[dest].push_back({gid, c});
+        sh->credit_out[dest].push_back({C->ivc_base_[up_sw] + idx, due});
       }
     }
     void add_ejected_flits(std::uint32_t flits) { sh->d_ejected += flits; }
@@ -245,7 +260,7 @@ class ActiveCore {
   void serial_merge();
 
   void deliver_wire(Shard& sh, std::uint32_t wire_gid);
-  void apply_credit(std::uint32_t credit_gid);
+  void arm_host(Shard& sh, HostId h, std::uint64_t from);
   void consider_alloc_listing(std::uint32_t ivc_gid);
 
   void list_alloc(std::uint32_t ivc_gid) {
@@ -309,6 +324,15 @@ class ActiveCore {
   std::vector<std::uint8_t> nic_listed_;    ///< per host
 
   std::vector<Shard> shards_;
+
+  /// Rng::bernoulli_cut of the per-cycle packet rate (0: no open-loop
+  /// generation, e.g. under an injection trace).
+  std::uint64_t inject_cut_ = 0;
+  /// Look-ahead draws stop before this cycle: the window end or the next
+  /// fault-event cycle, whichever comes first.
+  std::uint64_t inject_bound_ = 0;
+  /// Set for the cycle at which every live host re-arms its look-ahead.
+  bool rearm_hosts_ = false;
 
   std::uint64_t now_ = 0;
   bool in_window_ = false;
@@ -382,6 +406,8 @@ void ActiveCore::build() {
   }
 
   window_end_ = S.config_.warmup_cycles + S.config_.measure_cycles;
+  inject_cut_ =
+      S.use_trace_ ? 0 : Rng::bernoulli_cut(S.config_.packet_rate_per_cycle());
 }
 
 void ActiveCore::rebuild_active_sets() {
@@ -458,15 +484,17 @@ void ActiveCore::deliver_wire(Shard& sh, std::uint32_t wire_gid) {
   }
 }
 
-void ActiveCore::apply_credit(std::uint32_t credit_gid) {
-  const NodeId u = ivc_switch_[credit_gid];
-  SwitchState& sw = S.switches_[u];
-  const std::uint32_t idx = credit_gid - ivc_base_[u];
-  auto& q = sw.credits[idx];
-  while (!q.empty() && q.front().cycle <= now_) {
-    sw.out[idx].credits += q.front().count;
-    q.pop_front();
-  }
+void ActiveCore::arm_host(Shard& sh, HostId h, std::uint64_t from) {
+  // Draw once per cycle from `from` until a hit or the bound. A local copy
+  // keeps the generator state in registers through the loop. After a hit
+  // the generator is untouched until the event draws the destination.
+  Rng rng = S.nics_[h].rng;
+  const std::uint64_t cut = inject_cut_;
+  const std::uint64_t bound = inject_bound_;
+  std::uint64_t c = from;
+  while (c < bound && !rng.bernoulli_below(cut)) ++c;
+  if (c < bound) sh.cal.schedule(c, now_, enc_event(kEvInject, h));
+  S.nics_[h].rng = rng;
 }
 
 void ActiveCore::consider_alloc_listing(std::uint32_t ivc_gid) {
@@ -483,31 +511,25 @@ void ActiveCore::consider_alloc_listing(std::uint32_t ivc_gid) {
 
 void ActiveCore::phase_deliver_allocate(std::size_t s) {
   Shard& sh = shards_[s];
-  const HostId host_begin = shard_begin_[s] * S.config_.hosts_per_switch;
-  const HostId host_end = shard_begin_[s + 1] * S.config_.hosts_per_switch;
+  const std::uint32_t hps = S.config_.hosts_per_switch;
+  const HostId host_begin = shard_begin_[s] * hps;
+  const HostId host_end = shard_begin_[s + 1] * hps;
 
-  // Open-loop Bernoulli draws: RNG consumption matches the legacy generator
-  // exactly (one bernoulli per live host per pre-window cycle, plus the
-  // destination draw on success); the packets are materialized in host order
-  // by the serial injection section.
-  if (!S.use_trace_) {
-    const double rate = S.config_.packet_rate_per_cycle();
-    if (rate > 0.0 && now_ < window_end_) {
-      for (HostId h = host_begin; h < host_end; ++h) {
-        NicState& nic = S.nics_[h];
-        if (S.faults_armed_ && !S.switch_alive_[h / S.config_.hosts_per_switch]) {
-          continue;
-        }
-        if (!nic.rng.bernoulli(rate)) continue;
-        sh.draws.emplace_back(h, S.traffic_->dest(h, nic.rng));
-      }
+  // Window start or a fault-event cycle: every host on a live switch looks
+  // ahead from this cycle (hits due now land in the bucket drained below).
+  if (rearm_hosts_) {
+    for (HostId h = host_begin; h < host_end; ++h) {
+      if (S.faults_armed_ && !S.switch_alive_[h / hps]) continue;
+      arm_host(sh, h, now_);
     }
   }
 
-  // Drain this cycle's calendar bucket in typed passes (wire/credit before
-  // head-ready before NIC wakes). Head-ready events registered mid-drain for
-  // this same cycle (router_delay == 0) append to the live bucket; the
-  // index-based loops pick them up.
+  // Drain this cycle's calendar bucket in typed passes (wire and injection
+  // before head-ready before NIC wakes). Head-ready events registered
+  // mid-drain for this same cycle (router_delay == 0) append to the live
+  // bucket; the index-based loops pick them up. An injection draws its
+  // destination, hands the packet to the serial injection section and
+  // re-arms its host from the next cycle.
   auto& bucket = sh.cal.buckets[now_ & sh.cal.mask];
   while (!sh.cal.far.empty() && sh.cal.far.top().first <= now_) {
     bucket.push_back(sh.cal.far.top().second);
@@ -518,10 +540,13 @@ void ActiveCore::phase_deliver_allocate(std::size_t s) {
     const std::uint64_t payload = bucket[i] & kEvPayloadMask;
     if (type == kEvWire) {
       deliver_wire(sh, static_cast<std::uint32_t>(payload));
-    } else if (type == kEvCredit) {
-      apply_credit(static_cast<std::uint32_t>(payload));
+    } else if (type == kEvInject) {
+      const auto h = static_cast<HostId>(payload);
+      sh.draws.emplace_back(h, S.traffic_->dest(h, S.nics_[h].rng));
+      arm_host(sh, h, now_ + 1);
     }
   }
+  std::sort(sh.draws.begin(), sh.draws.end());
   for (std::size_t i = 0; i < bucket.size(); ++i) {
     if (bucket[i] >> kEvShift == kEvHead) {
       consider_alloc_listing(static_cast<std::uint32_t>(bucket[i] & kEvPayloadMask));
@@ -732,9 +757,7 @@ void ActiveCore::serial_merge() {
       sh.wire_out[dest].clear();
       for (const CreditMail& m : sh.credit_out[dest]) {
         const NodeId u = ivc_switch_[m.credit_gid];
-        S.switches_[u].credits[m.credit_gid - ivc_base_[u]].push_back(m.c);
-        shards_[dest].cal.schedule(std::max(m.c.cycle, now_ + 1), now_,
-                                   enc_event(kEvCredit, m.credit_gid));
+        S.switches_[u].credits[m.credit_gid - ivc_base_[u]].push_back(m.due);
       }
       sh.credit_out[dest].clear();
     }
@@ -782,6 +805,16 @@ SimResult ActiveCore::run() {
     in_window_ = now >= window_start && now < window_end_;
 
     if (S.faults_armed_ && S.apply_fault_events(now)) rebuild_active_sets();
+    rearm_hosts_ = inject_cut_ != 0 && now == inject_bound_ && now < window_end_;
+    if (rearm_hosts_) {
+      // This cycle's fault events are applied; the next one bounds the
+      // look-ahead.
+      inject_bound_ = window_end_;
+      const std::span<const FaultEvent> events = S.fault_schedule_.events();
+      if (S.fault_cursor_ < events.size()) {
+        inject_bound_ = std::min(inject_bound_, events[S.fault_cursor_].cycle);
+      }
+    }
 
     epoch.run([this](std::size_t s) { phase_deliver_allocate(s); });
     serial_inject();

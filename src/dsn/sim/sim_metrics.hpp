@@ -24,10 +24,12 @@ struct SimMetrics {
   obs::MetricId latency_cycles = obs::MetricsRegistry::global().histogram(
       "dsn.sim.packet_latency_cycles",
       {64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384});
-  // Active-set core health: calendar events drained, input VCs examined by
-  // the allocation pass, and switches visited by switch allocation. Counted
-  // per shard and folded into the registry once per cycle from the serial
-  // merge section, so totals are byte-identical for every sim_threads value.
+  // Active-set core health: calendar events drained (wire arrivals, head-ready
+  // times, NIC wakeups and look-ahead injections; credit returns are applied
+  // when read and are not events), input VCs examined by the allocation
+  // pass, and switches visited by switch allocation. Counted per shard and
+  // folded into the registry once per cycle from the serial merge section,
+  // so totals are byte-identical for every sim_threads value.
   obs::MetricId active_events =
       obs::MetricsRegistry::global().counter("dsn.sim.active.events");
   obs::MetricId active_alloc_checks =

@@ -294,14 +294,9 @@ void Simulator::deliver_wire_flits(std::uint64_t now) {
 }
 
 void Simulator::apply_credit_returns(std::uint64_t now) {
-  for (NodeId u = 0; u < num_switches_; ++u) {
-    SwitchState& sw = switches_[u];
+  for (SwitchState& sw : switches_) {
     for (std::uint32_t idx = 0; idx < sw.credits.size(); ++idx) {
-      auto& q = sw.credits[idx];
-      while (!q.empty() && q.front().cycle <= now) {
-        sw.out[idx].credits += q.front().count;
-        q.pop_front();
-      }
+      apply_due_credits(sw, idx, now);
     }
   }
 }
@@ -373,12 +368,14 @@ bool Simulator::try_allocate(NodeId sw_id, std::uint32_t in_port, std::uint32_t 
       DSN_ASSERT(faults_armed_, "candidate next hop must be a neighbor");
       continue;
     }
-    OutputVc& o = sw.out[out_port * config_.vcs + cand.vc];
+    const std::uint32_t ovc = out_port * config_.vcs + cand.vc;
+    OutputVc& o = sw.out[ovc];
     if (o.owned) continue;
     // VCT: the downstream buffer must absorb the whole packet. Wormhole:
     // one flit of space suffices (the packet may stall spanning switches).
     const std::uint32_t needed =
         config_.switching == SwitchingMode::kVirtualCutThrough ? pkt.size_flits : 1;
+    apply_due_credits(sw, ovc, now);
     if (o.credits < needed) {
       DSN_OBS_ADD(SimMetrics::get().credit_stalls, 1);
       continue;
@@ -475,8 +472,8 @@ void Simulator::switch_allocation(std::uint64_t now) {
     void push_wire(NodeId down_sw, std::uint32_t dport, const Arrival& a) {
       S->switches_[down_sw].wire[dport].push_back(a);
     }
-    void push_credit(NodeId up_sw, std::uint32_t idx, const CreditReturn& c) {
-      S->switches_[up_sw].credits[idx].push_back(c);
+    void push_credit(NodeId up_sw, std::uint32_t idx, std::uint64_t due) {
+      S->switches_[up_sw].credits[idx].push_back(due);
     }
     void add_ejected_flits(std::uint32_t flits) {
       S->ejected_flits_in_window_ += flits;

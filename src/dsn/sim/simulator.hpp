@@ -12,7 +12,8 @@
 //  - Switch allocation moves at most one flit per input port and one flit
 //    per output port per cycle (round-robin arbiters with rotating offsets).
 //  - Links carry one flit per cycle with link_delay latency; credits return
-//    with the same latency.
+//    with the same latency, but never in the cycle that freed them (a
+//    zero-delay link returns its credit the next cycle).
 //  - Hosts inject via dedicated injection ports (NIC holds packet-granular
 //    source queues, open-loop Bernoulli generation) and eject via dedicated
 //    ejection ports with sink bandwidth of one flit per cycle.
@@ -140,20 +141,30 @@ class Simulator {
     std::uint32_t vc;
   };
 
-  struct CreditReturn {
-    std::uint64_t cycle;
-    std::uint32_t count;
-  };
-
   struct SwitchState {
     std::uint32_t num_net_ports = 0;   ///< network in/out ports (adjacency order)
     std::uint32_t num_ports = 0;       ///< net + host ports
     std::vector<InputVc> in;           ///< [port * vcs + vc]
     std::vector<OutputVc> out;         ///< [port * vcs + vc]
-    std::vector<RingQueue<Arrival>> wire;          ///< per input port
-    std::vector<RingQueue<CreditReturn>> credits;  ///< per (out port * vcs + vc)
+    std::vector<RingQueue<Arrival>> wire;  ///< per input port
+    /// Pending credit returns per (out port * vcs + vc): the cycle from which
+    /// each returned credit (one flit slot) counts, in push order.
+    std::vector<RingQueue<std::uint64_t>> credits;
     std::vector<std::uint32_t> sa_rr;  ///< round-robin pointer per output port
   };
+
+  /// Add output VC `idx`'s credit returns due by `now` to its count. VC and
+  /// switch allocation call this right before they read a credit count, so
+  /// the active core needs no per-return event; each queue's due cycles are
+  /// nondecreasing (one writer, stamped at push time + a fixed delay).
+  static void apply_due_credits(SwitchState& sw, std::uint32_t idx,
+                                std::uint64_t now) {
+    RingQueue<std::uint64_t>& q = sw.credits[idx];
+    while (!q.empty() && q.front() <= now) {
+      ++sw.out[idx].credits;
+      q.pop_front();
+    }
+  }
 
   struct NicState {
     RingQueue<PacketSlot> source_queue;

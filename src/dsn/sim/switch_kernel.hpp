@@ -20,11 +20,15 @@
 //     grant decisions AND the credit-stall counter increments are
 //     byte-identical: VCs the full scan skips without observable effect
 //     (inactive, other output, empty buffer) are precisely the ones missing
-//     from the active list.
+//     from the active list. It applies an output VC's due credit returns
+//     when it reads the VC's credits, so the active core keeps no credit
+//     events; the legacy core applies every due return at the start of the
+//     cycle, which leaves the same counts.
 //
 // Sink contract (all calls happen in grant order within the switch):
 //   push_wire(down_sw, dport, Arrival)    flit onto a downstream wire
-//   push_credit(up_sw, credit_idx, CreditReturn)  credit to an upstream switch
+//   push_credit(up_sw, credit_idx, due)   one credit to an upstream switch,
+//                                         usable from cycle `due`
 //   add_ejected_flits(n)                  in-measurement-window ejections
 //   on_measured_delivery(pkt, eject)      measured-packet stats + traces
 //   on_delivery(now, eject)               delivered totals / epoch / reconnect
@@ -81,11 +85,15 @@ void Simulator::sa_apply_grant(NodeId u, std::uint32_t op, std::uint32_t granted
   }
 
   // Return a credit for the freed input-buffer slot to the upstream
-  // sender (switch output VC or host NIC).
+  // sender (switch output VC or host NIC). It counts from cycle
+  // now + max(link_delay, 1), the cycle whose start-of-cycle pass applies
+  // it in the legacy core. The active core applies due returns when it
+  // reads a credit count, so without the floor a zero-delay link would hand
+  // the credit to a switch allocated later in this same cycle.
   if (in_port < sw.num_net_ports) {
     const auto [up_sw, up_port] = upstream_[u][in_port];
     sink.push_credit(up_sw, up_port * config_.vcs + in_vc,
-                     CreditReturn{now + link_delay_, 1});
+                     now + std::max<std::uint64_t>(link_delay_, 1));
   } else {
     const HostId host =
         u * config_.hosts_per_switch + (in_port - sw.num_net_ports);
@@ -182,8 +190,9 @@ void Simulator::sa_switch_active(NodeId u, std::uint64_t now, bool in_window,
       const std::uint32_t in_port = idx / config_.vcs;
       if (input_used[in_port]) continue;
       if (ivc.buffer.empty()) continue;
-      const OutputVc& o = sw.out[op * config_.vcs + ivc.out_vc];
-      if (o.credits == 0) {
+      const std::uint32_t ovc = op * config_.vcs + ivc.out_vc;
+      apply_due_credits(sw, ovc, now);
+      if (sw.out[ovc].credits == 0) {
         DSN_OBS_ADD(sim_detail::SimMetrics::get().credit_stalls, 1);
         continue;
       }

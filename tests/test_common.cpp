@@ -169,6 +169,34 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(hits / 20'000.0, 0.3, 0.02);
 }
 
+TEST(Rng, BernoulliCutMatchesNextDoubleCompare) {
+  // bernoulli() compares the 53-bit draw with an integer cut; it must give
+  // next_double() < p for every p, at the edges of the cut as well as over
+  // a long stream. The flit simulator's look-ahead injection relies on it.
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+  const double probs[] = {0.0,          -0.0,         std::nan(""),
+                          0x1.0p-60,    0x1.0p-53,    3 * 0x1.0p-53,
+                          12345 * 0x1.0p-53,          1.578e-4,
+                          0.5,          1.0 - 0x1.0p-53,            1.0,
+                          2.0};
+  for (const double p : probs) {
+    SCOPED_TRACE(p);
+    const std::uint64_t cut = Rng::bernoulli_cut(p);
+    ASSERT_LE(cut, kTop);
+    for (const std::uint64_t x :
+         {std::uint64_t{0}, std::uint64_t{1}, cut - 1, cut, cut + 1, kTop - 1}) {
+      if (x >= kTop) continue;  // cut - 1 wraps at cut = 0; cut + 1 past the top
+      EXPECT_EQ(x < cut, static_cast<double>(x) * 0x1.0p-53 < p) << "x=" << x;
+    }
+    Rng by_double(101), by_cut(101);
+    int mismatches = 0;
+    for (int i = 0; i < 1'000'000; ++i) {
+      if ((by_double.next_double() < p) != by_cut.bernoulli(p)) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0);
+  }
+}
+
 TEST(Rng, SplitMixDeterministic) {
   SplitMix64 a(5), b(5);
   EXPECT_EQ(a.next(), b.next());

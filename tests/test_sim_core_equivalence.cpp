@@ -3,9 +3,10 @@
 // and the active-set core must reproduce its SimResult — including latency
 // percentiles, degradation curves, fault records, drop/retry accounting and
 // the conservation recount — byte-for-byte at every shard count, for every
-// traffic pattern, both switching modes, zero-delay pipelines, fuzzed fault
-// schedules, and trace replay. Grouped under `ctest -L determinism` via the
-// determinism.core_equivalence entry.
+// traffic pattern, both switching modes, zero-delay pipelines (with and
+// without credit starvation), fuzzed fault schedules, switch revival inside
+// the injection window, and trace replay. Grouped under
+// `ctest -L determinism` via the determinism.core_equivalence entry.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -122,6 +123,33 @@ TEST(CoreEquivalence, ZeroDelayPipelineByteIdentical) {
   expect_cores_identical(topo, policy, *traffic, cfg);
 }
 
+TEST(CoreEquivalence, ZeroDelayWormholeCongestionByteIdentical) {
+  // Zero-delay links with 8-flit wormhole buffers at loads where credits run
+  // out: a credit freed in one cycle must not count before the next. The
+  // VCT case above never runs out of credits, so it cannot see a return
+  // applied a cycle early.
+  const Dsn dsn(32, dsn_default_x(32));
+  const Topology& topo = dsn.topology();
+  SimRouting routing(topo);
+  AdaptiveUpDownPolicy adaptive(routing, 4);
+  DsnCustomPolicy custom(dsn, 4);
+  SimConfig cfg = equivalence_config();
+  cfg.switching = SwitchingMode::kWormhole;
+  cfg.buffer_flits = 8;
+  cfg.router_delay_ns = 0.0;
+  cfg.link_delay_ns = 0.0;
+  const auto traffic = make_traffic("uniform", 32 * cfg.hosts_per_switch);
+  for (const double load : {8.0, 24.0}) {
+    cfg.offered_gbps_per_host = load;
+    for (SimRoutingPolicy* policy : {static_cast<SimRoutingPolicy*>(&adaptive),
+                                     static_cast<SimRoutingPolicy*>(&custom)}) {
+      SCOPED_TRACE(std::string(policy == &adaptive ? "adaptive" : "custom") +
+                   " at " + std::to_string(load) + " Gb/s");
+      expect_cores_identical(topo, *policy, *traffic, cfg);
+    }
+  }
+}
+
 TEST(CoreEquivalence, CustomPolicyHighLoadByteIdentical) {
   // The table-free custom policy at a load past saturation: persistent
   // credit stalls keep the allocation pending lists full, so the blocked
@@ -156,6 +184,29 @@ TEST(CoreEquivalence, FuzzedFaultScheduleByteIdentical) {
     const auto traffic = make_traffic("uniform", 32 * cfg.hosts_per_switch);
     expect_cores_identical(topo, policy, *traffic, cfg, &schedule);
   }
+}
+
+TEST(CoreEquivalence, SwitchRevivalInsideInjectionWindowByteIdentical) {
+  // The active core draws each host's next packet ahead, up to the next
+  // fault-event cycle. Hosts of a halted switch must draw nothing while it
+  // is down and resume on revival, as the legacy per-cycle loop does: one
+  // switch is down from cycle 0, a second goes down and comes back inside
+  // the injection window, and the first revives exactly at its end.
+  const Topology topo = make_topology_by_name("dsn", 32);
+  SimRouting routing(topo);
+  AdaptiveUpDownPolicy policy(routing, 4);
+  SimConfig cfg = equivalence_config();
+  cfg.offered_gbps_per_host = 4.0;
+  cfg.epoch_cycles = 500;
+  cfg.packet_ttl_cycles = 3'000;
+  const std::uint64_t window_end = cfg.warmup_cycles + cfg.measure_cycles;
+  FaultSchedule schedule;
+  schedule.switch_down(0, 5)
+      .switch_down(400, 12)
+      .switch_up(900, 12)
+      .switch_up(window_end, 5);
+  const auto traffic = make_traffic("uniform", 32 * cfg.hosts_per_switch);
+  expect_cores_identical(topo, policy, *traffic, cfg, &schedule);
 }
 
 TEST(CoreEquivalence, TraceReplayWithFaultsByteIdentical) {
