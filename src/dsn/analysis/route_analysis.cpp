@@ -3,7 +3,7 @@
 #include "dsn/analysis/route_analysis.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -84,10 +84,19 @@ struct Shard {
   std::uint32_t max_hops = 0;
   std::uint64_t total_hops = 0;
   std::uint64_t fallbacks = 0;
-  Refutation loops, endpoints, bounds;
+  Refutation loops, endpoints, phases, bounds;
   std::vector<std::uint32_t> stamp;  // node -> last generation seen
   std::uint32_t gen = 0;
 };
+
+const char* phase_name(RoutePhase phase) {
+  switch (phase) {
+    case RoutePhase::kPreWork: return "PRE-WORK";
+    case RoutePhase::kMain: return "MAIN";
+    case RoutePhase::kFinish: return "FINISH";
+  }
+  return "unknown";
+}
 
 double gini_index(std::vector<std::uint64_t> loads) {
   if (loads.empty()) return 0.0;
@@ -104,15 +113,22 @@ double gini_index(std::vector<std::uint64_t> loads) {
 
 }  // namespace
 
-RouteAnalysis analyze_route_function(NodeId n, const RouteFill& route_fn,
+RouteAnalysis analyze_route_function(const Graph& graph, const RouteFill& route_fn,
                                      const ChannelFill& channel_fn, std::uint32_t hop_bound,
                                      std::string hop_bound_law,
-                                     const RouteAnalysisOptions& options) {
+                                     const RouteAnalysisOptions& options,
+                                     std::span<const NodeId> sources) {
+  const NodeId n = graph.num_nodes();
   DSN_REQUIRE(n >= 2, "route analysis needs at least two nodes");
+  for (const NodeId s : sources) DSN_REQUIRE(s < n, "route analysis source out of range");
+  const std::size_t num_sources = sources.empty() ? n : sources.size();
+  const auto source = [&](std::size_t i) {
+    return sources.empty() ? static_cast<NodeId>(i) : sources[i];
+  };
 
   ThreadPool& pool = ThreadPool::global();
   const std::size_t num_shards =
-      std::max<std::size_t>(1, std::min<std::size_t>(n, 4 * pool.size()));
+      std::max<std::size_t>(1, std::min<std::size_t>(num_sources, 4 * pool.size()));
   std::vector<Shard> shards(num_shards);
 
   DSN_OBS_SPAN("analysis.route_sweep");
@@ -125,11 +141,12 @@ RouteAnalysis analyze_route_function(NodeId n, const RouteFill& route_fn,
     path.reserve(64);
     Route r;
     std::vector<Channel> channels;
-    const NodeId begin = static_cast<NodeId>(k * n / num_shards);
-    const NodeId end = static_cast<NodeId>((k + 1) * n / num_shards);
+    const std::size_t begin = k * num_sources / num_shards;
+    const std::size_t end = (k + 1) * num_sources / num_shards;
     DSN_OBS_ADD(AnalysisMetrics::get().routes,
                 static_cast<std::uint64_t>(end - begin) * (n - 1));
-    for (NodeId s = begin; s < end; ++s) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const NodeId s = source(i);
       for (NodeId t = 0; t < n; ++t) {
         if (s == t) continue;
         route_fn(s, t, r);
@@ -139,9 +156,13 @@ RouteAnalysis analyze_route_function(NodeId n, const RouteFill& route_fn,
         if (r.used_fallback) ++sh.fallbacks;
 
         // Reachability: non-empty hop chain s -> ... -> t without gaps.
+        // Phase order: the first hop whose phase falls below its
+        // predecessor's, if any.
         path.clear();
         path.push_back(s);
         NodeId at = s;
+        RoutePhase phase = RoutePhase::kPreWork, fallen_from = RoutePhase::kPreWork;
+        const RouteHop* regression = nullptr;
         bool chained = !r.hops.empty() && r.hops.front().from == s;
         if (chained) {
           for (const RouteHop& h : r.hops) {
@@ -149,6 +170,11 @@ RouteAnalysis analyze_route_function(NodeId n, const RouteFill& route_fn,
               chained = false;
               break;
             }
+            if (h.phase < phase && regression == nullptr) {
+              regression = &h;
+              fallen_from = phase;
+            }
+            phase = h.phase;
             at = h.to;
             path.push_back(at);
           }
@@ -170,6 +196,12 @@ RouteAnalysis analyze_route_function(NodeId n, const RouteFill& route_fn,
             sh.stamp[v] = sh.gen;
           }
         }
+        if (regression != nullptr) {
+          sh.phases.add(options.max_witnesses, s, t, path,
+                        std::string("route phase falls from ") + phase_name(fallen_from) +
+                            " to " + phase_name(regression->phase) + " at node " +
+                            std::to_string(regression->from));
+        }
         if (options.check_hop_bound && hop_bound != 0 && len > hop_bound) {
           sh.bounds.add(options.max_witnesses, s, t, path,
                         std::to_string(len) + " hops exceed the analytic bound of " +
@@ -184,11 +216,11 @@ RouteAnalysis analyze_route_function(NodeId n, const RouteFill& route_fn,
   // Deterministic merge in shard order.
   RouteAnalysis ra;
   ra.n = n;
-  ra.pairs = static_cast<std::uint64_t>(n) * (n - 1);
+  ra.pairs = static_cast<std::uint64_t>(num_sources) * (n - 1);
   ra.hop_bound = options.check_hop_bound ? hop_bound : 0;
   ra.hop_bound_law = std::move(hop_bound_law);
   ChannelDependencyGraph cdg = std::move(shards[0].cdg);
-  Refutation loops, endpoints, bounds;
+  Refutation loops, endpoints, phases, bounds;
   std::uint64_t total_hops = 0;
   for (std::size_t k = 0; k < num_shards; ++k) {
     Shard& sh = shards[k];
@@ -198,15 +230,26 @@ RouteAnalysis analyze_route_function(NodeId n, const RouteFill& route_fn,
     ra.fallback_routes += sh.fallbacks;
     loops.merge(sh.loops, options.max_witnesses);
     endpoints.merge(sh.endpoints, options.max_witnesses);
+    phases.merge(sh.phases, options.max_witnesses);
     bounds.merge(sh.bounds, options.max_witnesses);
   }
   ra.avg_hops = static_cast<double>(total_hops) / static_cast<double>(ra.pairs);
   ra.loop_free = !loops.refuted;
   ra.all_reachable = !endpoints.refuted;
+  ra.phases_ordered = !phases.refuted;
   ra.within_hop_bound = !bounds.refuted;
   ra.loop_witnesses = std::move(loops.witnesses);
   ra.endpoint_witnesses = std::move(endpoints.witnesses);
+  ra.phase_witnesses = std::move(phases.witnesses);
   ra.bound_witnesses = std::move(bounds.witnesses);
+
+  // Hops on links: every hop is some channel of the merged CDG, so checking
+  // each distinct channel once covers every hop of every route.
+  for (const Channel& c : cdg.channels()) {
+    if (c.from < n && c.to < n && graph.has_link(c.from, c.to)) continue;
+    ra.hops_on_links = false;
+    if (ra.non_link_channels.size() < options.max_witnesses) ra.non_link_channels.push_back(c);
+  }
 
   // Static channel load.
   const std::vector<std::uint64_t>& loads = cdg.use_counts();
@@ -271,25 +314,6 @@ void single_class_channels(const Route& r, std::vector<Channel>& out) {
   dsn_route_channels_basic(r, out);
 }
 
-/// All maximal digit runs in `name`, in order ("dsn-5-100" -> {5, 100}).
-std::vector<std::uint64_t> name_numbers(const std::string& name) {
-  std::vector<std::uint64_t> out;
-  std::uint64_t cur = 0;
-  bool in_number = false;
-  for (const char c : name) {
-    if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-      cur = cur * 10 + static_cast<std::uint64_t>(c - '0');
-      in_number = true;
-    } else if (in_number) {
-      out.push_back(cur);
-      cur = 0;
-      in_number = false;
-    }
-  }
-  if (in_number) out.push_back(cur);
-  return out;
-}
-
 }  // namespace
 
 RouteAnalysis analyze_dsn_routes(const Dsn& dsn, ChannelScheme scheme,
@@ -303,8 +327,8 @@ RouteAnalysis analyze_dsn_routes(const Dsn& dsn, ChannelScheme scheme,
             })
           : &single_class_channels;
   RouteAnalysis ra = analyze_route_function(
-      dsn.n(), [&](NodeId s, NodeId t, Route& out) { router.route(s, t, out); }, channels,
-      bound, std::move(law), options);
+      dsn.topology().graph, [&](NodeId s, NodeId t, Route& out) { router.route(s, t, out); },
+      channels, bound, std::move(law), options);
   ra.topology = dsn.topology().name;
   ra.family = RoutingFamily::kDsn;
   ra.scheme = scheme;
@@ -314,7 +338,7 @@ RouteAnalysis analyze_dsn_routes(const Dsn& dsn, ChannelScheme scheme,
 RouteAnalysis analyze_dsn_d_routes(const DsnD& dd, const RouteAnalysisOptions& options) {
   auto [bound, law] = dsn_hop_bound(dd.base());
   RouteAnalysis ra = analyze_route_function(
-      dd.base().n(), [&](NodeId s, NodeId t, Route& out) { route_dsn_d(dd, s, t, out); },
+      dd.topology().graph, [&](NodeId s, NodeId t, Route& out) { route_dsn_d(dd, s, t, out); },
       [&](const Route& r, std::vector<Channel>& out) {
         dsn_route_channels_extended(dd.base(), r, out);
       },
@@ -346,32 +370,26 @@ RoutingFamily default_family(TopologyKind kind) {
 BoundRouting make_route_function(const Topology& topo, RoutingFamily family) {
   const std::uint32_t n = topo.num_nodes();
   DSN_REQUIRE(n >= 2, "route binding needs at least two nodes");
-  const std::vector<std::uint64_t> nums = name_numbers(topo.name);
 
   BoundRouting b;
   switch (family) {
     case RoutingFamily::kDsn: {
-      const std::uint32_t p = ilog2_ceil(n);
-      std::uint32_t x = 0;
-      if (topo.kind == TopologyKind::kDsn) {
-        DSN_REQUIRE(nums.size() == 2 && nums[1] == n,
-                    "DSN name does not encode (x, n): " + topo.name);
-        x = static_cast<std::uint32_t>(nums[0]);
-      } else if (topo.kind == TopologyKind::kDsnE) {
-        x = p - 1;
-        b.scheme = ChannelScheme::kExtended;
-      } else if (topo.kind == TopologyKind::kDsnBidir) {
-        x = p - 1;
-      } else {
+      if (topo.kind != TopologyKind::kDsn && topo.kind != TopologyKind::kDsnE &&
+          topo.kind != TopologyKind::kDsnBidir) {
         throw PreconditionError("family 'dsn' does not apply to a " +
                                 std::string(to_string(topo.kind)) + " topology");
       }
+      const std::optional<DsnParams> params = parse_dsn_params(topo);
+      if (!params) {
+        throw PreconditionError("DSN name does not encode its parameters: " + topo.name);
+      }
+      if (topo.kind == TopologyKind::kDsnE) b.scheme = ChannelScheme::kExtended;
       struct State {
         Dsn base;
         DsnRouter router;
         explicit State(std::uint32_t n, std::uint32_t x) : base(n, x), router(base) {}
       };
-      auto state = std::make_shared<const State>(n, x);
+      auto state = std::make_shared<const State>(n, params->x);
       auto [bound, law] = dsn_hop_bound(state->base);
       b.hop_bound = bound;
       b.hop_bound_law = std::move(law);
@@ -389,9 +407,11 @@ BoundRouting make_route_function(const Topology& topo, RoutingFamily family) {
     case RoutingFamily::kDsnD: {
       DSN_REQUIRE(topo.kind == TopologyKind::kDsnD,
                   "family 'dsn-d' needs a DSN-D topology");
-      DSN_REQUIRE(nums.size() == 2 && nums[1] == n,
-                  "DSN-D name does not encode (x, n): " + topo.name);
-      auto state = std::make_shared<const DsnD>(n, static_cast<std::uint32_t>(nums[0]));
+      const std::optional<DsnParams> params = parse_dsn_params(topo);
+      if (!params) {
+        throw PreconditionError("DSN-D name does not encode its parameters: " + topo.name);
+      }
+      auto state = std::make_shared<const DsnD>(n, params->xd);
       auto [bound, law] = dsn_hop_bound(state->base());
       b.hop_bound = bound;
       b.hop_bound_law = std::move(law);
@@ -452,10 +472,11 @@ BoundRouting make_route_function(const Topology& topo, RoutingFamily family) {
 }
 
 RouteAnalysis analyze_topology_routes(const Topology& topo, RoutingFamily family,
-                                      const RouteAnalysisOptions& options) {
+                                      const RouteAnalysisOptions& options,
+                                      std::span<const NodeId> sources) {
   const BoundRouting b = make_route_function(topo, family);
-  RouteAnalysis ra = analyze_route_function(topo.num_nodes(), b.fill_route, b.fill_channels,
-                                            b.hop_bound, b.hop_bound_law, options);
+  RouteAnalysis ra = analyze_route_function(topo.graph, b.fill_route, b.fill_channels,
+                                            b.hop_bound, b.hop_bound_law, options, sources);
   ra.topology = topo.name;
   ra.family = family;
   ra.scheme = b.scheme;
@@ -563,6 +584,8 @@ Json to_json(const RouteAnalysis& a) {
   Json props = Json::object();
   props.set("loop_free", a.loop_free);
   props.set("all_reachable", a.all_reachable);
+  props.set("hops_on_links", a.hops_on_links);
+  props.set("phases_ordered", a.phases_ordered);
   props.set("within_hop_bound", a.within_hop_bound);
   props.set("no_fallback", a.fallback_routes == 0);
   props.set("cdg_acyclic", a.cdg_acyclic);
@@ -576,12 +599,17 @@ Json to_json(const RouteAnalysis& a) {
 
   Json witnesses = Json::object();
   Json loops = Json::array(), endpoints = Json::array(), bounds = Json::array();
+  Json phases = Json::array(), non_links = Json::array();
   for (const auto& w : a.loop_witnesses) loops.push_back(witness_json(w));
   for (const auto& w : a.endpoint_witnesses) endpoints.push_back(witness_json(w));
   for (const auto& w : a.bound_witnesses) bounds.push_back(witness_json(w));
+  for (const auto& w : a.phase_witnesses) phases.push_back(witness_json(w));
+  for (const Channel& c : a.non_link_channels) non_links.push_back(channel_json(c, a.scheme));
   witnesses.set("loops", std::move(loops));
   witnesses.set("endpoints", std::move(endpoints));
   witnesses.set("hop_bound", std::move(bounds));
+  witnesses.set("phase_order", std::move(phases));
+  witnesses.set("non_links", std::move(non_links));
   j.set("witnesses", std::move(witnesses));
 
   Json load = Json::object();
@@ -614,6 +642,8 @@ std::string summary(const RouteAnalysis& a) {
      << "]\n";
   os << "  loop freedom      " << verdict(a.loop_free) << "\n";
   os << "  reachability      " << verdict(a.all_reachable) << "\n";
+  os << "  hops on links     " << verdict(a.hops_on_links) << "\n";
+  os << "  phase order       " << verdict(a.phases_ordered) << "\n";
   if (a.hop_bound != 0) {
     os << "  hop bound         " << verdict(a.within_hop_bound) << " (max "
        << a.max_hops << " vs " << a.hop_bound << "; " << a.hop_bound_law << ")\n";
@@ -629,10 +659,15 @@ std::string summary(const RouteAnalysis& a) {
      << " (uniform injection rate saturating the hottest channel)\n";
   os << "  CDG               " << a.cdg_channels << " channels, " << a.cdg_dependencies
      << " dependencies: " << (a.cdg_acyclic ? "ACYCLIC (deadlock-free)" : "CYCLIC");
-  for (const auto* group : {&a.loop_witnesses, &a.endpoint_witnesses, &a.bound_witnesses}) {
+  for (const auto* group : {&a.loop_witnesses, &a.endpoint_witnesses, &a.phase_witnesses,
+                            &a.bound_witnesses}) {
     for (const RouteWitness& w : *group) {
       os << "\n  witness (" << w.src << " -> " << w.dst << "): " << w.reason;
     }
+  }
+  for (const Channel& c : a.non_link_channels) {
+    os << "\n  witness channel " << c.from << "->" << c.to << " ["
+       << channel_class_name(a.scheme, c.cls) << "]: hop is not a link of the graph";
   }
   return os.str();
 }

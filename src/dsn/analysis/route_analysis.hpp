@@ -1,13 +1,17 @@
 // Whole-network static routing analysis (dsn::analyze).
 //
 // For a routing family (DSN custom, DSN-D express, torus DOR, grid greedy,
-// up*/down*) the analyzer enumerates *all* n·(n-1) ordered-pair routes in
-// parallel and proves or refutes routing-function-level properties with
-// structured evidence:
+// up*/down*) the analyzer enumerates the routes from every source (or from a
+// given source list) to every destination in parallel and proves or refutes
+// routing-function-level properties with structured evidence:
 //
 //  - loop freedom          — no route revisits a node (witness: the route);
 //  - reachability          — every route starts at s, chains hop to hop, and
 //                            terminates at t (witness: the broken route);
+//  - hops on links         — every hop is a link of the routed graph
+//                            (witness: the channel of the offending hop);
+//  - phase order           — PRE-WORK/MAIN/FINISH never decrease along a
+//                            route (witness: the route);
 //  - hop bounds            — every route respects the paper's analytic bound
 //                            when its premise holds (Fact 2 / Theorem 2 for
 //                            the DSN custom routing: 3p + r when
@@ -19,18 +23,24 @@
 //                            cycle witness when cyclic (Theorem 3 positive on
 //                            DSN-E/DSN-V, negative control on basic DSN).
 //
+// This is the one per-route check: the validator (dsn::check) and dsn-lint
+// read their route verdicts from it.
+//
 // The sweep shards sources across the global thread pool into thread-local
 // channel-dependency graphs merged deterministically, so n = 4096 (16.7M
 // routes) completes in seconds in Release builds. Nothing is allocated per
 // route: each shard refills one Route and one channel vector through the
 // routing layer's out-parameter forms, and each source's routes reach the
 // CDG in destination order, so ChannelDependencyGraph::add_route indexes only
-// the hops past the prefix a route shares with its predecessor.
+// the hops past the prefix a route shares with its predecessor. Hops are
+// checked against the graph once per distinct channel of the merged CDG, not
+// once per hop.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -103,11 +113,13 @@ struct RouteAnalysis {
   RoutingFamily family = RoutingFamily::kDsn;
   ChannelScheme scheme = ChannelScheme::kBasic;
   NodeId n = 0;
-  std::uint64_t pairs = 0;
+  std::uint64_t pairs = 0;  ///< routes swept: sources x (n - 1)
 
   // Proven (true) / refuted (false) properties.
   bool loop_free = true;
   bool all_reachable = true;
+  bool hops_on_links = true;
+  bool phases_ordered = true;
   bool within_hop_bound = true;  ///< vacuously true when hop_bound == 0
   bool cdg_acyclic = true;
 
@@ -119,7 +131,9 @@ struct RouteAnalysis {
 
   std::vector<RouteWitness> loop_witnesses;
   std::vector<RouteWitness> endpoint_witnesses;
+  std::vector<RouteWitness> phase_witnesses;
   std::vector<RouteWitness> bound_witnesses;
+  std::vector<Channel> non_link_channels;  ///< channels whose hop is not a link
 
   ChannelLoadStats load;
 
@@ -128,26 +142,32 @@ struct RouteAnalysis {
   std::vector<Channel> cdg_cycle;  ///< minimal cycle witness; empty if acyclic
 
   /// True when every per-route property holds (loop freedom, reachability,
-  /// hop bound, no defensive fallbacks). CDG acyclicity is judged separately
-  /// because the basic DSN scheme is *expected* to refute it.
+  /// hops on links, phase order, hop bound, no defensive fallbacks). CDG
+  /// acyclicity is judged separately because the basic DSN scheme is
+  /// *expected* to refute it.
   bool routes_ok() const {
-    return loop_free && all_reachable && within_hop_bound && fallback_routes == 0;
+    return loop_free && all_reachable && hops_on_links && phases_ordered &&
+           within_hop_bound && fallback_routes == 0;
   }
 };
 
 /// Writes the s -> t route into the given buffer (see Route::reset).
 using RouteFill = std::function<void(NodeId, NodeId, Route&)>;
-/// Overwrites the given vector with the channels a route occupies, in order.
+/// Overwrites the given vector with the channels a route occupies, one per
+/// hop and in order (a channel's endpoints are its hop's).
 using ChannelFill = std::function<void(const Route&, std::vector<Channel>&)>;
 
-/// The analyzer core: run `route_fn` over all ordered pairs of an n-node
-/// network, mapping each route onto channels with `channel_fn`. `hop_bound`
-/// of 0 disables the bound check. Deterministic regardless of thread count.
-RouteAnalysis analyze_route_function(NodeId n, const RouteFill& route_fn,
+/// The analyzer core: run `route_fn` from each of `sources` (every node of
+/// `graph` when empty) to every other node, mapping each route onto channels
+/// with `channel_fn`. Hops are checked against the links of `graph`.
+/// `hop_bound` of 0 disables the bound check. Deterministic regardless of
+/// thread count.
+RouteAnalysis analyze_route_function(const Graph& graph, const RouteFill& route_fn,
                                      const ChannelFill& channel_fn,
                                      std::uint32_t hop_bound = 0,
                                      std::string hop_bound_law = {},
-                                     const RouteAnalysisOptions& options = {});
+                                     const RouteAnalysisOptions& options = {},
+                                     std::span<const NodeId> sources = {});
 
 /// DSN custom routing over a basic DSN (covers DSN-E and DSN-V via `scheme`).
 RouteAnalysis analyze_dsn_routes(const Dsn& dsn, ChannelScheme scheme,
@@ -182,15 +202,18 @@ struct BoundRouting {
 };
 
 /// Bind `family`'s routing function to `topo`, reconstructing routing
-/// parameters from the topology kind/name (throws dsn::PreconditionError when
-/// the family does not apply or parameters cannot be recovered). Note the
-/// up*/down* family materialises O(n^2) distance tables — callers that scale
-/// past small n must pick a table-free family.
+/// parameters from the topology kind/name with parse_dsn_params (throws
+/// dsn::PreconditionError when the family does not apply or parameters
+/// cannot be recovered). Note the up*/down* family materialises O(n^2)
+/// distance tables — callers that scale past small n must pick a table-free
+/// family.
 BoundRouting make_route_function(const Topology& topo, RoutingFamily family);
 
-/// Analyze a Topology with the given family (via make_route_function).
+/// Analyze a Topology with the given family (via make_route_function), from
+/// `sources` (every node when empty) to every destination.
 RouteAnalysis analyze_topology_routes(const Topology& topo, RoutingFamily family,
-                                      const RouteAnalysisOptions& options = {});
+                                      const RouteAnalysisOptions& options = {},
+                                      std::span<const NodeId> sources = {});
 
 /// The native routing family of a topology kind; kUpDown for kinds without a
 /// family-specific routing function.

@@ -1,22 +1,18 @@
 #include "dsn/check/validator.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 
 #include "dsn/analysis/route_analysis.hpp"
+#include "dsn/check/route_verdicts.hpp"
 #include "dsn/common/math.hpp"
 #include "dsn/graph/metrics.hpp"
-#include "dsn/routing/cdg.hpp"
-#include "dsn/routing/dor.hpp"
-#include "dsn/routing/dsn_routing.hpp"
-#include "dsn/routing/greedy.hpp"
-#include "dsn/routing/updown.hpp"
 #include "dsn/topology/dsn.hpp"
 #include "dsn/topology/dsn_ext.hpp"
 
@@ -45,25 +41,6 @@ class Reporter {
   ValidationReport* report_;
   std::size_t cap_;
 };
-
-/// All maximal runs of digits in `name`, in order ("dsn-5-100" -> {5, 100}).
-std::vector<std::uint64_t> name_numbers(const std::string& name) {
-  std::vector<std::uint64_t> out;
-  std::uint64_t cur = 0;
-  bool in_number = false;
-  for (const char c : name) {
-    if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-      cur = cur * 10 + static_cast<std::uint64_t>(c - '0');
-      in_number = true;
-    } else if (in_number) {
-      out.push_back(cur);
-      cur = 0;
-      in_number = false;
-    }
-  }
-  if (in_number) out.push_back(cur);
-  return out;
-}
 
 bool role_allowed(TopologyKind kind, LinkRole role) {
   switch (kind) {
@@ -116,52 +93,6 @@ bool is_dsn_family(TopologyKind kind) {
     default:
       return false;
   }
-}
-
-/// DSN parameters re-derived from the topology (n from the graph, x from the
-/// kind and name). nullopt when the name does not encode what the kind needs.
-struct DsnParams {
-  std::uint32_t n = 0;
-  std::uint32_t p = 0;   ///< ceil(log2 n)
-  std::uint32_t x = 0;   ///< shortcut-set size of the (base) DSN
-  std::uint32_t xd = 0;  ///< DSN-D express links per super node (0 otherwise)
-  bool mirrored = false; ///< DSN-bidir: shortcut law holds CW or mirrored CCW
-};
-
-std::optional<DsnParams> parse_dsn_params(const Topology& topo) {
-  const std::uint32_t n = topo.num_nodes();
-  if (n < 8) return std::nullopt;
-  DsnParams params;
-  params.n = n;
-  params.p = ilog2_ceil(n);
-  const std::vector<std::uint64_t> nums = name_numbers(topo.name);
-  switch (topo.kind) {
-    case TopologyKind::kDsn:
-      if (nums.size() != 2 || nums[1] != n) return std::nullopt;
-      params.x = static_cast<std::uint32_t>(nums[0]);
-      break;
-    case TopologyKind::kDsnE:
-      if (nums.size() != 1 || nums[0] != n) return std::nullopt;
-      params.x = params.p - 1;
-      break;
-    case TopologyKind::kDsnBidir:
-      if (nums.size() != 1 || nums[0] != n) return std::nullopt;
-      params.x = params.p - 1;
-      params.mirrored = true;
-      break;
-    case TopologyKind::kDsnD: {
-      if (nums.size() != 2 || nums[1] != n) return std::nullopt;
-      params.xd = static_cast<std::uint32_t>(nums[0]);
-      const std::uint32_t base = params.p - ilog2_ceil(params.p);
-      params.x = base >= 1 ? base : 1;
-      if (params.xd < 1 || params.xd >= params.p) return std::nullopt;
-      break;
-    }
-    default:
-      return std::nullopt;
-  }
-  if (params.x < 1 || params.x > params.p - 1) return std::nullopt;
-  return params;
 }
 
 NodeId ring_succ(NodeId i, std::uint32_t n) { return i + 1 == n ? 0 : i + 1; }
@@ -434,246 +365,71 @@ void check_dln_shortcut_law(const Topology& topo, Reporter& rep) {
 }
 
 // -------------------------------------------------------------------------
-// Routing consistency
+// Route checks: the whole-network route analyzer's verdicts
 // -------------------------------------------------------------------------
 
-/// Worst-case nodes the DSN routing-consistency sample must include: both
-/// ends of the Extra-channel window [0, 2p] (so FINISH walks near node 0 ride
-/// the Extra channels), a full-super-node crossing, and the last super node
-/// (which may be incomplete, r = n mod p).
+/// Worst-case nodes the DSN source sample must include: both ends of the
+/// Extra-channel window [0, 2p] (so FINISH walks near node 0 ride the Extra
+/// channels), a full-super-node crossing, and the last super node (which may
+/// be incomplete, r = n mod p).
 std::vector<NodeId> dsn_sampling_extremes(const DsnParams& params) {
   const std::uint32_t p = params.p;
   const std::uint32_t n = params.n;
   return {1, p, 2 * p - 1, 2 * p, 2 * p + 1, static_cast<NodeId>(n - p)};
 }
 
-template <typename Fn>
-void for_pairs(const std::vector<std::pair<NodeId, NodeId>>& pairs, const Fn& fn) {
-  for (const auto& [s, t] : pairs) fn(s, t);
+/// Deadlock freedom is claimed for up*/down* and for the extended DSN
+/// channel scheme (Theorem 3: DSN-E, and DSN-D's express routing). Basic DSN
+/// channels, DOR and greedy routing are expected to be cyclic.
+bool claims_deadlock_freedom(const analyze::RouteAnalysis& ra) {
+  return ra.family == analyze::RoutingFamily::kUpDown ||
+         ra.scheme == analyze::ChannelScheme::kExtended;
 }
 
-void check_node_path(const Topology& topo, const std::vector<NodeId>& path, NodeId s,
-                     NodeId t, const char* algo, Reporter& rep) {
-  const std::uint32_t n = topo.num_nodes();
-  if (path.empty() || path.front() != s || path.back() != t) {
-    rep.add(ViolationKind::kRouteWrongEndpoint, Severity::kError, s, kInvalidLink,
-            std::string(algo) + " path for (" + std::to_string(s) + ", " +
-                std::to_string(t) + ") has wrong endpoints");
-    return;
-  }
-  if (path.size() > static_cast<std::size_t>(n) + 1) {
-    rep.add(ViolationKind::kRouteTooLong, Severity::kError, s, kInvalidLink,
-            std::string(algo) + " path for (" + std::to_string(s) + ", " +
-                std::to_string(t) + ") exceeds " + std::to_string(n) + " hops");
-    return;
-  }
-  for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-    if (!topo.graph.has_link(path[h], path[h + 1])) {
-      rep.add(ViolationKind::kRouteNonNeighbor, Severity::kError, path[h], kInvalidLink,
-              std::string(algo) + " hop " + std::to_string(path[h]) + " -> " +
-                  std::to_string(path[h + 1]) + " is not a physical link");
-      return;
-    }
-  }
-}
-
-void check_dsn_route(const Topology& topo, const Route& route, NodeId s, NodeId t,
-                     Reporter& rep) {
-  const std::uint32_t n = topo.num_nodes();
-  if (route.src != s || route.dst != t ||
-      (!route.hops.empty() &&
-       (route.hops.front().from != s || route.hops.back().to != t))) {
-    rep.add(ViolationKind::kRouteWrongEndpoint, Severity::kError, s, kInvalidLink,
-            "DSN route for (" + std::to_string(s) + ", " + std::to_string(t) +
-                ") has wrong endpoints");
-    return;
-  }
-  if (route.used_fallback) {
-    rep.add(ViolationKind::kRouteFallback, Severity::kError, s, kInvalidLink,
-            "DSN route for (" + std::to_string(s) + ", " + std::to_string(t) +
-                ") hit the defensive ring-walk fallback");
-  }
-  if (route.length() > n) {
-    rep.add(ViolationKind::kRouteTooLong, Severity::kError, s, kInvalidLink,
-            "DSN route for (" + std::to_string(s) + ", " + std::to_string(t) +
-                ") exceeds " + std::to_string(n) + " hops");
-    return;
-  }
-  RoutePhase last_phase = RoutePhase::kPreWork;
-  NodeId at = s;
-  for (const RouteHop& hop : route.hops) {
-    if (hop.from != at) {
-      rep.add(ViolationKind::kRouteWrongEndpoint, Severity::kError, hop.from, kInvalidLink,
-              "DSN route hop chain is discontinuous at node " + std::to_string(hop.from));
-      return;
-    }
-    if (!topo.graph.has_link(hop.from, hop.to)) {
-      rep.add(ViolationKind::kRouteNonNeighbor, Severity::kError, hop.from, kInvalidLink,
-              "DSN route hop " + std::to_string(hop.from) + " -> " +
-                  std::to_string(hop.to) + " is not a physical link");
-      return;
-    }
-    if (hop.phase < last_phase) {
-      rep.add(ViolationKind::kRoutePhaseOrder, Severity::kError, hop.from, kInvalidLink,
-              "route phase regressed (PRE-WORK/MAIN/FINISH must be monotone)");
-      return;
-    }
-    last_phase = hop.phase;
-    at = hop.to;
-  }
-}
-
-void check_routing_consistency(const Topology& topo, const std::optional<DsnParams>& dsn,
-                               const UpDownRouting* updown, const ValidatorOptions& opts,
-                               Reporter& rep) {
-  const std::uint32_t n = topo.num_nodes();
-  const std::vector<NodeId> extremes =
-      dsn ? dsn_sampling_extremes(*dsn) : std::vector<NodeId>{};
-  const std::vector<std::pair<NodeId, NodeId>> pairs =
-      sampled_routing_pairs(n, opts.exhaustive_routing_nodes, extremes);
-
-  // Generic escape-layer check: up*/down* must produce legal neighbor walks on
-  // any connected topology.
-  if (updown != nullptr) {
-    for_pairs(pairs, [&](NodeId s, NodeId t) {
-      if (rep.full()) return;
-      const NodeId next = updown->next_hop(s, t);
-      if (next == kInvalidNode || !topo.graph.has_link(s, next)) {
-        rep.add(ViolationKind::kRouteNonNeighbor, Severity::kError, s, kInvalidLink,
-                "up*/down* next hop for (" + std::to_string(s) + ", " +
-                    std::to_string(t) + ") is not a neighbor");
-        return;
-      }
-      check_node_path(topo, updown->route(s, t), s, t, "up*/down*", rep);
-    });
-  }
-
-  switch (topo.kind) {
-    case TopologyKind::kDsn:
-    case TopologyKind::kDsnE:
-    case TopologyKind::kDsnBidir: {
-      if (!dsn) break;
-      const Dsn base(dsn->n, dsn->x);
-      const DsnRouter router(base);
-      for_pairs(pairs, [&](NodeId s, NodeId t) {
-        if (rep.full()) return;
-        check_dsn_route(topo, router.route(s, t), s, t, rep);
-      });
-      break;
-    }
-    case TopologyKind::kDsnD: {
-      if (!dsn || dsn->xd < 1) break;
-      const DsnD d(dsn->n, dsn->xd);
-      for_pairs(pairs, [&](NodeId s, NodeId t) {
-        if (rep.full()) return;
-        check_dsn_route(topo, route_dsn_d(d, s, t), s, t, rep);
-      });
-      break;
-    }
-    case TopologyKind::kTorus2D:
-    case TopologyKind::kTorus3D: {
-      for_pairs(pairs, [&](NodeId s, NodeId t) {
-        if (rep.full()) return;
-        const NodeId next = torus_dor_next_hop(topo, s, t);
-        if (next == kInvalidNode || !topo.graph.has_link(s, next)) {
-          rep.add(ViolationKind::kRouteNonNeighbor, Severity::kError, s, kInvalidLink,
-                  "DOR next hop for (" + std::to_string(s) + ", " + std::to_string(t) +
-                      ") is not a neighbor");
-          return;
-        }
-        check_node_path(topo, route_torus_dor(topo, s, t), s, t, "DOR", rep);
-      });
-      break;
-    }
-    case TopologyKind::kKleinberg: {
-      if (topo.dims.size() != 2 || topo.dims[0] != topo.dims[1] ||
-          static_cast<std::uint64_t>(topo.dims[0]) * topo.dims[1] != n)
-        break;  // Watts-Strogatz reuses this kind without grid dims
-      for_pairs(pairs, [&](NodeId s, NodeId t) {
-        if (rep.full()) return;
-        check_node_path(topo, route_greedy_grid(topo, s, t), s, t, "greedy", rep);
-      });
-      break;
-    }
-    default:
-      break;
-  }
-}
-
-void check_cdg_acyclicity(const Topology& topo, const std::optional<DsnParams>& dsn,
-                          const UpDownRouting* updown, Reporter& rep) {
-  if (updown != nullptr) {
-    const ChannelDependencyGraph cdg = build_updown_cdg(*updown);
-    if (!cdg.is_acyclic()) {
-      rep.add(ViolationKind::kCdgCyclic, Severity::kError, kInvalidNode, kInvalidLink,
-              "up*/down* channel dependency graph has a directed cycle (" +
-                  std::to_string(cdg.num_channels()) + " channels)\n" +
-                  analyze::render_cycle_witness(topo, cdg.find_shortest_cycle(),
-                                                analyze::ChannelScheme::kBasic));
-    }
-  }
-  if (topo.kind == TopologyKind::kDsnE && dsn) {
-    // Theorem 3: the extended routing over Up/Extra channels (physical links
-    // on DSN-E, virtual channels on DSN-V) must be deadlock-free.
-    const Dsn base(dsn->n, dsn->x);
-    const ChannelDependencyGraph cdg = build_dsn_cdg(base, /*extended=*/true);
-    if (!cdg.is_acyclic()) {
-      rep.add(ViolationKind::kCdgCyclic, Severity::kError, kInvalidNode, kInvalidLink,
-              "extended DSN routing CDG (DSN-E/DSN-V, Theorem 3) has a directed "
-              "cycle\n" +
-                  analyze::render_cycle_witness(topo, cdg.find_shortest_cycle(),
-                                                analyze::ChannelScheme::kExtended));
-    }
-  }
-}
-
-std::string format_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.4g", v);
+std::string load_note(const analyze::RouteAnalysis& ra) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "static channel load (%s, all %llu pairs): max %llu, mean %.4g, gini %.4g, "
+                "throughput bound %.4g",
+                analyze::to_string(ra.family), static_cast<unsigned long long>(ra.pairs),
+                static_cast<unsigned long long>(ra.load.max_load), ra.load.mean_load,
+                ra.load.gini, ra.load.throughput_bound);
   return buf;
 }
 
-/// The opt-in check_load family: run the whole-network route analyzer with
-/// the topology's native routing family, turn its witnesses into violations,
-/// and attach the static channel-load statistics to the report as a note.
-void check_route_load(const Topology& topo, const ValidatorOptions& opts,
-                      Reporter& rep, ValidationReport& report) {
-  analyze::RouteAnalysis ra;
-  try {
-    ra = analyze::analyze_topology_routes(topo, analyze::default_family(topo.kind));
-  } catch (const std::exception& e) {
-    report.notes.push_back(std::string("route/load analysis skipped: ") + e.what());
+/// Run the analyzer for the kind's native routing family and, at all-pairs
+/// sizes, for up*/down* too, and report its verdicts. A family that does not
+/// apply to the topology is skipped with a note.
+void check_routes(const Topology& topo, const ValidatorOptions& opts, Reporter& rep,
+                  ValidationReport& report) {
+  const std::vector<NodeId> sources = routing_sources(topo, opts.max_cdg_nodes);
+  const bool all_pairs = sources.size() == topo.num_nodes();
+  const analyze::RoutingFamily native = analyze::default_family(topo.kind);
+  std::vector<analyze::RoutingFamily> families = {native};
+  if (native != analyze::RoutingFamily::kUpDown && all_pairs) {
+    families.push_back(analyze::RoutingFamily::kUpDown);
+  } else if (!all_pairs && native == analyze::RoutingFamily::kUpDown) {
+    report.notes.push_back("up*/down* route checks skipped: its tables are O(n^2), run "
+                           "only up to max_cdg_nodes = " +
+                           std::to_string(opts.max_cdg_nodes));
     return;
   }
-  const auto pair_prefix = [](const analyze::RouteWitness& w) {
-    return "route (" + std::to_string(w.src) + ", " + std::to_string(w.dst) + "): ";
-  };
-  for (const analyze::RouteWitness& w : ra.loop_witnesses) {
-    rep.add(ViolationKind::kRouteLoop, Severity::kError, w.src, kInvalidLink,
-            pair_prefix(w) + w.reason);
+  for (const analyze::RoutingFamily family : families) {
+    ++report.checks_run;
+    analyze::RouteAnalysis ra;
+    try {
+      ra = analyze::analyze_topology_routes(topo, family, {}, sources);
+    } catch (const std::exception& e) {
+      report.notes.push_back(std::string(analyze::to_string(family)) +
+                             " route checks skipped: " + e.what());
+      continue;
+    }
+    VerdictSelection select;
+    select.cdg = claims_deadlock_freedom(ra);
+    select.max_normalized_load = all_pairs && family == native ? opts.max_normalized_load : 0.0;
+    for (Violation& v : route_violations(topo, ra, select)) rep.add(std::move(v));
+    if (all_pairs) report.notes.push_back(load_note(ra));
   }
-  for (const analyze::RouteWitness& w : ra.endpoint_witnesses) {
-    rep.add(ViolationKind::kRouteWrongEndpoint, Severity::kError, w.src, kInvalidLink,
-            pair_prefix(w) + w.reason);
-  }
-  for (const analyze::RouteWitness& w : ra.bound_witnesses) {
-    rep.add(ViolationKind::kRouteBoundExceeded, Severity::kError, w.src, kInvalidLink,
-            pair_prefix(w) + w.reason + " (" + ra.hop_bound_law + ")");
-  }
-  if (opts.max_normalized_load > 0.0 &&
-      ra.load.max_normalized > opts.max_normalized_load) {
-    rep.add(ViolationKind::kChannelOverload, Severity::kError, ra.load.max_channel.from,
-            kInvalidLink,
-            "channel " + analyze::render_channel(topo, ra.load.max_channel, ra.scheme) +
-                " carries normalized load " + format_double(ra.load.max_normalized) +
-                " > limit " + format_double(opts.max_normalized_load));
-  }
-  report.notes.push_back(
-      "static channel load (" + std::string(analyze::to_string(ra.family)) +
-      ", all " + std::to_string(ra.pairs) + " pairs): max " +
-      std::to_string(ra.load.max_load) + ", mean " + format_double(ra.load.mean_load) +
-      ", gini " + format_double(ra.load.gini) + ", throughput bound " +
-      format_double(ra.load.throughput_bound));
 }
 
 }  // namespace
@@ -681,7 +437,6 @@ void check_route_load(const Topology& topo, const ValidatorOptions& opts,
 ValidatorOptions structural_options() {
   ValidatorOptions opts;
   opts.check_routing = false;
-  opts.check_cdg = false;
   return opts;
 }
 
@@ -703,7 +458,7 @@ ValidationReport Validator::validate(const Topology& topo) const {
       rep.add(ViolationKind::kNameMetadata, Severity::kWarning, kInvalidNode,
               kInvalidLink,
               "DSN name/kind does not encode (n, x); shortcut-law, degree and "
-              "routing checks skipped");
+              "DSN routing checks skipped");
     }
   }
 
@@ -737,64 +492,34 @@ ValidationReport Validator::validate(const Topology& topo) const {
     }
   }
 
-  // The deep checks route over the graph; skip them when the representation
+  // The route checks walk the graph; skip them when the representation
   // itself is broken or the graph is disconnected.
-  const bool representable = report.ok();
-  std::optional<UpDownRouting> updown;
-  const bool want_updown = (options_.check_routing || options_.check_cdg) &&
-                           connected && representable && n >= 2 &&
-                           n <= options_.max_cdg_nodes;
-  if (want_updown) updown.emplace(topo.graph, 0);
-
-  if (options_.check_routing && connected && representable) {
-    ++report.checks_run;
-    check_routing_consistency(topo, dsn, updown ? &*updown : nullptr, options_, rep);
-  }
-  if (options_.check_cdg && connected && representable && n <= options_.max_cdg_nodes) {
-    ++report.checks_run;
-    check_cdg_acyclicity(topo, dsn, updown ? &*updown : nullptr, rep);
-  }
-  if (options_.check_load && connected && representable && n >= 2 &&
-      n <= options_.max_cdg_nodes) {
-    ++report.checks_run;
-    check_route_load(topo, options_, rep, report);
+  if (options_.check_routing && connected && report.ok() && n >= 2) {
+    check_routes(topo, options_, rep, report);
   }
   return report;
 }
 
-std::vector<std::pair<NodeId, NodeId>> sampled_routing_pairs(
-    NodeId n, std::uint32_t exhaustive, std::span<const NodeId> extra_nodes) {
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  if (n < 2) return pairs;
-  if (n <= exhaustive) {
-    pairs.reserve(static_cast<std::size_t>(n) * (n - 1));
-    for (NodeId s = 0; s < n; ++s)
-      for (NodeId t = 0; t < n; ++t)
-        if (s != t) pairs.emplace_back(s, t);
-    return pairs;
-  }
-  // Strided node sample, forced to contain both extremes (so (0, n-1) is
-  // always visited) and every in-range caller-supplied worst-case node.
+std::vector<NodeId> routing_sources(const Topology& topo, std::uint32_t all_pairs_nodes) {
+  const NodeId n = topo.num_nodes();
   std::vector<NodeId> nodes;
+  if (n <= all_pairs_nodes) {
+    nodes.resize(n);
+    std::iota(nodes.begin(), nodes.end(), NodeId{0});
+    return nodes;
+  }
+  // Strided sample, forced to contain n-1 (so the extreme pairs (0, n-1) and
+  // (n-1, 0) are routed) and the DSN routing's worst-case nodes.
   const NodeId stride = n / 48 + 1;
   for (NodeId s = 0; s < n; s += stride) nodes.push_back(s);
-  nodes.push_back(0);
   nodes.push_back(n - 1);
-  for (const NodeId e : extra_nodes)
-    if (e < n) nodes.push_back(e);
+  if (const std::optional<DsnParams> dsn = parse_dsn_params(topo)) {
+    for (const NodeId e : dsn_sampling_extremes(*dsn))
+      if (e < n) nodes.push_back(e);
+  }
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-
-  pairs.reserve(nodes.size() * (nodes.size() + 2));
-  for (const NodeId s : nodes) {
-    for (const NodeId t : nodes)
-      if (s != t) pairs.emplace_back(s, t);
-    pairs.emplace_back(s, ring_succ(s, n));  // exercise the local-walk extremes
-    pairs.emplace_back(s, ring_pred(s, n));
-  }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  return pairs;
+  return nodes;
 }
 
 ValidationReport validate_topology(const Topology& topo, ValidatorOptions options) {

@@ -9,17 +9,20 @@
 //  - the DSN shortcut law (§IV-A): every level-l <= x node's shortcut lands on
 //    the *nearest clockwise* level-(l+1) node at ring distance >= floor(n/2^l),
 //    re-derived here from the paper's definition, independent of the generator;
-//  - CDG acyclicity for the deadlock-free variants (DSN-E physical links /
-//    DSN-V virtual channels, and up*/down* as the generic escape layer);
-//  - routing consistency: every hop produced by the DSN custom routing,
-//    torus DOR, grid greedy and up*/down* is a physical neighbor, routes
-//    start/end at the right nodes and terminate within a hop bound.
+//  - route checks, read from the whole-network route analyzer (dsn::analyze)
+//    through route_violations: the kind's native routing family (DSN custom,
+//    DSN-D express, torus DOR, grid greedy or up*/down*) and, when that is not
+//    up*/down*, up*/down* as well. Every route must be loop-free, start and
+//    end at the right nodes, hop only over physical links, keep its phases in
+//    order, respect the analytic hop bound and never fall back; the CDG must
+//    be acyclic where deadlock freedom is claimed (up*/down*, and the
+//    extended DSN scheme of DSN-E and DSN-D). The validator walks no route
+//    itself.
 //
 // Violations are *reported*, not thrown, so one run surfaces every problem.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -32,37 +35,30 @@ namespace dsn::check {
 
 struct ValidatorOptions {
   bool check_connectivity = true;
-  /// Routing-consistency scans (DSN custom routing, DOR, greedy, up*/down*).
+  /// Route checks: the analyzer's route verdicts and CDG acyclicity (see the
+  /// file comment).
   bool check_routing = true;
-  /// Channel-dependency-graph acyclicity (DSN-E/DSN-V, up*/down*).
-  bool check_cdg = true;
-  /// Opt-in: run the whole-network route analyzer (dsn::analyze) over all
-  /// ordered pairs — route loops, analytic hop bounds, static channel load —
-  /// and attach the load statistics to the report as a note.
-  bool check_load = false;
-  /// With check_load: flag kChannelOverload when the normalized maximum
-  /// channel load (max_load / (n-1)) exceeds this limit. 0 disables the
-  /// threshold; the statistics note is emitted either way.
+  /// Flag kChannelOverload when the native family's normalized maximum
+  /// channel load (max_load / (n-1)) exceeds this limit; 0 disables it.
+  /// Judged on all-pairs runs only.
   double max_normalized_load = 0.0;
-  /// All ordered pairs are routed when n <= this; above it, sources and
-  /// destinations are sampled with a fixed stride (still deterministic).
-  std::uint32_t exhaustive_routing_nodes = 320;
-  /// CDG construction and the check_load analysis are all-pairs; skip them
-  /// entirely above this size.
+  /// Every ordered pair is routed when n <= this, and each family's static
+  /// channel load rides along as a report note. Above it only the native
+  /// family runs (up*/down* tables are O(n^2)), from the routing_sources
+  /// sample to every destination.
   std::uint32_t max_cdg_nodes = 1024;
   /// Stop recording after this many violations (a corrupt topology can
   /// otherwise produce O(n) repeats of the same defect).
   std::size_t max_violations = 256;
 };
 
-/// The deterministic ordered (s, t) pairs the routing-consistency checks
-/// visit: all n(n-1) of them when n <= exhaustive, otherwise a strided sample
-/// that always contains 0 and n-1 (so the extreme pair (0, n-1) is exercised)
-/// plus every in-range node of `extra_nodes` (as both source and target) and
-/// each sampled node's ring successor/predecessor as targets. Sorted and
-/// duplicate-free.
-std::vector<std::pair<NodeId, NodeId>> sampled_routing_pairs(
-    NodeId n, std::uint32_t exhaustive, std::span<const NodeId> extra_nodes = {});
+/// The sources the route checks route from, each to every destination: all
+/// n nodes when n <= all_pairs_nodes; otherwise a strided sample that always
+/// contains 0 and n-1 (so the extreme pairs (0, n-1) and (n-1, 0) are
+/// routed) and, for DSN kinds, the DSN routing's worst-case nodes: both ends
+/// of the Extra-channel window [0, 2p], a full-super-node crossing and the
+/// last super node. Sorted and duplicate-free.
+std::vector<NodeId> routing_sources(const Topology& topo, std::uint32_t all_pairs_nodes);
 
 /// Structural lint options: representation + topology-shape checks only.
 /// This is what the DSN_VALIDATE=1 generation hook runs (O(V + E)-ish).
@@ -97,8 +93,8 @@ void check_raw_graph(NodeId num_nodes,
 /// the structural checks on every freshly generated topology and throws
 /// dsn::InternalError when any error-severity violation is found. The hook is
 /// a no-op unless the DSN_VALIDATE environment variable is set to a non-empty,
-/// non-"0" value; DSN_VALIDATE=full additionally enables the routing and CDG
-/// check families. Returns the previously installed hook.
+/// non-"0" value; DSN_VALIDATE=full additionally enables the route checks.
+/// Returns the previously installed hook.
 dsn::TopologyGeneratedHook install_generation_hook();
 
 }  // namespace dsn::check

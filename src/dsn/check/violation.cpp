@@ -24,7 +24,6 @@ const char* to_string(ViolationKind kind) {
     case ViolationKind::kCdgCyclic: return "cdg-cyclic";
     case ViolationKind::kRouteNonNeighbor: return "route-non-neighbor";
     case ViolationKind::kRouteWrongEndpoint: return "route-wrong-endpoint";
-    case ViolationKind::kRouteTooLong: return "route-too-long";
     case ViolationKind::kRouteFallback: return "route-fallback";
     case ViolationKind::kRoutePhaseOrder: return "route-phase-order";
     case ViolationKind::kRouteLoop: return "route-loop";

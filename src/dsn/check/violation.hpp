@@ -32,15 +32,12 @@ enum class ViolationKind {
   kShortcutMissing,     ///< a level-l <= x node owns no shortcut
   kShortcutWrongTarget, ///< shortcut does not land on the nearest legal target
   kShortcutUnexpected,  ///< shortcut-role link not predicted by the law
-  // Deadlock freedom.
+  // Route-analyzer verdicts (see route_verdicts.hpp).
   kCdgCyclic,           ///< channel dependency graph has a directed cycle
-  // Routing consistency.
   kRouteNonNeighbor,    ///< a route hop is not a physical graph link
   kRouteWrongEndpoint,  ///< route does not start at src / end at dst
-  kRouteTooLong,        ///< route exceeded the defensive hop bound
   kRouteFallback,       ///< DSN routing hit its defensive ring-walk fallback
   kRoutePhaseOrder,     ///< PRE-WORK/MAIN/FINISH phases out of order
-  // Whole-network route analysis (opt-in check_load).
   kRouteLoop,           ///< a route revisits a node
   kRouteBoundExceeded,  ///< a route exceeds the paper's analytic hop bound
   kChannelOverload,     ///< static channel load above the configured limit
@@ -71,7 +68,8 @@ struct ValidationReport {
   std::size_t checks_run = 0;     ///< number of check families executed
   std::vector<Violation> violations;
   /// Informational findings that are not violations (e.g. the static
-  /// channel-load statistics computed by the opt-in check_load family).
+  /// channel-load statistics of each all-pairs route check, or a routing
+  /// family skipped because it does not apply).
   std::vector<std::string> notes;
 
   std::size_t errors() const;

@@ -5,7 +5,6 @@
 
 #include "dsn/common/thread_pool.hpp"
 #include "dsn/routing/dsn_routing.hpp"
-#include "dsn/routing/updown.hpp"
 
 namespace dsn {
 
@@ -327,15 +326,14 @@ std::vector<Channel> dsn_route_channels_basic(const Route& route) {
   return out;
 }
 
-namespace {
-
-/// Shard the all-ordered-pairs sweep over sources across the global pool:
-/// each shard accumulates into a private CDG over a contiguous source range,
-/// and shards merge in fixed order so the result is deterministic.
-/// `channels_of(s, t, route, channels)` writes the s -> t route's channels
-/// into `channels`, with `route` as scratch; each shard reuses one of each.
-template <typename ChannelsOf>
-ChannelDependencyGraph build_cdg_sharded(NodeId n, const ChannelsOf& channels_of) {
+ChannelDependencyGraph build_dsn_cdg(const Dsn& dsn, bool extended, bool nearest_prework) {
+  DsnRoutingOptions options;
+  options.nearest_prework = nearest_prework;
+  const DsnRouter router(dsn, options);
+  // Shard the sources across the global pool: each shard accumulates a
+  // private CDG over a contiguous source range, refilling one route and one
+  // channel buffer, and shards merge in fixed order (deterministic result).
+  const NodeId n = dsn.n();
   ThreadPool& pool = ThreadPool::global();
   const std::size_t num_shards =
       std::max<std::size_t>(1, std::min<std::size_t>(n, 4 * pool.size()));
@@ -348,7 +346,12 @@ ChannelDependencyGraph build_cdg_sharded(NodeId n, const ChannelsOf& channels_of
     for (NodeId s = begin; s < end; ++s) {
       for (NodeId t = 0; t < n; ++t) {
         if (s == t) continue;
-        channels_of(s, t, route, channels);
+        router.route(s, t, route);
+        if (extended) {
+          dsn_route_channels_extended(dsn, route, channels);
+        } else {
+          dsn_route_channels_basic(route, channels);
+        }
         shards[k].add_route(channels);
       }
     }
@@ -356,35 +359,6 @@ ChannelDependencyGraph build_cdg_sharded(NodeId n, const ChannelsOf& channels_of
   ChannelDependencyGraph cdg = std::move(shards[0]);
   for (std::size_t k = 1; k < num_shards; ++k) cdg.merge(shards[k]);
   return cdg;
-}
-
-}  // namespace
-
-ChannelDependencyGraph build_dsn_cdg(const Dsn& dsn, bool extended, bool nearest_prework) {
-  DsnRoutingOptions options;
-  options.nearest_prework = nearest_prework;
-  DsnRouter router(dsn, options);
-  return build_cdg_sharded(
-      dsn.n(), [&](NodeId s, NodeId t, Route& route, std::vector<Channel>& channels) {
-        router.route(s, t, route);
-        if (extended) {
-          dsn_route_channels_extended(dsn, route, channels);
-        } else {
-          dsn_route_channels_basic(route, channels);
-        }
-      });
-}
-
-ChannelDependencyGraph build_updown_cdg(const UpDownRouting& routing) {
-  return build_cdg_sharded(
-      routing.graph().num_nodes(),
-      [&](NodeId s, NodeId t, Route& /*route*/, std::vector<Channel>& channels) {
-        const auto path = routing.route(s, t);
-        channels.clear();
-        for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-          channels.push_back({path[i], path[i + 1], 0});
-        }
-      });
 }
 
 }  // namespace dsn

@@ -2,7 +2,8 @@
 // deadlock-freedom claims of the paper:
 //  - Theorem 3: the extended DSN routing on DSN-E (physical Up/Extra links)
 //    and DSN-V (virtual channels) has an acyclic CDG;
-//  - up*/down* escape routing has an acyclic CDG (classic result);
+//  - up*/down* escape routing has an acyclic CDG (classic result; the route
+//    analyzer proves it on the up*/down* family);
 //  - negative control: the basic DSN custom routing without the extension
 //    has a cyclic CDG.
 //
@@ -17,9 +18,9 @@
 // add_route remembers the previous route it was given and charges the prefix
 // a new route shares with it as load only: the all-pairs sweeps feed the
 // routes of one source in destination order, and most of each route repeats
-// its predecessor hop for hop, so only the new suffix is hashed. Build
-// functions shard the ordered-pair sweep across the global thread pool into
-// thread-local graphs merged deterministically at the end; each shard
+// its predecessor hop for hop, so only the new suffix is hashed.
+// build_dsn_cdg shards the ordered-pair sweep across the global thread pool
+// into thread-local graphs merged deterministically at the end; each shard
 // refills one route and one channel buffer.
 #pragma once
 
@@ -144,12 +145,10 @@ void dsn_route_channels_basic(const Route& route, std::vector<Channel>& out);
 std::vector<Channel> dsn_route_channels_basic(const Route& route);
 
 /// Build the CDG of the DSN custom routing over all ordered pairs
-/// (parallelized over sources; the result is deterministic).
+/// (parallelized over sources; the result is deterministic). The route
+/// analyzer builds the same graph for every routing family; this standalone
+/// builder is the independent reference its witnesses are checked against.
 ChannelDependencyGraph build_dsn_cdg(const Dsn& dsn, bool extended,
                                      bool nearest_prework = false);
-
-/// Build the CDG of an up*/down* routing over all ordered pairs (parallel).
-class UpDownRouting;
-ChannelDependencyGraph build_updown_cdg(const UpDownRouting& routing);
 
 }  // namespace dsn

@@ -175,28 +175,6 @@ RoutingScan scan_all_pairs(const DsnRouter& router) {
                            [&](NodeId s, NodeId t) { return router.route(s, t); });
 }
 
-void validate_route(const Dsn& dsn, const Route& route) {
-  const Graph& g = dsn.topology().graph;
-  if (route.src == route.dst) {
-    DSN_ASSERT(route.hops.empty(), "self route must be empty");
-    return;
-  }
-  DSN_ASSERT(!route.hops.empty(), "route between distinct nodes must have hops");
-  DSN_ASSERT(route.hops.front().from == route.src, "route must start at src");
-  DSN_ASSERT(route.hops.back().to == route.dst, "route must end at dst");
-  RoutePhase prev_phase = RoutePhase::kPreWork;
-  for (std::size_t i = 0; i < route.hops.size(); ++i) {
-    const RouteHop& h = route.hops[i];
-    if (i > 0) {
-      DSN_ASSERT(route.hops[i - 1].to == h.from, "hops must chain");
-      DSN_ASSERT(static_cast<int>(h.phase) >= static_cast<int>(prev_phase),
-                 "phases must be non-decreasing");
-    }
-    DSN_ASSERT(g.has_link(h.from, h.to), "hop must traverse a physical link");
-    prev_phase = h.phase;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // DSN-D routing: express-aware local walks.
 // ---------------------------------------------------------------------------

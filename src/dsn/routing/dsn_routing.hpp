@@ -99,11 +99,6 @@ Route route_dsn_flex(const FlexDsn& f, NodeId s, NodeId t, DsnRoutingOptions opt
 /// All-pairs scan of a DsnRouter.
 RoutingScan scan_all_pairs(const DsnRouter& router);
 
-/// Verify that a route is well-formed on the given DSN: starts at src, ends
-/// at dst, every hop is a graph link, phases appear in order. Throws
-/// InternalError on violation.
-void validate_route(const Dsn& dsn, const Route& route);
-
 /// Evaluate an arbitrary route function over all ordered pairs of an n-node
 /// network (parallelized over sources).
 template <typename RouteFn>

@@ -154,6 +154,41 @@ Topology make_dsn_bidir(std::uint32_t n) {
   return topo;
 }
 
+std::optional<DsnParams> parse_dsn_params(const Topology& topo) {
+  const std::uint32_t n = topo.num_nodes();
+  if (n < 8) return std::nullopt;
+  DsnParams params;
+  params.n = n;
+  params.p = ilog2_ceil(n);
+  // Name numbers are range-checked before they narrow to 32 bits.
+  const std::vector<std::uint64_t> nums = name_numbers(topo.name);
+  switch (topo.kind) {
+    case TopologyKind::kDsn:
+      if (nums.size() != 2 || nums[1] != n || nums[0] >= params.p) return std::nullopt;
+      params.x = static_cast<std::uint32_t>(nums[0]);
+      break;
+    case TopologyKind::kDsnE:
+      if (nums.size() != 1 || nums[0] != n) return std::nullopt;
+      params.x = params.p - 1;
+      break;
+    case TopologyKind::kDsnBidir:
+      if (nums.size() != 1 || nums[0] != n) return std::nullopt;
+      params.x = params.p - 1;
+      params.mirrored = true;
+      break;
+    case TopologyKind::kDsnD:
+      if (nums.size() != 2 || nums[1] != n || nums[0] < 1 || nums[0] >= params.p)
+        return std::nullopt;
+      params.xd = static_cast<std::uint32_t>(nums[0]);
+      params.x = std::max<std::uint32_t>(1, params.p - ilog2_ceil(params.p));
+      break;
+    default:
+      return std::nullopt;
+  }
+  if (params.x < 1 || params.x > params.p - 1) return std::nullopt;
+  return params;
+}
+
 NodeId FlexDsn::preceding_major(NodeId phys) const {
   DSN_REQUIRE(phys < num_total(), "node id out of range");
   NodeId v = phys;

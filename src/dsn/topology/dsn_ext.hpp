@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "dsn/topology/dsn.hpp"
@@ -101,5 +102,20 @@ class FlexDsn {
 /// reflecting the ring through i <-> n-1-i). Average degree ~6; diameter and
 /// ASPL drop below the basic DSN while cable lengths stay ring-local.
 Topology make_dsn_bidir(std::uint32_t n);
+
+/// DSN parameters recovered from a topology: n from the graph, x from the
+/// kind and the name the generator gave it.
+struct DsnParams {
+  std::uint32_t n = 0;
+  std::uint32_t p = 0;    ///< ceil(log2 n)
+  std::uint32_t x = 0;    ///< shortcut-set size of the (base) DSN
+  std::uint32_t xd = 0;   ///< DSN-D express links per super node (0 otherwise)
+  bool mirrored = false;  ///< DSN-bidir: shortcut law holds CW or mirrored CCW
+};
+
+/// The parameters of a DSN, DSN-E, DSN-bidir or DSN-D topology, or nullopt
+/// when the topology is of another kind or its name does not encode what
+/// the kind needs ("dsn-x-n", "dsn-e-n", "dsn-bidir-n", "dsn-d-xd-n").
+std::optional<DsnParams> parse_dsn_params(const Topology& topo);
 
 }  // namespace dsn

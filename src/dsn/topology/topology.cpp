@@ -1,5 +1,7 @@
 #include "dsn/topology/topology.hpp"
 
+#include <cctype>
+
 namespace dsn {
 
 const char* to_string(TopologyKind kind) {
@@ -30,6 +32,24 @@ const char* to_string(LinkRole role) {
     case LinkRole::kWrap: return "wrap";
   }
   return "unknown";
+}
+
+std::vector<std::uint64_t> name_numbers(std::string_view name) {
+  std::vector<std::uint64_t> out;
+  std::uint64_t cur = 0;
+  bool in_number = false;
+  for (const char c : name) {
+    if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
+      cur = cur * 10 + static_cast<std::uint64_t>(c - '0');
+      in_number = true;
+    } else if (in_number) {
+      out.push_back(cur);
+      cur = 0;
+      in_number = false;
+    }
+  }
+  if (in_number) out.push_back(cur);
+  return out;
 }
 
 }  // namespace dsn

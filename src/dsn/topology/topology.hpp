@@ -2,7 +2,9 @@
 // layout model (grid dimensions) and by routing/deadlock analysis (link roles).
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dsn/graph/graph.hpp"
@@ -53,5 +55,9 @@ struct Topology {
 
   NodeId num_nodes() const { return graph.num_nodes(); }
 };
+
+/// All maximal digit runs in a topology name, in order ("dsn-5-100" ->
+/// {5, 100}). Generators encode their parameters this way.
+std::vector<std::uint64_t> name_numbers(std::string_view name);
 
 }  // namespace dsn

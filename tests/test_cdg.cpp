@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "dsn/analysis/factory.hpp"
+#include "dsn/analysis/route_analysis.hpp"
 #include "dsn/common/rng.hpp"
 #include "dsn/routing/cdg.hpp"
 #include "dsn/routing/dsn_routing.hpp"
@@ -470,9 +471,10 @@ class UpDownCdgTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(UpDownCdgTest, UpDownIsDeadlockFree) {
   const Topology topo = make_topology_by_name(GetParam(), 64, 5);
-  const UpDownRouting ud(topo.graph, 0);
-  const auto cdg = build_updown_cdg(ud);
-  EXPECT_TRUE(cdg.is_acyclic()) << GetParam();
+  const analyze::RouteAnalysis ra =
+      analyze::analyze_topology_routes(topo, analyze::RoutingFamily::kUpDown);
+  EXPECT_TRUE(ra.cdg_acyclic) << GetParam();
+  EXPECT_GT(ra.cdg_dependencies, 0u) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Topologies, UpDownCdgTest,

@@ -4,6 +4,7 @@
 // caught with the exact Violation kind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include "dsn/analysis/factory.hpp"
+#include "dsn/analysis/route_analysis.hpp"
+#include "dsn/check/route_verdicts.hpp"
 #include "dsn/check/validator.hpp"
 #include "dsn/common/error.hpp"
 #include "dsn/common/math.hpp"
@@ -311,15 +314,83 @@ TEST(CheckHook, ValidatesGeneratedTopologiesWhenEnabled) {
   dsn::set_topology_generated_hook(previous);
 }
 
-// --- opt-in whole-network route/load analysis (check_load) ---
+// --- route checks: the analyzer's verdicts ---
+
+TEST(CheckRoutes, ValidatorReportsLoopsExactlyWhenAnalyzerRefutes) {
+  // The validator reads its route verdicts from the analyzer: it reports
+  // route-loop exactly where the analyzer refutes loop freedom of the
+  // native routing family. DSN-9-730 and DSN-E-1024 have routes that revisit
+  // a node (a MAIN shortcut overshoots and FINISH walks back over PRE-WORK's
+  // nodes); the other three are loop-free.
+  struct Case {
+    Topology topo;
+    bool loops;
+  };
+  const std::vector<Case> cases = {
+      {dsn::make_dsn(730, 9), true},
+      {dsn::DsnE(1024).topology(), true},
+      {dsn::make_dsn(100, 6), false},
+      {dsn::make_topology_by_name("torus", 64), false},
+      {dsn::DsnD(100, 2).topology(), false},
+  };
+  for (const Case& c : cases) {
+    const dsn::analyze::RouteAnalysis ra = dsn::analyze::analyze_topology_routes(
+        c.topo, dsn::analyze::default_family(c.topo.kind));
+    EXPECT_EQ(ra.loop_free, !c.loops) << c.topo.name;
+    const ValidationReport report = dsn::check::validate_topology(c.topo);
+    EXPECT_EQ(report.has(ViolationKind::kRouteLoop), !ra.loop_free)
+        << c.topo.name << "\n" << report.summary();
+  }
+}
+
+TEST(CheckRoutes, ConverterMapsEachRefutedVerdict) {
+  // One violation per kept witness, one without a witness when none was
+  // kept, and only the selected verdicts.
+  const Topology ring = dsn::make_ring(8);
+  dsn::analyze::RouteAnalysis ra;
+  ra.loop_free = false;
+  ra.loop_witnesses = {{0, 2, {0, 1, 0, 1, 2}, "route revisits node 0"}};
+  ra.hops_on_links = false;
+  ra.non_link_channels = {{0, 4, 0}};
+  ra.phases_ordered = false;  // refuted, no witness kept
+  ra.within_hop_bound = false;
+  ra.bound_witnesses = {{1, 5, {1, 2, 3, 4, 5}, "4 hops exceed the analytic bound of 3"}};
+  ra.fallback_routes = 2;
+  ra.cdg_acyclic = false;
+  ra.cdg_cycle = {{0, 1, 0}, {1, 0, 0}};
+  ra.load.max_normalized = 2.0;
+  ra.load.max_channel = {0, 1, 0};
+  const auto kinds = [&](const dsn::check::VerdictSelection& select) {
+    std::vector<ViolationKind> out;
+    for (const dsn::check::Violation& v : dsn::check::route_violations(ring, ra, select))
+      out.push_back(v.kind);
+    return out;
+  };
+  dsn::check::VerdictSelection all;
+  all.max_normalized_load = 1.0;
+  EXPECT_EQ(kinds(all), (std::vector<ViolationKind>{
+                            ViolationKind::kRouteLoop, ViolationKind::kRouteNonNeighbor,
+                            ViolationKind::kRoutePhaseOrder, ViolationKind::kRouteBoundExceeded,
+                            ViolationKind::kRouteFallback, ViolationKind::kCdgCyclic,
+                            ViolationKind::kChannelOverload}));
+  dsn::check::VerdictSelection lenient;
+  lenient.strict = false;
+  lenient.cdg = false;
+  EXPECT_EQ(kinds(lenient),
+            (std::vector<ViolationKind>{ViolationKind::kRouteLoop,
+                                        ViolationKind::kRouteNonNeighbor,
+                                        ViolationKind::kRoutePhaseOrder}));
+  const auto messages = dsn::check::route_violations(ring, ra, lenient);
+  EXPECT_NE(messages[1].message.find("0->4 [c0] (no physical link)"), std::string::npos)
+      << messages[1].message;
+}
 
 TEST(CheckLoad, CleanDsnPassesAndReportsLoadNote) {
-  dsn::check::ValidatorOptions options;
-  options.check_load = true;
   const ValidationReport report =
-      dsn::check::validate_topology(dsn::make_topology_by_name("dsn-e", 64), options);
+      dsn::check::validate_topology(dsn::make_topology_by_name("dsn-e", 64));
   EXPECT_TRUE(report.ok()) << report.summary();
-  // The load statistics ride along as a note even when nothing is violated.
+  // Every all-pairs route check attaches its static channel load as a note,
+  // even when nothing is violated.
   bool saw_load_note = false;
   for (const std::string& note : report.notes) {
     if (note.find("static channel load") != std::string::npos) saw_load_note = true;
@@ -329,7 +400,6 @@ TEST(CheckLoad, CleanDsnPassesAndReportsLoadNote) {
 
 TEST(CheckLoad, OverloadThresholdFlagsChannelOverload) {
   dsn::check::ValidatorOptions options;
-  options.check_load = true;
   options.max_normalized_load = 1e-6;  // absurdly tight: everything overloads
   const ValidationReport report =
       dsn::check::validate_topology(dsn::make_topology_by_name("dsn-e", 64), options);
@@ -337,67 +407,72 @@ TEST(CheckLoad, OverloadThresholdFlagsChannelOverload) {
   EXPECT_TRUE(report.has(ViolationKind::kChannelOverload)) << report.summary();
 }
 
-TEST(CheckLoad, DisabledByDefault) {
-  const ValidationReport report =
-      dsn::check::validate_topology(dsn::make_topology_by_name("dsn", 64));
-  for (const std::string& note : report.notes) {
-    EXPECT_EQ(note.find("static channel load"), std::string::npos) << note;
+TEST(CheckLoad, NoteOnlyFromAllPairsRouteChecks) {
+  // Structural runs route nothing, and a sampled run's channel counts are
+  // not the all-pairs load, so neither reports one.
+  dsn::check::ValidatorOptions sampled;
+  sampled.max_cdg_nodes = 32;
+  sampled.max_normalized_load = 1e-6;  // not judged on a sample
+  const Topology topo = dsn::make_topology_by_name("dsn", 64);
+  for (const ValidationReport& report :
+       {dsn::check::validate_topology(topo, dsn::check::structural_options()),
+        dsn::check::validate_topology(topo, sampled)}) {
+    EXPECT_TRUE(report.ok()) << report.summary();
+    for (const std::string& note : report.notes) {
+      EXPECT_EQ(note.find("static channel load"), std::string::npos) << note;
+    }
   }
 }
 
-// --- routing-pair sampling ---
+// --- route-check source sampling ---
 
 TEST(CheckSampling, ExhaustiveBelowThreshold) {
-  const auto pairs = dsn::check::sampled_routing_pairs(6, /*exhaustive=*/10);
-  EXPECT_EQ(pairs.size(), 6u * 5u);
+  const auto sources = dsn::check::routing_sources(dsn::make_dsn(64, 5), /*all_pairs_nodes=*/64);
+  ASSERT_EQ(sources.size(), 64u);
+  for (NodeId i = 0; i < 64; ++i) EXPECT_EQ(sources[i], i);
 }
 
 TEST(CheckSampling, SampleAlwaysContainsExtremePair) {
-  // The regression this guards: the old strided sample could miss node n-1
+  // The regression this guards: a strided sample could miss node n-1
   // entirely, so the worst-case pair (0, n-1) — the longest FINISH walk —
-  // was never exercised.
-  for (const NodeId n : {321u, 1000u, 4096u}) {
-    const auto pairs = dsn::check::sampled_routing_pairs(n, /*exhaustive=*/320);
-    ASSERT_LT(pairs.size(), static_cast<std::size_t>(n) * (n - 1));
-    bool extreme = false, reverse = false;
-    for (const auto& [s, t] : pairs) {
-      if (s == 0 && t == n - 1) extreme = true;
-      if (s == n - 1 && t == 0) reverse = true;
-      ASSERT_LT(s, n);
-      ASSERT_LT(t, n);
-      ASSERT_NE(s, t);
-    }
-    EXPECT_TRUE(extreme) << "n = " << n;
-    EXPECT_TRUE(reverse) << "n = " << n;
+  // was never exercised. Every source routes to every destination, so 0 and
+  // n-1 among the sources cover both (0, n-1) and (n-1, 0).
+  for (const NodeId n : {1025u, 2000u, 4096u}) {
+    const auto sources = dsn::check::routing_sources(dsn::make_ring(n), /*all_pairs_nodes=*/1024);
+    ASSERT_LT(sources.size(), n);
+    EXPECT_EQ(sources.front(), 0u) << "n = " << n;
+    EXPECT_EQ(sources.back(), n - 1) << "n = " << n;
   }
 }
 
 TEST(CheckSampling, ExtraNodesAreIncludedAndOutOfRangeIgnored) {
-  const std::vector<NodeId> extras = {7, 13, 9999};  // 9999 out of range
-  const auto pairs =
-      dsn::check::sampled_routing_pairs(1000, /*exhaustive=*/320, extras);
-  bool extra_as_src = false, extra_as_dst = false;
-  for (const auto& [s, t] : pairs) {
-    ASSERT_LT(s, 1000u);
-    ASSERT_LT(t, 1000u);
-    if (s == 7 && t == 13) extra_as_src = true;
-    if (s == 13 && t == 7) extra_as_dst = true;
+  // Above the threshold a DSN kind's sample also holds the DSN routing's
+  // worst-case sources: both ends of the Extra-channel window [0, 2p], a
+  // full super-node crossing and the last super node.
+  for (const Topology& topo : {dsn::make_dsn(2048, 7), dsn::DsnE(2000).topology(),
+                               dsn::make_topology_by_name("dsn-bidir", 4096),
+                               dsn::DsnD(1500, 2).topology()}) {
+    const NodeId n = topo.num_nodes();
+    const NodeId p = dsn::ilog2_ceil(n);
+    const auto sources = dsn::check::routing_sources(topo, /*all_pairs_nodes=*/1024);
+    ASSERT_LT(sources.size(), n) << topo.name;
+    for (const NodeId e : {NodeId{0}, NodeId{1}, p, 2 * p - 1, 2 * p, 2 * p + 1, n - p, n - 1}) {
+      EXPECT_TRUE(std::binary_search(sources.begin(), sources.end(), e))
+          << topo.name << " misses source " << e;
+    }
   }
-  EXPECT_TRUE(extra_as_src);
-  EXPECT_TRUE(extra_as_dst);
+  // On DSN-3-9 (p = 4) the worst-case node 2p + 1 = 9 does not exist; a
+  // sampled sweep keeps every real node and nothing else.
+  const auto small = dsn::check::routing_sources(dsn::make_dsn(9, 3), /*all_pairs_nodes=*/0);
+  EXPECT_EQ(small, (std::vector<NodeId>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
 TEST(CheckSampling, PairsAreSortedAndUnique) {
-  const auto pairs = dsn::check::sampled_routing_pairs(2048, /*exhaustive=*/320);
-  for (std::size_t i = 1; i < pairs.size(); ++i) {
-    EXPECT_LT(pairs[i - 1], pairs[i]);
-  }
-  // Ring-neighbor pairs of every sampled node are present (FINISH coverage).
-  bool wrap_succ = false;
-  for (const auto& [s, t] : pairs) {
-    if (s == 2047 && t == 0) wrap_succ = true;
-  }
-  EXPECT_TRUE(wrap_succ);
+  // Sources are sorted and unique, and each routes to every destination in
+  // order, so the swept (s, t) pairs are sorted and unique too.
+  const auto sources = dsn::check::routing_sources(dsn::make_dsn(2048, 10), 1024);
+  for (std::size_t i = 1; i < sources.size(); ++i) EXPECT_LT(sources[i - 1], sources[i]);
+  for (const NodeId s : sources) EXPECT_LT(s, 2048u);
 }
 
 TEST(CheckHook, InstallReturnsPreviousHook) {

@@ -2,6 +2,10 @@
 // links), flexible DSN (major/minor nodes).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "dsn/common/math.hpp"
 #include "dsn/graph/metrics.hpp"
 #include "dsn/topology/dsn_ext.hpp"
@@ -163,6 +167,40 @@ TEST(FlexDsn, RejectsBadInsertLists) {
   EXPECT_THROW(FlexDsn(60, 5, {20, 10}), PreconditionError);   // not sorted
   EXPECT_THROW(FlexDsn(60, 5, {60}), PreconditionError);       // out of range
   EXPECT_NO_THROW(FlexDsn(60, 5, {}));
+}
+
+// ---------------------------------------------------------------------------
+// Parameters recovered from a topology's name
+// ---------------------------------------------------------------------------
+
+TEST(DsnParams, ParsesEveryDsnKindAndRejectsOtherNames) {
+  const auto dsn = parse_dsn_params(make_dsn(100, 6));
+  ASSERT_TRUE(dsn.has_value());
+  EXPECT_EQ(dsn->x, 6u);
+  EXPECT_EQ(dsn->p, 7u);
+  EXPECT_EQ(parse_dsn_params(DsnE(100).topology())->x, 6u);
+  EXPECT_TRUE(parse_dsn_params(make_dsn_bidir(100))->mirrored);
+  const auto dd = parse_dsn_params(DsnD(100, 2).topology());
+  ASSERT_TRUE(dd.has_value());
+  EXPECT_EQ(dd->xd, 2u);
+  EXPECT_EQ(dd->x, DsnD(100, 2).base().x());
+
+  // Names that do not encode what the kind needs: a wrong n, an x of 0, an
+  // x that only fits after narrowing to 32 bits (2^32 + 6), an express count
+  // of p, and a kind outside the DSN family.
+  for (const auto& [name, kind] : std::vector<std::pair<std::string, TopologyKind>>{
+           {"dsn-6-99", TopologyKind::kDsn},
+           {"dsn-0-100", TopologyKind::kDsn},
+           {"dsn-4294967302-100", TopologyKind::kDsn},
+           {"dsn-e-99", TopologyKind::kDsnE},
+           {"dsn-d-7-100", TopologyKind::kDsnD},
+           {"dsn-d-4294967298-100", TopologyKind::kDsnD},
+           {"dsn-6-100", TopologyKind::kRing}}) {
+    Topology topo = make_dsn(100, 6);
+    topo.name = name;
+    topo.kind = kind;
+    EXPECT_FALSE(parse_dsn_params(topo).has_value()) << name;
+  }
 }
 
 }  // namespace

@@ -3,9 +3,13 @@
 // pairs, far beyond the hand-picked sizes of the targeted suites.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "dsn/analysis/route_analysis.hpp"
 #include "dsn/common/math.hpp"
 #include "dsn/common/rng.hpp"
 #include "dsn/graph/metrics.hpp"
+#include "dsn/routing/cdg.hpp"
 #include "dsn/routing/dsn_routing.hpp"
 #include "dsn/topology/dsn.hpp"
 #include "dsn/topology/generators.hpp"
@@ -50,12 +54,12 @@ TEST(Fuzz, RandomPairsRouteCorrectly) {
     opt.avoid_overshoot = rng.bernoulli(0.5);
     opt.nearest_prework = rng.bernoulli(0.5);
     const DsnRouter router(d, opt);
+    std::vector<NodeId> sources;
     for (int pair = 0; pair < 50; ++pair) {
       const auto s = static_cast<NodeId>(rng.next_below(n));
       const auto t = static_cast<NodeId>(rng.next_below(n));
+      sources.push_back(s);
       const Route r = router.route(s, t);
-      ASSERT_NO_THROW(validate_route(d, r))
-          << "n=" << n << " x=" << x << " " << s << "->" << t;
       EXPECT_FALSE(r.used_fallback) << "n=" << n << " x=" << x << " " << s << "->" << t;
       // Universal sanity cap: every route is bounded by the FINISH worst
       // case for its x (n/2^x local walk) plus the phase bounds.
@@ -63,6 +67,14 @@ TEST(Fuzz, RandomPairsRouteCorrectly) {
       EXPECT_LE(r.length(), 2ull * p + finish_bound + p)
           << "n=" << n << " x=" << x << " " << s << "->" << t;
     }
+    // Every route from the sampled sources is well formed: it starts at s,
+    // chains to t over physical links, and its phases never decrease.
+    const analyze::RouteAnalysis ra = analyze::analyze_route_function(
+        d.topology().graph, [&](NodeId s, NodeId t, Route& out) { router.route(s, t, out); },
+        [](const Route& r, std::vector<Channel>& out) { dsn_route_channels_basic(r, out); }, 0,
+        {}, {}, sources);
+    EXPECT_TRUE(ra.all_reachable && ra.hops_on_links && ra.phases_ordered)
+        << "n=" << n << " x=" << x << "\n" << analyze::summary(ra);
   }
 }
 

@@ -67,6 +67,29 @@ TEST(LintCli, UsageErrorsExitTwo) {
       << "degenerate n must be a usage error, not a crash";
 }
 
+TEST(LintCli, FamilyOverrideAppliesToDsnTargets) {
+  // --family binds the named routing family to the dsn, dsn-e and dsn-d
+  // targets too; without it they keep their native family.
+  for (const char* target : {"dsn", "dsn-e", "dsn-d"}) {
+    const CliResult r = run_lint(std::string("routes --topology ") + target +
+                                 " --family updown --n 64 --json");
+    EXPECT_EQ(r.exit_code, 0) << target << "\n" << r.output;
+    const Json doc = Json::parse(r.output);
+    EXPECT_EQ(doc.at("analysis").at("family").as_string(), "updown") << target;
+  }
+  const CliResult native = run_lint("routes --topology dsn-e --n 64 --json");
+  EXPECT_EQ(Json::parse(native.output).at("analysis").at("family").as_string(), "dsn");
+  // A family that does not apply to the target is a usage error.
+  EXPECT_EQ(run_lint("routes --topology dsn-e --family dsn-d --n 64").exit_code, 2);
+}
+
+TEST(LintCli, FamilyOverrideOnDsnVIsAUsageError) {
+  // dsn-v is the DSN routing over virtual channels: its family is fixed.
+  const CliResult r = run_lint("routes --topology dsn-v --family updown --n 64");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("dsn-v"), std::string::npos) << r.output;
+}
+
 TEST(LintCli, LegacyModeContractIsUntouched) {
   // The pre-subcommand interface still exits with the number of failing
   // topologies, 0 when clean.

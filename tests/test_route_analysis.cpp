@@ -15,6 +15,7 @@
 #include "dsn/routing/dsn_routing.hpp"
 #include "dsn/topology/dsn.hpp"
 #include "dsn/topology/dsn_ext.hpp"
+#include "dsn/topology/generators.hpp"
 
 namespace dsn {
 namespace {
@@ -129,6 +130,14 @@ void set_path(Route& out, NodeId s, NodeId t, const std::vector<NodeId>& path) {
   }
 }
 
+/// The complete graph on n nodes: every direct one-hop route runs on a link.
+Graph complete_graph(NodeId n) {
+  Graph g(n);
+  for (NodeId u = 0; u < n; ++u)
+    for (NodeId v = u + 1; v < n; ++v) g.add_link(u, v);
+  return g;
+}
+
 /// Direct one-hop routes, except that the (s, t) route walks `path`.
 analyze::RouteFill direct_except(NodeId s, NodeId t, std::vector<NodeId> path) {
   return [s, t, path = std::move(path)](NodeId from, NodeId to, Route& out) {
@@ -141,7 +150,7 @@ void one_class(const Route& r, std::vector<Channel>& out) { dsn_route_channels_b
 TEST(RouteAnalysis, LoopingRouteRefutedWithWitness) {
   // 4-node network where the (0, 2) route bounces 0 -> 1 -> 0 -> ... -> 2.
   const auto route_fn = direct_except(0, 2, {0, 1, 0, 1, 2});
-  const RouteAnalysis ra = analyze::analyze_route_function(4, route_fn, one_class);
+  const RouteAnalysis ra = analyze::analyze_route_function(complete_graph(4), route_fn, one_class);
   EXPECT_FALSE(ra.loop_free);
   EXPECT_FALSE(ra.routes_ok());
   ASSERT_FALSE(ra.loop_witnesses.empty());
@@ -157,7 +166,7 @@ TEST(RouteAnalysis, LoopingRouteRefutedWithWitness) {
 
 TEST(RouteAnalysis, WrongEndpointRefutedWithWitness) {
   const auto route_fn = direct_except(1, 3, {1, 2});  // stops short
-  const RouteAnalysis ra = analyze::analyze_route_function(4, route_fn, one_class);
+  const RouteAnalysis ra = analyze::analyze_route_function(complete_graph(4), route_fn, one_class);
   EXPECT_FALSE(ra.all_reachable);
   ASSERT_FALSE(ra.endpoint_witnesses.empty());
   EXPECT_EQ(ra.endpoint_witnesses.front().src, 1u);
@@ -168,13 +177,13 @@ TEST(RouteAnalysis, HopBoundViolationRefutedOnlyUnderStrictBound) {
   // Direct routes except (0, 3), which takes a 3-hop detour.
   const auto route_fn = direct_except(0, 3, {0, 1, 2, 3});
   const RouteAnalysis tight =
-      analyze::analyze_route_function(4, route_fn, one_class, 2, "test bound");
+      analyze::analyze_route_function(complete_graph(4), route_fn, one_class, 2, "test bound");
   EXPECT_FALSE(tight.within_hop_bound);
   ASSERT_FALSE(tight.bound_witnesses.empty());
   EXPECT_EQ(tight.bound_witnesses.front().path.size(), 4u);
 
   const RouteAnalysis loose =
-      analyze::analyze_route_function(4, route_fn, one_class, 3, "test bound");
+      analyze::analyze_route_function(complete_graph(4), route_fn, one_class, 3, "test bound");
   EXPECT_TRUE(loose.within_hop_bound);
 }
 
@@ -184,7 +193,7 @@ TEST(RouteAnalysis, WitnessCountIsCapped) {
   RouteAnalysisOptions options;
   options.max_witnesses = 2;
   const RouteAnalysis ra =
-      analyze::analyze_route_function(8, route_fn, one_class, 0, {}, options);
+      analyze::analyze_route_function(complete_graph(8), route_fn, one_class, 0, {}, options);
   EXPECT_FALSE(ra.loop_free);
   EXPECT_EQ(ra.loop_witnesses.size(), 2u);
 }
@@ -211,7 +220,7 @@ TEST(RouteAnalysis, ZeroWitnessCapStillRefutes) {
       RouteAnalysisOptions options;
       options.max_witnesses = cap;
       const RouteAnalysis ra = analyze::analyze_route_function(
-          8, c.route_fn, one_class, c.hop_bound, "test bound", options);
+          complete_graph(8), c.route_fn, one_class, c.hop_bound, "test bound", options);
       SCOPED_TRACE(std::string(c.defect) + ", cap " + std::to_string(cap));
       EXPECT_EQ(ra.loop_free, c.loop_free);
       EXPECT_EQ(ra.all_reachable, c.all_reachable);
@@ -226,6 +235,103 @@ TEST(RouteAnalysis, ZeroWitnessCapStillRefutes) {
       EXPECT_EQ(props.at("within_hop_bound").as_bool(), c.within_hop_bound);
     }
   }
+}
+
+/// Clockwise ring walks on an n-node ring, except that the (s, t) route is
+/// `defect` (hops and phases given explicitly).
+analyze::RouteFill ring_walks_except(NodeId n, NodeId s, NodeId t, std::vector<RouteHop> defect) {
+  return [n, s, t, defect = std::move(defect)](NodeId from, NodeId to, Route& out) {
+    out.reset(from, to);
+    if (from == s && to == t) {
+      out.hops = defect;
+      return;
+    }
+    for (NodeId u = from; u != to; u = (u + 1) % n)
+      out.hops.push_back({u, (u + 1) % n, RoutePhase::kMain, HopKind::kSucc});
+  };
+}
+
+TEST(RouteAnalysis, NonLinkHopAndPhaseRegressionRefutedOnRing) {
+  // 8-node ring. The (0, 4) route jumps 0 -> 4, which is no ring link; the
+  // (1, 5) route walks the ring but drops from MAIN back to PRE-WORK at node
+  // 3. Each defect refutes exactly its own property, with evidence, and
+  // still refutes when no witness is kept.
+  const Topology ring = make_ring(8);
+  const auto non_link = ring_walks_except(8, 0, 4, {{0, 4, RoutePhase::kMain, HopKind::kShortcut}});
+  const auto regression = ring_walks_except(
+      8, 1, 5,
+      {{1, 2, RoutePhase::kMain, HopKind::kSucc},
+       {2, 3, RoutePhase::kMain, HopKind::kSucc},
+       {3, 4, RoutePhase::kPreWork, HopKind::kSucc},
+       {4, 5, RoutePhase::kFinish, HopKind::kSucc}});
+  for (const std::size_t cap : {std::size_t{4}, std::size_t{0}}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    RouteAnalysisOptions options;
+    options.max_witnesses = cap;
+
+    const RouteAnalysis a =
+        analyze::analyze_route_function(ring.graph, non_link, one_class, 0, {}, options);
+    EXPECT_FALSE(a.hops_on_links);
+    EXPECT_TRUE(a.phases_ordered);
+    EXPECT_TRUE(a.loop_free);
+    EXPECT_TRUE(a.all_reachable);
+    EXPECT_FALSE(a.routes_ok());
+    EXPECT_FALSE(analyze::to_json(a).at("properties").at("hops_on_links").as_bool());
+    EXPECT_TRUE(analyze::to_json(a).at("properties").at("phases_ordered").as_bool());
+    if (cap == 0) {
+      EXPECT_TRUE(a.non_link_channels.empty());
+    } else {
+      // The witness names the channel of the offending hop, once.
+      ASSERT_EQ(a.non_link_channels.size(), 1u);
+      EXPECT_EQ(a.non_link_channels.front(), (Channel{0, 4, 0}));
+      EXPECT_EQ(analyze::to_json(a).at("witnesses").at("non_links").size(), 1u);
+    }
+
+    const RouteAnalysis b =
+        analyze::analyze_route_function(ring.graph, regression, one_class, 0, {}, options);
+    EXPECT_FALSE(b.phases_ordered);
+    EXPECT_TRUE(b.hops_on_links);
+    EXPECT_TRUE(b.loop_free);
+    EXPECT_TRUE(b.all_reachable);
+    EXPECT_FALSE(b.routes_ok());
+    EXPECT_FALSE(analyze::to_json(b).at("properties").at("phases_ordered").as_bool());
+    if (cap == 0) {
+      EXPECT_TRUE(b.phase_witnesses.empty());
+    } else {
+      ASSERT_EQ(b.phase_witnesses.size(), 1u);
+      const analyze::RouteWitness& w = b.phase_witnesses.front();
+      EXPECT_EQ(w.src, 1u);
+      EXPECT_EQ(w.dst, 5u);
+      EXPECT_EQ(w.path, (std::vector<NodeId>{1, 2, 3, 4, 5}));
+      EXPECT_NE(w.reason.find("from MAIN to PRE-WORK at node 3"), std::string::npos)
+          << w.reason;
+    }
+  }
+}
+
+TEST(RouteAnalysis, SourceListRoutesEachSourceToEveryDestination) {
+  // A source list restricts the sweep to those sources, each routed to every
+  // destination in order: the verdicts and counts are those of the full
+  // sweep's routes from the same sources.
+  const Topology topo = make_dsn(64, 5);
+  const std::vector<NodeId> sources = {0, 17, 63};
+  const RouteAnalysis some =
+      analyze::analyze_topology_routes(topo, RoutingFamily::kDsn, {}, sources);
+  EXPECT_EQ(some.pairs, 3u * 63u);
+  EXPECT_TRUE(some.routes_ok());
+  const Dsn d(64, 5);
+  const DsnRouter router(d);
+  std::uint64_t hops = 0;
+  for (const NodeId s : sources)
+    for (NodeId t = 0; t < 64; ++t)
+      if (t != s) hops += router.route(s, t).length();
+  EXPECT_EQ(some.load.total, hops);
+
+  const RouteAnalysis all = analyze::analyze_topology_routes(topo, RoutingFamily::kDsn);
+  EXPECT_EQ(all.pairs, 64u * 63u);
+  const std::vector<NodeId> out_of_range = {64};
+  EXPECT_THROW(analyze::analyze_topology_routes(topo, RoutingFamily::kDsn, {}, out_of_range),
+               PreconditionError);
 }
 
 // --------------------------------------------------------------------------
@@ -260,7 +366,8 @@ TEST(RouteAnalysis, UniformRingLoadHasZeroGini) {
     for (NodeId u = s; u != t; u = (u + 1) % 16) path.push_back((u + 1) % 16);
     set_path(out, s, t, path);
   };
-  const RouteAnalysis ra = analyze::analyze_route_function(16, route_fn, one_class);
+  const RouteAnalysis ra =
+      analyze::analyze_route_function(make_ring(16).graph, route_fn, one_class);
   EXPECT_EQ(ra.load.channels, 16u);
   EXPECT_NEAR(ra.load.gini, 0.0, 1e-12);
   EXPECT_EQ(ra.load.max_load, ra.load.total / 16);
@@ -291,22 +398,24 @@ std::string report_digest(const RouteAnalysis& ra) {
 
 TEST(RouteAnalysis, GoldenReports) {
   // Pinned report bytes for every routing family. The digests hold at any
-  // DSN_THREADS; a change here means the analyzer's output changed.
+  // DSN_THREADS; a change here means the analyzer's output changed. Each
+  // report carries the hops_on_links / phases_ordered properties and their
+  // (empty) phase_order / non_links witness lists.
   const auto topology_digest = [](const char* name, std::uint32_t n, std::uint64_t seed) {
     const Topology topo = make_topology_by_name(name, n, seed);
     return report_digest(
         analyze::analyze_topology_routes(topo, analyze::default_family(topo.kind)));
   };
-  EXPECT_EQ(topology_digest("dsn-e", 512, 1), "3659cb784b09b779");
+  EXPECT_EQ(topology_digest("dsn-e", 512, 1), "9ed7521d166995e8");
   EXPECT_EQ(report_digest(analyze::analyze_dsn_routes(Dsn(128, 2), ChannelScheme::kBasic)),
-            "8e76cfb5ee862468");
+            "d023b814f90f49d5");
   EXPECT_EQ(report_digest(analyze::analyze_dsn_routes(Dsn(256, dsn_default_x(256)),
                                                       ChannelScheme::kExtended)),
-            "10759ee8be83d3fe");
-  EXPECT_EQ(report_digest(analyze::analyze_dsn_d_routes(DsnD(100, 2))), "9374508365950780");
-  EXPECT_EQ(topology_digest("torus", 64, 7), "831d7b07b67358be");
-  EXPECT_EQ(topology_digest("kleinberg", 64, 7), "2adb9722e822fb3d");
-  EXPECT_EQ(topology_digest("random-regular", 48, 3), "be5717f7f5c49e39");
+            "92b16d1cad55d2bb");
+  EXPECT_EQ(report_digest(analyze::analyze_dsn_d_routes(DsnD(100, 2))), "c8a8b499672188c3");
+  EXPECT_EQ(topology_digest("torus", 64, 7), "4f38206d409506d5");
+  EXPECT_EQ(topology_digest("kleinberg", 64, 7), "03b066f986a120b4");
+  EXPECT_EQ(topology_digest("random-regular", 48, 3), "052ccae2f240e420");
 }
 
 TEST(RouteAnalysis, RenderedWitnessNamesNodesClassesAndLinks) {

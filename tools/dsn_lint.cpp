@@ -5,13 +5,15 @@
 //
 // Legacy (lint) mode lints a topology built by name (any factory the
 // analysis layer knows) or loaded from an edge-list file (topology/io
-// format), printing one line per violation and a per-topology summary. Exit
-// status is the number of topologies with error-severity violations (capped
-// at 125), so the tool drops straight into CI pipelines and `ctest`.
+// format), printing one line per violation and a per-topology summary; with
+// --full the validator adds the route analyzer's verdicts. Exit status is
+// the number of topologies with error-severity violations (capped at 125),
+// so the tool drops straight into CI pipelines and `ctest`.
 //
 // Subcommand mode drives the whole-network route analyzer (dsn::analyze):
 //   dsn-lint routes ...   all-pairs route proofs: loop freedom, reachability,
-//                         analytic hop bounds (--strict enforces the bounds)
+//                         hops on links, phase order, analytic hop bounds
+//                         (--strict enforces the bounds and zero fallbacks)
 //   dsn-lint cdg ...      full channel-dependency-graph acyclicity with a
 //                         minimal deadlock-cycle witness when cyclic
 //   dsn-lint load ...     static per-channel load (max/mean/Gini) and the
@@ -61,6 +63,7 @@
 #include "dsn/analysis/factory.hpp"
 #include "dsn/analysis/load_bound.hpp"
 #include "dsn/analysis/route_analysis.hpp"
+#include "dsn/check/route_verdicts.hpp"
 #include "dsn/check/validator.hpp"
 #include "dsn/common/cli.hpp"
 #include "dsn/common/json.hpp"
@@ -107,10 +110,34 @@ constexpr int kExitClean = 0;
 constexpr int kExitViolations = 1;
 constexpr int kExitUsage = 2;
 
-struct AnalysisViolation {
+/// One refuted property of a subcommand run, reported as {kind, message}.
+struct Finding {
   std::string kind;
   std::string message;
 };
+
+/// End a subcommand run. With `json`, attach the findings to it as
+/// "violations" and print it; otherwise print one VIOLATION line per finding
+/// and the PASS/FAIL verdict. Returns the exit code.
+int finish(const std::string& cmd, const std::vector<Finding>& findings, dsn::Json* json) {
+  if (json != nullptr) {
+    dsn::Json vs = dsn::Json::array();
+    for (const Finding& f : findings) {
+      dsn::Json jv = dsn::Json::object();
+      jv.set("kind", f.kind);
+      jv.set("message", f.message);
+      vs.push_back(std::move(jv));
+    }
+    json->set("violations", std::move(vs));
+    std::cout << json->dump(2) << "\n";
+  } else {
+    for (const Finding& f : findings)
+      std::cout << "VIOLATION " << f.kind << ": " << f.message << "\n";
+    std::cout << "dsn-lint " << cmd << ": " << (findings.empty() ? "PASS" : "FAIL") << " ("
+              << findings.size() << " violations)\n";
+  }
+  return findings.empty() ? kExitClean : kExitViolations;
+}
 
 dsn::analyze::RoutingFamily parse_family(const std::string& name) {
   if (name == "dsn") return dsn::analyze::RoutingFamily::kDsn;
@@ -123,59 +150,40 @@ dsn::analyze::RoutingFamily parse_family(const std::string& name) {
 }
 
 /// Build the analysis target named by --topology/--n/--x and run the
-/// analyzer. "dsn" is the basic DSN with the single unprotected channel
-/// class; "dsn-v" is the same topology with the extended classes realized as
-/// virtual channels; "dsn-e" carries them on physical Up/Extra links.
+/// analyzer with --family, by default the target's native family. "dsn" is
+/// the basic DSN with the single unprotected channel class; "dsn-v" is the
+/// same topology with the extended classes realized as virtual channels, so
+/// its family is fixed; "dsn-e" carries them on physical Up/Extra links.
 dsn::analyze::RouteAnalysis run_analysis(const dsn::Cli& cli, dsn::Topology& topo) {
   const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
-  auto x = static_cast<std::uint32_t>(cli.get_uint("x"));
+  const auto x = static_cast<std::uint32_t>(cli.get_uint("x"));
   const std::string tname = cli.get("topology");
+  const std::string family = cli.get("family");
 
-  if (tname == "dsn" || tname == "dsn-v") {
-    if (x == 0) x = dsn::dsn_default_x(n);
-    const dsn::Dsn d(n, x);
+  if (tname == "dsn-v") {
+    if (!family.empty()) {
+      throw dsn::PreconditionError(
+          "--family does not apply to dsn-v: its routing is fixed (DSN custom routing "
+          "over virtual channels)");
+    }
+    const dsn::Dsn d(n, x == 0 ? dsn::dsn_default_x(n) : x);
     topo = d.topology();
-    const auto scheme = tname == "dsn-v" ? dsn::analyze::ChannelScheme::kExtended
-                                         : dsn::analyze::ChannelScheme::kBasic;
-    dsn::analyze::RouteAnalysis ra = dsn::analyze::analyze_dsn_routes(d, scheme);
-    if (tname == "dsn-v") ra.topology = "dsn-v-" + std::to_string(n);
+    dsn::analyze::RouteAnalysis ra =
+        dsn::analyze::analyze_dsn_routes(d, dsn::analyze::ChannelScheme::kExtended);
+    ra.topology = "dsn-v-" + std::to_string(n);
     return ra;
   }
-  if (tname == "dsn-e") {
-    const dsn::DsnE e(n);
-    topo = e.topology();
-    return dsn::analyze::analyze_topology_routes(topo,
-                                                 dsn::analyze::RoutingFamily::kDsn);
+  if (tname == "dsn") {
+    topo = dsn::make_dsn(n, x == 0 ? dsn::dsn_default_x(n) : x);
+  } else if (tname == "dsn-e") {
+    topo = dsn::DsnE(n).topology();
+  } else if (tname == "dsn-d") {
+    topo = dsn::DsnD(n, x == 0 ? 2 : x).topology();
+  } else {
+    topo = dsn::make_topology_by_name(tname, n, cli.get_uint("seed"));
   }
-  if (tname == "dsn-d") {
-    const dsn::DsnD dd(n, x == 0 ? 2 : x);
-    topo = dd.topology();
-    return dsn::analyze::analyze_dsn_d_routes(dd);
-  }
-  topo = dsn::make_topology_by_name(tname, n, cli.get_uint("seed"));
-  const dsn::analyze::RoutingFamily family =
-      cli.get("family").empty() ? dsn::analyze::default_family(topo.kind)
-                                : parse_family(cli.get("family"));
-  return dsn::analyze::analyze_topology_routes(topo, family);
-}
-
-void collect_route_violations(const dsn::analyze::RouteAnalysis& ra, bool strict,
-                              std::vector<AnalysisViolation>& out) {
-  const auto witness_line = [](const dsn::analyze::RouteWitness& w) {
-    return "route (" + std::to_string(w.src) + ", " + std::to_string(w.dst) +
-           "): " + w.reason;
-  };
-  for (const auto& w : ra.loop_witnesses) out.push_back({"route-loop", witness_line(w)});
-  for (const auto& w : ra.endpoint_witnesses)
-    out.push_back({"route-wrong-endpoint", witness_line(w)});
-  if (strict) {
-    for (const auto& w : ra.bound_witnesses)
-      out.push_back({"route-bound-exceeded",
-                     witness_line(w) + " (" + ra.hop_bound_law + ")"});
-    if (ra.fallback_routes > 0)
-      out.push_back({"route-fallback", std::to_string(ra.fallback_routes) +
-                                           " routes hit the defensive fallback"});
-  }
+  return dsn::analyze::analyze_topology_routes(
+      topo, family.empty() ? dsn::analyze::default_family(topo.kind) : parse_family(family));
 }
 
 int run_analysis_command(const std::string& cmd, int argc, const char* const* argv) {
@@ -192,8 +200,8 @@ int run_analysis_command(const std::string& cmd, int argc, const char* const* ar
                "DSN shortcut-set size (0 = paper default p-1); for dsn-d the "
                "express links per super node (0 = 2)");
   cli.add_flag("family", "",
-               "routing family override for factory topologies (dsn, dsn-d, "
-               "dor, greedy, updown)");
+               "routing family override (dsn, dsn-d, dor, greedy, updown); "
+               "dsn-v's family is fixed");
   cli.add_flag("seed", "1", "seed for the randomized generators");
   cli.add_flag("max-normalized-load", "0",
                "load: fail when max_load/(n-1) exceeds this (0 = report only)");
@@ -207,67 +215,39 @@ int run_analysis_command(const std::string& cmd, int argc, const char* const* ar
   const dsn::analyze::RouteAnalysis ra = run_analysis(cli, topo);
   const bool strict = cli.get_bool("strict");
 
-  std::vector<AnalysisViolation> violations;
-  if (cmd == "routes") {
-    collect_route_violations(ra, strict, violations);
-  } else if (cmd == "cdg") {
-    if (!ra.cdg_acyclic) {
-      violations.push_back(
-          {"cdg-cyclic",
-           "channel dependency graph has a directed cycle\n" +
-               dsn::analyze::render_cycle_witness(topo, ra.cdg_cycle, ra.scheme)});
-    }
-  } else {  // load
-    const double limit = cli.get_double("max-normalized-load");
-    if (limit > 0.0 && ra.load.max_normalized > limit) {
-      violations.push_back(
-          {"channel-overload",
-           "channel " + dsn::analyze::render_channel(topo, ra.load.max_channel,
-                                                     ra.scheme) +
-               " carries normalized load " + std::to_string(ra.load.max_normalized) +
-               " > limit " + std::to_string(limit)});
-    }
-  }
+  dsn::check::VerdictSelection select;
+  select.routes = cmd == "routes";
+  select.strict = strict;
+  select.cdg = cmd == "cdg";
+  if (cmd == "load") select.max_normalized_load = cli.get_double("max-normalized-load");
+  std::vector<Finding> findings;
+  for (const dsn::check::Violation& v : dsn::check::route_violations(topo, ra, select))
+    findings.push_back({dsn::check::to_string(v.kind), v.message});
 
   if (cli.get_bool("json")) {
     dsn::Json doc = dsn::Json::object();
     doc.set("command", cmd);
     doc.set("strict", strict);
     doc.set("analysis", dsn::analyze::to_json(ra));
-    dsn::Json vs = dsn::Json::array();
-    for (const AnalysisViolation& v : violations) {
-      dsn::Json jv = dsn::Json::object();
-      jv.set("kind", v.kind);
-      jv.set("message", v.message);
-      vs.push_back(std::move(jv));
-    }
-    doc.set("violations", std::move(vs));
-    std::cout << doc.dump(2) << "\n";
-  } else {
-    if (cmd == "cdg") {
-      std::cout << "cdg " << ra.topology << " [scheme=" << to_string(ra.scheme)
-                << "]: " << ra.cdg_channels << " channels, " << ra.cdg_dependencies
-                << " dependencies: "
-                << (ra.cdg_acyclic ? "ACYCLIC (deadlock-free)" : "CYCLIC") << "\n";
-    } else if (cmd == "load") {
-      std::cout << "load " << ra.topology << " [" << ra.pairs << " pairs over "
-                << ra.load.channels << " channels]\n"
-                << "  max " << ra.load.max_load << " ("
-                << dsn::analyze::render_channel(topo, ra.load.max_channel, ra.scheme)
-                << ")\n"
-                << "  mean " << ra.load.mean_load << ", gini " << ra.load.gini << "\n"
-                << "  normalized max " << ra.load.max_normalized
-                << " -> throughput bound " << ra.load.throughput_bound << "\n";
-    } else {
-      std::cout << dsn::analyze::summary(ra) << "\n";
-    }
-    for (const AnalysisViolation& v : violations)
-      std::cout << "VIOLATION " << v.kind << ": " << v.message << "\n";
-    std::cout << "dsn-lint " << cmd << ": "
-              << (violations.empty() ? "PASS" : "FAIL") << " (" << violations.size()
-              << " violations)\n";
+    return finish(cmd, findings, &doc);
   }
-  return violations.empty() ? kExitClean : kExitViolations;
+  if (cmd == "cdg") {
+    std::cout << "cdg " << ra.topology << " [scheme=" << to_string(ra.scheme)
+              << "]: " << ra.cdg_channels << " channels, " << ra.cdg_dependencies
+              << " dependencies: "
+              << (ra.cdg_acyclic ? "ACYCLIC (deadlock-free)" : "CYCLIC") << "\n";
+  } else if (cmd == "load") {
+    std::cout << "load " << ra.topology << " [" << ra.pairs << " pairs over "
+              << ra.load.channels << " channels]\n"
+              << "  max " << ra.load.max_load << " ("
+              << dsn::analyze::render_channel(topo, ra.load.max_channel, ra.scheme) << ")\n"
+              << "  mean " << ra.load.mean_load << ", gini " << ra.load.gini << "\n"
+              << "  normalized max " << ra.load.max_normalized << " -> throughput bound "
+              << ra.load.throughput_bound << "\n";
+  } else {
+    std::cout << dsn::analyze::summary(ra) << "\n";
+  }
+  return finish(cmd, findings, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -397,22 +377,22 @@ int run_drill_command(int argc, const char* const* argv) {
   sim.set_fault_schedule(schedule);
   const dsn::SimResult res = sim.run();
 
-  std::vector<AnalysisViolation> violations;
+  std::vector<Finding> findings;
   if (res.deadlock)
-    violations.push_back({"sim-deadlock", "watchdog fired: no progress with flits in flight"});
+    findings.push_back({"sim-deadlock", "watchdog fired: no progress with flits in flight"});
   if (!res.conservation_ok)
-    violations.push_back(
+    findings.push_back(
         {"packet-conservation",
          "generated != delivered + dropped + in-flight at drain (unaccounted packets)"});
   if (!res.drained && !res.deadlock)
-    violations.push_back({"not-drained",
-                          "measured packets neither delivered nor dropped within the "
-                          "drain budget"});
+    findings.push_back({"not-drained",
+                        "measured packets neither delivered nor dropped within the "
+                        "drain budget"});
   for (const dsn::FaultRecord& rec : res.fault_log) {
     const bool down = rec.event.kind == dsn::FaultKind::kLinkDown ||
                       rec.event.kind == dsn::FaultKind::kSwitchDown;
     if (down && !rec.reconnected) {
-      violations.push_back(
+      findings.push_back(
           {"no-reconnect", std::string(dsn::fault_kind_name(rec.event.kind)) + " " +
                                std::to_string(rec.event.id) + " at cycle " +
                                std::to_string(rec.event.cycle) +
@@ -428,39 +408,26 @@ int run_drill_command(int argc, const char* const* argv) {
     doc.set("schedule_events", static_cast<std::uint64_t>(schedule.size()));
     doc.set("result", dsn::to_json(res));
     doc.set("degradation_curve", dsn::degradation_curve_json(res));
-    dsn::Json vs = dsn::Json::array();
-    for (const AnalysisViolation& v : violations) {
-      dsn::Json jv = dsn::Json::object();
-      jv.set("kind", v.kind);
-      jv.set("message", v.message);
-      vs.push_back(std::move(jv));
-    }
-    doc.set("violations", std::move(vs));
-    std::cout << doc.dump(2) << "\n";
-  } else {
-    std::cout << "drill " << tname << "-" << n << " [policy=" << policy->name()
-              << ", " << schedule.size() << " fault events]\n"
-              << "  generated " << res.packets_generated_total << ", delivered "
-              << res.packets_delivered_total << ", dropped " << res.packets_dropped
-              << " (ttl " << res.packets_dropped_ttl << "), retried "
-              << res.packets_retried << ", in flight at end "
-              << res.packets_in_flight_at_end << "\n"
-              << "  flits dropped " << res.flits_dropped << ", routing rebuilds "
-              << res.routing_rebuilds << ", cycles " << res.cycles_run << "\n";
-    for (const dsn::FaultRecord& rec : res.fault_log) {
-      std::cout << "  event " << dsn::fault_kind_name(rec.event.kind) << " "
-                << rec.event.id << " @" << rec.event.cycle << ": requeued "
-                << rec.packets_requeued << ", dropped " << rec.packets_dropped;
-      if (rec.reconnected)
-        std::cout << ", reconnected in " << rec.reconnect_cycles << " cycles";
-      std::cout << "\n";
-    }
-    for (const AnalysisViolation& v : violations)
-      std::cout << "VIOLATION " << v.kind << ": " << v.message << "\n";
-    std::cout << "dsn-lint drill: " << (violations.empty() ? "PASS" : "FAIL") << " ("
-              << violations.size() << " violations)\n";
+    return finish("drill", findings, &doc);
   }
-  return violations.empty() ? kExitClean : kExitViolations;
+  std::cout << "drill " << tname << "-" << n << " [policy=" << policy->name()
+            << ", " << schedule.size() << " fault events]\n"
+            << "  generated " << res.packets_generated_total << ", delivered "
+            << res.packets_delivered_total << ", dropped " << res.packets_dropped
+            << " (ttl " << res.packets_dropped_ttl << "), retried "
+            << res.packets_retried << ", in flight at end "
+            << res.packets_in_flight_at_end << "\n"
+            << "  flits dropped " << res.flits_dropped << ", routing rebuilds "
+            << res.routing_rebuilds << ", cycles " << res.cycles_run << "\n";
+  for (const dsn::FaultRecord& rec : res.fault_log) {
+    std::cout << "  event " << dsn::fault_kind_name(rec.event.kind) << " "
+              << rec.event.id << " @" << rec.event.cycle << ": requeued "
+              << rec.packets_requeued << ", dropped " << rec.packets_dropped;
+    if (rec.reconnected)
+      std::cout << ", reconnected in " << rec.reconnect_cycles << " cycles";
+    std::cout << "\n";
+  }
+  return finish("drill", findings, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -521,51 +488,38 @@ int run_flow_command(int argc, const char* const* argv) {
 
   const dsn::flow::FlowResult res = sim.run(*driver);
 
-  std::vector<AnalysisViolation> violations;
+  std::vector<Finding> findings;
   if (!res.converged)
-    violations.push_back({"flow-not-converged",
-                          "a water-filling solve or the epoch loop hit its "
-                          "iteration ceiling, or a flow had rate zero"});
+    findings.push_back({"flow-not-converged",
+                        "a water-filling solve or the epoch loop hit its "
+                        "iteration ceiling, or a flow had rate zero"});
   if (res.verify_violations > 0)
-    violations.push_back({"max-min-violated",
-                          std::to_string(res.verify_violations) +
-                              " invariant findings; first: " + res.verify_first});
+    findings.push_back({"max-min-violated",
+                        std::to_string(res.verify_violations) +
+                            " invariant findings; first: " + res.verify_first});
   if (res.flows_completed != res.flows)
-    violations.push_back({"flows-unfinished",
-                          std::to_string(res.flows - res.flows_completed) + " of " +
-                              std::to_string(res.flows) + " flows never completed"});
+    findings.push_back({"flows-unfinished",
+                        std::to_string(res.flows - res.flows_completed) + " of " +
+                            std::to_string(res.flows) + " flows never completed"});
 
   if (cli.get_bool("json")) {
     dsn::Json doc = dsn::Json::object();
     doc.set("command", "flow");
     doc.set("result", dsn::flow::to_json(res));
-    dsn::Json vs = dsn::Json::array();
-    for (const AnalysisViolation& v : violations) {
-      dsn::Json jv = dsn::Json::object();
-      jv.set("kind", v.kind);
-      jv.set("message", v.message);
-      vs.push_back(std::move(jv));
-    }
-    doc.set("violations", std::move(vs));
-    std::cout << doc.dump(2) << "\n";
-  } else {
-    std::cout << "flow " << res.topology << " [routes=" << res.route_mode
-              << ", workload=" << res.workload << ", " << res.hosts << " hosts]\n"
-              << "  flows " << res.flows << " (completed " << res.flows_completed
-              << "), flits " << res.flits_total << "\n"
-              << "  epochs " << res.epochs << ", water-filling rounds max "
-              << res.max_waterfill_rounds << " total " << res.waterfill_rounds_total
-              << "\n"
-              << "  makespan " << res.makespan_cycles << " cycles, per-host "
-              << res.per_host_flits_per_cycle << " flits/cycle ("
-              << res.per_host_gbps << " Gb/s), avg fct " << res.avg_fct_cycles
-              << "\n";
-    for (const AnalysisViolation& v : violations)
-      std::cout << "VIOLATION " << v.kind << ": " << v.message << "\n";
-    std::cout << "dsn-lint flow: " << (violations.empty() ? "PASS" : "FAIL") << " ("
-              << violations.size() << " violations)\n";
+    return finish("flow", findings, &doc);
   }
-  return violations.empty() ? kExitClean : kExitViolations;
+  std::cout << "flow " << res.topology << " [routes=" << res.route_mode
+            << ", workload=" << res.workload << ", " << res.hosts << " hosts]\n"
+            << "  flows " << res.flows << " (completed " << res.flows_completed
+            << "), flits " << res.flits_total << "\n"
+            << "  epochs " << res.epochs << ", water-filling rounds max "
+            << res.max_waterfill_rounds << " total " << res.waterfill_rounds_total
+            << "\n"
+            << "  makespan " << res.makespan_cycles << " cycles, per-host "
+            << res.per_host_flits_per_cycle << " flits/cycle ("
+            << res.per_host_gbps << " Gb/s), avg fct " << res.avg_fct_cycles
+            << "\n";
+  return finish("flow", findings, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -613,14 +567,14 @@ int run_optimize_command(int argc, const char* const* argv) {
   const dsn::analyze::TreeLoadBound seed_bound =
       dsn::analyze::compute_tree_load_bound(seed_csr, sources);
 
-  std::vector<AnalysisViolation> violations;
+  std::vector<Finding> findings;
   if (res.front.empty()) {
-    violations.push_back({"front-empty", "Pareto archive lost the seed point"});
+    findings.push_back({"front-empty", "Pareto archive lost the seed point"});
   }
   for (std::size_t i = 1; i < res.front.size(); ++i) {
     if (res.front[i].cable_m <= res.front[i - 1].cable_m ||
         res.front[i].aspl >= res.front[i - 1].aspl) {
-      violations.push_back(
+      findings.push_back(
           {"front-not-monotone",
            "front[" + std::to_string(i) + "] does not trade strictly more "
            "cable for strictly less ASPL"});
@@ -632,16 +586,16 @@ int run_optimize_command(int argc, const char* const* argv) {
                p.aspl <= res.seed_point.aspl;
       });
   if (!covers_seed) {
-    violations.push_back({"front-worse-than-seed",
-                          "no front point is at least as good as the seed "
-                          "placement in both cable and ASPL"});
+    findings.push_back({"front-worse-than-seed",
+                        "no front point is at least as good as the seed "
+                        "placement in both cable and ASPL"});
   }
   // The optimizer's seed estimate and the analyzer's bound run the same
   // tree sweep over the same sources; any gap means the estimator's view or
   // the bound's normalization diverged.
   if (std::abs(res.seed_point.max_normalized_load - seed_bound.max_normalized) >
       1e-12) {
-    violations.push_back(
+    findings.push_back(
         {"estimator-bound-mismatch",
          "optimizer seed max_normalized_load " +
              std::to_string(res.seed_point.max_normalized_load) +
@@ -654,42 +608,29 @@ int run_optimize_command(int argc, const char* const* argv) {
     doc.set("command", "optimize");
     doc.set("result", dsn::opt::optimizer_result_to_json(res));
     doc.set("seed_load_bound", dsn::analyze::to_json(seed_bound));
-    dsn::Json vs = dsn::Json::array();
-    for (const AnalysisViolation& v : violations) {
-      dsn::Json jv = dsn::Json::object();
-      jv.set("kind", v.kind);
-      jv.set("message", v.message);
-      vs.push_back(std::move(jv));
-    }
-    doc.set("violations", std::move(vs));
-    std::cout << doc.dump(2) << "\n";
-  } else {
-    std::cout << "optimize " << res.topology << " [n=" << res.n << ", "
-              << res.shortcuts << " shortcut slots, degree "
-              << res.degree_min << ".." << res.degree_max << ", "
-              << res.sample_sources << " sampled sources]\n"
-              << "  seed   cable " << res.seed_point.cable_m << " m, aspl "
-              << res.seed_point.aspl << ", throughput bound "
-              << res.seed_point.throughput_bound << "\n"
-              << "  front  " << res.front.size() << " points (archive "
-              << res.archive_size << "): ";
-    for (std::size_t i = 0; i < res.front.size(); ++i) {
-      if (i != 0) std::cout << " | ";
-      std::cout << res.front[i].cable_m << "m@" << res.front[i].aspl;
-    }
-    std::cout << "\n  moves  " << res.proposals << " proposals, "
-              << res.accepted << " accepted, " << res.invalid << " invalid, "
-              << res.full_sweeps << " full sweeps\n"
-              << "  best   cable " << res.best_cable_m_at_seed_aspl
-              << " m at aspl <= seed (" << res.cable_saved_pct << "% saved, "
-              << (res.beats_seed ? "beats seed" : "does not beat seed")
-              << "), best aspl " << res.best_aspl << "\n";
-    for (const AnalysisViolation& v : violations)
-      std::cout << "VIOLATION " << v.kind << ": " << v.message << "\n";
-    std::cout << "dsn-lint optimize: " << (violations.empty() ? "PASS" : "FAIL")
-              << " (" << violations.size() << " violations)\n";
+    return finish("optimize", findings, &doc);
   }
-  return violations.empty() ? kExitClean : kExitViolations;
+  std::cout << "optimize " << res.topology << " [n=" << res.n << ", "
+            << res.shortcuts << " shortcut slots, degree "
+            << res.degree_min << ".." << res.degree_max << ", "
+            << res.sample_sources << " sampled sources]\n"
+            << "  seed   cable " << res.seed_point.cable_m << " m, aspl "
+            << res.seed_point.aspl << ", throughput bound "
+            << res.seed_point.throughput_bound << "\n"
+            << "  front  " << res.front.size() << " points (archive "
+            << res.archive_size << "): ";
+  for (std::size_t i = 0; i < res.front.size(); ++i) {
+    if (i != 0) std::cout << " | ";
+    std::cout << res.front[i].cable_m << "m@" << res.front[i].aspl;
+  }
+  std::cout << "\n  moves  " << res.proposals << " proposals, "
+            << res.accepted << " accepted, " << res.invalid << " invalid, "
+            << res.full_sweeps << " full sweeps\n"
+            << "  best   cable " << res.best_cable_m_at_seed_aspl
+            << " m at aspl <= seed (" << res.cable_saved_pct << "% saved, "
+            << (res.beats_seed ? "beats seed" : "does not beat seed")
+            << "), best aspl " << res.best_aspl << "\n";
+  return finish("optimize", findings, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -837,7 +778,7 @@ int run_stats_command(int argc, const char* const* argv) {
   // Self-checks: the canonical per-layer metrics must exist, and every
   // counter must be monotone across the stage snapshots (the sharded-merge
   // discipline guarantees it; a regression means torn reads or id misuse).
-  std::vector<AnalysisViolation> violations;
+  std::vector<Finding> findings;
   for (const char* required :
        {"dsn.topology.generated", "dsn.topology.shortcuts",
         "dsn.graph.msbfs_batches", "dsn.analysis.routes_checked",
@@ -848,9 +789,9 @@ int run_stats_command(int argc, const char* const* argv) {
         "dsn.opt.proposals", "dsn.opt.accepts", "dsn.opt.full_sweeps",
         "dsn.opt.plateau_ns", "dsn.opt.plateaus"}) {
     if (final_snap.find(required) == nullptr) {
-      violations.push_back({"metric-missing",
-                            std::string("expected metric '") + required +
-                                "' was never registered by the workload"});
+      findings.push_back({"metric-missing",
+                          std::string("expected metric '") + required +
+                              "' was never registered by the workload"});
     }
   }
   for (std::size_t s = 1; s < stages.size(); ++s) {
@@ -858,7 +799,7 @@ int run_stats_command(int argc, const char* const* argv) {
       if (m.kind != dsn::obs::MetricKind::kCounter) continue;
       const dsn::obs::MetricSnapshot* prev = stages[s - 1].second.find(m.name);
       if (prev != nullptr && prev->value > m.value) {
-        violations.push_back(
+        findings.push_back(
             {"counter-regression",
              m.name + " fell from " + std::to_string(prev->value) + " to " +
                  std::to_string(m.value) + " between stage '" +
@@ -881,41 +822,28 @@ int run_stats_command(int argc, const char* const* argv) {
     }
     doc.set("stages", std::move(jstages));
     doc.set("metrics", snapshot_to_json(final_snap));
-    dsn::Json vs = dsn::Json::array();
-    for (const AnalysisViolation& v : violations) {
-      dsn::Json jv = dsn::Json::object();
-      jv.set("kind", v.kind);
-      jv.set("message", v.message);
-      vs.push_back(std::move(jv));
-    }
-    doc.set("violations", std::move(vs));
-    std::cout << doc.dump(2) << "\n";
-  } else {
-    dsn::Table table({"metric", "kind", "value", "max/sum"});
-    for (const dsn::obs::MetricSnapshot& m : final_snap.metrics) {
-      auto& row = table.row().cell(m.name).cell(dsn::obs::to_string(m.kind));
-      switch (m.kind) {
-        case dsn::obs::MetricKind::kCounter:
-          row.cell(m.value).cell("");
-          break;
-        case dsn::obs::MetricKind::kGauge:
-          row.cell(m.gauge_value).cell(std::to_string(m.gauge_max));
-          break;
-        case dsn::obs::MetricKind::kHistogram:
-          row.cell(m.hist_count).cell(std::to_string(m.hist_sum));
-          break;
-      }
-    }
-    table.print(std::cout,
-                "dsn::obs metrics after generate/graph/opt/analyze/drill/flow "
-                "(dsn-" +
-                    std::to_string(n) + ")");
-    for (const AnalysisViolation& v : violations)
-      std::cout << "VIOLATION " << v.kind << ": " << v.message << "\n";
-    std::cout << "dsn-lint stats: " << (violations.empty() ? "PASS" : "FAIL")
-              << " (" << violations.size() << " violations)\n";
+    return finish("stats", findings, &doc);
   }
-  return violations.empty() ? kExitClean : kExitViolations;
+  dsn::Table table({"metric", "kind", "value", "max/sum"});
+  for (const dsn::obs::MetricSnapshot& m : final_snap.metrics) {
+    auto& row = table.row().cell(m.name).cell(dsn::obs::to_string(m.kind));
+    switch (m.kind) {
+      case dsn::obs::MetricKind::kCounter:
+        row.cell(m.value).cell("");
+        break;
+      case dsn::obs::MetricKind::kGauge:
+        row.cell(m.gauge_value).cell(std::to_string(m.gauge_max));
+        break;
+      case dsn::obs::MetricKind::kHistogram:
+        row.cell(m.hist_count).cell(std::to_string(m.hist_sum));
+        break;
+    }
+  }
+  table.print(std::cout,
+              "dsn::obs metrics after generate/graph/opt/analyze/drill/flow "
+              "(dsn-" +
+                  std::to_string(n) + ")");
+  return finish("stats", findings, nullptr);
 #endif  // DSN_OBS
 }
 
@@ -980,7 +908,11 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "1", "seed for the randomized generators");
   cli.add_flag("file", "", "lint an edge-list file instead of generating");
   cli.add_flag("full", "false",
-               "also run routing-consistency and CDG-acyclicity checks");
+               "also run the route checks: the route analyzer's verdicts (loops, "
+               "endpoints, non-link hops, phase order, hop bounds, fallbacks) for "
+               "the native routing family and up*/down*, and CDG acyclicity where "
+               "deadlock freedom is claimed; all pairs up to n = 1024, sampled "
+               "sources (native family only) above");
   cli.add_flag("quiet", "false", "print only failing topologies");
 
   try {
