@@ -8,6 +8,7 @@
 //     shortcut hierarchy.
 //  2. Simulated: run the cycle-accurate simulator under each scheme and
 //     report measured link-flit balance plus latency/throughput.
+#include <functional>
 #include <iostream>
 #include <memory>
 

@@ -7,6 +7,7 @@
 //  - flexible DSN (§V-C): minor nodes barely change diameter/ASPL.
 #include <iostream>
 
+#include "dsn/analysis/route_analysis.hpp"
 #include "dsn/common/cli.hpp"
 #include "dsn/common/table.hpp"
 #include "dsn/graph/metrics.hpp"
@@ -30,29 +31,29 @@ int main(int argc, char** argv) {
     const dsn::Dsn base(n, dsn::dsn_default_x(n));
     {
       const auto paths = dsn::compute_path_stats(base.topology().graph);
-      const auto scan = dsn::scan_all_pairs(dsn::DsnRouter(base));
+      const auto routes =
+          dsn::analyze::analyze_dsn_routes(base, dsn::analyze::ChannelScheme::kBasic);
       table.row()
           .cell("DSN (basic)")
           .cell(static_cast<std::uint64_t>(base.topology().graph.num_links()))
           .cell(base.topology().graph.average_degree())
           .cell(static_cast<std::uint64_t>(paths.diameter))
           .cell(paths.avg_shortest_path)
-          .cell(static_cast<std::uint64_t>(scan.max_hops))
-          .cell(scan.avg_hops);
+          .cell(static_cast<std::uint64_t>(routes.max_hops))
+          .cell(routes.avg_hops);
     }
     for (std::uint32_t xd = 1; xd <= 3; ++xd) {
       const dsn::DsnD dd(n, xd);
       const auto paths = dsn::compute_path_stats(dd.topology().graph);
-      const auto scan = dsn::scan_all_pairs_fn(
-          n, [&](dsn::NodeId s, dsn::NodeId t) { return dsn::route_dsn_d(dd, s, t); });
+      const auto routes = dsn::analyze::analyze_dsn_d_routes(dd);
       table.row()
           .cell("DSN-D-" + std::to_string(xd) + " (q=" + std::to_string(dd.q()) + ")")
           .cell(static_cast<std::uint64_t>(dd.topology().graph.num_links()))
           .cell(dd.topology().graph.average_degree())
           .cell(static_cast<std::uint64_t>(paths.diameter))
           .cell(paths.avg_shortest_path)
-          .cell(static_cast<std::uint64_t>(scan.max_hops))
-          .cell(scan.avg_hops);
+          .cell(static_cast<std::uint64_t>(routes.max_hops))
+          .cell(routes.avg_hops);
     }
     {
       const dsn::DsnE de(n);
@@ -70,17 +71,22 @@ int main(int argc, char** argv) {
       // Flexible DSN: n majors plus 4 minors spliced in.
       const dsn::FlexDsn flex(n, dsn::dsn_default_x(n), {10, 20, 30, 40});
       const auto paths = dsn::compute_path_stats(flex.topology().graph);
-      const auto scan = dsn::scan_all_pairs_fn(
-          flex.num_total(),
-          [&](dsn::NodeId s, dsn::NodeId t) { return dsn::route_dsn_flex(flex, s, t); });
+      const auto routes = dsn::analyze::analyze_route_function(
+          flex.topology().graph,
+          [&](dsn::NodeId s, dsn::NodeId t, dsn::Route& out) {
+            out = dsn::route_dsn_flex(flex, s, t);
+          },
+          [](const dsn::Route& r, std::vector<dsn::Channel>& out) {
+            dsn::dsn_route_channels_basic(r, out);
+          });
       table.row()
           .cell("DSN-flex (+4 minors)")
           .cell(static_cast<std::uint64_t>(flex.topology().graph.num_links()))
           .cell(flex.topology().graph.average_degree())
           .cell(static_cast<std::uint64_t>(paths.diameter))
           .cell(paths.avg_shortest_path)
-          .cell(static_cast<std::uint64_t>(scan.max_hops))
-          .cell(scan.avg_hops);
+          .cell(static_cast<std::uint64_t>(routes.max_hops))
+          .cell(routes.avg_hops);
     }
     table.print(std::cout, "Section V extensions at n = " + std::to_string(n));
   }

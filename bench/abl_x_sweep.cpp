@@ -4,12 +4,12 @@
 // cable length trade off as x shrinks.
 #include <iostream>
 
+#include "dsn/analysis/route_analysis.hpp"
 #include "dsn/common/cli.hpp"
 #include "dsn/common/math.hpp"
 #include "dsn/common/table.hpp"
 #include "dsn/graph/metrics.hpp"
 #include "dsn/layout/layout.hpp"
-#include "dsn/routing/dsn_routing.hpp"
 #include "dsn/topology/dsn.hpp"
 
 int main(int argc, char** argv) {
@@ -25,8 +25,7 @@ int main(int argc, char** argv) {
   for (std::uint32_t x = 1; x <= p - 1; ++x) {
     const dsn::Dsn d(n, x);
     const auto paths = dsn::compute_path_stats(d.topology().graph);
-    const dsn::DsnRouter router(d);
-    const auto scan = dsn::scan_all_pairs(router);
+    const auto routes = dsn::analyze::analyze_dsn_routes(d, dsn::analyze::ChannelScheme::kBasic);
     const auto cable = dsn::compute_cable_report(d.topology());
     const bool premise = x > p - dsn::ilog2_ceil(p);
     table.row()
@@ -36,8 +35,8 @@ int main(int argc, char** argv) {
         .cell(d.topology().graph.average_degree())
         .cell(static_cast<std::uint64_t>(paths.diameter))
         .cell(paths.avg_shortest_path)
-        .cell(static_cast<std::uint64_t>(scan.max_hops))
-        .cell(scan.avg_hops)
+        .cell(static_cast<std::uint64_t>(routes.max_hops))
+        .cell(routes.avg_hops)
         .cell(cable.average_m);
   }
   table.print(std::cout, "Ablation: DSN-x-" + std::to_string(n) +

@@ -6,10 +6,10 @@
 //   Theorem 2 E[route length] <= 2p, E[shortest path] <= 1.5p
 #include <iostream>
 
+#include "dsn/analysis/route_analysis.hpp"
 #include "dsn/common/cli.hpp"
 #include "dsn/common/table.hpp"
 #include "dsn/graph/metrics.hpp"
-#include "dsn/routing/dsn_routing.hpp"
 #include "dsn/topology/dsn.hpp"
 
 int main(int argc, char** argv) {
@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
     const dsn::Dsn d(n, dsn::dsn_default_x(n));
     const auto deg = dsn::compute_degree_stats(d.topology().graph);
     const auto paths = dsn::compute_path_stats(d.topology().graph);
-    const dsn::DsnRouter router(d);
-    const auto scan = dsn::scan_all_pairs(router);
+    const auto routes = dsn::analyze::analyze_dsn_routes(d, dsn::analyze::ChannelScheme::kBasic);
 
     const std::uint64_t deg5 = deg.histogram.size() > 5 ? deg.histogram[5] : 0;
     table.row()
@@ -39,9 +38,9 @@ int main(int argc, char** argv) {
         .cell(static_cast<std::uint64_t>(d.p()))
         .cell(static_cast<std::uint64_t>(paths.diameter))
         .cell(2.5 * d.p() + d.r(), 1)
-        .cell(static_cast<std::uint64_t>(scan.max_hops))
+        .cell(static_cast<std::uint64_t>(routes.max_hops))
         .cell(static_cast<std::uint64_t>(3 * d.p() + d.r()))
-        .cell(scan.avg_hops)
+        .cell(routes.avg_hops)
         .cell(static_cast<std::uint64_t>(2 * d.p()))
         .cell(paths.avg_shortest_path)
         .cell(1.5 * d.p(), 1);

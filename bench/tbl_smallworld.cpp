@@ -6,12 +6,11 @@
 #include <iostream>
 
 #include "dsn/analysis/factory.hpp"
+#include "dsn/analysis/route_analysis.hpp"
 #include "dsn/common/cli.hpp"
 #include "dsn/common/math.hpp"
 #include "dsn/common/table.hpp"
 #include "dsn/graph/metrics.hpp"
-#include "dsn/routing/dsn_routing.hpp"
-#include "dsn/routing/greedy.hpp"
 #include "dsn/topology/generators.hpp"
 #include "dsn/topology/dsn.hpp"
 
@@ -55,7 +54,8 @@ int main(int argc, char** argv) {
     const auto side = static_cast<std::uint32_t>(dsn::isqrt(n));
     if (side * side == n) {
       const dsn::Topology kb = dsn::make_kleinberg(side, 1, 2.0, seed);
-      const auto greedy = dsn::scan_greedy_grid(kb);
+      const auto greedy =
+          dsn::analyze::analyze_topology_routes(kb, dsn::analyze::RoutingFamily::kGreedyGrid);
       const auto opt = dsn::compute_path_stats(kb.graph);
       table.row()
           .cell("Kleinberg greedy")
@@ -66,14 +66,14 @@ int main(int argc, char** argv) {
     }
     // DSN custom routing.
     const dsn::Dsn d(n, dsn::dsn_default_x(n));
-    const auto scan = dsn::scan_all_pairs(dsn::DsnRouter(d));
+    const auto routes = dsn::analyze::analyze_dsn_routes(d, dsn::analyze::ChannelScheme::kBasic);
     const auto opt = dsn::compute_path_stats(d.topology().graph);
     table.row()
         .cell("DSN custom (Fig. 2)")
-        .cell(scan.avg_hops)
+        .cell(routes.avg_hops)
         .cell(opt.avg_shortest_path)
-        .cell(scan.avg_hops / opt.avg_shortest_path)
-        .cell(static_cast<std::uint64_t>(scan.max_hops));
+        .cell(routes.avg_hops / opt.avg_shortest_path)
+        .cell(static_cast<std::uint64_t>(routes.max_hops));
     table.print(std::cout,
                 "Routing stretch: greedy on Kleinberg vs DSN custom routing");
   }

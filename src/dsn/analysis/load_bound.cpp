@@ -7,22 +7,28 @@
 
 namespace dsn::analyze {
 
-namespace {
-
-double gini_index(std::vector<std::uint64_t> loads) {
-  if (loads.empty()) return 0.0;
+LoadSummary summarize_loads(std::vector<std::uint64_t> loads) {
+  LoadSummary s;
+  if (loads.empty()) return s;
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    s.total += loads[i];
+    if (loads[i] > s.max_load) {
+      s.max_load = loads[i];
+      s.max_index = i;
+    }
+  }
+  s.mean = static_cast<double>(s.total) / static_cast<double>(loads.size());
   std::sort(loads.begin(), loads.end());
   long double weighted = 0.0L, total = 0.0L;
   for (std::size_t i = 0; i < loads.size(); ++i) {
     weighted += static_cast<long double>(i + 1) * loads[i];
     total += loads[i];
   }
-  if (total == 0.0L) return 0.0;
+  if (total == 0.0L) return s;
   const long double m = static_cast<long double>(loads.size());
-  return static_cast<double>(2.0L * weighted / (m * total) - (m + 1.0L) / m);
+  s.gini = static_cast<double>(2.0L * weighted / (m * total) - (m + 1.0L) / m);
+  return s;
 }
-
-}  // namespace
 
 TreeLoadBound compute_tree_load_bound(const CsrView& csr,
                                       std::span<const NodeId> sources) {
@@ -30,17 +36,12 @@ TreeLoadBound compute_tree_load_bound(const CsrView& csr,
   b.n = csr.num_nodes();
   b.sample_sources = static_cast<std::uint32_t>(sources.size());
   b.links = csr.num_arcs() / 2;
-  std::vector<std::uint64_t> loads = compute_tree_loads(csr, sources).loads;
-  for (std::size_t l = 0; l < loads.size(); ++l) {
-    b.total += loads[l];
-    if (loads[l] > b.max_load) {
-      b.max_load = loads[l];
-      b.max_link = static_cast<LinkId>(l);
-    }
-  }
-  if (b.links > 0)
-    b.mean_load = static_cast<double>(b.total) / static_cast<double>(b.links);
-  b.gini = gini_index(std::move(loads));
+  const LoadSummary loads = summarize_loads(compute_tree_loads(csr, sources).loads);
+  b.total = loads.total;
+  b.max_load = loads.max_load;
+  b.max_link = static_cast<LinkId>(loads.max_index);
+  b.mean_load = loads.mean;
+  b.gini = loads.gini;
   if (b.max_load > 0 && b.n > 1 && b.sample_sources > 0) {
     b.max_normalized = static_cast<double>(b.max_load) * static_cast<double>(b.n) /
                        (static_cast<double>(b.sample_sources) *

@@ -7,7 +7,9 @@
 // via SampledPathEstimator, one sampled sweep per candidate; this wrapper is
 // the one-shot view for analyzer/tool consumers, exact (all sources) or
 // sampled. Both run the same sweep (dsn::compute_tree_loads) with the same
-// normalization, so numbers are comparable across dsn-lint commands.
+// normalization, so numbers are comparable across dsn-lint commands. The
+// total / max / mean / Gini summary is summarize_loads, which the route
+// analyzer's channel loads use too.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +20,19 @@
 #include "dsn/graph/csr.hpp"
 
 namespace dsn::analyze {
+
+/// Total, maximum, mean and Gini index of a load vector: the summary both the
+/// route analyzer's channel loads and the tree-load bound report. Each caller
+/// normalizes max_load its own way.
+struct LoadSummary {
+  std::uint64_t total = 0;
+  std::uint64_t max_load = 0;
+  std::size_t max_index = 0;  ///< lowest index attaining max_load
+  double mean = 0.0;          ///< total / number of loads; 0 when there are none
+  double gini = 0.0;          ///< load-imbalance index in [0, 1)
+};
+
+LoadSummary summarize_loads(std::vector<std::uint64_t> loads);
 
 /// Per-link load statistics over the sampled sources' canonical trees.
 /// Normalization matches dsn::EstimateView: max_normalized scales the sampled

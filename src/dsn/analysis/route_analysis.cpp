@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "dsn/analysis/load_bound.hpp"
 #include "dsn/common/math.hpp"
 #include "dsn/common/thread_pool.hpp"
 #include "dsn/graph/metrics.hpp"
@@ -96,19 +97,6 @@ const char* phase_name(RoutePhase phase) {
     case RoutePhase::kFinish: return "FINISH";
   }
   return "unknown";
-}
-
-double gini_index(std::vector<std::uint64_t> loads) {
-  if (loads.empty()) return 0.0;
-  std::sort(loads.begin(), loads.end());
-  long double weighted = 0.0L, total = 0.0L;
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    weighted += static_cast<long double>(i + 1) * loads[i];
-    total += loads[i];
-  }
-  if (total == 0.0L) return 0.0;
-  const long double m = static_cast<long double>(loads.size());
-  return static_cast<double>(2.0L * weighted / (m * total) - (m + 1.0L) / m);
 }
 
 }  // namespace
@@ -252,21 +240,14 @@ RouteAnalysis analyze_route_function(const Graph& graph, const RouteFill& route_
   }
 
   // Static channel load.
-  const std::vector<std::uint64_t>& loads = cdg.use_counts();
-  ra.load.channels = loads.size();
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    ra.load.total += loads[i];
-    if (loads[i] > ra.load.max_load) {
-      ra.load.max_load = loads[i];
-      ra.load.max_channel = cdg.channels()[i];
-    }
-  }
-  if (!loads.empty()) {
-    ra.load.mean_load =
-        static_cast<double>(ra.load.total) / static_cast<double>(loads.size());
-    ra.load.gini = gini_index(loads);
-  }
+  const LoadSummary loads = summarize_loads(cdg.use_counts());
+  ra.load.channels = cdg.use_counts().size();
+  ra.load.total = loads.total;
+  ra.load.max_load = loads.max_load;
+  ra.load.mean_load = loads.mean;
+  ra.load.gini = loads.gini;
   if (ra.load.max_load > 0) {
+    ra.load.max_channel = cdg.channels()[loads.max_index];
     ra.load.max_normalized =
         static_cast<double>(ra.load.max_load) / static_cast<double>(n - 1);
     ra.load.throughput_bound = 1.0 / ra.load.max_normalized;

@@ -1,12 +1,20 @@
 #include "dsn/analysis/wire_latency.hpp"
 
 #include <algorithm>
-#include "dsn/common/mutex.hpp"
 
 #include "dsn/common/thread_pool.hpp"
 #include "dsn/graph/metrics.hpp"
 
 namespace dsn {
+
+namespace {
+
+/// One source's sums over its shortest-path tree.
+struct SourceSums {
+  double hops = 0.0, cable = 0.0, latency = 0.0, max_latency = 0.0;
+};
+
+}  // namespace
 
 WireLatencyStats estimate_wire_latency(const Topology& topo,
                                        const WireLatencyConfig& config) {
@@ -17,74 +25,50 @@ WireLatencyStats estimate_wire_latency(const Topology& topo,
                            grid ? PlacementStrategy::kGrid2D
                                 : PlacementStrategy::kLinear);
 
-  // Pre-compute per-link cable lengths once.
-  std::vector<double> link_m(topo.graph.num_links());
-  for (LinkId l = 0; l < topo.graph.num_links(); ++l) {
-    const auto [u, v] = topo.graph.link_endpoints(l);
-    link_m[l] = layout.cable_length_m(u, v);
-  }
-
-  Mutex merge;
-  double hops_sum = 0.0, cable_sum = 0.0, lat_sum = 0.0, lat_max = 0.0;
-
+  // Each source writes only its own slot; the slots are merged in source
+  // order below, so the sums do not depend on thread count or scheduling.
+  std::vector<SourceSums> per_source(n);
   parallel_for(0, n, [&](std::size_t src) {
-    // BFS recording, per node, the incoming link of one shortest path
-    // (deterministic: adjacency order, first visit wins).
     const NodeId s = static_cast<NodeId>(src);
-    std::vector<std::uint32_t> dist(n, kUnreachable);
-    std::vector<LinkId> via(n, kInvalidLink);
-    std::vector<NodeId> parent(n, kInvalidNode);
-    std::vector<NodeId> frontier{s}, next;
-    dist[s] = 0;
-    while (!frontier.empty()) {
-      next.clear();
-      for (const NodeId u : frontier) {
-        for (const AdjHalf& h : topo.graph.neighbors(u)) {
-          if (dist[h.to] != kUnreachable) continue;
-          dist[h.to] = dist[u] + 1;
-          via[h.to] = h.link;
-          parent[h.to] = u;
-          next.push_back(h.to);
-        }
-      }
-      frontier.swap(next);
-    }
+    const BfsTree tree = bfs_tree(topo.graph, s);
 
-    // Accumulate cable length along each node's shortest-path tree branch
-    // with a second pass in BFS order (parents are always finalized first).
-    std::vector<double> cable_to(n, 0.0);
-    // Re-walk nodes in increasing distance: bucket by distance.
+    // Accumulate cable length along each node's tree branch, visiting nodes
+    // in increasing distance so every parent is finalized first.
     std::vector<std::vector<NodeId>> by_dist;
     for (NodeId v = 0; v < n; ++v) {
-      if (v == s || dist[v] == kUnreachable) continue;
-      if (dist[v] >= by_dist.size()) by_dist.resize(dist[v] + 1);
-      by_dist[dist[v]].push_back(v);
+      if (v == s || tree.dist[v] == kUnreachable) continue;
+      if (tree.dist[v] >= by_dist.size()) by_dist.resize(tree.dist[v] + 1);
+      by_dist[tree.dist[v]].push_back(v);
     }
-    double local_hops = 0.0, local_cable = 0.0, local_lat = 0.0, local_max = 0.0;
+    std::vector<double> cable_to(n, 0.0);
+    SourceSums& sums = per_source[src];
     for (const auto& bucket : by_dist) {
       for (const NodeId v : bucket) {
-        cable_to[v] = cable_to[parent[v]] + link_m[via[v]];
+        const NodeId u = tree.parent[v];
+        cable_to[v] = cable_to[u] + layout.cable_length_m(u, v);
         const double lat =
-            (dist[v] + 1) * config.router_ns + cable_to[v] * config.cable_ns_per_m;
-        local_hops += dist[v];
-        local_cable += cable_to[v];
-        local_lat += lat;
-        local_max = std::max(local_max, lat);
+            (tree.dist[v] + 1) * config.router_ns + cable_to[v] * config.cable_ns_per_m;
+        sums.hops += tree.dist[v];
+        sums.cable += cable_to[v];
+        sums.latency += lat;
+        sums.max_latency = std::max(sums.max_latency, lat);
       }
     }
-    LockGuard lock(merge);
-    hops_sum += local_hops;
-    cable_sum += local_cable;
-    lat_sum += local_lat;
-    lat_max = std::max(lat_max, local_max);
   });
 
+  SourceSums total;
+  for (const SourceSums& sums : per_source) {
+    total.hops += sums.hops;
+    total.cable += sums.cable;
+    total.latency += sums.latency;
+    total.max_latency = std::max(total.max_latency, sums.max_latency);
+  }
   const double pairs = static_cast<double>(n) * (n - 1);
   WireLatencyStats stats;
-  stats.avg_hops = hops_sum / pairs;
-  stats.avg_cable_m = cable_sum / pairs;
-  stats.avg_latency_ns = lat_sum / pairs;
-  stats.max_latency_ns = lat_max;
+  stats.avg_hops = total.hops / pairs;
+  stats.avg_cable_m = total.cable / pairs;
+  stats.avg_latency_ns = total.latency / pairs;
+  stats.max_latency_ns = total.max_latency;
   const double wire_ns = stats.avg_cable_m * config.cable_ns_per_m;
   stats.wire_fraction = wire_ns / stats.avg_latency_ns;
   return stats;

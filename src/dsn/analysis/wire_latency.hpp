@@ -25,9 +25,10 @@ struct WireLatencyStats {
   double wire_fraction = 0.0;    ///< share of the average latency spent on wires
 };
 
-/// Estimate over all ordered pairs using BFS hop-shortest paths (ties broken
-/// deterministically toward lower node ids) under the topology's
-/// conventional placement.
+/// Estimate over all ordered pairs using BFS hop-shortest paths (the
+/// dsn::bfs_tree of each source) under the topology's conventional
+/// placement. Bit-identical for any thread count: per-source sums are merged
+/// in source order.
 WireLatencyStats estimate_wire_latency(const Topology& topo,
                                        const WireLatencyConfig& config = {});
 

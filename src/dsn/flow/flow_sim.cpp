@@ -8,8 +8,19 @@
 #include "dsn/common/error.hpp"
 #include "dsn/common/thread_pool.hpp"
 #include "dsn/obs/obs.hpp"
+#include "dsn/sim/config.hpp"
 
 namespace dsn::flow {
+
+namespace {
+
+/// Flits per cycle of every directed link half and NIC port.
+constexpr double kPortCapacity = 1.0;
+/// Epoch length ceiling in cycles, and epochs before a run gives up.
+constexpr std::uint64_t kMaxEpochCycles = 1ULL << 20;
+constexpr std::uint64_t kMaxEpochs = 1ULL << 20;
+
+}  // namespace
 
 #if DSN_OBS
 namespace {
@@ -37,12 +48,8 @@ struct FlowMetrics {
 
 void FlowConfig::validate() const {
   DSN_REQUIRE(hosts_per_switch > 0, "need at least one host per switch");
-  DSN_REQUIRE(link_capacity > 0.0 && host_capacity > 0.0,
-              "capacities must be positive");
-  DSN_REQUIRE(min_epoch_cycles > 0, "epoch floor must be positive");
-  DSN_REQUIRE(max_epoch_cycles >= min_epoch_cycles,
-              "epoch ceiling below the floor");
-  DSN_REQUIRE(max_epochs > 0, "epoch ceiling must be positive");
+  DSN_REQUIRE(min_epoch_cycles > 0 && min_epoch_cycles <= kMaxEpochCycles,
+              "epoch floor must lie in [1, 2^20] cycles");
 }
 
 FlowSimulator::FlowSimulator(const Topology& topo, const FlowConfig& config)
@@ -59,7 +66,7 @@ FlowSimulator::FlowSimulator(const Topology& topo, const FlowConfig& config)
   // arc of the pair (map_route always picks the first), so the remaining
   // parallel arcs are never referenced.
   const std::size_t arcs = csr_.num_arcs();
-  capacity_.assign(arcs + 2ULL * num_hosts_, config_.host_capacity);
+  capacity_.assign(arcs + 2ULL * num_hosts_, kPortCapacity);
   for (NodeId u = 0; u < n; ++u) {
     const auto nb = csr_.neighbors(u);
     for (std::size_t k = 0; k < nb.size(); ++k) {
@@ -71,8 +78,7 @@ FlowSimulator::FlowSimulator(const Topology& topo, const FlowConfig& config)
         if (j < k) first = false;
       }
       capacity_[row_off_[u] + k] =
-          first ? config_.link_capacity * static_cast<double>(mult)
-                : config_.link_capacity;
+          first ? kPortCapacity * static_cast<double>(mult) : kPortCapacity;
     }
   }
 
@@ -196,7 +202,7 @@ FlowResult FlowSimulator::run_loop(WorkloadDriver& driver) {
       pending.clear();
     }
     if (active_.empty()) break;
-    if (res.epochs == config_.max_epochs) {
+    if (res.epochs == kMaxEpochs) {
       res.converged = false;
       break;
     }
@@ -213,9 +219,8 @@ FlowResult FlowSimulator::run_loop(WorkloadDriver& driver) {
                         flows_.pool.begin() + flows_.route_begin[f + 1]);
       solve_begin.push_back(solve_pool.size());
     }
-    const FairShareResult fs = max_min_fair_rates(capacity_, solve_pool, solve_begin,
-                                                  solver_scratch_,
-                                                  config_.max_waterfill_rounds);
+    const FairShareResult fs =
+        max_min_fair_rates(capacity_, solve_pool, solve_begin, solver_scratch_);
     res.max_waterfill_rounds = std::max(res.max_waterfill_rounds, fs.rounds);
     res.waterfill_rounds_total += fs.rounds;
     DSN_OBS_ONLY(DSN_OBS_ADD(FlowMetrics::get().waterfill_rounds, fs.rounds);)
@@ -241,7 +246,7 @@ FlowResult FlowSimulator::run_loop(WorkloadDriver& driver) {
     }
     const double dt =
         std::clamp(t_min, static_cast<double>(config_.min_epoch_cycles),
-                   static_cast<double>(config_.max_epoch_cycles));
+                   static_cast<double>(kMaxEpochCycles));
 
     completed.clear();
     std::size_t kept = 0;
@@ -293,7 +298,7 @@ FlowResult FlowSimulator::run_loop(WorkloadDriver& driver) {
     res.aggregate_flits_per_cycle = res.flits_delivered / res.makespan_cycles;
     res.per_host_flits_per_cycle =
         res.aggregate_flits_per_cycle / static_cast<double>(num_hosts_);
-    res.per_host_gbps = config_.flits_per_cycle_to_gbps(res.per_host_flits_per_cycle);
+    res.per_host_gbps = SimConfig{}.flits_per_cycle_to_gbps(res.per_host_flits_per_cycle);
   }
   return res;
 }

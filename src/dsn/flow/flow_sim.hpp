@@ -12,9 +12,9 @@
 //      (directed link halves + host injection/ejection ports, each 1
 //      flit/cycle like the flit sim) by progressive water-filling, in a
 //      solver workspace the simulator keeps across epochs;
-//   3. advance to the earliest flow completion (clamped to the configured
-//      epoch bounds), retire completed flows at their exact completion time,
-//      and hand them to the workload driver, which may emit successors.
+//   3. advance to the earliest flow completion (clamped to the epoch
+//      bounds), retire completed flows at their exact completion time, and
+//      hand them to the workload driver, which may emit successors.
 //
 // The tier is cross-validated against the flit simulator at small n
 // (tests/test_flow_crossval.cpp) and scales to millions of hosts where the
@@ -35,32 +35,23 @@
 
 namespace dsn::flow {
 
+/// Every resource carries one flit per cycle, like the flit simulator's
+/// directed link halves and NIC ports; rates convert to Gb/s at SimConfig's
+/// link rate. An epoch lasts at most 2^20 cycles, and a run stops
+/// (converged = false) after 2^20 epochs.
 struct FlowConfig {
   std::uint32_t hosts_per_switch = 4;  ///< matches SimConfig for cross-validation
-  double link_bw_gbps = 96.0;          ///< per link per direction (SimConfig default)
-  std::uint32_t flit_bits = 256;
-  /// Capacities in flits/cycle — 1.0 each matches the flit sim's one flit
-  /// per cycle per directed link half and per NIC direction.
-  double link_capacity = 1.0;
-  double host_capacity = 1.0;
-  /// Epoch bounds: each epoch advances to the earliest flow completion,
-  /// clamped into [min_epoch_cycles, max_epoch_cycles]. The floor batches
-  /// completions when millions of flows would otherwise each trigger a
-  /// water-filling solve; 1 = exact completion-event stepping.
+  /// Epoch floor: each epoch advances to the earliest flow completion, but at
+  /// least this many cycles (at most 2^20). The floor batches completions
+  /// when millions of flows would otherwise each trigger a water-filling
+  /// solve; 1 = exact completion-event stepping.
   std::uint64_t min_epoch_cycles = 1;
-  std::uint64_t max_epoch_cycles = 1ULL << 20;
-  std::uint64_t max_epochs = 1ULL << 20;  ///< run aborts (converged=false) past this
-  /// Per-solve round ceiling; 0 = the natural bound (one saturated resource
-  /// per round, at most the number of used resources).
-  std::uint32_t max_waterfill_rounds = 0;
   /// Admission route shards (per-pair routes run in parallel, merged in
   /// shard order); 0 = auto from the global pool. The solver is serial.
   std::uint32_t shards = 0;
   std::uint32_t updown_max_n = 4096;        ///< FlowRoutes table fallback cap
   bool verify = false;  ///< run check_max_min on every solve (tests, dsn-lint)
 
-  double cycle_ns() const { return static_cast<double>(flit_bits) / link_bw_gbps; }
-  double flits_per_cycle_to_gbps(double rate) const { return rate * link_bw_gbps; }
   void validate() const;
 };
 

@@ -1,10 +1,6 @@
 #include "dsn/routing/dor.hpp"
 
-#include <algorithm>
-#include "dsn/common/mutex.hpp"
-
 #include "dsn/common/math.hpp"
-#include "dsn/common/thread_pool.hpp"
 
 namespace dsn {
 
@@ -70,31 +66,6 @@ NodeId torus_dor_next_hop(const Topology& topo, NodeId s, NodeId t) {
     }
   }
   return kInvalidNode;
-}
-
-RoutingScan scan_torus_dor(const Topology& topo) {
-  const NodeId n = topo.num_nodes();
-  RoutingScan scan;
-  Mutex merge;
-  std::uint64_t total = 0;
-  parallel_for(0, n, [&](std::size_t s) {
-    std::uint32_t local_max = 0;
-    std::uint64_t local_total = 0;
-    for (NodeId t = 0; t < n; ++t) {
-      if (t == static_cast<NodeId>(s)) continue;
-      const auto path = route_torus_dor(topo, static_cast<NodeId>(s), t);
-      const auto hops = static_cast<std::uint32_t>(path.size() - 1);
-      local_max = std::max(local_max, hops);
-      local_total += hops;
-    }
-    LockGuard lock(merge);
-    scan.max_hops = std::max(scan.max_hops, local_max);
-    total += local_total;
-  });
-  scan.pairs = static_cast<std::uint64_t>(n) * (n - 1);
-  scan.avg_hops =
-      scan.pairs == 0 ? 0.0 : static_cast<double>(total) / static_cast<double>(scan.pairs);
-  return scan;
 }
 
 }  // namespace dsn

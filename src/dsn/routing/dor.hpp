@@ -6,7 +6,6 @@
 
 #include <vector>
 
-#include "dsn/routing/route.hpp"
 #include "dsn/topology/topology.hpp"
 
 namespace dsn {
@@ -17,8 +16,5 @@ std::vector<NodeId> route_torus_dor(const Topology& topo, NodeId s, NodeId t);
 
 /// Next hop under DOR (kInvalidNode when s == t).
 NodeId torus_dor_next_hop(const Topology& topo, NodeId s, NodeId t);
-
-/// All-pairs DOR scan (max = torus diameter under DOR, avg path length).
-RoutingScan scan_torus_dor(const Topology& topo);
 
 }  // namespace dsn

@@ -170,11 +170,6 @@ void DsnRouter::nearest_prework_prefix(NodeId& u, NodeId t, std::vector<RouteHop
   }
 }
 
-RoutingScan scan_all_pairs(const DsnRouter& router) {
-  return scan_all_pairs_fn(router.dsn().n(),
-                           [&](NodeId s, NodeId t) { return router.route(s, t); });
-}
-
 // ---------------------------------------------------------------------------
 // DSN-D routing: express-aware local walks.
 // ---------------------------------------------------------------------------

@@ -10,10 +10,6 @@
 // are exactly the routes the flit simulator walks.
 #pragma once
 
-#include <algorithm>
-#include "dsn/common/mutex.hpp"
-
-#include "dsn/common/thread_pool.hpp"
 #include "dsn/routing/route.hpp"
 #include "dsn/topology/dsn.hpp"
 #include "dsn/topology/dsn_ext.hpp"
@@ -95,37 +91,5 @@ void route_dsn_d(const DsnD& d, NodeId s, NodeId t, Route& out,
 /// Route on a flexible DSN: minor destinations are reached through the
 /// preceding major node, then by succ links (§V-C).
 Route route_dsn_flex(const FlexDsn& f, NodeId s, NodeId t, DsnRoutingOptions options = {});
-
-/// All-pairs scan of a DsnRouter.
-RoutingScan scan_all_pairs(const DsnRouter& router);
-
-/// Evaluate an arbitrary route function over all ordered pairs of an n-node
-/// network (parallelized over sources).
-template <typename RouteFn>
-RoutingScan scan_all_pairs_fn(NodeId n, const RouteFn& route_fn) {
-  RoutingScan scan;
-  Mutex merge;
-  std::uint64_t total = 0;
-  parallel_for(0, n, [&](std::size_t s) {
-    std::uint32_t local_max = 0;
-    std::uint64_t local_total = 0;
-    std::uint64_t local_fallbacks = 0;
-    for (NodeId t = 0; t < n; ++t) {
-      if (t == static_cast<NodeId>(s)) continue;
-      const Route r = route_fn(static_cast<NodeId>(s), t);
-      local_max = std::max<std::uint32_t>(local_max, static_cast<std::uint32_t>(r.length()));
-      local_total += r.length();
-      local_fallbacks += r.used_fallback ? 1 : 0;
-    }
-    LockGuard lock(merge);
-    scan.max_hops = std::max(scan.max_hops, local_max);
-    total += local_total;
-    scan.fallback_routes += local_fallbacks;
-  });
-  scan.pairs = static_cast<std::uint64_t>(n) * (n - 1);
-  scan.avg_hops = scan.pairs == 0 ? 0.0
-                                  : static_cast<double>(total) / static_cast<double>(scan.pairs);
-  return scan;
-}
 
 }  // namespace dsn

@@ -1,10 +1,6 @@
 #include "dsn/routing/greedy.hpp"
 
-#include <algorithm>
 #include <cstdlib>
-#include "dsn/common/mutex.hpp"
-
-#include "dsn/common/thread_pool.hpp"
 
 namespace dsn {
 
@@ -17,13 +13,6 @@ std::int64_t lattice_distance(NodeId a, NodeId b, std::uint32_t side) {
 }
 
 }  // namespace
-
-std::vector<NodeId> route_greedy_grid(const Topology& topo, NodeId s, NodeId t) {
-  DSN_REQUIRE(topo.dims.size() == 2 && topo.dims[0] == topo.dims[1],
-              "greedy routing needs a square grid topology");
-  const CsrView csr(topo.graph);
-  return route_greedy_grid(csr, topo.dims[0], s, t);
-}
 
 std::vector<NodeId> route_greedy_grid(const CsrView& csr, std::uint32_t side, NodeId s,
                                       NodeId t) {
@@ -52,35 +41,6 @@ std::vector<NodeId> route_greedy_grid(const CsrView& csr, std::uint32_t side, No
     DSN_ASSERT(path.size() <= cap, "greedy walk exceeded the progress bound");
   }
   return path;
-}
-
-RoutingScan scan_greedy_grid(const Topology& topo) {
-  DSN_REQUIRE(topo.dims.size() == 2 && topo.dims[0] == topo.dims[1],
-              "greedy routing needs a square grid topology");
-  const NodeId n = topo.num_nodes();
-  const std::uint32_t side = topo.dims[0];
-  const CsrView csr(topo.graph);
-  RoutingScan scan;
-  Mutex merge;
-  std::uint64_t total = 0;
-  parallel_for(0, n, [&](std::size_t s) {
-    std::uint32_t local_max = 0;
-    std::uint64_t local_total = 0;
-    for (NodeId t = 0; t < n; ++t) {
-      if (t == static_cast<NodeId>(s)) continue;
-      const auto path = route_greedy_grid(csr, side, static_cast<NodeId>(s), t);
-      const auto hops = static_cast<std::uint32_t>(path.size() - 1);
-      local_max = std::max(local_max, hops);
-      local_total += hops;
-    }
-    LockGuard lock(merge);
-    scan.max_hops = std::max(scan.max_hops, local_max);
-    total += local_total;
-  });
-  scan.pairs = static_cast<std::uint64_t>(n) * (n - 1);
-  scan.avg_hops =
-      scan.pairs == 0 ? 0.0 : static_cast<double>(total) / static_cast<double>(scan.pairs);
-  return scan;
 }
 
 }  // namespace dsn

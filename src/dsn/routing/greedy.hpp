@@ -9,24 +9,14 @@
 #include <vector>
 
 #include "dsn/graph/csr.hpp"
-#include "dsn/routing/route.hpp"
-#include "dsn/topology/topology.hpp"
 
 namespace dsn {
 
-/// Greedy path (node sequence) on a rank-2 grid topology with optional
-/// shortcuts (topo.dims = {side, side}). The base grid guarantees progress,
-/// so the walk always terminates in at most 2*side hops... per remaining
-/// distance; a defensive cap still guards against malformed topologies.
-std::vector<NodeId> route_greedy_grid(const Topology& topo, NodeId s, NodeId t);
-
-/// CSR-backed variant for all-pairs sweeps: identical walk over a prebuilt
-/// snapshot of the grid's graph (side = grid width), without per-hop
-/// adjacency-list pointer chasing.
+/// Greedy path (node sequence, both ends included) over a CSR snapshot of a
+/// side x side grid with optional shortcuts. The base grid guarantees a
+/// strictly closer neighbor at every step, so the walk always terminates; a
+/// defensive cap still guards against malformed graphs.
 std::vector<NodeId> route_greedy_grid(const CsrView& csr, std::uint32_t side, NodeId s,
                                       NodeId t);
-
-/// All-pairs greedy scan (max/avg path length).
-RoutingScan scan_greedy_grid(const Topology& topo);
 
 }  // namespace dsn

@@ -54,12 +54,4 @@ struct Route {
   }
 };
 
-/// Aggregate statistics of a routing algorithm over all ordered (s, t) pairs.
-struct RoutingScan {
-  std::uint32_t max_hops = 0;      ///< the "routing diameter"
-  double avg_hops = 0.0;           ///< expected route length, uniform (s, t)
-  std::uint64_t fallback_routes = 0;
-  std::uint64_t pairs = 0;
-};
-
 }  // namespace dsn

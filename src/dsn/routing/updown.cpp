@@ -2,7 +2,6 @@
 // shard-order merges; iteration order here is part of the contract.
 #include "dsn/routing/updown.hpp"
 
-#include <algorithm>
 #include <deque>
 
 #include "dsn/common/thread_pool.hpp"
@@ -110,26 +109,6 @@ std::vector<NodeId> UpDownRouting::route(NodeId s, NodeId t) const {
     DSN_ASSERT(path.size() <= graph_->num_nodes() + 1, "up*/down* route too long");
   }
   return path;
-}
-
-RoutingScan UpDownRouting::scan_all_pairs() const {
-  const NodeId n = graph_->num_nodes();
-  RoutingScan scan;
-  std::uint64_t total = 0;
-  for (NodeId t = 0; t < n; ++t) {
-    const std::size_t base = static_cast<std::size_t>(t) * n;
-    for (NodeId u = 0; u < n; ++u) {
-      if (u == t) continue;
-      const std::uint32_t dd = dist_[0][base + u];
-      DSN_ASSERT(dd != kUnreachable, "connected graph must have legal paths");
-      scan.max_hops = std::max(scan.max_hops, dd);
-      total += dd;
-    }
-  }
-  scan.pairs = static_cast<std::uint64_t>(n) * (n - 1);
-  scan.avg_hops =
-      scan.pairs == 0 ? 0.0 : static_cast<double>(total) / static_cast<double>(scan.pairs);
-  return scan;
 }
 
 }  // namespace dsn

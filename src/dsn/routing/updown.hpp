@@ -13,7 +13,6 @@
 
 #include "dsn/graph/csr.hpp"
 #include "dsn/graph/graph.hpp"
-#include "dsn/routing/route.hpp"
 
 namespace dsn {
 
@@ -45,9 +44,6 @@ class UpDownRouting {
 
   /// Full shortest legal path from s to t (node sequence including both ends).
   std::vector<NodeId> route(NodeId s, NodeId t) const;
-
-  /// Max/avg legal path length over all ordered pairs.
-  RoutingScan scan_all_pairs() const;
 
  private:
   const Graph* graph_;

@@ -4,20 +4,9 @@
 #include <algorithm>
 
 #include "dsn/common/error.hpp"
+#include "dsn/common/rng.hpp"
 
 namespace dsn {
-
-BernoulliDemand::BernoulliDemand(const TrafficPattern& pattern, double packet_rate,
-                                 std::uint32_t packet_flits)
-    : pattern_(&pattern), packet_rate_(packet_rate), packet_flits_(packet_flits) {
-  DSN_REQUIRE(packet_flits > 0, "packet size must be positive");
-}
-
-void BernoulliDemand::emit(HostId src, std::uint64_t /*cycle*/, Rng& rng,
-                           std::vector<Demand>& out) const {
-  if (!rng.bernoulli(packet_rate_)) return;
-  out.push_back({src, pattern_->dest(src, rng), packet_flits_});
-}
 
 std::vector<Demand> pattern_demands(const TrafficPattern& pattern,
                                     std::uint32_t num_hosts,

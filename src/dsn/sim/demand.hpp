@@ -1,18 +1,18 @@
 // dsn-slint: deterministic — demand streams feed byte-identical replay gates
 // in both simulation tiers; every draw comes from a caller-owned seeded Rng.
 //
-// The pattern→demand layer shared by the flit simulator and the flow tier.
-// A TrafficPattern picks destinations; a *demand* is what the application
-// layer actually asks the network to carry (src, dst, size). Hoisting the
-// demand generation out of the simulators means cross-validation runs
-// identical demand streams by construction: the flit sim injects a batch as
-// packets (to_injection_trace), the flow tier runs the same batch as flows.
+// Finite demand batches for cross-validating the two simulation tiers. A
+// TrafficPattern picks destinations; a *demand* is what the application
+// layer asks the network to carry (src, dst, size). The flit simulator
+// injects a batch as packets (to_injection_trace) and the flow tier runs the
+// same batch as flows, so both tiers carry identical demand by construction.
+// Open-loop Bernoulli injection is not a batch: the flit simulator draws it
+// per host from the TrafficPattern directly.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "dsn/common/rng.hpp"
 #include "dsn/common/types.hpp"
 #include "dsn/sim/trace.hpp"
 #include "dsn/sim/traffic.hpp"
@@ -24,36 +24,6 @@ struct Demand {
   HostId src = 0;
   HostId dst = 0;
   std::uint64_t flits = 0;
-};
-
-/// Demand generator interface. Implementations must be stateless apart from
-/// the caller-provided RNG (one stream per source host) so replays are exact
-/// for any host iteration order.
-class TrafficDemand {
- public:
-  virtual ~TrafficDemand() = default;
-  virtual const char* name() const = 0;
-  /// Append the demands host `src` emits at `cycle` to `out`.
-  virtual void emit(HostId src, std::uint64_t cycle, Rng& rng,
-                    std::vector<Demand>& out) const = 0;
-};
-
-/// Open-loop Bernoulli packet generation — the §VII-A load model the flit
-/// simulator drives: each cycle each host emits one packet-sized demand with
-/// probability `packet_rate`. Draw order (bernoulli, then dest) is the
-/// historical NIC order, so trace replays against old seeds stay identical.
-class BernoulliDemand final : public TrafficDemand {
- public:
-  BernoulliDemand(const TrafficPattern& pattern, double packet_rate,
-                  std::uint32_t packet_flits);
-  const char* name() const override { return pattern_->name(); }
-  void emit(HostId src, std::uint64_t cycle, Rng& rng,
-            std::vector<Demand>& out) const override;
-
- private:
-  const TrafficPattern* pattern_;
-  double packet_rate_;
-  std::uint32_t packet_flits_;
 };
 
 /// Deterministic finite batch: every host draws `packets_per_host`

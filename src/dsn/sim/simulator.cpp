@@ -20,8 +20,6 @@ Simulator::Simulator(const Topology& topo, SimRoutingPolicy& policy,
                      const TrafficPattern& traffic, const SimConfig& config)
     : topo_(&topo), policy_(&policy), traffic_(&traffic), config_(config) {
   config_.validate();
-  demand_ = std::make_unique<BernoulliDemand>(traffic, config_.packet_rate_per_cycle(),
-                                              config_.packet_flits);
 #if DSN_OBS
   if (obs::metrics_on()) {
     for (std::uint32_t s = 0; s < hop_phase_metrics_.size(); ++s) {
@@ -180,7 +178,8 @@ void Simulator::generate_traffic(std::uint64_t now) {
     return;
   }
 
-  if (config_.packet_rate_per_cycle() <= 0.0) return;
+  const double packet_rate = config_.packet_rate_per_cycle();
+  if (packet_rate <= 0.0) return;
   // Open-loop generation stops after the measurement window so the drain
   // phase can complete; background load persists through the window itself.
   if (now >= window_end) return;
@@ -189,9 +188,8 @@ void Simulator::generate_traffic(std::uint64_t now) {
     // Hosts of a halted switch stop generating (their rng simply pauses and
     // resumes deterministically on revival).
     if (faults_armed_ && !switch_alive_[h / config_.hosts_per_switch]) continue;
-    demand_scratch_.clear();
-    demand_->emit(h, now, nic.rng, demand_scratch_);
-    for (const Demand& d : demand_scratch_) enqueue_packet(d.src, d.dst, now);
+    // Draw order (bernoulli, then destination) is the active core's too.
+    if (nic.rng.bernoulli(packet_rate)) enqueue_packet(h, traffic_->dest(h, nic.rng), now);
   }
 }
 

@@ -21,7 +21,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -29,7 +28,6 @@
 #include "dsn/common/ring.hpp"
 #include "dsn/obs/metrics.hpp"
 #include "dsn/sim/config.hpp"
-#include "dsn/sim/demand.hpp"
 #include "dsn/sim/fault.hpp"
 #include "dsn/sim/packet.hpp"
 #include "dsn/sim/policy.hpp"
@@ -275,10 +273,6 @@ class Simulator {
   SimRoutingPolicy* policy_;
   const TrafficPattern* traffic_;
   SimConfig config_;
-  /// Shared pattern→demand layer (sim/demand.hpp); the Bernoulli generators
-  /// live there so both simulation tiers consume one demand definition.
-  std::unique_ptr<TrafficDemand> demand_;
-  std::vector<Demand> demand_scratch_;
 
   std::uint32_t num_switches_ = 0;
   std::uint32_t num_hosts_ = 0;

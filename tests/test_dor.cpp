@@ -2,6 +2,7 @@
 // wrap-direction choice, and next-hop consistency with the full path.
 #include <gtest/gtest.h>
 
+#include "dsn/analysis/route_analysis.hpp"
 #include "dsn/graph/metrics.hpp"
 #include "dsn/routing/dor.hpp"
 #include "dsn/topology/generators.hpp"
@@ -71,10 +72,10 @@ TEST(Dor, NextHopMatchesPath) {
 
 TEST(Dor, ScanMatchesTorusDiameter) {
   const Topology t = make_torus_2d(8, 8);
-  const auto scan = scan_torus_dor(t);
-  EXPECT_EQ(scan.max_hops, 8u);  // 4 + 4
+  const auto ra = analyze::analyze_topology_routes(t, analyze::RoutingFamily::kTorusDor);
+  EXPECT_EQ(ra.max_hops, 8u);  // 4 + 4
   const auto stats = compute_path_stats(t.graph);
-  EXPECT_NEAR(scan.avg_hops, stats.avg_shortest_path, 1e-9);
+  EXPECT_NEAR(ra.avg_hops, stats.avg_shortest_path, 1e-9);
 }
 
 TEST(Dor, RejectsNonTorus) {

@@ -2,9 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "dsn/analysis/factory.hpp"
+#include "dsn/analysis/route_analysis.hpp"
 #include "dsn/common/math.hpp"
 #include "dsn/graph/metrics.hpp"
-#include "dsn/routing/dsn_routing.hpp"
 #include "dsn/routing/greedy.hpp"
 #include "dsn/topology/dsn.hpp"
 #include "dsn/topology/generators.hpp"
@@ -52,10 +52,11 @@ TEST(Clustering, RingIsZeroGridIsZero) {
 
 TEST(Greedy, PlainGridGreedyIsMinimal) {
   const Topology grid = make_kleinberg(8, 0, 2.0, 1);  // no shortcuts
+  const CsrView csr(grid.graph);
   for (NodeId s = 0; s < grid.num_nodes(); s += 5) {
     const auto bfs = bfs_distances(grid.graph, s);
     for (NodeId t = 0; t < grid.num_nodes(); ++t) {
-      const auto path = route_greedy_grid(grid, s, t);
+      const auto path = route_greedy_grid(csr, 8, s, t);
       EXPECT_EQ(path.size() - 1, bfs[t]) << s << "->" << t;
     }
   }
@@ -63,9 +64,10 @@ TEST(Greedy, PlainGridGreedyIsMinimal) {
 
 TEST(Greedy, AllPairsReachDestination) {
   const Topology kb = make_kleinberg(10, 1, 2.0, 7);
+  const CsrView csr(kb.graph);
   for (NodeId s = 0; s < kb.num_nodes(); s += 3) {
     for (NodeId t = 0; t < kb.num_nodes(); ++t) {
-      const auto path = route_greedy_grid(kb, s, t);
+      const auto path = route_greedy_grid(csr, 10, s, t);
       EXPECT_EQ(path.front(), s);
       EXPECT_EQ(path.back(), t);
       for (std::size_t i = 0; i + 1 < path.size(); ++i) {
@@ -78,14 +80,16 @@ TEST(Greedy, AllPairsReachDestination) {
 TEST(Greedy, ShortcutsHelpOnAverage) {
   const Topology grid = make_kleinberg(16, 0, 2.0, 1);
   const Topology kb = make_kleinberg(16, 1, 2.0, 1);
-  const auto plain = scan_greedy_grid(grid);
-  const auto with_shortcuts = scan_greedy_grid(kb);
+  const auto plain = analyze::analyze_topology_routes(grid, analyze::RoutingFamily::kGreedyGrid);
+  const auto with_shortcuts =
+      analyze::analyze_topology_routes(kb, analyze::RoutingFamily::kGreedyGrid);
   EXPECT_LT(with_shortcuts.avg_hops, plain.avg_hops);
 }
 
 TEST(Greedy, RejectsNonGrid) {
   const Topology ring = make_ring(16);
-  EXPECT_THROW(route_greedy_grid(ring, 0, 5), PreconditionError);
+  EXPECT_THROW(analyze::make_route_function(ring, analyze::RoutingFamily::kGreedyGrid),
+               PreconditionError);
 }
 
 TEST(Greedy, DsnCustomRoutingHasLowerStretchThanKleinbergGreedy) {
@@ -93,12 +97,12 @@ TEST(Greedy, DsnCustomRoutingHasLowerStretchThanKleinbergGreedy) {
   // optimal, while DSN's custom routing stays within a small factor.
   const std::uint32_t n = 256;
   const Topology kb = make_kleinberg(16, 1, 2.0, 3);
-  const auto greedy = scan_greedy_grid(kb);
+  const auto greedy = analyze::analyze_topology_routes(kb, analyze::RoutingFamily::kGreedyGrid);
   const auto kb_opt = compute_path_stats(kb.graph);
   const double greedy_stretch = greedy.avg_hops / kb_opt.avg_shortest_path;
 
   const Dsn d(n, dsn_default_x(n));
-  const auto custom = scan_all_pairs(DsnRouter(d));
+  const auto custom = analyze::analyze_dsn_routes(d, analyze::ChannelScheme::kBasic);
   const auto dsn_opt = compute_path_stats(d.topology().graph);
   const double custom_stretch = custom.avg_hops / dsn_opt.avg_shortest_path;
 

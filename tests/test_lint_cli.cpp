@@ -97,6 +97,17 @@ TEST(LintCli, LegacyModeContractIsUntouched) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
 }
 
+TEST(LintCli, SkipReasonNamesSourceRelativeFile) {
+  // Precondition messages locate their check by a path relative to the
+  // source tree, so the printed text does not depend on where it was built.
+  const CliResult r = run_lint("--topology kleinberg --n 128");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  const std::size_t begin = r.output.find("kleinberg n=128: skipped");
+  ASSERT_NE(begin, std::string::npos) << r.output;
+  const std::string line = r.output.substr(begin, r.output.find('\n', begin) - begin);
+  EXPECT_NE(line.find(" at src/dsn/analysis/factory.cpp:"), std::string::npos) << line;
+}
+
 // --------------------------------------------------------------------------
 // JSON reports.
 // --------------------------------------------------------------------------

@@ -19,6 +19,17 @@
 namespace dsn {
 namespace {
 
+/// Analyze a routing function over all ordered pairs of `g` with a single
+/// channel class, for its route-length statistics.
+analyze::RouteAnalysis analyze_all_pairs(const Graph& g, const analyze::RouteFill& fill) {
+  return analyze::analyze_route_function(
+      g, fill, [](const Route& r, std::vector<Channel>& out) { dsn_route_channels_basic(r, out); });
+}
+
+analyze::RouteAnalysis analyze_basic(const Dsn& d) {
+  return analyze::analyze_dsn_routes(d, analyze::ChannelScheme::kBasic);
+}
+
 // --------------------------------------------------------------------------
 // Correctness over all pairs, parameterized on (n, x).
 // --------------------------------------------------------------------------
@@ -36,7 +47,7 @@ TEST_P(DsnRoutingAllPairs, EveryRouteIsValidAndNoFallback) {
   const Dsn d(n, x);
   // Every route starts at s, chains to t over physical links, keeps its
   // phases in order and never falls back.
-  const analyze::RouteAnalysis ra = analyze::analyze_dsn_routes(d, analyze::ChannelScheme::kBasic);
+  const analyze::RouteAnalysis ra = analyze_basic(d);
   EXPECT_TRUE(ra.all_reachable) << analyze::summary(ra);
   EXPECT_TRUE(ra.hops_on_links) << analyze::summary(ra);
   EXPECT_TRUE(ra.phases_ordered) << analyze::summary(ra);
@@ -59,18 +70,16 @@ class DsnRoutingBounds : public ::testing::TestWithParam<std::uint32_t> {};
 TEST_P(DsnRoutingBounds, Fact2RoutingDiameter) {
   const std::uint32_t n = GetParam();
   const Dsn d(n, dsn_default_x(n));
-  const DsnRouter router(d);
-  const RoutingScan scan = scan_all_pairs(router);
-  EXPECT_LE(scan.max_hops, 3 * d.p() + d.r()) << "n = " << n;
-  EXPECT_EQ(scan.fallback_routes, 0u);
+  const analyze::RouteAnalysis ra = analyze_basic(d);
+  EXPECT_EQ(ra.pairs, static_cast<std::uint64_t>(n) * (n - 1));
+  EXPECT_LE(ra.max_hops, 3 * d.p() + d.r()) << "n = " << n;
+  EXPECT_EQ(ra.fallback_routes, 0u);
 }
 
 TEST_P(DsnRoutingBounds, Theorem2aExpectedRouteLength) {
   const std::uint32_t n = GetParam();
   const Dsn d(n, dsn_default_x(n));
-  const DsnRouter router(d);
-  const RoutingScan scan = scan_all_pairs(router);
-  EXPECT_LE(scan.avg_hops, 2.0 * d.p()) << "n = " << n;
+  EXPECT_LE(analyze_basic(d).avg_hops, 2.0 * d.p()) << "n = " << n;
 }
 
 TEST_P(DsnRoutingBounds, Theorem2aExpectedShortestPath) {
@@ -197,9 +206,8 @@ TEST(DsnRoutingVariants, AvoidOvershootNeverOvershoots) {
   DsnRoutingOptions opt;
   opt.avoid_overshoot = true;
   const DsnRouter router(d, opt);
-  const analyze::RouteAnalysis ra = analyze::analyze_route_function(
-      d.topology().graph, [&](NodeId s, NodeId t, Route& out) { router.route(s, t, out); },
-      [](const Route& r, std::vector<Channel>& out) { dsn_route_channels_basic(r, out); });
+  const analyze::RouteAnalysis ra = analyze_all_pairs(
+      d.topology().graph, [&](NodeId s, NodeId t, Route& out) { router.route(s, t, out); });
   EXPECT_TRUE(ra.all_reachable && ra.hops_on_links && ra.phases_ordered)
       << analyze::summary(ra);
   for (NodeId s = 0; s < n; ++s) {
@@ -227,24 +235,24 @@ TEST(DsnRoutingVariants, NearestPreworkWithinBounds) {
   DsnRoutingOptions opt;
   opt.nearest_prework = true;
   const DsnRouter router(d, opt);
-  const RoutingScan scan = scan_all_pairs_fn(
-      n, [&](NodeId s, NodeId t) { return router.route(s, t); });
-  EXPECT_EQ(scan.fallback_routes, 0u);
+  const analyze::RouteAnalysis ra = analyze_all_pairs(
+      d.topology().graph, [&](NodeId s, NodeId t, Route& out) { router.route(s, t, out); });
+  EXPECT_EQ(ra.fallback_routes, 0u);
   // Fact 3 argument: the nearest-direction PRE-WORK path stays within the
   // routing diameter bound.
-  EXPECT_LE(scan.max_hops, 3 * d.p() + d.r());
+  EXPECT_LE(ra.max_hops, 3 * d.p() + d.r());
 }
 
 TEST(DsnRoutingVariants, NearestPreworkNotWorseOnAverage) {
   const std::uint32_t n = 512;
   const Dsn d(n, dsn_default_x(n));
-  const DsnRouter plain(d);
   DsnRoutingOptions opt;
   opt.nearest_prework = true;
   const DsnRouter nearest(d, opt);
-  const auto scan_plain = scan_all_pairs(plain);
-  const auto scan_near = scan_all_pairs(nearest);
-  EXPECT_LE(scan_near.avg_hops, scan_plain.avg_hops + 1e-9);
+  const analyze::RouteAnalysis plain = analyze_basic(d);
+  const analyze::RouteAnalysis near = analyze_all_pairs(
+      d.topology().graph, [&](NodeId s, NodeId t, Route& out) { nearest.route(s, t, out); });
+  EXPECT_LE(near.avg_hops, plain.avg_hops + 1e-9);
 }
 
 // --------------------------------------------------------------------------
@@ -276,11 +284,10 @@ TEST(DsnDRouting, ImprovesRoutingDiameterTowards2p) {
   const std::uint32_t n = 512;
   const DsnD dd(n, 2);
   const Dsn plain(n, dd.base().x());
-  const auto scan_d = scan_all_pairs_fn(
-      n, [&](NodeId s, NodeId t) { return route_dsn_d(dd, s, t); });
-  const auto scan_p = scan_all_pairs(DsnRouter(plain));
-  EXPECT_LT(scan_d.max_hops, scan_p.max_hops);
-  EXPECT_LT(scan_d.avg_hops, scan_p.avg_hops);
+  const analyze::RouteAnalysis ra_d = analyze::analyze_dsn_d_routes(dd);
+  const analyze::RouteAnalysis ra_p = analyze_basic(plain);
+  EXPECT_LT(ra_d.max_hops, ra_p.max_hops);
+  EXPECT_LT(ra_d.avg_hops, ra_p.avg_hops);
 }
 
 TEST(DsnDRouting, UsesExpressLinks) {
@@ -330,11 +337,11 @@ TEST(FlexRouting, AllPairsValidAndComplete) {
 TEST(FlexRouting, BoundedInflationOverBase) {
   const FlexDsn f(120, 6, {3, 50, 100});
   const Dsn base(120, 6);
-  const auto scan_flex = scan_all_pairs_fn(
-      f.num_total(), [&](NodeId s, NodeId t) { return route_dsn_flex(f, s, t); });
-  const auto scan_base = scan_all_pairs(DsnRouter(base));
+  const analyze::RouteAnalysis flex = analyze_all_pairs(
+      f.topology().graph, [&](NodeId s, NodeId t, Route& out) { out = route_dsn_flex(f, s, t); });
+  EXPECT_EQ(flex.pairs, static_cast<std::uint64_t>(f.num_total()) * (f.num_total() - 1));
   // Each minor adds at most ~1 hop near its major plus the final walk.
-  EXPECT_LE(scan_flex.max_hops, scan_base.max_hops + 2 * 3 + 2);
+  EXPECT_LE(flex.max_hops, analyze_basic(base).max_hops + 2 * 3 + 2);
 }
 
 // --------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <deque>
 
 #include "dsn/analysis/factory.hpp"
+#include "dsn/analysis/route_analysis.hpp"
 #include "dsn/graph/metrics.hpp"
 #include "dsn/routing/updown.hpp"
 
@@ -127,21 +128,19 @@ TEST(UpDown, DownOnlyTableConsistent) {
 
 TEST(UpDown, ScanMatchesPairCount) {
   const Topology topo = make_topology_by_name("torus", 36);
-  const UpDownRouting ud(topo.graph, 0);
-  const auto scan = ud.scan_all_pairs();
-  EXPECT_EQ(scan.pairs, 36u * 35u);
-  EXPECT_GT(scan.avg_hops, 1.0);
-  EXPECT_GE(scan.max_hops, scan.avg_hops);
+  const auto ra = analyze::analyze_topology_routes(topo, analyze::RoutingFamily::kUpDown);
+  EXPECT_EQ(ra.pairs, 36u * 35u);
+  EXPECT_GT(ra.avg_hops, 1.0);
+  EXPECT_GE(ra.max_hops, ra.avg_hops);
 }
 
 TEST(UpDown, UpDownInflatesPathsOnTorus) {
   // Classic result: up*/down* cannot use all minimal paths; on a torus the
   // average legal path exceeds the average shortest path.
   const Topology topo = make_topology_by_name("torus", 64);
-  const UpDownRouting ud(topo.graph, 0);
-  const auto scan = ud.scan_all_pairs();
+  const auto ra = analyze::analyze_topology_routes(topo, analyze::RoutingFamily::kUpDown);
   const auto stats = compute_path_stats(topo.graph);
-  EXPECT_GT(scan.avg_hops, stats.avg_shortest_path);
+  EXPECT_GT(ra.avg_hops, stats.avg_shortest_path);
 }
 
 TEST(UpDown, RejectsDisconnected) {

@@ -1,6 +1,10 @@
 // Tests for the zero-load wire-latency estimator.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "dsn/analysis/factory.hpp"
 #include "dsn/analysis/wire_latency.hpp"
 #include "dsn/graph/metrics.hpp"
@@ -51,6 +55,25 @@ TEST(WireLatency, DsnBeatsTorusEndToEnd) {
   const auto dsn_stats = estimate_wire_latency(make_topology_by_name("dsn", 1024));
   const auto torus_stats = estimate_wire_latency(make_topology_by_name("torus", 1024));
   EXPECT_LT(dsn_stats.avg_latency_ns, torus_stats.avg_latency_ns);
+}
+
+TEST(WireLatency, RepeatedCallsAreBitIdentical) {
+  // Per-source sums merge in source order, so neither the thread count nor
+  // the order in which workers finish can move a bit of the result.
+  const auto bits = [](const WireLatencyStats& s) {
+    return std::vector<std::uint64_t>{
+        std::bit_cast<std::uint64_t>(s.avg_hops), std::bit_cast<std::uint64_t>(s.avg_cable_m),
+        std::bit_cast<std::uint64_t>(s.avg_latency_ns),
+        std::bit_cast<std::uint64_t>(s.max_latency_ns),
+        std::bit_cast<std::uint64_t>(s.wire_fraction)};
+  };
+  for (const char* family : {"dsn", "torus", "random"}) {
+    const Topology topo = make_topology_by_name(family, 1024, 1);
+    const auto first = bits(estimate_wire_latency(topo));
+    for (int rep = 0; rep < 5; ++rep) {
+      EXPECT_EQ(bits(estimate_wire_latency(topo)), first) << family << " call " << rep + 1;
+    }
+  }
 }
 
 }  // namespace
