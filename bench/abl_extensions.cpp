@@ -28,11 +28,15 @@ int main(int argc, char** argv) {
   {
     dsn::Table table({"topology", "links", "avg deg", "diameter", "ASPL",
                       "route diam", "E[route]"});
+    // Only route lengths are printed: skip the minimal witness search on a
+    // cyclic channel dependency graph.
+    dsn::analyze::RouteAnalysisOptions lengths_only;
+    lengths_only.find_min_cycle = false;
     const dsn::Dsn base(n, dsn::dsn_default_x(n));
     {
       const auto paths = dsn::compute_path_stats(base.topology().graph);
-      const auto routes =
-          dsn::analyze::analyze_dsn_routes(base, dsn::analyze::ChannelScheme::kBasic);
+      const auto routes = dsn::analyze::analyze_dsn_routes(
+          base, dsn::analyze::ChannelScheme::kBasic, lengths_only);
       table.row()
           .cell("DSN (basic)")
           .cell(static_cast<std::uint64_t>(base.topology().graph.num_links()))
@@ -45,7 +49,7 @@ int main(int argc, char** argv) {
     for (std::uint32_t xd = 1; xd <= 3; ++xd) {
       const dsn::DsnD dd(n, xd);
       const auto paths = dsn::compute_path_stats(dd.topology().graph);
-      const auto routes = dsn::analyze::analyze_dsn_d_routes(dd);
+      const auto routes = dsn::analyze::analyze_dsn_d_routes(dd, lengths_only);
       table.row()
           .cell("DSN-D-" + std::to_string(xd) + " (q=" + std::to_string(dd.q()) + ")")
           .cell(static_cast<std::uint64_t>(dd.topology().graph.num_links()))
@@ -78,7 +82,8 @@ int main(int argc, char** argv) {
           },
           [](const dsn::Route& r, std::vector<dsn::Channel>& out) {
             dsn::dsn_route_channels_basic(r, out);
-          });
+          },
+          /*hop_bound=*/0, /*hop_bound_law=*/{}, lengths_only);
       table.row()
           .cell("DSN-flex (+4 minors)")
           .cell(static_cast<std::uint64_t>(flex.topology().graph.num_links()))

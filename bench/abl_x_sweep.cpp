@@ -22,10 +22,15 @@ int main(int argc, char** argv) {
 
   dsn::Table table({"x", "premise x>p-log p", "links", "avg deg", "diameter", "ASPL",
                     "route diam", "E[route]", "avg cable [m]"});
+  // Only route lengths are printed: skip the minimal witness search on the
+  // basic scheme's cyclic channel dependency graph.
+  dsn::analyze::RouteAnalysisOptions lengths_only;
+  lengths_only.find_min_cycle = false;
   for (std::uint32_t x = 1; x <= p - 1; ++x) {
     const dsn::Dsn d(n, x);
     const auto paths = dsn::compute_path_stats(d.topology().graph);
-    const auto routes = dsn::analyze::analyze_dsn_routes(d, dsn::analyze::ChannelScheme::kBasic);
+    const auto routes =
+        dsn::analyze::analyze_dsn_routes(d, dsn::analyze::ChannelScheme::kBasic, lengths_only);
     const auto cable = dsn::compute_cable_report(d.topology());
     const bool premise = x > p - dsn::ilog2_ceil(p);
     table.row()

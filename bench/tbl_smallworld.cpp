@@ -50,12 +50,17 @@ int main(int argc, char** argv) {
 
   {
     dsn::Table table({"routing", "avg hops", "optimal ASPL", "stretch", "max hops"});
+    // Only route lengths are printed: skip the minimal witness search on a
+    // cyclic channel dependency graph.
+    dsn::analyze::RouteAnalysisOptions lengths_only;
+    lengths_only.find_min_cycle = false;
     // Kleinberg grid with greedy routing.
     const auto side = static_cast<std::uint32_t>(dsn::isqrt(n));
     if (side * side == n) {
       const dsn::Topology kb = dsn::make_kleinberg(side, 1, 2.0, seed);
       const auto greedy =
-          dsn::analyze::analyze_topology_routes(kb, dsn::analyze::RoutingFamily::kGreedyGrid);
+          dsn::analyze::analyze_topology_routes(kb, dsn::analyze::RoutingFamily::kGreedyGrid,
+                                                lengths_only);
       const auto opt = dsn::compute_path_stats(kb.graph);
       table.row()
           .cell("Kleinberg greedy")
@@ -66,7 +71,8 @@ int main(int argc, char** argv) {
     }
     // DSN custom routing.
     const dsn::Dsn d(n, dsn::dsn_default_x(n));
-    const auto routes = dsn::analyze::analyze_dsn_routes(d, dsn::analyze::ChannelScheme::kBasic);
+    const auto routes =
+        dsn::analyze::analyze_dsn_routes(d, dsn::analyze::ChannelScheme::kBasic, lengths_only);
     const auto opt = dsn::compute_path_stats(d.topology().graph);
     table.row()
         .cell("DSN custom (Fig. 2)")

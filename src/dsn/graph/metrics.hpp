@@ -36,19 +36,32 @@ struct PathStats {
   std::vector<std::uint64_t> hop_histogram;  ///< index = hop count, value = #ordered pairs
 };
 
-/// Compute PathStats with bit-parallel multi-source BFS, 64 sources per
-/// sweep, parallelized over sweeps with per-shard accumulators.
+/// Exact all-pairs PathStats. Sweeps one source per orbit of the graph's
+/// rotation symmetry: sources [0, r) with r = rotation_period(csr), whose
+/// hop histogram, scaled by the orbit size n / r, is the all-sources
+/// histogram integer for integer (rotation by r maps the BFS from s onto the
+/// BFS from s + r). Every field equals the full n-source sweep bit for bit;
+/// graphs without rotation symmetry (r = n) take the full sweep.
 PathStats compute_path_stats(const Graph& g);
 PathStats compute_path_stats(const CsrView& csr);
 
-/// Sampled-source variant: the same sharded MS-BFS sweep restricted to an
-/// explicit source set (any subset of [0, n), each source in [1, n] times).
-/// Statistics cover ordered pairs (s, t) with s drawn from `sources` and
-/// t != s; `connected` means every sampled source reached every other node.
-/// With sources = [0, n) this is exactly the full all-pairs sweep (the full
-/// overloads above delegate here). Deterministic for any thread count: shard
-/// results are integer histograms merged in shard order.
+/// Sampled-source variant: the bit-parallel MS-BFS sweep (64 sources per
+/// batch, parallelized over batches with per-shard accumulators) restricted
+/// to an explicit source set (any subset of [0, n), each source in [1, n]
+/// times). Statistics cover ordered pairs (s, t) with s drawn from `sources`
+/// and t != s; `connected` means every sampled source reached every other
+/// node. With sources = [0, n) this is the full all-pairs sweep, every
+/// source swept. Deterministic for any thread count: shard results are
+/// integer histograms merged in shard order.
 PathStats compute_path_stats(const CsrView& csr, std::span<const NodeId> sources);
+
+/// Smallest r dividing n such that v -> (v + r) mod n maps the arc multiset
+/// onto itself (an automorphism of the labeled graph), or n when no rotation
+/// does; 0 for the empty graph. Rings and DLN give 1, a w x h torus w, and
+/// DSN-x-n gives p whenever p | n. Compares each node's sorted multiset of
+/// offsets (w - v) mod n with that of node v + r, for each divisor r in
+/// increasing order: O(m log deg) once plus O(m) per divisor tried.
+NodeId rotation_period(const CsrView& csr);
 
 /// Eccentricity (max BFS distance) of every node; kUnreachable if the node
 /// cannot reach some other node.

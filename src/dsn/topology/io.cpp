@@ -1,6 +1,7 @@
 #include "dsn/topology/io.hpp"
 
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -20,13 +21,13 @@ const char* dot_style(LinkRole role) {
   return "";
 }
 
-LinkRole role_from_string(const std::string& s) {
+std::optional<LinkRole> role_from_string(const std::string& s) {
   static const std::map<std::string, LinkRole> kMap = {
       {"ring", LinkRole::kRing},       {"wrap", LinkRole::kWrap},
       {"shortcut", LinkRole::kShortcut}, {"dlocal", LinkRole::kDLocal},
       {"up", LinkRole::kUp},           {"extra", LinkRole::kExtra}};
   const auto it = kMap.find(s);
-  DSN_REQUIRE(it != kMap.end(), "unknown link role: " + s);
+  if (it == kMap.end()) return std::nullopt;
   return it->second;
 }
 
@@ -90,14 +91,29 @@ Topology read_edge_list(std::istream& is) {
   topo.name = name;
   topo.kind = kind_from_string(kind_str);
   topo.graph = Graph(n);
-  std::uint32_t dim;
+  std::uint32_t dim = 0;
   while (header >> dim) topo.dims.push_back(dim);
+  DSN_REQUIRE(header.eof(), "bad edge-list header (dims must be numbers): " + line);
 
-  NodeId u, v;
-  std::string role;
-  while (is >> u >> v >> role) {
+  // Every non-blank line after the header is exactly "u v role"; anything
+  // else is refused with its line number rather than ending the link list.
+  std::size_t lineno = 1;
+  while (std::getline(is, line)) {
+    ++lineno;
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    const auto where = [&] { return "edge-list line " + std::to_string(lineno) + ": " + line; };
+    std::istringstream fields(line);
+    NodeId u = 0, v = 0;
+    std::string word, rest;
+    DSN_REQUIRE(static_cast<bool>(fields >> u >> v >> word) && !(fields >> rest),
+                "malformed " + where() + " (expected \"u v role\")");
+    DSN_REQUIRE(u < n && v < n,
+                "node id out of range for n = " + std::to_string(n) + " on " + where());
+    DSN_REQUIRE(u != v, "self loop on " + where());
+    const std::optional<LinkRole> role = role_from_string(word);
+    DSN_REQUIRE(role.has_value(), "unknown link role '" + word + "' on " + where());
     topo.graph.add_link(u, v);
-    topo.link_roles.push_back(role_from_string(role));
+    topo.link_roles.push_back(*role);
   }
   return topo;
 }

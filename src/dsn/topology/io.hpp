@@ -19,8 +19,10 @@ std::string to_dot(const Topology& topo);
 std::string to_edge_list(const Topology& topo);
 void write_edge_list(std::ostream& os, const Topology& topo);
 
-/// Parse the edge-list format produced by to_edge_list. Throws
-/// PreconditionError on malformed input.
+/// Parse the edge-list format produced by to_edge_list. Blank lines are
+/// skipped; every other line must be exactly "u v role" with distinct ids
+/// below n. Throws PreconditionError on malformed input, naming the 1-based
+/// line number and its text.
 Topology read_edge_list(std::istream& is);
 Topology parse_edge_list(const std::string& text);
 

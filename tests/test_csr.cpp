@@ -2,18 +2,28 @@
 // every distance, PathStats field and eccentricity produced by the new engine
 // must match the adjacency-list BFS exactly — on Watts-Strogatz, DSN, DSN-E,
 // ring and disconnected graphs, including batch tails (n % 64 != 0) and
-// graphs smaller than one batch (n < 64).
+// graphs smaller than one batch (n < 64). The orbit-reduced all-pairs sweep
+// (rotation_period) is checked against the reference, against relabeled
+// copies that must take the full sweep, and against the Moore-type lower
+// bounds, which need no reference at all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <numeric>
 #include <span>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "dsn/analysis/factory.hpp"
+#include "dsn/common/rng.hpp"
 #include "dsn/graph/csr.hpp"
 #include "dsn/graph/graph.hpp"
 #include "dsn/graph/metrics.hpp"
 #include "dsn/graph/msbfs.hpp"
+#include "dsn/opt/optimizer.hpp"
 #include "dsn/topology/dsn.hpp"
 #include "dsn/topology/dsn_ext.hpp"
 #include "dsn/topology/generators.hpp"
@@ -92,6 +102,14 @@ std::vector<std::uint32_t> sweep_distances(const CsrView& csr,
   return dist;
 }
 
+/// PathStats equal field for field.
+void expect_same_stats(const PathStats& got, const PathStats& expected) {
+  EXPECT_EQ(got.connected, expected.connected);
+  EXPECT_EQ(got.diameter, expected.diameter);
+  EXPECT_EQ(got.avg_shortest_path, expected.avg_shortest_path);
+  EXPECT_EQ(got.hop_histogram, expected.hop_histogram);
+}
+
 /// Assert that every kernel of the new engine agrees with the adjacency-list
 /// reference on `g`, for every source, bit for bit.
 void expect_engine_matches(const Graph& g, const std::string& label) {
@@ -140,11 +158,7 @@ void expect_engine_matches(const Graph& g, const std::string& label) {
 
   // Aggregates: PathStats field for field, eccentricities, connectivity.
   const PathStats expected = reference_path_stats(g);
-  const PathStats got = compute_path_stats(g);
-  EXPECT_EQ(got.connected, expected.connected);
-  EXPECT_EQ(got.diameter, expected.diameter);
-  EXPECT_EQ(got.avg_shortest_path, expected.avg_shortest_path);
-  EXPECT_EQ(got.hop_histogram, expected.hop_histogram);
+  expect_same_stats(compute_path_stats(g), expected);
 
   EXPECT_EQ(eccentricities(g), reference_eccentricities(g));
   EXPECT_EQ(is_connected(g), expected.connected || n <= 1);
@@ -171,6 +185,8 @@ TEST(Csr, EmptyAndTrivialGraphs) {
   EXPECT_FALSE(stats.connected);
   EXPECT_TRUE(stats.hop_histogram.empty());
   EXPECT_TRUE(eccentricities(empty).empty());
+  EXPECT_EQ(rotation_period(csr), 0u);
+  EXPECT_EQ(rotation_period(CsrView(Graph(1))), 1u);
 
   expect_engine_matches(Graph(1), "single node");
   expect_engine_matches(Graph(3), "three isolated nodes");
@@ -304,6 +320,192 @@ TEST(Csr, ScratchReuseAcrossGraphSizes) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Orbit-reduced path statistics.
+// ---------------------------------------------------------------------------
+
+/// `g` with node v renamed perm[v]; links keep their order.
+Graph relabeled(const Graph& g, const std::vector<NodeId>& perm) {
+  Graph out(g.num_nodes());
+  for (LinkId l = 0; l < g.num_links(); ++l) {
+    const auto [u, v] = g.link_endpoints(l);
+    out.add_link(perm[u], perm[v]);
+  }
+  return out;
+}
+
+/// `g` without the links whose endpoints are {a, b}.
+Graph without_link(const Graph& g, NodeId a, NodeId b) {
+  Graph out(g.num_nodes());
+  for (LinkId l = 0; l < g.num_links(); ++l) {
+    const auto [u, v] = g.link_endpoints(l);
+    if ((u == a && v == b) || (u == b && v == a)) continue;
+    out.add_link(u, v);
+  }
+  EXPECT_EQ(out.num_links() + 1, g.num_links()) << "expected one link " << a << "-" << b;
+  return out;
+}
+
+TEST(OrbitPathStats, RotationPeriodPerFamily) {
+  struct Case {
+    const char* family;
+    std::uint32_t n;
+    NodeId period;
+  };
+  for (const auto& [family, n, period] :
+       {Case{"torus", 2048, 64},     // 64 x 32, node id y * 64 + x
+        Case{"torus3d", 4096, 256},  // 16^3
+        Case{"ring", 100, 1}, Case{"dln", 2048, 1}, Case{"dln", 300, 1},
+        Case{"dsn", 256, 8}, Case{"dsn-d", 256, 8}, Case{"dsn-bidir", 256, 8},
+        Case{"dsn", 65536, 16},
+        // No rotation symmetry: p = 11 does not divide 2048, DSN-E's Extra
+        // region sits near node 0, and the rest are random.
+        Case{"dsn", 2048, 2048}, Case{"dsn-e", 512, 512}, Case{"random", 2048, 2048},
+        Case{"kleinberg", 1024, 1024}, Case{"random-regular", 1024, 1024}}) {
+    const Topology topo = make_topology_by_name(family, n, /*seed=*/1);
+    EXPECT_EQ(rotation_period(CsrView(topo.graph)), period) << topo.name;
+  }
+}
+
+TEST(OrbitPathStats, RelabeledCopyTakesTheFullSweepAndAgrees) {
+  // A seeded relabeling destroys the rotation symmetry of the labels but not
+  // the graph: the copy sweeps every source, the original one per orbit.
+  for (const auto& [family, n] :
+       {std::pair<const char*, std::uint32_t>{"torus", 2048}, {"torus3d", 512},
+        {"ring", 100}, {"dln", 2048}, {"dsn", 256}, {"dsn-d", 256}, {"dsn-bidir", 256}}) {
+    const Topology topo = make_topology_by_name(family, n);
+    SCOPED_TRACE(topo.name);
+    std::vector<NodeId> perm(n);
+    std::iota(perm.begin(), perm.end(), NodeId{0});
+    Rng rng(/*seed=*/n);
+    for (NodeId i = n - 1; i > 0; --i)
+      std::swap(perm[i], perm[static_cast<NodeId>(rng.next_below(i + 1))]);
+    const Graph copy = relabeled(topo.graph, perm);
+    ASSERT_LT(rotation_period(CsrView(topo.graph)), n);
+    ASSERT_EQ(rotation_period(CsrView(copy)), n);
+    expect_same_stats(compute_path_stats(topo.graph), compute_path_stats(copy));
+  }
+}
+
+TEST(OrbitPathStats, NearMissesTakeTheFullSweep) {
+  // One link short of symmetric: the rotation check must reject the graph,
+  // and it must still match the reference. DLN-11-2048's quarter-ring
+  // shortcut 1500-2012 sits far from node 0, so the check for r = 1 walks
+  // most of the graph before it fails.
+  const Graph dln = without_link(make_dln(2048, 11).graph, 1500, 2012);
+  Graph chord = make_ring(100).graph;
+  chord.add_link(10, 40);
+  const Topology torus = make_torus_2d(16, 8);
+  LinkId wrap = 0;
+  while (torus.link_roles[wrap] != LinkRole::kWrap) ++wrap;
+  const auto [a, b] = torus.graph.link_endpoints(wrap);
+  const Graph torus_cut = without_link(torus.graph, a, b);
+  for (const auto& [label, g] :
+       {std::pair<const char*, const Graph*>{"dln-11-2048 minus a shortcut", &dln},
+        {"ring-100 plus a chord", &chord},
+        {"torus 16x8 minus a wrap link", &torus_cut}}) {
+    SCOPED_TRACE(label);
+    EXPECT_EQ(rotation_period(CsrView(*g)), g->num_nodes());
+    expect_same_stats(compute_path_stats(*g), reference_path_stats(*g));
+  }
+}
+
+TEST(OrbitPathStats, PartialSymmetriesMultigraphsAndDisconnectedGraphs) {
+  // A diametral chord is its own image under rotation by n / 2.
+  Graph diametral = make_ring(100).graph;
+  diametral.add_link(10, 60);
+  // Every ring link doubled: offsets are multisets.
+  Graph doubled(64);
+  for (NodeId i = 0; i < 64; ++i) {
+    doubled.add_link(i, (i + 1) % 64);
+    doubled.add_link(i, (i + 1) % 64);
+  }
+  // Links i-(i+2) with n even: two rings, the even and the odd nodes.
+  Graph two_rings(100);
+  for (NodeId i = 0; i < 100; ++i) two_rings.add_link(i, (i + 2) % 100);
+  for (const auto& [label, g, period] :
+       {std::tuple<const char*, const Graph*, NodeId>{"ring plus diametral chord", &diametral, 50},
+        {"doubled ring", &doubled, 1},
+        {"two rings", &two_rings, 1}}) {
+    SCOPED_TRACE(label);
+    EXPECT_EQ(rotation_period(CsrView(*g)), period);
+    expect_same_stats(compute_path_stats(*g), reference_path_stats(*g));
+  }
+  EXPECT_FALSE(compute_path_stats(two_rings).connected);
+}
+
+// ---------------------------------------------------------------------------
+// Moore-type lower bounds: a reference-free oracle for every family.
+// ---------------------------------------------------------------------------
+
+/// Lower bounds on the diameter and ASPL of a connected graph with n nodes
+/// and maximum degree d >= 2: at most d (d - 1)^(i - 1) nodes lie at
+/// distance i from any node, so its distances are at least those of filling
+/// every level to that capacity.
+struct MooreBound {
+  std::uint32_t diameter = 0;
+  double aspl = 0.0;
+};
+
+MooreBound moore_bound(std::uint64_t n, std::uint64_t d) {
+  MooreBound bound;
+  if (n <= 1) return bound;
+  std::uint64_t left = n - 1;
+  std::uint64_t capacity = d;
+  std::uint64_t total = 0;
+  while (left > 0) {
+    ++bound.diameter;
+    const std::uint64_t placed = std::min(left, capacity);
+    total += placed * bound.diameter;
+    left -= placed;
+    capacity = std::min(capacity * (d - 1), n);
+  }
+  bound.aspl = static_cast<double>(total) / static_cast<double>(n - 1);
+  return bound;
+}
+
+TEST(MooreBound, KnownValues) {
+  EXPECT_EQ(moore_bound(10, 3).diameter, 2u);  // the Petersen graph meets it
+  EXPECT_DOUBLE_EQ(moore_bound(10, 3).aspl, 15.0 / 9.0);
+  EXPECT_EQ(moore_bound(100, 2).diameter, 50u);  // the ring meets it
+  const PathStats ring = compute_path_stats(make_ring(101).graph);
+  EXPECT_EQ(ring.diameter, moore_bound(101, 2).diameter);
+  EXPECT_EQ(ring.avg_shortest_path, moore_bound(101, 2).aspl);
+}
+
+TEST(MooreBound, HoldsForEveryFamily) {
+  for (const char* family : {"dsn", "torus", "torus3d", "random", "ring", "dln", "kleinberg",
+                             "random-regular", "dsn-d", "dsn-e", "dsn-bidir"}) {
+    for (const std::uint32_t n : {64u, 100u, 256u, 300u, 729u}) {
+      Topology topo;
+      try {
+        topo = make_topology_by_name(family, n, /*seed=*/3);
+      } catch (const PreconditionError&) {
+        continue;  // a size this family cannot realize
+      }
+      SCOPED_TRACE(topo.name);
+      const PathStats stats = compute_path_stats(topo.graph);
+      ASSERT_TRUE(stats.connected);
+      const MooreBound bound = moore_bound(n, compute_degree_stats(topo.graph).max_degree);
+      EXPECT_GE(stats.diameter, bound.diameter);
+      EXPECT_GE(stats.avg_shortest_path, bound.aspl);
+    }
+  }
+}
+
+TEST(MooreBound, HoldsOnOptimizerFront) {
+  // Degree-preserving swaps keep the maximum degree, so one bound covers the
+  // whole front; below n = 1024 every point's ASPL is an exact sweep.
+  opt::OptimizerConfig cfg;
+  cfg.passes = 1;
+  cfg.iterations = 80;
+  cfg.plateau = 20;
+  const opt::OptimizerResult res = opt::optimize_shortcuts(make_topology_by_name("dsn", 200), cfg);
+  const MooreBound bound = moore_bound(res.n, res.degree_max);
+  ASSERT_FALSE(res.front.empty());
+  for (const opt::OptPoint& point : res.front) EXPECT_GE(point.aspl, bound.aspl);
 }
 
 }  // namespace

@@ -139,9 +139,29 @@ TEST_P(DsnFact1Test, ConnectedAndLogDiameter) {
   EXPECT_LE(s.diameter, 2.5 * d.p() + d.r()) << "n = " << n;
 }
 
+// 65536 (p = 16) and 131070 (p = 17) have p | n: the graph is invariant
+// under rotation by p, so the all-pairs sweep takes only p sources.
 INSTANTIATE_TEST_SUITE_P(Sizes, DsnFact1Test,
                          ::testing::Values(32u, 64u, 100u, 128u, 200u, 256u, 300u,
-                                           512u, 777u, 1024u, 2048u));
+                                           512u, 777u, 1024u, 2048u, 65536u, 131070u));
+
+TEST(DsnTheorem1b, ExactDiameterAndAsplWherePDividesN) {
+  struct Case {
+    std::uint32_t n;
+    std::uint32_t diameter;
+    double aspl;
+  };
+  for (const auto& [n, diameter, aspl] :
+       {Case{65536, 19, 13.867964}, Case{131070, 19, 14.307164}}) {
+    const Dsn d(n, dsn_default_x(n));
+    const CsrView csr(d.topology().graph);
+    ASSERT_EQ(rotation_period(csr), d.p()) << "n = " << n;
+    const PathStats s = compute_path_stats(csr);
+    EXPECT_TRUE(s.connected);
+    EXPECT_EQ(s.diameter, diameter) << "n = " << n;
+    EXPECT_NEAR(s.avg_shortest_path, aspl, 5e-7) << "n = " << n;
+  }
+}
 
 // Incoming shortcut count never exceeds 2 (the degree-5 analysis of Fact 1).
 TEST_P(DsnFact1Test, AtMostTwoIncomingShortcuts) {

@@ -55,6 +55,56 @@ TEST(EdgeList, RejectsGarbage) {
   EXPECT_THROW(parse_edge_list("not a topology\n0 1 ring\n"), PreconditionError);
   EXPECT_THROW(parse_edge_list("# dsn-topology t dsn 4\n0 1 bogus-role\n"),
                PreconditionError);
+  // A non-numeric dim used to end the dims silently.
+  EXPECT_THROW(parse_edge_list("# dsn-topology t torus2d 4 2 x 2\n0 1 ring\n"),
+               PreconditionError);
+}
+
+/// The PreconditionError message parse_edge_list throws on `text`, or "" when
+/// it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    parse_edge_list(text);
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(EdgeList, RejectsMalformedLinesWithTheirLineNumber) {
+  const std::string header = "# dsn-topology t ring 4\n";
+  const std::string links = "0 1 ring\n1 2 ring\n2 3 ring\n3 0 ring\n";
+  // Trailing garbage used to end the link list silently.
+  std::string err = parse_error(header + links + "garbage here\n");
+  EXPECT_NE(err.find("edge-list line 6: garbage here"), std::string::npos) << err;
+  // A bad token mid-file used to drop every later link.
+  err = parse_error(header + "0 1 ring\n2 x ring\n" + "2 3 ring\n3 0 ring\n");
+  EXPECT_NE(err.find("edge-list line 3: 2 x ring"), std::string::npos) << err;
+  // A line without its role used to read the next line's id as the role.
+  err = parse_error(header + "0 1\n1 2 ring\n");
+  EXPECT_NE(err.find("edge-list line 2: 0 1"), std::string::npos) << err;
+  err = parse_error(header + "0 1 ring extra-token\n");
+  EXPECT_NE(err.find("edge-list line 2: 0 1 ring extra-token"), std::string::npos) << err;
+  err = parse_error(header + "0 1 bogus-role\n");
+  EXPECT_NE(err.find("unknown link role 'bogus-role' on edge-list line 2"), std::string::npos)
+      << err;
+}
+
+TEST(EdgeList, RejectsOutOfRangeIdsAndSelfLoopsWithTheirLineNumber) {
+  const std::string header = "# dsn-topology t ring 4\n";
+  std::string err = parse_error(header + "0 1 ring\n0 9 ring\n");
+  EXPECT_NE(err.find("node id out of range for n = 4 on edge-list line 3: 0 9 ring"),
+            std::string::npos)
+      << err;
+  err = parse_error(header + "0 1 ring\n\n2 2 ring\n");
+  EXPECT_NE(err.find("self loop on edge-list line 4: 2 2 ring"), std::string::npos) << err;
+}
+
+TEST(EdgeList, SkipsBlankLines) {
+  const Topology t =
+      parse_edge_list("# dsn-topology t ring 3\n\n0 1 ring\n   \n1 2 ring\r\n2 0 ring\n\n");
+  EXPECT_EQ(t.graph.num_links(), 3u);
+  EXPECT_EQ(t.link_roles.size(), 3u);
 }
 
 TEST(EdgeList, HeaderCarriesDims) {

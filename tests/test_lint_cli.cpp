@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,21 @@ TEST(LintCli, LegacyModeContractIsUntouched) {
   // topologies, 0 when clean.
   const CliResult r = run_lint("--topology dsn --n-list 64");
   EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+TEST(LintCli, MalformedEdgeListFileIsAnInputError) {
+  // A trailing garbage line used to end the link list silently: the file
+  // linted clean and exited 0. It is an input error (125) naming the line.
+  const std::string path = ::testing::TempDir() + "dsn_lint_trailing_garbage.edges";
+  {
+    std::ofstream out(path);
+    out << "# dsn-topology t ring 4\n0 1 ring\n1 2 ring\n2 3 ring\n3 0 ring\n"
+           "garbage here\n";
+  }
+  const CliResult r = run_lint("--file " + path);
+  std::remove(path.c_str());
+  EXPECT_EQ(r.exit_code, 125) << r.output;
+  EXPECT_NE(r.output.find("edge-list line 6: garbage here"), std::string::npos) << r.output;
 }
 
 TEST(LintCli, SkipReasonNamesSourceRelativeFile) {

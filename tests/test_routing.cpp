@@ -19,15 +19,24 @@
 namespace dsn {
 namespace {
 
+/// The helpers below serve tests that read route verdicts and lengths, never
+/// the CDG cycle witness, so they skip the minimal witness search.
+analyze::RouteAnalysisOptions without_min_cycle() {
+  analyze::RouteAnalysisOptions options;
+  options.find_min_cycle = false;
+  return options;
+}
+
 /// Analyze a routing function over all ordered pairs of `g` with a single
 /// channel class, for its route-length statistics.
 analyze::RouteAnalysis analyze_all_pairs(const Graph& g, const analyze::RouteFill& fill) {
   return analyze::analyze_route_function(
-      g, fill, [](const Route& r, std::vector<Channel>& out) { dsn_route_channels_basic(r, out); });
+      g, fill, [](const Route& r, std::vector<Channel>& out) { dsn_route_channels_basic(r, out); },
+      /*hop_bound=*/0, /*hop_bound_law=*/{}, without_min_cycle());
 }
 
 analyze::RouteAnalysis analyze_basic(const Dsn& d) {
-  return analyze::analyze_dsn_routes(d, analyze::ChannelScheme::kBasic);
+  return analyze::analyze_dsn_routes(d, analyze::ChannelScheme::kBasic, without_min_cycle());
 }
 
 // --------------------------------------------------------------------------
