@@ -7,6 +7,9 @@
 // with up*/down* escape paths.
 #include <fstream>
 #include <iostream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dsn/analysis/experiments.hpp"
 #include "dsn/analysis/factory.hpp"
@@ -55,18 +58,33 @@ int main(int argc, char** argv) {
     pos = next == std::string::npos ? next : next + 1;
   }
 
+  // DSN custom routing runs only on the basic DSN; up*/down* on every family.
+  const std::string policy = cli.get("policy");
+  std::vector<std::pair<std::string, dsn::Topology>> swept;
+  std::string skipped;
+  for (const auto& family : dsn::paper_topology_trio()) {
+    dsn::Topology topo = dsn::make_topology_by_name(family, n, seed);
+    if (policy == "dsn-custom" && topo.kind != dsn::TopologyKind::kDsn) {
+      skipped += (skipped.empty() ? "" : ", ") + family;
+    } else {
+      swept.emplace_back(family, std::move(topo));
+    }
+  }
+  if (!skipped.empty()) {
+    std::cout << "policy " << policy << " does not apply to " << skipped << ": skipped\n";
+  }
+
   const auto replicas = static_cast<std::uint32_t>(cli.get_uint("seeds"));
   for (const auto& traffic : traffics) {
     dsn::Table table({"topology", "offered [Gb/s/host]", "accepted [Gb/s/host]",
                       "latency [ns]", "+/- sd", "p99 [ns]", "avg hops", "status"});
-    for (const auto& family : dsn::paper_topology_trio()) {
-      const dsn::Topology topo = dsn::make_topology_by_name(family, n, seed);
+    for (const auto& [family, topo] : swept) {
       dsn::LatencySweepConfig sweep;
       sweep.traffic = traffic;
       sweep.offered_gbps = loads;
       sweep.sim = sim;
       sweep.replicas = replicas;
-      sweep.policy = cli.get("policy");
+      sweep.policy = policy;
       const auto points = dsn::run_latency_sweep(topo, sweep);
       for (const auto& pt : points) {
         table.row()

@@ -13,7 +13,7 @@
 #include "dsn/common/table.hpp"
 #include "dsn/routing/sim_routing.hpp"
 #include "dsn/sim/simulator.hpp"
-#include "dsn/topology/dsn.hpp"
+#include "dsn/topology/dsn_ext.hpp"
 
 int main(int argc, char** argv) {
   dsn::Cli cli("Cycle-accurate traffic simulation on a chosen topology.");
@@ -38,16 +38,28 @@ int main(int argc, char** argv) {
   cfg.warmup_cycles = cfg.measure_cycles / 3;
   cfg.drain_cycles = cfg.measure_cycles * 4;
 
-  dsn::SimRouting routing(topo);
+  // The up*/down* policies share one set of routing tables; the DSN custom
+  // routing walks the topology's own DSN and needs no tables.
+  std::unique_ptr<dsn::SimRouting> routing;
   std::unique_ptr<dsn::Dsn> dsn_struct;
   std::unique_ptr<dsn::SimRoutingPolicy> policy;
   const std::string policy_name = cli.get("policy");
-  if (policy_name == "adaptive-updown") {
-    policy = std::make_unique<dsn::AdaptiveUpDownPolicy>(routing, cfg.vcs);
-  } else if (policy_name == "updown-only") {
-    policy = std::make_unique<dsn::UpDownOnlyPolicy>(routing, cfg.vcs);
+  if (policy_name == "adaptive-updown" || policy_name == "updown-only") {
+    routing = std::make_unique<dsn::SimRouting>(topo);
+    if (policy_name == "adaptive-updown") {
+      policy = std::make_unique<dsn::AdaptiveUpDownPolicy>(*routing, cfg.vcs);
+    } else {
+      policy = std::make_unique<dsn::UpDownOnlyPolicy>(*routing, cfg.vcs);
+    }
   } else if (policy_name == "dsn-custom") {
-    dsn_struct = std::make_unique<dsn::Dsn>(n, dsn::dsn_default_x(n));
+    try {
+      const dsn::DsnParams params =
+          dsn::require_dsn_params(topo, {dsn::TopologyKind::kDsn}, "the dsn-custom policy");
+      dsn_struct = std::make_unique<dsn::Dsn>(params.n, params.x);
+    } catch (const dsn::PreconditionError& e) {
+      std::cerr << e.what() << "\n";
+      return 1;
+    }
     policy = std::make_unique<dsn::DsnCustomPolicy>(*dsn_struct);
   } else {
     std::cerr << "unknown policy: " << policy_name << "\n";

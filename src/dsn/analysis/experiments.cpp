@@ -6,7 +6,7 @@
 #include "dsn/analysis/factory.hpp"
 #include "dsn/common/thread_pool.hpp"
 #include "dsn/routing/sim_routing.hpp"
-#include "dsn/topology/dsn.hpp"
+#include "dsn/topology/dsn_ext.hpp"
 
 namespace dsn {
 
@@ -42,14 +42,19 @@ std::vector<GraphSweepPoint> run_graph_sweep(const std::string& family,
 
 std::vector<LatencyPoint> run_latency_sweep(const Topology& topo,
                                             const LatencySweepConfig& config) {
-  // Shared read-only preprocessing.
-  SimRouting routing(topo);
+  // Shared read-only preprocessing: the up*/down* tables, or the DSN the
+  // custom routing walks, with the topology's own x.
+  std::unique_ptr<SimRouting> routing;
   std::unique_ptr<Dsn> dsn_struct;
-  if (config.policy == "dsn-custom") {
-    DSN_REQUIRE(topo.kind == TopologyKind::kDsn,
-                "dsn-custom policy needs a basic DSN topology");
+  if (config.policy == "adaptive-updown" || config.policy == "updown-only") {
+    routing = std::make_unique<SimRouting>(topo);
+  } else if (config.policy == "dsn-custom") {
+    const DsnParams params =
+        require_dsn_params(topo, {TopologyKind::kDsn}, "the dsn-custom policy");
     DSN_REQUIRE(config.sim.vcs % 4 == 0, "dsn-custom policy needs a multiple of 4 VCs");
-    dsn_struct = std::make_unique<Dsn>(topo.num_nodes(), dsn_default_x(topo.num_nodes()));
+    dsn_struct = std::make_unique<Dsn>(params.n, params.x);
+  } else {
+    throw PreconditionError("unknown policy: " + config.policy);
   }
 
   const std::uint32_t num_hosts = topo.num_nodes() * config.sim.hosts_per_switch;
@@ -69,14 +74,12 @@ std::vector<LatencyPoint> run_latency_sweep(const Topology& topo,
       sim_cfg.seed = config.sim.seed + rep;
 
       std::unique_ptr<SimRoutingPolicy> policy;
-      if (config.policy == "adaptive-updown") {
-        policy = std::make_unique<AdaptiveUpDownPolicy>(routing, sim_cfg.vcs);
-      } else if (config.policy == "updown-only") {
-        policy = std::make_unique<UpDownOnlyPolicy>(routing, sim_cfg.vcs);
-      } else if (config.policy == "dsn-custom") {
+      if (dsn_struct) {
         policy = std::make_unique<DsnCustomPolicy>(*dsn_struct, sim_cfg.vcs);
+      } else if (config.policy == "adaptive-updown") {
+        policy = std::make_unique<AdaptiveUpDownPolicy>(*routing, sim_cfg.vcs);
       } else {
-        throw PreconditionError("unknown policy: " + config.policy);
+        policy = std::make_unique<UpDownOnlyPolicy>(*routing, sim_cfg.vcs);
       }
       const auto traffic = make_traffic(config.traffic, num_hosts);
 

@@ -52,7 +52,8 @@ struct LatencySweepConfig {
   std::vector<double> offered_gbps;  ///< loads to sweep
   SimConfig sim;                     ///< offered load overridden per point
   /// "adaptive-updown" (paper default), "updown-only", or "dsn-custom"
-  /// (the latter requires a DSN topology and vcs % 4 == 0).
+  /// (the latter requires a basic DSN-x-n topology, whose x it routes with,
+  /// and vcs % 4 == 0; anything else is refused with PreconditionError).
   std::string policy = "adaptive-updown";
   /// Independent replications per load (seeds sim.seed, sim.seed+1, ...).
   std::uint32_t replicas = 1;

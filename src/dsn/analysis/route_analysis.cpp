@@ -3,7 +3,6 @@
 #include "dsn/analysis/route_analysis.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -190,7 +189,7 @@ RouteAnalysis analyze_route_function(const Graph& graph, const RouteFill& route_
                             " to " + phase_name(regression->phase) + " at node " +
                             std::to_string(regression->from));
         }
-        if (options.check_hop_bound && hop_bound != 0 && len > hop_bound) {
+        if (hop_bound != 0 && len > hop_bound) {
           sh.bounds.add(options.max_witnesses, s, t, path,
                         std::to_string(len) + " hops exceed the analytic bound of " +
                             std::to_string(hop_bound));
@@ -205,7 +204,7 @@ RouteAnalysis analyze_route_function(const Graph& graph, const RouteFill& route_
   RouteAnalysis ra;
   ra.n = n;
   ra.pairs = static_cast<std::uint64_t>(num_sources) * (n - 1);
-  ra.hop_bound = options.check_hop_bound ? hop_bound : 0;
+  ra.hop_bound = hop_bound;
   ra.hop_bound_law = std::move(hop_bound_law);
   ChannelDependencyGraph cdg = std::move(shards[0].cdg);
   Refutation loops, endpoints, phases, bounds;
@@ -258,9 +257,7 @@ RouteAnalysis analyze_route_function(const Graph& graph, const RouteFill& route_
   ra.cdg_dependencies = cdg.num_dependencies();
   ra.cdg_acyclic = cdg.is_acyclic();
   if (!ra.cdg_acyclic) {
-    ra.cdg_cycle = options.find_min_cycle
-                       ? cdg.find_shortest_cycle(options.min_cycle_work_cap)
-                       : cdg.find_cycle();
+    ra.cdg_cycle = options.find_min_cycle ? cdg.find_shortest_cycle() : cdg.find_cycle();
   }
   return ra;
 }
@@ -355,22 +352,16 @@ BoundRouting make_route_function(const Topology& topo, RoutingFamily family) {
   BoundRouting b;
   switch (family) {
     case RoutingFamily::kDsn: {
-      if (topo.kind != TopologyKind::kDsn && topo.kind != TopologyKind::kDsnE &&
-          topo.kind != TopologyKind::kDsnBidir) {
-        throw PreconditionError("family 'dsn' does not apply to a " +
-                                std::string(to_string(topo.kind)) + " topology");
-      }
-      const std::optional<DsnParams> params = parse_dsn_params(topo);
-      if (!params) {
-        throw PreconditionError("DSN name does not encode its parameters: " + topo.name);
-      }
+      const DsnParams params = require_dsn_params(
+          topo, {TopologyKind::kDsn, TopologyKind::kDsnE, TopologyKind::kDsnBidir},
+          "family 'dsn'");
       if (topo.kind == TopologyKind::kDsnE) b.scheme = ChannelScheme::kExtended;
       struct State {
         Dsn base;
         DsnRouter router;
         explicit State(std::uint32_t n, std::uint32_t x) : base(n, x), router(base) {}
       };
-      auto state = std::make_shared<const State>(n, params->x);
+      auto state = std::make_shared<const State>(n, params.x);
       auto [bound, law] = dsn_hop_bound(state->base);
       b.hop_bound = bound;
       b.hop_bound_law = std::move(law);
@@ -386,13 +377,8 @@ BoundRouting make_route_function(const Topology& topo, RoutingFamily family) {
       return b;
     }
     case RoutingFamily::kDsnD: {
-      DSN_REQUIRE(topo.kind == TopologyKind::kDsnD,
-                  "family 'dsn-d' needs a DSN-D topology");
-      const std::optional<DsnParams> params = parse_dsn_params(topo);
-      if (!params) {
-        throw PreconditionError("DSN-D name does not encode its parameters: " + topo.name);
-      }
-      auto state = std::make_shared<const DsnD>(n, params->xd);
+      const DsnParams params = require_dsn_params(topo, {TopologyKind::kDsnD}, "family 'dsn-d'");
+      auto state = std::make_shared<const DsnD>(n, params.xd);
       auto [bound, law] = dsn_hop_bound(state->base());
       b.hop_bound = bound;
       b.hop_bound_law = std::move(law);

@@ -71,13 +71,9 @@ enum class ChannelScheme : std::uint8_t { kBasic, kExtended };
 const char* to_string(ChannelScheme scheme);
 
 struct RouteAnalysisOptions {
-  /// Check per-pair hop counts against the family's analytic bound (skipped
-  /// when no bound's premise applies).
-  bool check_hop_bound = true;
   /// When the CDG is cyclic, search for a *shortest* cycle witness (falls
-  /// back to the first DFS cycle past the work cap).
+  /// back to the first DFS cycle past find_shortest_cycle's work cap).
   bool find_min_cycle = true;
-  std::uint64_t min_cycle_work_cap = 1ULL << 28;
   /// Offending routes retained per refuted property. The verdicts do not
   /// depend on it: with 0, a violated property is still refuted.
   std::size_t max_witnesses = 4;
@@ -202,7 +198,7 @@ struct BoundRouting {
 };
 
 /// Bind `family`'s routing function to `topo`, reconstructing routing
-/// parameters from the topology kind/name with parse_dsn_params (throws
+/// parameters from the topology kind/name with require_dsn_params (throws
 /// dsn::PreconditionError when the family does not apply or parameters
 /// cannot be recovered). Note the up*/down* family materialises O(n^2)
 /// distance tables — callers that scale past small n must pick a table-free

@@ -4,6 +4,7 @@
 
 #include "dsn/common/thread_pool.hpp"
 #include "dsn/graph/metrics.hpp"
+#include "dsn/layout/layout.hpp"
 
 namespace dsn {
 
@@ -21,7 +22,7 @@ WireLatencyStats estimate_wire_latency(const Topology& topo,
   const NodeId n = topo.num_nodes();
   DSN_REQUIRE(n >= 2, "need at least two switches");
   const bool grid = topo.dims.size() == 2;
-  const FloorLayout layout(topo, config.room,
+  const FloorLayout layout(topo, MachineRoomConfig{},
                            grid ? PlacementStrategy::kGrid2D
                                 : PlacementStrategy::kLinear);
 

@@ -6,7 +6,6 @@
 // topologies win on hops but pay wire delay for their long cables.
 #pragma once
 
-#include "dsn/layout/layout.hpp"
 #include "dsn/topology/topology.hpp"
 
 namespace dsn {
@@ -14,7 +13,6 @@ namespace dsn {
 struct WireLatencyConfig {
   double router_ns = 100.0;   ///< per switch traversal (incl. destination)
   double cable_ns_per_m = 5.0;
-  MachineRoomConfig room;
 };
 
 struct WireLatencyStats {
@@ -27,8 +25,9 @@ struct WireLatencyStats {
 
 /// Estimate over all ordered pairs using BFS hop-shortest paths (the
 /// dsn::bfs_tree of each source) under the topology's conventional
-/// placement. Bit-identical for any thread count: per-source sums are merged
-/// in source order.
+/// placement in the default machine room (MachineRoomConfig{}, as
+/// compute_cable_report). Bit-identical for any thread count: per-source
+/// sums are merged in source order.
 WireLatencyStats estimate_wire_latency(const Topology& topo,
                                        const WireLatencyConfig& config = {});
 

@@ -24,10 +24,12 @@ namespace {
 /// topology does not produce O(n) copies of the same finding.
 class Reporter {
  public:
-  Reporter(ValidationReport& report, std::size_t cap) : report_(&report), cap_(cap) {}
+  static constexpr std::size_t kMaxViolations = 256;
+
+  explicit Reporter(ValidationReport& report) : report_(&report) {}
 
   void add(Violation v) {
-    if (report_->violations.size() < cap_) report_->violations.push_back(std::move(v));
+    if (!full()) report_->violations.push_back(std::move(v));
   }
 
   void add(ViolationKind kind, Severity severity, NodeId node, LinkId link,
@@ -35,11 +37,10 @@ class Reporter {
     add(Violation{kind, severity, node, link, std::move(message)});
   }
 
-  bool full() const { return report_->violations.size() >= cap_; }
+  bool full() const { return report_->violations.size() >= kMaxViolations; }
 
  private:
   ValidationReport* report_;
-  std::size_t cap_;
 };
 
 bool role_allowed(TopologyKind kind, LinkRole role) {
@@ -118,7 +119,7 @@ NodeId expected_shortcut_target(std::uint32_t n, std::uint32_t p, NodeId i) {
 // -------------------------------------------------------------------------
 
 void check_representation(const Topology& topo, ValidationReport& report,
-                          Reporter& rep, std::size_t cap) {
+                          Reporter& rep) {
   const Graph& g = topo.graph;
   std::vector<std::pair<NodeId, NodeId>> links;
   links.reserve(g.num_links());
@@ -128,7 +129,7 @@ void check_representation(const Topology& topo, ValidationReport& report,
     const auto span = g.neighbors(u);
     adjacency[u].assign(span.begin(), span.end());
   }
-  check_raw_graph(g.num_nodes(), links, adjacency, report, cap);
+  check_raw_graph(g.num_nodes(), links, adjacency, report);
 
   ++report.checks_run;
   if (topo.link_roles.size() != g.num_links()) {
@@ -440,15 +441,13 @@ ValidatorOptions structural_options() {
   return opts;
 }
 
-Validator::Validator(ValidatorOptions options) : options_(options) {}
-
-ValidationReport Validator::validate(const Topology& topo) const {
+ValidationReport validate_topology(const Topology& topo, const ValidatorOptions& options) {
   ValidationReport report;
   report.topology = topo.name.empty() ? to_string(topo.kind) : topo.name;
-  Reporter rep(report, options_.max_violations);
+  Reporter rep(report);
   const std::uint32_t n = topo.num_nodes();
 
-  check_representation(topo, report, rep, options_.max_violations);
+  check_representation(topo, report, rep);
   if (n == 0) return report;
 
   std::optional<DsnParams> dsn;
@@ -476,26 +475,23 @@ ValidationReport Validator::validate(const Topology& topo) const {
   if (dsn) check_dsn_shortcut_law(topo, *dsn, rep);
   if (topo.kind == TopologyKind::kDln) check_dln_shortcut_law(topo, rep);
 
-  bool connected = true;
-  if (options_.check_connectivity) {
-    ++report.checks_run;
-    connected = is_connected(topo.graph);
-    if (!connected) {
-      // Random models (Watts-Strogatz rewiring, random regular) can
-      // legitimately disconnect; everything else has a deterministic spine.
-      const Severity sev = topo.kind == TopologyKind::kKleinberg ||
-                                   topo.kind == TopologyKind::kRandomRegular
-                               ? Severity::kWarning
-                               : Severity::kError;
-      rep.add(ViolationKind::kDisconnected, sev, kInvalidNode, kInvalidLink,
-              "graph is not connected");
-    }
+  ++report.checks_run;
+  const bool connected = is_connected(topo.graph);
+  if (!connected) {
+    // Random models (Watts-Strogatz rewiring, random regular) can
+    // legitimately disconnect; everything else has a deterministic spine.
+    const Severity sev = topo.kind == TopologyKind::kKleinberg ||
+                                 topo.kind == TopologyKind::kRandomRegular
+                             ? Severity::kWarning
+                             : Severity::kError;
+    rep.add(ViolationKind::kDisconnected, sev, kInvalidNode, kInvalidLink,
+            "graph is not connected");
   }
 
   // The route checks walk the graph; skip them when the representation
   // itself is broken or the graph is disconnected.
-  if (options_.check_routing && connected && report.ok() && n >= 2) {
-    check_routes(topo, options_, rep, report);
+  if (options.check_routing && connected && report.ok() && n >= 2) {
+    check_routes(topo, options, rep, report);
   }
   return report;
 }
@@ -522,15 +518,11 @@ std::vector<NodeId> routing_sources(const Topology& topo, std::uint32_t all_pair
   return nodes;
 }
 
-ValidationReport validate_topology(const Topology& topo, ValidatorOptions options) {
-  return Validator(options).validate(topo);
-}
-
 void check_raw_graph(NodeId num_nodes,
                      const std::vector<std::pair<NodeId, NodeId>>& links,
                      const std::vector<std::vector<AdjHalf>>& adjacency,
-                     ValidationReport& report, std::size_t max_violations) {
-  Reporter rep(report, max_violations);
+                     ValidationReport& report) {
+  Reporter rep(report);
   ++report.checks_run;
 
   std::vector<bool> endpoints_ok(links.size(), true);

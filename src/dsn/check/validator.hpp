@@ -1,6 +1,6 @@
 // The invariant checker (the "tentpole" of the correctness-tooling layer).
 //
-// Validator runs a battery of structural checks over any Topology:
+// validate_topology runs a battery of structural checks over any Topology:
 //  - graph representation: adjacency symmetry, link-id bijection, self loops,
 //    id ranges, link_roles parallel-array consistency, per-kind role legality;
 //  - connectivity;
@@ -19,7 +19,9 @@
 //    extended DSN scheme of DSN-E and DSN-D). The validator walks no route
 //    itself.
 //
-// Violations are *reported*, not thrown, so one run surfaces every problem.
+// Violations are *reported*, not thrown, so one run surfaces every problem;
+// a report keeps the first 256 (a corrupt topology can otherwise produce O(n)
+// repeats of the same defect).
 #pragma once
 
 #include <cstdint>
@@ -34,7 +36,6 @@
 namespace dsn::check {
 
 struct ValidatorOptions {
-  bool check_connectivity = true;
   /// Route checks: the analyzer's route verdicts and CDG acyclicity (see the
   /// file comment).
   bool check_routing = true;
@@ -47,9 +48,6 @@ struct ValidatorOptions {
   /// family runs (up*/down* tables are O(n^2)), from the routing_sources
   /// sample to every destination.
   std::uint32_t max_cdg_nodes = 1024;
-  /// Stop recording after this many violations (a corrupt topology can
-  /// otherwise produce O(n) repeats of the same defect).
-  std::size_t max_violations = 256;
 };
 
 /// The sources the route checks route from, each to every destination: all
@@ -64,21 +62,8 @@ std::vector<NodeId> routing_sources(const Topology& topo, std::uint32_t all_pair
 /// This is what the DSN_VALIDATE=1 generation hook runs (O(V + E)-ish).
 ValidatorOptions structural_options();
 
-class Validator {
- public:
-  explicit Validator(ValidatorOptions options = {});
-
-  /// Run every applicable check family; never throws on a bad topology.
-  ValidationReport validate(const Topology& topo) const;
-
-  const ValidatorOptions& options() const { return options_; }
-
- private:
-  ValidatorOptions options_;
-};
-
-/// One-shot convenience wrapper.
-ValidationReport validate_topology(const Topology& topo, ValidatorOptions options = {});
+/// Run every applicable check family; never throws on a bad topology.
+ValidationReport validate_topology(const Topology& topo, const ValidatorOptions& options = {});
 
 /// Graph-representation checks over *raw* adjacency/link arrays. Exposed so
 /// the checker's own property tests can inject corruptions (asymmetric
@@ -86,8 +71,7 @@ ValidationReport validate_topology(const Topology& topo, ValidatorOptions option
 void check_raw_graph(NodeId num_nodes,
                      const std::vector<std::pair<NodeId, NodeId>>& links,
                      const std::vector<std::vector<AdjHalf>>& adjacency,
-                     ValidationReport& report,
-                     std::size_t max_violations = 256);
+                     ValidationReport& report);
 
 /// Install a topology-generation hook (see dsn/topology/hooks.hpp) that runs
 /// the structural checks on every freshly generated topology and throws

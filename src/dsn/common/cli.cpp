@@ -72,10 +72,6 @@ std::string Cli::get(const std::string& name) const {
   return it->second.value;
 }
 
-std::int64_t Cli::get_int(const std::string& name) const {
-  return std::stoll(get(name));
-}
-
 std::uint64_t Cli::get_uint(const std::string& name) const {
   const auto v = std::stoll(get(name));
   DSN_REQUIRE(v >= 0, "flag --" + name + " must be non-negative");

@@ -26,7 +26,6 @@ class Cli {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name) const;
-  std::int64_t get_int(const std::string& name) const;
   std::uint64_t get_uint(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;

@@ -27,9 +27,6 @@ class ShardEpoch {
 
   std::size_t shards() const { return shards_; }
 
-  /// True when epochs actually fan out to pool workers.
-  bool parallel_execution() const { return pool_ != nullptr; }
-
   /// One epoch: run fn(shard) for every shard in [0, shards()), blocking
   /// until all complete. Exceptions from shard functions propagate (first
   /// one wins, matching ThreadPool::parallel_for).

@@ -87,7 +87,8 @@ bool is_connected(const CsrView& csr);
 /// clustering together with low average shortest path length. The CsrView
 /// overload builds the snapshot's sorted neighbor sets on demand (hence the
 /// non-const reference); pairs are counted by sorted-set intersection,
-/// parallelized over nodes.
+/// parallelized over nodes, and the per-node coefficients are summed in node
+/// order, so the result is bit-identical for any thread count.
 double clustering_coefficient(const Graph& g);
 double clustering_coefficient(CsrView& csr);
 

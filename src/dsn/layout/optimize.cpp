@@ -11,6 +11,11 @@ namespace dsn {
 
 namespace {
 
+/// Metropolis temperature: start (meters of cable, roughly one hop) and the
+/// factor applied after every proposal.
+constexpr double kInitialTemperatureM = 4.0;
+constexpr double kCoolingPerIteration = 0.999975;
+
 /// Slot geometry shared by the optimizer and the report: slot s sits in
 /// cabinet s / switches_per_cabinet on the q = ceil(sqrt m) grid.
 struct SlotGeometry {
@@ -95,7 +100,7 @@ OptimizedPlacement optimize_placement(const Topology& topo,
       compute_cable_report_with_slots(topo, room, result.slot_of).total_m;
 
   Rng rng(config.seed);
-  double temperature = config.initial_temperature;
+  double temperature = kInitialTemperatureM;
   auto& slot_of = result.slot_of;
 
   for (std::uint64_t it = 0; it < config.iterations; ++it) {
@@ -114,7 +119,7 @@ OptimizedPlacement optimize_placement(const Topology& topo,
     const bool accept =
         delta <= 0.0 || rng.next_double() < std::exp(-delta / std::max(1e-9, temperature));
     if (!accept) std::swap(slot_of[a], slot_of[b]);
-    temperature *= config.cooling;
+    temperature *= kCoolingPerIteration;
   }
 
   result.optimized_total_m =

@@ -16,8 +16,6 @@ namespace dsn {
 
 struct PlacementOptimizerConfig {
   std::uint64_t iterations = 200'000;
-  double initial_temperature = 4.0;  ///< meters of cable, roughly one hop
-  double cooling = 0.999975;         ///< per-iteration geometric cooling
   std::uint64_t seed = 1;
 };
 

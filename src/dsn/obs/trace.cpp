@@ -59,20 +59,15 @@ void TraceWriter::push(Event event) {
 }
 
 void TraceWriter::begin(const std::string& name) {
-  push(Event{name, 'B', thread_index(), now_us(), 0.0, 0.0, {}});
+  push(Event{name, 'B', thread_index(), now_us(), 0.0, {}});
 }
 
 void TraceWriter::end(const std::string& name) {
-  push(Event{name, 'E', thread_index(), now_us(), 0.0, 0.0, {}});
-}
-
-void TraceWriter::complete(const std::string& name, double start_us,
-                           double dur_us) {
-  push(Event{name, 'X', thread_index(), start_us, dur_us, 0.0, {}});
+  push(Event{name, 'E', thread_index(), now_us(), 0.0, {}});
 }
 
 void TraceWriter::counter(const std::string& name, double value) {
-  push(Event{name, 'C', thread_index(), now_us(), 0.0, value, {}});
+  push(Event{name, 'C', thread_index(), now_us(), value, {}});
 }
 
 void TraceWriter::name_current_thread(const std::string& name) {
@@ -80,12 +75,7 @@ void TraceWriter::name_current_thread(const std::string& name) {
 }
 
 void TraceWriter::name_thread(std::uint32_t tid, const std::string& name) {
-  push(Event{"thread_name", 'M', tid, 0.0, 0.0, 0.0, name});
-}
-
-std::size_t TraceWriter::num_events() const {
-  LockGuard lock(mutex_);
-  return events_.size();
+  push(Event{"thread_name", 'M', tid, 0.0, 0.0, name});
 }
 
 std::string TraceWriter::to_json() const {
@@ -103,10 +93,6 @@ std::string TraceWriter::to_json() const {
     out += std::to_string(e.tid);
     out += ",\"ts\":";
     append_number(out, e.ts);
-    if (e.ph == 'X') {
-      out += ",\"dur\":";
-      append_number(out, e.dur);
-    }
     if (e.ph == 'C') {
       out += ",\"args\":{\"value\":";
       append_number(out, e.value);

@@ -1,6 +1,6 @@
-// Chrome-trace-format event capture. A TraceWriter buffers duration (B/E),
-// complete (X) and counter (C) events and serialises them as the JSON object
-// format Perfetto / chrome://tracing load directly:
+// Chrome-trace-format event capture. A TraceWriter buffers duration (B/E)
+// and counter (C) events and serialises them as the JSON object format
+// Perfetto / chrome://tracing load directly:
 //
 //   {"traceEvents":[{"name":"sim.run","ph":"B","pid":1,"tid":0,"ts":12.5},...],
 //    "displayTimeUnit":"ms"}
@@ -35,8 +35,6 @@ class TraceWriter {
   /// Duration events; ts defaults to "now" relative to writer start.
   void begin(const std::string& name);
   void end(const std::string& name);
-  /// Complete event covering [start_us, start_us + dur_us).
-  void complete(const std::string& name, double start_us, double dur_us);
   /// Counter track sample (renders as a stacked area chart).
   void counter(const std::string& name, double value);
   /// Thread-name metadata for the calling thread's track.
@@ -48,8 +46,6 @@ class TraceWriter {
   /// Microseconds since this writer was constructed.
   double now_us() const;
 
-  std::size_t num_events() const;
-
   /// Serialise all buffered events as Chrome-trace JSON.
   std::string to_json() const;
   /// to_json() to a file; throws dsn::PreconditionError on I/O failure.
@@ -58,10 +54,9 @@ class TraceWriter {
  private:
   struct Event {
     std::string name;
-    char ph;                 ///< 'B', 'E', 'X', 'C', 'M'
+    char ph;                 ///< 'B', 'E', 'C', 'M'
     std::uint32_t tid;
     double ts;
-    double dur;              ///< X only
     double value;            ///< C only
     std::string meta_value;  ///< M only (thread_name arg)
   };

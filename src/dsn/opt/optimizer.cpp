@@ -8,6 +8,7 @@
 #include "dsn/common/error.hpp"
 #include "dsn/common/rng.hpp"
 #include "dsn/graph/metrics.hpp"
+#include "dsn/layout/layout.hpp"
 #include "dsn/obs/obs.hpp"
 #include "dsn/topology/shortcut_set.hpp"
 
@@ -44,6 +45,21 @@ constexpr std::array<std::array<double, 3>, 3> kPassWeights{{
     {0.7, 0.7, 0.3},
 }};
 
+/// Metropolis temperature (objective units, normalized to the seed
+/// placement): start, factor per plateau, floor.
+constexpr double kInitialTemperature = 0.02;
+constexpr double kCooling = 0.85;
+constexpr double kMinTemperature = 1e-4;
+
+/// Fraction of proposals drawn as *local partner exchanges* (two shortcuts
+/// adjacent in sorted-endpoint order swap far partners, roughly keeping both
+/// spans: cable fine-tuning); the rest are global swaps that explore ASPL.
+constexpr double kLocalBias = 0.75;
+/// Half-width (in sorted-endpoint positions) of a local move. 1 would waste
+/// ~half the draws: nodes carry ~2 endpoints, so the neighbor entry is often
+/// the same node.
+constexpr std::uint64_t kLocalWindow = 4;
+
 }  // namespace
 
 OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& cfg) {
@@ -59,7 +75,7 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
   result.degree_max = degrees.max_degree;
   result.degree_avg = degrees.avg_degree;
 
-  const FloorLayout layout(topo, cfg.room, PlacementStrategy::kLinear);
+  const FloorLayout layout(topo, MachineRoomConfig{}, PlacementStrategy::kLinear);
   const auto pair_cable = [&layout](const std::pair<NodeId, NodeId>& e) {
     return layout.cable_length_m(e.first, e.second);
   };
@@ -103,7 +119,7 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
     SampledPathEstimator est = seed_est;
     double cable = seed_cable;
     const std::size_t num_slots = view.num_shortcuts();
-    double temperature = cfg.initial_temperature;
+    double temperature = kInitialTemperature;
 
     // Sorted endpoint index for local partner exchanges: entries
     // (endpoint, slot * 2 + side) ordered by endpoint id. Under the linear
@@ -130,9 +146,7 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
                            std::pair<NodeId, std::uint32_t>{x, code}),
           {x, code});
     };
-    const std::uint64_t window =
-        std::min<std::uint64_t>(std::max<std::uint32_t>(cfg.local_window, 1),
-                                2 * num_slots - 1);
+    const std::uint64_t window = std::min<std::uint64_t>(kLocalWindow, 2 * num_slots - 1);
 
     for (std::uint32_t start = 0; start < cfg.iterations; start += cfg.plateau) {
       DSN_OBS_TIMER(OptMetrics::get().plateau_ns, OptMetrics::get().plateaus);
@@ -144,7 +158,7 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
         std::size_t i;
         std::size_t j;
         bool cross;
-        if (rng.next_double() < cfg.local_bias) {
+        if (rng.next_double() < kLocalBias) {
           // Local partner exchange: two endpoints adjacent in sorted order
           // swap partners. Matching sides (first/first or second/second)
           // maps to a cross swap, mixed sides to a straight swap — either
@@ -226,7 +240,7 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
                                        view.shortcuts().end());
         }
       }
-      temperature = std::max(cfg.min_temperature, temperature * cfg.cooling);
+      temperature = std::max(kMinTemperature, temperature * kCooling);
     }
 
     result.full_sweeps += est.full_sweeps();

@@ -20,7 +20,6 @@
 
 #include "dsn/common/json.hpp"
 #include "dsn/graph/estimator.hpp"
-#include "dsn/layout/layout.hpp"
 #include "dsn/opt/pareto.hpp"
 #include "dsn/topology/topology.hpp"
 
@@ -34,22 +33,7 @@ struct OptimizerConfig {
   std::uint32_t passes = 3;
   std::uint32_t iterations = 2000;  ///< proposals per pass
   std::uint32_t plateau = 100;      ///< proposals per temperature step
-  double initial_temperature = 0.02;
-  double cooling = 0.85;  ///< geometric factor per plateau
-  double min_temperature = 1e-4;
-  /// Fraction of proposals drawn as *local partner exchanges*: pick two
-  /// shortcuts whose endpoints are adjacent in sorted-endpoint order and
-  /// exchange their far partners, which approximately preserves both spans.
-  /// Local moves are the cable fine-tuning moves; the remaining fraction are
-  /// global random swaps that rewire long-range structure and explore ASPL.
-  double local_bias = 0.75;
-  /// Neighborhood half-width (in sorted-endpoint positions) for local moves.
-  /// Small keeps the moves cable-local, but 1 wastes ~half the draws on no-op
-  /// self-exchanges — nodes carry ~2 shortcut endpoints, so the adjacent
-  /// entry is often the same node.
-  std::uint32_t local_window = 4;
   EstimatorConfig estimator;
-  MachineRoomConfig room;
 };
 
 struct OptimizerResult {

@@ -10,6 +10,9 @@ namespace dsn {
 
 namespace {
 
+/// The up*/down* root of the pristine tables (degraded rebuilds pick theirs).
+constexpr NodeId kPristineRoot = 0;
+
 Graph alive_subgraph(const Graph& g, std::span<const std::uint8_t> link_alive,
                      std::span<const std::uint8_t> switch_alive) {
   DSN_REQUIRE(link_alive.size() == g.num_links(), "link_alive mask size mismatch");
@@ -26,8 +29,8 @@ Graph alive_subgraph(const Graph& g, std::span<const std::uint8_t> link_alive,
 
 }  // namespace
 
-SimRouting::SimRouting(const Topology& topo, NodeId updown_root, ThreadPool* pool)
-    : topo_(&topo), n_(topo.num_nodes()), updown_(topo.graph, updown_root) {
+SimRouting::SimRouting(const Topology& topo, ThreadPool* pool)
+    : topo_(&topo), n_(topo.num_nodes()), updown_(topo.graph, kPristineRoot) {
   build_tables(topo.graph, pool);
 }
 

@@ -25,12 +25,11 @@ class ThreadPool;
 
 class SimRouting {
  public:
-  /// Builds APSP distances, minimal next-hop sets and up*/down* tables.
-  /// `pool` overrides the global thread pool for table construction (the
-  /// deterministic-replay tests rebuild with explicit 1/4/8-worker pools;
-  /// the tables are identical for any worker count).
-  explicit SimRouting(const Topology& topo, NodeId updown_root = 0,
-                      ThreadPool* pool = nullptr);
+  /// Builds APSP distances, minimal next-hop sets and up*/down* tables
+  /// rooted at switch 0. `pool` overrides the global thread pool for table
+  /// construction (the deterministic-replay tests rebuild with explicit
+  /// 1/4/8-worker pools; the tables are identical for any worker count).
+  explicit SimRouting(const Topology& topo, ThreadPool* pool = nullptr);
 
   /// Degraded rebuild over the alive subgraph (link_alive indexed by LinkId,
   /// switch_alive by NodeId; a link is kept only when it and both endpoints

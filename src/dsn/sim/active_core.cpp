@@ -561,8 +561,7 @@ void ActiveCore::phase_deliver_allocate(std::size_t s) {
   bucket.clear();
 
   // Strided TTL sweep over this shard's NIC queues (same stride as legacy).
-  if (S.config_.packet_ttl_cycles != 0 &&
-      now_ % S.config_.ttl_sweep_stride == 0) {
+  if (S.config_.packet_ttl_cycles != 0 && now_ % Simulator::kTtlSweepStride == 0) {
     S.sweep_nic_ttl(now_, host_begin, host_end, sh.ttl_out);
   }
 

@@ -81,12 +81,6 @@ struct SimConfig {
   /// byte-identical for every value: cross-shard flit handoff goes through
   /// per-shard mailboxes drained in shard order at the epoch barrier.
   std::uint32_t sim_threads = 1;
-  /// The NIC-queue TTL sweep (packet_ttl_cycles != 0 only) runs on cycles
-  /// divisible by this stride instead of every cycle; head-of-buffer TTL
-  /// checks remain per-cycle. TTL deadlines are coarse — expiring a queued
-  /// packet up to stride-1 cycles late only delays its drop accounting.
-  /// Both cores apply the same stride, so equivalence is unaffected.
-  std::uint64_t ttl_sweep_stride = 64;
 
   /// Nanoseconds per simulator cycle (= flit serialization time).
   double cycle_ns() const { return flit_bits / link_bw_gbps; }
@@ -119,7 +113,6 @@ struct SimConfig {
     DSN_REQUIRE(retry_backoff_cycles >= 1, "retry backoff must be positive");
     DSN_REQUIRE(retry_backoff_cap_cycles >= retry_backoff_cycles,
                 "retry backoff cap must be >= the base backoff");
-    DSN_REQUIRE(ttl_sweep_stride >= 1, "TTL sweep stride must be positive");
   }
 };
 

@@ -47,10 +47,4 @@ std::vector<TraceEntry> to_injection_trace(const std::vector<Demand>& demands,
   return trace;
 }
 
-std::uint64_t total_flits(const std::vector<Demand>& demands) {
-  std::uint64_t total = 0;
-  for (const Demand& d : demands) total += d.flits;
-  return total;
-}
-
 }  // namespace dsn

@@ -45,7 +45,4 @@ std::vector<Demand> pattern_demands(const TrafficPattern& pattern,
 std::vector<TraceEntry> to_injection_trace(const std::vector<Demand>& demands,
                                            std::uint32_t packet_flits);
 
-/// Sum of demand sizes in flits.
-std::uint64_t total_flits(const std::vector<Demand>& demands);
-
 }  // namespace dsn

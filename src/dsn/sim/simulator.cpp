@@ -37,8 +37,7 @@ Simulator::Simulator(const Topology& topo, SimRoutingPolicy& policy,
 
   const Graph& g = topo.graph;
   switches_.resize(num_switches_);
-  upstream_.resize(num_switches_);
-  downstream_.resize(num_switches_);
+  peer_port_.resize(num_switches_);
   out_link_index_.resize(num_switches_);
   link_flits_.assign(g.num_links() * 2, 0);
   link_alive_.assign(g.num_links(), 1);
@@ -63,13 +62,12 @@ Simulator::Simulator(const Topology& topo, SimRoutingPolicy& policy,
                                     : std::numeric_limits<std::uint32_t>::max() / 2;
       }
     }
-    upstream_[u].resize(sw.num_net_ports);
-    downstream_[u].resize(sw.num_net_ports);
+    peer_port_[u].resize(sw.num_net_ports);
     out_link_index_[u].resize(sw.num_net_ports);
   }
 
-  // Build the reverse port map: input port i of u is fed by the neighbor's
-  // output port that carries the same link id.
+  // Build the port map: port i of u and the neighbor's port that carries the
+  // same link id are the two ends of one bidirectional link.
   for (NodeId u = 0; u < num_switches_; ++u) {
     const auto nbrs = g.neighbors(u);
     for (std::uint32_t i = 0; i < nbrs.size(); ++i) {
@@ -84,8 +82,7 @@ Simulator::Simulator(const Topology& topo, SimRoutingPolicy& policy,
         }
       }
       DSN_ASSERT(vport != kInvalidNode, "link must appear in both adjacencies");
-      upstream_[u][i] = {v, vport};
-      downstream_[u][i] = {v, vport};  // symmetric: out port i feeds v's port vport
+      peer_port_[u][i] = {v, vport};
       const auto [a, b] = g.link_endpoints(link);
       // Direction bit: 0 when this output sends a->b.
       out_link_index_[u][i] = 2 * link + (u == a ? 0u : 1u);
@@ -435,7 +432,7 @@ void Simulator::allocate_vcs(std::uint64_t now) {
   // packets in flight forever and wedge the drain. The sweep is strided:
   // TTL deadlines are coarse, so scanning every NIC queue every cycle is
   // pure overhead at high n (expiries land at the next stride boundary).
-  if (config_.packet_ttl_cycles != 0 && now % config_.ttl_sweep_stride == 0) {
+  if (config_.packet_ttl_cycles != 0 && now % kTtlSweepStride == 0) {
     sweep_nic_ttl(now, 0, num_hosts_, ttl_expired_);
   }
   if (!ttl_expired_.empty()) {
@@ -644,7 +641,7 @@ void Simulator::recompute_credits() {
   for (NodeId u = 0; u < num_switches_; ++u) {
     SwitchState& sw = switches_[u];
     for (std::uint32_t op = 0; op < sw.num_net_ports; ++op) {
-      const auto [down_sw, dport] = downstream_[u][op];
+      const auto [down_sw, dport] = peer_port_[u][op];
       SwitchState& dn = switches_[down_sw];
       for (std::uint32_t vc = 0; vc < config_.vcs; ++vc) {
         sw.credits[op * config_.vcs + vc].clear();

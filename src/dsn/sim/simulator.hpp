@@ -236,7 +236,10 @@ class Simulator {
                     std::uint64_t now, std::vector<RouteCandidate>& scratch);
   /// TTL-expire queued packets of NICs in [begin, end), appending expired
   /// slots to `out` (erased from the queues; caller purges). Both cores call
-  /// this on the same strided cycles (SimConfig::ttl_sweep_stride).
+  /// this only on cycles divisible by kTtlSweepStride; head-of-buffer TTL
+  /// checks stay per-cycle, so a queued packet's drop is at most stride-1
+  /// cycles late.
+  static constexpr std::uint64_t kTtlSweepStride = 64;
   void sweep_nic_ttl(std::uint64_t now, HostId begin, HostId end,
                      std::vector<PacketSlot>& out);
   SimResult run_legacy();
@@ -281,10 +284,9 @@ class Simulator {
 
   std::vector<SwitchState> switches_;
   std::vector<NicState> nics_;
-  /// Reverse port map: for (switch, net in_port) the upstream (switch, out_port).
-  std::vector<std::vector<std::pair<NodeId, std::uint32_t>>> upstream_;
-  /// Forward port map: for (switch, net out_port) the downstream (switch, in_port).
-  std::vector<std::vector<std::pair<NodeId, std::uint32_t>>> downstream_;
+  /// For (switch, net port) the (switch, port) at the other end of its link:
+  /// the downstream input port of a wire push and the upstream credit target.
+  std::vector<std::vector<std::pair<NodeId, std::uint32_t>>> peer_port_;
   /// Directed link index for (switch, net out_port), for link_flits_.
   std::vector<std::vector<std::uint32_t>> out_link_index_;
 

@@ -67,9 +67,9 @@ void Simulator::sa_apply_grant(NodeId u, std::uint32_t op, std::uint32_t granted
 
   if (op < sw.num_net_ports) {
     // Network traversal: consume a credit, put the flit on the wire
-    // toward the downstream input port (precomputed in downstream_).
+    // toward the downstream input port (precomputed in peer_port_).
     --o.credits;
-    const auto [down_sw, dport] = downstream_[u][op];
+    const auto [down_sw, dport] = peer_port_[u][op];
     sink.push_wire(down_sw, dport, Arrival{now + link_delay_, flit, ivc.out_vc});
     if (in_window) ++link_flits_[out_link_index_[u][op]];
   } else {
@@ -91,7 +91,7 @@ void Simulator::sa_apply_grant(NodeId u, std::uint32_t op, std::uint32_t granted
   // reads a credit count, so without the floor a zero-delay link would hand
   // the credit to a switch allocated later in this same cycle.
   if (in_port < sw.num_net_ports) {
-    const auto [up_sw, up_port] = upstream_[u][in_port];
+    const auto [up_sw, up_port] = peer_port_[u][in_port];
     sink.push_credit(up_sw, up_port * config_.vcs + in_vc,
                      now + std::max<std::uint64_t>(link_delay_, 1));
   } else {

@@ -3,34 +3,25 @@
 #include "dsn/sim/trace.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
-#include "dsn/common/error.hpp"
+#include "dsn/common/text_records.hpp"
 
 namespace dsn {
 
-std::vector<TraceEntry> parse_injection_trace(std::istream& is) {
+std::vector<TraceEntry> parse_injection_trace_text(const std::string& text) {
+  constexpr std::uint64_t kMaxHost = std::numeric_limits<HostId>::max();
+  std::istringstream is(text);
   std::vector<TraceEntry> trace;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    const auto first = line.find_first_not_of(" \t");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream ls(line);
-    TraceEntry e;
-    DSN_REQUIRE(static_cast<bool>(ls >> e.cycle >> e.src >> e.dst),
-                "malformed trace line " + std::to_string(lineno) + ": " + line);
-    trace.push_back(e);
-  }
+  for_each_record(is, "trace", "cycle src dst", 0, [&](const TextRecord& r) {
+    trace.push_back({r.unsigned_field(0, "cycle", std::numeric_limits<std::uint64_t>::max()),
+                     static_cast<HostId>(r.unsigned_field(1, "src", kMaxHost)),
+                     static_cast<HostId>(r.unsigned_field(2, "dst", kMaxHost))});
+  });
   std::stable_sort(trace.begin(), trace.end(),
                    [](const TraceEntry& a, const TraceEntry& b) { return a.cycle < b.cycle; });
   return trace;
-}
-
-std::vector<TraceEntry> parse_injection_trace_text(const std::string& text) {
-  std::istringstream is(text);
-  return parse_injection_trace(is);
 }
 
 std::string format_injection_trace(const std::vector<TraceEntry>& trace) {
@@ -42,43 +33,20 @@ std::string format_injection_trace(const std::vector<TraceEntry>& trace) {
   return os.str();
 }
 
-namespace {
-
-FaultKind parse_fault_kind(const std::string& word, std::size_t lineno) {
-  for (const FaultKind kind :
-       {FaultKind::kLinkDown, FaultKind::kLinkUp, FaultKind::kSwitchDown,
-        FaultKind::kSwitchUp}) {
-    if (word == fault_kind_name(kind)) return kind;
-  }
-  DSN_REQUIRE(false, "unknown fault kind '" + word + "' on schedule line " +
-                         std::to_string(lineno));
-  return FaultKind::kLinkDown;  // unreachable
-}
-
-}  // namespace
-
-FaultSchedule parse_fault_schedule(std::istream& is) {
-  FaultSchedule schedule;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    const auto first = line.find_first_not_of(" \t");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream ls(line);
-    std::uint64_t cycle = 0;
-    std::string kind;
-    std::uint32_t id = 0;
-    DSN_REQUIRE(static_cast<bool>(ls >> cycle >> kind >> id),
-                "malformed fault schedule line " + std::to_string(lineno) + ": " + line);
-    schedule.add({cycle, parse_fault_kind(kind, lineno), id});
-  }
-  return schedule;
-}
-
 FaultSchedule parse_fault_schedule_text(const std::string& text) {
   std::istringstream is(text);
-  return parse_fault_schedule(is);
+  FaultSchedule schedule;
+  for_each_record(is, "fault schedule", "cycle kind id", 0, [&](const TextRecord& r) {
+    const std::uint64_t cycle =
+        r.unsigned_field(0, "cycle", std::numeric_limits<std::uint64_t>::max());
+    constexpr FaultKind kKinds[] = {FaultKind::kLinkDown, FaultKind::kLinkUp,
+                                    FaultKind::kSwitchDown, FaultKind::kSwitchUp};
+    const FaultKind kind = r.word_field(1, "fault kind", kKinds, fault_kind_name);
+    const auto id = static_cast<std::uint32_t>(
+        r.unsigned_field(2, "id", std::numeric_limits<std::uint32_t>::max()));
+    schedule.add({cycle, kind, id});
+  });
+  return schedule;
 }
 
 std::string format_fault_schedule(const FaultSchedule& schedule) {

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -19,18 +18,19 @@ struct TraceEntry {
   HostId dst = 0;
 };
 
-/// Parse a whitespace-separated trace ("cycle src dst" per line; '#' comment
-/// lines allowed). Entries are sorted by cycle. Throws on malformed input.
-std::vector<TraceEntry> parse_injection_trace(std::istream& is);
+/// Parse a whitespace-separated trace ("cycle src dst" per line, unsigned
+/// decimals; blank and '#' comment lines allowed; dsn/common/
+/// text_records.hpp). Entries are sorted by cycle. Throws PreconditionError
+/// naming the line on malformed input.
 std::vector<TraceEntry> parse_injection_trace_text(const std::string& text);
 
 /// Render a trace in the same format.
 std::string format_injection_trace(const std::vector<TraceEntry>& trace);
 
 /// Parse a fault schedule ("cycle kind id" per line with kind one of
-/// link-down, link-up, switch-down, switch-up; '#' comment lines allowed).
-/// Entries are sorted by cycle. Throws on malformed input.
-FaultSchedule parse_fault_schedule(std::istream& is);
+/// link-down, link-up, switch-down, switch-up; blank and '#' comment lines
+/// allowed). Entries are sorted by cycle. Throws PreconditionError naming
+/// the line on malformed input.
 FaultSchedule parse_fault_schedule_text(const std::string& text);
 
 /// Render a schedule in the same format.

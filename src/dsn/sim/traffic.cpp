@@ -32,18 +32,16 @@ HostId BitReversalTraffic::dest(HostId src, Rng&) const {
   return out;
 }
 
-NeighboringTraffic::NeighboringTraffic(std::uint32_t num_hosts, double local_fraction)
-    : num_hosts_(num_hosts),
-      side_(static_cast<std::uint32_t>(isqrt(num_hosts))),
-      local_fraction_(local_fraction) {
+NeighboringTraffic::NeighboringTraffic(std::uint32_t num_hosts)
+    : num_hosts_(num_hosts), side_(static_cast<std::uint32_t>(isqrt(num_hosts))) {
   DSN_REQUIRE(side_ * side_ == num_hosts,
               "neighboring traffic needs a square host count for the 2-D array");
-  DSN_REQUIRE(local_fraction >= 0.0 && local_fraction <= 1.0,
-              "local fraction must be in [0, 1]");
 }
 
 HostId NeighboringTraffic::dest(HostId src, Rng& rng) const {
-  if (!rng.bernoulli(local_fraction_)) {
+  // The paper's 90 % neighboring share (§VII-A).
+  constexpr double kLocalFraction = 0.9;
+  if (!rng.bernoulli(kLocalFraction)) {
     const auto d = static_cast<HostId>(rng.next_below(num_hosts_ - 1));
     return d >= src ? d + 1 : d;
   }

@@ -51,14 +51,13 @@ class BitReversalTraffic final : public TrafficPattern {
 /// layout of the hosts (no wraparound); the rest are uniform random (§VII-A).
 class NeighboringTraffic final : public TrafficPattern {
  public:
-  NeighboringTraffic(std::uint32_t num_hosts, double local_fraction = 0.9);
+  explicit NeighboringTraffic(std::uint32_t num_hosts);
   const char* name() const override { return "neighboring"; }
   HostId dest(HostId src, Rng& rng) const override;
 
  private:
   std::uint32_t num_hosts_;
   std::uint32_t side_;
-  double local_fraction_;
 };
 
 /// Destination = matrix transpose of the source index in a square array.

@@ -189,6 +189,18 @@ std::optional<DsnParams> parse_dsn_params(const Topology& topo) {
   return params;
 }
 
+DsnParams require_dsn_params(const Topology& topo, std::initializer_list<TopologyKind> kinds,
+                             const std::string& user) {
+  const bool applies = std::find(kinds.begin(), kinds.end(), topo.kind) != kinds.end();
+  const std::optional<DsnParams> params = parse_dsn_params(topo);
+  if (!applies || !params) {
+    throw PreconditionError(user + " does not apply to " + topo.name + ", a " +
+                            to_string(topo.kind) + " topology" +
+                            (applies ? " whose name does not encode its parameters" : ""));
+  }
+  return *params;
+}
+
 NodeId FlexDsn::preceding_major(NodeId phys) const {
   DSN_REQUIRE(phys < num_total(), "node id out of range");
   NodeId v = phys;

@@ -14,7 +14,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "dsn/topology/dsn.hpp"
@@ -117,5 +119,11 @@ struct DsnParams {
 /// when the topology is of another kind or its name does not encode what
 /// the kind needs ("dsn-x-n", "dsn-e-n", "dsn-bidir-n", "dsn-d-xd-n").
 std::optional<DsnParams> parse_dsn_params(const Topology& topo);
+
+/// parse_dsn_params for a `user` (e.g. "the dsn-custom policy") that needs
+/// them: throws PreconditionError naming the user and the topology when
+/// `topo`'s kind is not one of `kinds` or its name encodes no parameters.
+DsnParams require_dsn_params(const Topology& topo, std::initializer_list<TopologyKind> kinds,
+                             const std::string& user);
 
 }  // namespace dsn

@@ -1,9 +1,9 @@
 #include "dsn/topology/io.hpp"
 
-#include <map>
-#include <optional>
-#include <ostream>
+#include <limits>
 #include <sstream>
+
+#include "dsn/common/text_records.hpp"
 
 namespace dsn {
 
@@ -21,26 +21,14 @@ const char* dot_style(LinkRole role) {
   return "";
 }
 
-std::optional<LinkRole> role_from_string(const std::string& s) {
-  static const std::map<std::string, LinkRole> kMap = {
-      {"ring", LinkRole::kRing},       {"wrap", LinkRole::kWrap},
-      {"shortcut", LinkRole::kShortcut}, {"dlocal", LinkRole::kDLocal},
-      {"up", LinkRole::kUp},           {"extra", LinkRole::kExtra}};
-  const auto it = kMap.find(s);
-  if (it == kMap.end()) return std::nullopt;
-  return it->second;
-}
-
-TopologyKind kind_from_string(const std::string& s) {
-  for (const TopologyKind k :
-       {TopologyKind::kRing, TopologyKind::kTorus2D, TopologyKind::kTorus3D,
-        TopologyKind::kDln, TopologyKind::kDlnRandom, TopologyKind::kKleinberg,
-        TopologyKind::kRandomRegular, TopologyKind::kDsn, TopologyKind::kDsnD,
-        TopologyKind::kDsnE, TopologyKind::kDsnFlex, TopologyKind::kDsnBidir}) {
-    if (s == to_string(k)) return k;
-  }
-  throw PreconditionError("unknown topology kind: " + s);
-}
+constexpr LinkRole kRoles[] = {LinkRole::kRing,   LinkRole::kWrap, LinkRole::kShortcut,
+                               LinkRole::kDLocal, LinkRole::kUp,   LinkRole::kExtra};
+constexpr TopologyKind kKinds[] = {
+    TopologyKind::kRing,          TopologyKind::kTorus2D, TopologyKind::kTorus3D,
+    TopologyKind::kDln,           TopologyKind::kDlnRandom, TopologyKind::kKleinberg,
+    TopologyKind::kRandomRegular, TopologyKind::kDsn,     TopologyKind::kDsnD,
+    TopologyKind::kDsnE,          TopologyKind::kDsnFlex, TopologyKind::kDsnBidir};
+constexpr std::uint64_t kMaxId = std::numeric_limits<NodeId>::max();
 
 }  // namespace
 
@@ -58,7 +46,8 @@ std::string to_dot(const Topology& topo) {
   return os.str();
 }
 
-void write_edge_list(std::ostream& os, const Topology& topo) {
+std::string to_edge_list(const Topology& topo) {
+  std::ostringstream os;
   os << "# dsn-topology " << topo.name << " " << to_string(topo.kind) << " "
      << topo.num_nodes();
   for (const auto d : topo.dims) os << " " << d;
@@ -69,52 +58,38 @@ void write_edge_list(std::ostream& os, const Topology& topo) {
         l < topo.link_roles.size() ? topo.link_roles[l] : LinkRole::kRing;
     os << u << " " << v << " " << to_string(role) << "\n";
   }
-}
-
-std::string to_edge_list(const Topology& topo) {
-  std::ostringstream os;
-  write_edge_list(os, topo);
   return os.str();
 }
 
 Topology read_edge_list(std::istream& is) {
   std::string line;
-  DSN_REQUIRE(static_cast<bool>(std::getline(is, line)), "empty topology stream");
-  std::istringstream header(line);
-  std::string hash, magic, name, kind_str;
-  std::uint32_t n = 0;
-  header >> hash >> magic >> name >> kind_str >> n;
-  DSN_REQUIRE(hash == "#" && magic == "dsn-topology" && n > 0,
-              "bad edge-list header: " + line);
-
-  Topology topo;
-  topo.name = name;
-  topo.kind = kind_from_string(kind_str);
-  topo.graph = Graph(n);
-  std::uint32_t dim = 0;
-  while (header >> dim) topo.dims.push_back(dim);
-  DSN_REQUIRE(header.eof(), "bad edge-list header (dims must be numbers): " + line);
-
-  // Every non-blank line after the header is exactly "u v role"; anything
-  // else is refused with its line number rather than ending the link list.
-  std::size_t lineno = 1;
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    const auto where = [&] { return "edge-list line " + std::to_string(lineno) + ": " + line; };
-    std::istringstream fields(line);
-    NodeId u = 0, v = 0;
-    std::string word, rest;
-    DSN_REQUIRE(static_cast<bool>(fields >> u >> v >> word) && !(fields >> rest),
-                "malformed " + where() + " (expected \"u v role\")");
-    DSN_REQUIRE(u < n && v < n,
-                "node id out of range for n = " + std::to_string(n) + " on " + where());
-    DSN_REQUIRE(u != v, "self loop on " + where());
-    const std::optional<LinkRole> role = role_from_string(word);
-    DSN_REQUIRE(role.has_value(), "unknown link role '" + word + "' on " + where());
-    topo.graph.add_link(u, v);
-    topo.link_roles.push_back(*role);
+  std::getline(is, line);  // an empty stream leaves `line` empty: refused below
+  const TextRecord header("edge-list", 1, line);
+  if (header.size() < 5 || header.field(0) != "#" || header.field(1) != "dsn-topology") {
+    header.refuse("\"# dsn-topology <name> <kind> <n> [dims...]\"");
   }
+  Topology topo;
+  topo.name = header.field(2);
+  topo.kind = header.word_field(3, "topology kind", kKinds, to_string);
+  const auto n = static_cast<NodeId>(header.unsigned_field(4, "n", kMaxId));
+  if (n == 0) header.refuse("n > 0");
+  topo.graph = Graph(n);
+  for (std::size_t i = 5; i < header.size(); ++i) {
+    topo.dims.push_back(static_cast<std::uint32_t>(header.unsigned_field(i, "dims", kMaxId)));
+  }
+
+  for_each_record(is, "edge-list", "u v role", 1, [&](const TextRecord& r) {
+    const auto u = static_cast<NodeId>(r.unsigned_field(0, "u", kMaxId));
+    const auto v = static_cast<NodeId>(r.unsigned_field(1, "v", kMaxId));
+    if (u >= n || v >= n) {
+      r.refuse("ids below " + std::to_string(n),
+               "node id out of range for n = " + std::to_string(n));
+    }
+    if (u == v) r.refuse("two distinct nodes", "self loop");
+    const LinkRole role = r.word_field(2, "link role", kRoles, to_string);
+    topo.graph.add_link(u, v);
+    topo.link_roles.push_back(role);
+  });
   return topo;
 }
 

@@ -8,11 +8,11 @@
 // connectivity — required at construction — is an invariant, and every
 // node's degree is exactly preserved by construction.
 //
-// Snapshots are immutable CsrViews with a stable link-id layout: fixed links
-// first (ids 0 .. fixed_links() - 1, in topology order), then shortcut slot i
-// at id fixed_links() + i. Per-link state held across swaps (estimator tree
-// loads, cable lengths) therefore stays aligned: a swap changes the endpoint
-// pair stored in a slot, not the slot's id.
+// Snapshots are immutable CsrViews with a stable link-id layout: the fixed
+// links first (in topology order), then shortcut slot i right after them.
+// Per-link state held across swaps (estimator tree loads, cable lengths)
+// therefore stays aligned: a swap changes the endpoint pair stored in a
+// slot, not the slot's id.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,6 @@ class MutableShortcutSet {
   explicit MutableShortcutSet(const Topology& topo);
 
   NodeId num_nodes() const { return n_; }
-  std::size_t fixed_links() const { return fixed_.size(); }
   std::size_t num_shortcuts() const { return shortcuts_.size(); }
   std::size_t num_links() const { return fixed_.size() + shortcuts_.size(); }
 
@@ -42,12 +41,6 @@ class MutableShortcutSet {
     return shortcuts_[slot];
   }
   std::span<const std::pair<NodeId, NodeId>> shortcuts() const { return shortcuts_; }
-
-  /// Link id of shortcut slot `slot` in snapshots of this view.
-  LinkId shortcut_link_id(std::size_t slot) const {
-    DSN_REQUIRE(slot < shortcuts_.size(), "shortcut slot out of range");
-    return static_cast<LinkId>(fixed_.size() + slot);
-  }
 
   /// Double-edge swap on slots i != j holding (a, b) and (c, d):
   ///   cross == false  ->  (a, c), (b, d)

@@ -6,6 +6,7 @@
 
 #include "dsn/analysis/experiments.hpp"
 #include "dsn/analysis/factory.hpp"
+#include "dsn/topology/dsn.hpp"
 
 namespace dsn {
 namespace {
@@ -151,6 +152,37 @@ TEST(Fig10Shape, LatencyOrderingAtLowLoad) {
   EXPECT_LT(dsn, torus);           // the paper's headline: DSN beats torus
   EXPECT_LT(random, 1.15 * dsn);   // and sits near RANDOM
   EXPECT_GT(dsn, 0.8 * random);
+}
+
+LatencySweepConfig dsn_custom_sweep() {
+  LatencySweepConfig sweep;
+  sweep.offered_gbps = {2.0};
+  sweep.sim.warmup_cycles = 2'000;
+  sweep.sim.measure_cycles = 6'000;
+  sweep.sim.drain_cycles = 40'000;
+  sweep.policy = "dsn-custom";
+  return sweep;
+}
+
+TEST(LatencySweep, DsnCustomRoutesWithTheTopologysOwnX) {
+  // DSN-2-64 is not the default x = 5: the custom routing used to walk a
+  // DSN-5-64 over it and stop on a hop that is no link of this topology.
+  const Topology topo = make_dsn(64, 2);
+  const auto pts = run_latency_sweep(topo, dsn_custom_sweep());
+  ASSERT_EQ(pts.size(), 1u);
+  EXPECT_TRUE(pts[0].drained);
+  EXPECT_FALSE(pts[0].deadlock);
+  EXPECT_GT(pts[0].accepted_gbps, 0.0);
+}
+
+TEST(LatencySweep, DsnCustomRefusesANonDsnTopology) {
+  const Topology torus = make_topology_by_name("torus", 64);
+  try {
+    run_latency_sweep(torus, dsn_custom_sweep());
+    ADD_FAILURE() << "a torus was not refused";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(torus.name), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

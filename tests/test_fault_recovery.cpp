@@ -91,6 +91,33 @@ TEST(FaultSchedule, TextRoundTrip) {
   EXPECT_THROW(parse_fault_schedule_text("10 link-down\n"), PreconditionError);
 }
 
+/// The PreconditionError message parse_fault_schedule_text throws on `text`,
+/// or "" when it parses.
+std::string schedule_error(const std::string& text) {
+  try {
+    parse_fault_schedule_text(text);
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(FaultSchedule, TextRejectsMalformedLinesWithTheirLineNumber) {
+  // Trailing words used to be ignored: this parsed as one link-down event.
+  EXPECT_EQ(schedule_error("100 link-down 3 extra words\n"),
+            "malformed fault schedule line 1: 100 link-down 3 extra words "
+            "(expected \"cycle kind id\")");
+  EXPECT_EQ(schedule_error("# header\n\n10 link-down 3\n20 link-up -3\n"),
+            "malformed fault schedule line 4: 20 link-up -3 (expected id as an unsigned "
+            "decimal)");
+  EXPECT_EQ(schedule_error("10 link-down 4294967296\n"),
+            "malformed fault schedule line 1: 10 link-down 4294967296 (expected id <= "
+            "4294967295)");
+  EXPECT_EQ(schedule_error("10 link-sideways 3\n"),
+            "unknown fault kind 'link-sideways' on fault schedule line 1: 10 link-sideways 3 "
+            "(expected link-down, link-up, switch-down or switch-up)");
+}
+
 // --------------------------------------------------------------------------
 // Recovery behavior.
 // --------------------------------------------------------------------------
@@ -342,7 +369,7 @@ TEST(FaultDeterminism, ByteIdenticalAcrossRebuildWorkerCounts) {
   std::vector<std::vector<PacketTrace>> traces;
   for (const std::size_t workers : {1u, 4u, 8u}) {
     ThreadPool pool(workers);
-    SimRouting routing(topo, 0, &pool);
+    SimRouting routing(topo, &pool);
     AdaptiveUpDownPolicy policy(routing, 4, &pool);
     Simulator sim(topo, policy, traffic, cfg);
     sim.set_fault_schedule(schedule);

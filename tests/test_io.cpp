@@ -88,6 +88,26 @@ TEST(EdgeList, RejectsMalformedLinesWithTheirLineNumber) {
   err = parse_error(header + "0 1 bogus-role\n");
   EXPECT_NE(err.find("unknown link role 'bogus-role' on edge-list line 2"), std::string::npos)
       << err;
+  // The message names the format, the line and what was expected — not the
+  // C++ check or the source file behind it.
+  EXPECT_EQ(parse_error(header + "0 1 ring\n0 1 ring 7\n"),
+            "malformed edge-list line 3: 0 1 ring 7 (expected \"u v role\")");
+  EXPECT_EQ(parse_error(header + "0 1 bogus-role\n"),
+            "unknown link role 'bogus-role' on edge-list line 2: 0 1 bogus-role (expected "
+            "ring, wrap, shortcut, dlocal, up or extra)");
+  // Ids are plain decimals: a sign or a prefix used to wrap or stop the read.
+  EXPECT_EQ(parse_error(header + "0 -1 ring\n"),
+            "malformed edge-list line 2: 0 -1 ring (expected v as an unsigned decimal)");
+  EXPECT_EQ(parse_error(header + "0x1 1 ring\n"),
+            "malformed edge-list line 2: 0x1 1 ring (expected u as an unsigned decimal)");
+  // A header n of -4 used to wrap to 4294967292 and throw std::bad_alloc.
+  EXPECT_EQ(parse_error("# dsn-topology t ring -4\n"),
+            "malformed edge-list line 1: # dsn-topology t ring -4 (expected n as an unsigned "
+            "decimal)");
+  EXPECT_EQ(parse_error("# dsn-topology t ring 0\n"),
+            "malformed edge-list line 1: # dsn-topology t ring 0 (expected n > 0)");
+  err = parse_error("# dsn-topology t hexagon 4\n");
+  EXPECT_EQ(err.rfind("unknown topology kind 'hexagon' on edge-list line 1:", 0), 0u) << err;
 }
 
 TEST(EdgeList, RejectsOutOfRangeIdsAndSelfLoopsWithTheirLineNumber) {
@@ -105,6 +125,9 @@ TEST(EdgeList, SkipsBlankLines) {
       parse_edge_list("# dsn-topology t ring 3\n\n0 1 ring\n   \n1 2 ring\r\n2 0 ring\n\n");
   EXPECT_EQ(t.graph.num_links(), 3u);
   EXPECT_EQ(t.link_roles.size(), 3u);
+  // '#' lines after the header are comments, like blank lines.
+  const Topology c = parse_edge_list("# dsn-topology t ring 3\n# links\n0 1 ring\n  # more\n");
+  EXPECT_EQ(c.graph.num_links(), 1u);
 }
 
 TEST(EdgeList, HeaderCarriesDims) {

@@ -111,6 +111,13 @@ TEST(LintCli, MalformedEdgeListFileIsAnInputError) {
   std::remove(path.c_str());
   EXPECT_EQ(r.exit_code, 125) << r.output;
   EXPECT_NE(r.output.find("edge-list line 6: garbage here"), std::string::npos) << r.output;
+  // It is reported in the format's terms: the line and what was expected,
+  // not the failed C++ expression and the parser's source file.
+  EXPECT_NE(r.output.find("malformed edge-list line 6: garbage here (expected \"u v role\")"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("precondition failed"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("io.cpp"), std::string::npos) << r.output;
 }
 
 TEST(LintCli, SkipReasonNamesSourceRelativeFile) {

@@ -228,8 +228,8 @@ TEST(CoreEquivalence, TraceReplayWithFaultsByteIdentical) {
 }
 
 TEST(CoreEquivalence, TtlSweepStrideIsCoreInvariant) {
-  // Different strides legitimately change when queued packets expire — but
-  // for any fixed stride the two cores must still agree exactly.
+  // The strided NIC-queue TTL sweep decides when queued packets expire; both
+  // cores must run it on the same cycles and agree exactly.
   const Topology topo = make_topology_by_name("dsn", 16);
   SimRouting routing(topo);
   AdaptiveUpDownPolicy policy(routing, 4);
@@ -238,11 +238,7 @@ TEST(CoreEquivalence, TtlSweepStrideIsCoreInvariant) {
   FaultSchedule schedule;
   schedule.switch_down(400, 5);  // never revives: its traffic must age out
   const auto traffic = make_traffic("uniform", 16 * cfg.hosts_per_switch);
-  for (const std::uint64_t stride : {1ull, 64ull, 1'000ull}) {
-    SCOPED_TRACE(stride);
-    cfg.ttl_sweep_stride = stride;
-    expect_cores_identical(topo, policy, *traffic, cfg, &schedule);
-  }
+  expect_cores_identical(topo, policy, *traffic, cfg, &schedule);
 }
 
 TEST(CoreEquivalence, ThreadCountExceedingSwitchesClamps) {

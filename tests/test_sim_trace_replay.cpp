@@ -2,6 +2,8 @@
 // delivery accounting for hand-constructed schedules.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dsn/analysis/factory.hpp"
 #include "dsn/routing/sim_routing.hpp"
 #include "dsn/sim/simulator.hpp"
@@ -24,9 +26,36 @@ TEST(TraceParsing, ParsesAndSorts) {
   EXPECT_EQ(trace[2].src, 4u);
 }
 
+/// The PreconditionError message parse_injection_trace_text throws on
+/// `text`, or "" when it parses.
+std::string trace_error(const std::string& text) {
+  try {
+    parse_injection_trace_text(text);
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return {};
+}
+
 TEST(TraceParsing, RejectsGarbage) {
   EXPECT_THROW(parse_injection_trace_text("abc def\n"), PreconditionError);
   EXPECT_THROW(parse_injection_trace_text("1 2\n"), PreconditionError);
+  // Extra fields used to be ignored: this parsed as two entries.
+  EXPECT_EQ(trace_error("5 0 1 junk\n7 1 0 9 9\n"),
+            "malformed trace line 1: 5 0 1 junk (expected \"cycle src dst\")");
+  EXPECT_EQ(trace_error("5 0 1\n7 1 0 9 9\n"),
+            "malformed trace line 2: 7 1 0 9 9 (expected \"cycle src dst\")");
+  // A negative host used to wrap to 4294967295 and be refused later, by the
+  // simulator, without its line.
+  EXPECT_EQ(trace_error("# cycle src dst\n5 -1 1\n"),
+            "malformed trace line 2: 5 -1 1 (expected src as an unsigned decimal)");
+  EXPECT_EQ(trace_error("5 0 +1\n"),
+            "malformed trace line 1: 5 0 +1 (expected dst as an unsigned decimal)");
+  EXPECT_EQ(trace_error("5 4294967296 1\n"),
+            "malformed trace line 1: 5 4294967296 1 (expected src <= 4294967295)");
+  EXPECT_EQ(trace_error("18446744073709551616 0 1\n"),
+            "malformed trace line 1: 18446744073709551616 0 1 (expected cycle <= "
+            "18446744073709551615)");
 }
 
 TEST(TraceParsing, RoundTrip) {
