@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     const dsn::Topology topo = dsn::make_topology_by_name(family, n, opt.seed);
     const auto placed = dsn::optimize_placement(topo, room, opt);
     const auto report =
-        dsn::compute_cable_report_with_slots(topo, room, placed.slot_of);
+        dsn::compute_cable_report(topo, dsn::FloorLayout(topo, room, placed.slot_of));
     table.row()
         .cell(family)
         .cell(placed.initial_total_m, 0)

@@ -14,9 +14,12 @@
 #include "dsn/analysis/experiments.hpp"
 #include "dsn/analysis/factory.hpp"
 #include "dsn/common/cli.hpp"
+#include "dsn/common/error.hpp"
 #include "dsn/common/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   dsn::Cli cli("Figure 10 reproduction: latency vs accepted traffic.");
   cli.add_flag("n", "64", "number of switches");
   cli.add_flag("loads", "1,2,3,4,5,6,7,8,9,10,11,12",
@@ -50,13 +53,7 @@ int main(int argc, char** argv) {
     sim.drain_cycles = cli.get_uint("drain");
   }
 
-  std::string traffics_flag = cli.get("traffics");
-  std::vector<std::string> traffics;
-  for (std::size_t pos = 0; pos != std::string::npos;) {
-    const auto next = traffics_flag.find(',', pos);
-    traffics.push_back(traffics_flag.substr(pos, next - pos));
-    pos = next == std::string::npos ? next : next + 1;
-  }
+  const std::vector<std::string> traffics = cli.get_list("traffics");
 
   // DSN custom routing runs only on the basic DSN; up*/down* on every family.
   const std::string policy = cli.get("policy");
@@ -107,4 +104,15 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const dsn::PreconditionError& e) {
+    std::cerr << "fig10_latency: " << e.what() << "\n";
+    return 2;
+  }
 }

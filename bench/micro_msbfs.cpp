@@ -145,20 +145,9 @@ int main(int argc, char** argv) {
   const bool check = cli.get_bool("check");
   const std::uint64_t seed = cli.get_uint("seed");
 
-  std::vector<std::string> topos;
-  {
-    std::string list = cli.get("topo-list");
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-      const std::size_t comma = std::min(list.find(',', pos), list.size());
-      if (comma > pos) topos.push_back(list.substr(pos, comma - pos));
-      pos = comma + 1;
-    }
-  }
-
   bool all_ok = true;
   dsn::Json results = dsn::Json::array();
-  for (const std::string& topo_name : topos) {
+  for (const std::string& topo_name : cli.get_list("topo-list")) {
     for (const std::uint64_t n : cli.get_uint_list("n-list")) {
       const auto topo =
           dsn::make_topology_by_name(topo_name, static_cast<std::uint32_t>(n), seed);

@@ -43,19 +43,6 @@ double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t begin = 0;
-  while (begin <= csv.size()) {
-    const std::size_t comma = csv.find(',', begin);
-    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > begin) out.push_back(csv.substr(begin, end - begin));
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -93,7 +80,7 @@ int main(int argc, char** argv) {
   bool all_ok = true;
   dsn::Json results = dsn::Json::array();
   for (const std::uint64_t n : cli.get_uint_list("n-list")) {
-    for (const std::string& tname : split_list(cli.get("topology-list"))) {
+    for (const std::string& tname : cli.get_list("topology-list")) {
       const dsn::Topology topo =
           dsn::make_topology_by_name(tname, static_cast<std::uint32_t>(n), seed);
 

@@ -34,10 +34,7 @@ int main(int argc, char** argv) {
       std::cout << "(skipping " << family << ": " << e.what() << ")\n";
       continue;
     }
-    const bool grid = topo.dims.size() == 2;
-    dsn::FloorLayout layout(topo, room,
-                            grid ? dsn::PlacementStrategy::kGrid2D
-                                 : dsn::PlacementStrategy::kLinear);
+    const dsn::FloorLayout layout(topo, room, dsn::default_placement(topo));
     const auto cable = dsn::compute_cable_report(topo, layout);
     const auto paths = dsn::compute_path_stats(topo.graph);
     table.row()

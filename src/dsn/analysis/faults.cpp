@@ -12,35 +12,6 @@
 
 namespace dsn {
 
-Graph remove_links(const Graph& g, const std::vector<LinkId>& links) {
-  std::vector<std::uint8_t> dead(g.num_links(), 0);
-  for (const LinkId l : links) {
-    DSN_REQUIRE(l < g.num_links(), "link id out of range");
-    dead[l] = 1;
-  }
-  Graph out(g.num_nodes());
-  for (LinkId l = 0; l < g.num_links(); ++l) {
-    if (dead[l]) continue;
-    const auto [u, v] = g.link_endpoints(l);
-    out.add_link(u, v);
-  }
-  return out;
-}
-
-Graph remove_nodes(const Graph& g, const std::vector<NodeId>& nodes) {
-  std::vector<std::uint8_t> dead(g.num_nodes(), 0);
-  for (const NodeId v : nodes) {
-    DSN_REQUIRE(v < g.num_nodes(), "node id out of range");
-    dead[v] = 1;
-  }
-  Graph out(g.num_nodes());
-  for (LinkId l = 0; l < g.num_links(); ++l) {
-    const auto [u, v] = g.link_endpoints(l);
-    if (!dead[u] && !dead[v]) out.add_link(u, v);
-  }
-  return out;
-}
-
 SubsetPathStats subset_path_stats(const Graph& g, const std::vector<std::uint8_t>& alive) {
   DSN_REQUIRE(alive.size() == g.num_nodes(), "alive mask size mismatch");
   SubsetPathStats out;
@@ -118,55 +89,44 @@ FaultTrialResult aggregate_trials(double fraction,
   return result;
 }
 
-}  // namespace
-
-FaultTrialResult evaluate_link_faults(const Topology& topo, double fraction,
-                                      std::uint32_t trials, std::uint64_t seed) {
+/// `trials` trials, each killing a uniform sample of round(fraction * count)
+/// of the links (of the switches when `switches` is set) and evaluating the
+/// live subgraph.
+FaultTrialResult evaluate_faults(const Graph& g, double fraction, std::uint32_t trials,
+                                 std::uint64_t seed, bool switches) {
   DSN_REQUIRE(fraction >= 0.0 && fraction < 1.0, "fraction must be in [0, 1)");
-  const Graph& g = topo.graph;
-  const auto kill = static_cast<std::size_t>(
-      static_cast<double>(g.num_links()) * fraction + 0.5);
+  std::vector<std::uint8_t> link_alive(g.num_links(), 1);
+  std::vector<std::uint8_t> node_alive(g.num_nodes(), 1);
+  std::vector<std::uint8_t>& mask = switches ? node_alive : link_alive;
+  const auto kill = static_cast<std::size_t>(static_cast<double>(mask.size()) * fraction + 0.5);
   std::vector<SubsetPathStats> stats(trials);
-  const std::vector<std::uint8_t> all_alive(g.num_nodes(), 1);
 
   Rng rng(seed);
-  std::vector<LinkId> links(g.num_links());
+  std::vector<std::uint32_t> ids(mask.size());
   for (std::uint32_t trial = 0; trial < trials; ++trial) {
-    std::iota(links.begin(), links.end(), 0);
+    std::iota(ids.begin(), ids.end(), 0);
     // Partial Fisher-Yates: the first `kill` entries are a uniform sample.
     for (std::size_t i = 0; i < kill; ++i) {
-      const auto j = i + static_cast<std::size_t>(rng.next_below(links.size() - i));
-      std::swap(links[i], links[j]);
+      const auto j = i + static_cast<std::size_t>(rng.next_below(ids.size() - i));
+      std::swap(ids[i], ids[j]);
     }
-    const Graph degraded = remove_links(g, {links.begin(), links.begin() + static_cast<std::ptrdiff_t>(kill)});
-    stats[trial] = subset_path_stats(degraded, all_alive);
+    std::fill(mask.begin(), mask.end(), 1);
+    for (std::size_t i = 0; i < kill; ++i) mask[ids[i]] = 0;
+    stats[trial] = subset_path_stats(live_subgraph(g, link_alive, node_alive), node_alive);
   }
   return aggregate_trials(fraction, stats);
 }
 
+}  // namespace
+
+FaultTrialResult evaluate_link_faults(const Topology& topo, double fraction,
+                                      std::uint32_t trials, std::uint64_t seed) {
+  return evaluate_faults(topo.graph, fraction, trials, seed, /*switches=*/false);
+}
+
 FaultTrialResult evaluate_switch_faults(const Topology& topo, double fraction,
                                         std::uint32_t trials, std::uint64_t seed) {
-  DSN_REQUIRE(fraction >= 0.0 && fraction < 1.0, "fraction must be in [0, 1)");
-  const Graph& g = topo.graph;
-  const auto kill = static_cast<std::size_t>(
-      static_cast<double>(g.num_nodes()) * fraction + 0.5);
-  std::vector<SubsetPathStats> stats(trials);
-
-  Rng rng(seed);
-  std::vector<NodeId> nodes(g.num_nodes());
-  for (std::uint32_t trial = 0; trial < trials; ++trial) {
-    std::iota(nodes.begin(), nodes.end(), 0);
-    for (std::size_t i = 0; i < kill; ++i) {
-      const auto j = i + static_cast<std::size_t>(rng.next_below(nodes.size() - i));
-      std::swap(nodes[i], nodes[j]);
-    }
-    std::vector<std::uint8_t> alive(g.num_nodes(), 1);
-    for (std::size_t i = 0; i < kill; ++i) alive[nodes[i]] = 0;
-    const Graph degraded =
-        remove_nodes(g, {nodes.begin(), nodes.begin() + static_cast<std::ptrdiff_t>(kill)});
-    stats[trial] = subset_path_stats(degraded, alive);
-  }
-  return aggregate_trials(fraction, stats);
+  return evaluate_faults(topo.graph, fraction, trials, seed, /*switches=*/true);
 }
 
 }  // namespace dsn

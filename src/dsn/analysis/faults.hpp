@@ -45,12 +45,4 @@ struct SubsetPathStats {
 
 SubsetPathStats subset_path_stats(const Graph& g, const std::vector<std::uint8_t>& alive);
 
-/// Copy of a graph with the given links removed.
-Graph remove_links(const Graph& g, const std::vector<LinkId>& links);
-
-/// Induced subgraph after deleting the given nodes (ids are preserved; the
-/// removed nodes become isolated and are excluded from the metrics by the
-/// fault evaluators).
-Graph remove_nodes(const Graph& g, const std::vector<NodeId>& nodes);
-
 }  // namespace dsn

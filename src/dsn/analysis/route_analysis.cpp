@@ -114,8 +114,7 @@ RouteAnalysis analyze_route_function(const Graph& graph, const RouteFill& route_
   };
 
   ThreadPool& pool = ThreadPool::global();
-  const std::size_t num_shards =
-      std::max<std::size_t>(1, std::min<std::size_t>(num_sources, 4 * pool.size()));
+  const std::size_t num_shards = pool.shard_count(num_sources);
   std::vector<Shard> shards(num_shards);
 
   DSN_OBS_SPAN("analysis.route_sweep");

@@ -21,10 +21,7 @@ WireLatencyStats estimate_wire_latency(const Topology& topo,
                                        const WireLatencyConfig& config) {
   const NodeId n = topo.num_nodes();
   DSN_REQUIRE(n >= 2, "need at least two switches");
-  const bool grid = topo.dims.size() == 2;
-  const FloorLayout layout(topo, MachineRoomConfig{},
-                           grid ? PlacementStrategy::kGrid2D
-                                : PlacementStrategy::kLinear);
+  const FloorLayout layout(topo, MachineRoomConfig{}, default_placement(topo));
 
   // Each source writes only its own slot; the slots are merged in source
   // order below, so the sums do not depend on thread count or scheduling.

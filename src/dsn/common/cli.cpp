@@ -1,12 +1,38 @@
 #include "dsn/common/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <iostream>
 #include <sstream>
+#include <type_traits>
 
 #include "dsn/common/error.hpp"
 
 namespace dsn {
+
+namespace {
+
+/// Every number a flag holds is `token` read whole as a T with
+/// std::from_chars, the rule TextRecord::unsigned_field applies.
+template <class T>
+T parse_number(const std::string& name, const std::string& token) {
+  T value{};
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw PreconditionError("flag --" + name + ": '" + token + "' is not " +
+                            (std::is_integral_v<T> ? "an unsigned integer" : "a number"));
+  }
+  return value;
+}
+
+template <class T>
+std::vector<T> parse_numbers(const std::string& name, const std::vector<std::string>& tokens) {
+  std::vector<T> out;
+  for (const std::string& token : tokens) out.push_back(parse_number<T>(name, token));
+  return out;
+}
+
+}  // namespace
 
 Cli::Cli(std::string program_description) : description_(std::move(program_description)) {}
 
@@ -73,36 +99,34 @@ std::string Cli::get(const std::string& name) const {
 }
 
 std::uint64_t Cli::get_uint(const std::string& name) const {
-  const auto v = std::stoll(get(name));
-  DSN_REQUIRE(v >= 0, "flag --" + name + " must be non-negative");
-  return static_cast<std::uint64_t>(v);
+  return parse_number<std::uint64_t>(name, get(name));
 }
 
-double Cli::get_double(const std::string& name) const { return std::stod(get(name)); }
+double Cli::get_double(const std::string& name) const {
+  return parse_number<double>(name, get(name));
+}
 
 bool Cli::get_bool(const std::string& name) const {
   const std::string v = get(name);
   return v == "true" || v == "1" || v == "yes";
 }
 
-std::vector<std::uint64_t> Cli::get_uint_list(const std::string& name) const {
-  std::vector<std::uint64_t> out;
+std::vector<std::string> Cli::get_list(const std::string& name) const {
+  std::vector<std::string> out;
   std::stringstream ss(get(name));
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) out.push_back(std::stoull(tok));
+    if (!tok.empty()) out.push_back(tok);
   }
   return out;
 }
 
+std::vector<std::uint64_t> Cli::get_uint_list(const std::string& name) const {
+  return parse_numbers<std::uint64_t>(name, get_list(name));
+}
+
 std::vector<double> Cli::get_double_list(const std::string& name) const {
-  std::vector<double> out;
-  std::stringstream ss(get(name));
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) out.push_back(std::stod(tok));
-  }
-  return out;
+  return parse_numbers<double>(name, get_list(name));
 }
 
 std::string Cli::usage(const std::string& argv0) const {

@@ -26,13 +26,18 @@ class Cli {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name) const;
+  /// Numbers are read whole with std::from_chars (no '+' or blanks, and no
+  /// '-' for get_uint): anything else, trailing characters or an out-of-range
+  /// value throw dsn::PreconditionError naming the flag and its value.
   std::uint64_t get_uint(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
-  /// Parse a comma-separated list of unsigned integers (e.g. "64,128,256").
+  /// The non-empty items of a comma-separated list (e.g. "dsn,torus").
+  std::vector<std::string> get_list(const std::string& name) const;
+  /// A comma-separated list of unsigned integers (e.g. "64,128,256").
   std::vector<std::uint64_t> get_uint_list(const std::string& name) const;
-  /// Parse a comma-separated list of doubles.
+  /// A comma-separated list of doubles.
   std::vector<double> get_double_list(const std::string& name) const;
 
   std::string usage(const std::string& argv0) const;

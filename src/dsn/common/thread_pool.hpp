@@ -2,6 +2,7 @@
 // all-pairs BFS sweeps and per-point experiment sweeps across cores.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <queue>
@@ -25,6 +26,14 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const { return workers_.size(); }
+
+  /// The shard plan of every sharded sweep: `work` items split into
+  /// min(work, 4 x workers) contiguous shards (at least 1), a few per worker
+  /// so chunks stay balanced. Each shard owns its accumulator and the caller
+  /// merges them in shard order.
+  std::size_t shard_count(std::size_t work) const {
+    return std::max<std::size_t>(1, std::min(work, 4 * size()));
+  }
 
   /// Enqueue a task for asynchronous execution.
   void submit(std::function<void()> task);

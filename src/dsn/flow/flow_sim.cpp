@@ -108,9 +108,9 @@ void FlowSimulator::admit(const std::vector<Demand>& demands) {
   const std::size_t base = flows_.count();
   const std::size_t nd = demands.size();
   ThreadPool& pool = ThreadPool::global();
-  const std::size_t num_shards = std::max<std::size_t>(
-      1, std::min<std::size_t>(nd, config_.shards != 0 ? config_.shards
-                                                       : 4 * pool.size()));
+  const std::size_t num_shards =
+      config_.shards != 0 ? std::max<std::size_t>(1, std::min<std::size_t>(nd, config_.shards))
+                          : pool.shard_count(nd);
 
   // Routes per shard, merged in shard (= demand) order.
   std::vector<std::vector<std::uint32_t>> shard_pool(num_shards);

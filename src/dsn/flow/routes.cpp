@@ -33,40 +33,18 @@ std::vector<std::uint32_t> dln_spans(const Topology& topo) {
 FlowRoutes::FlowRoutes(const Topology& topo, const CsrView& csr,
                        std::uint32_t updown_max_n)
     : topo_(&topo), csr_(&csr) {
-  using analyze::RoutingFamily;
-  switch (topo.kind) {
-    case TopologyKind::kDsn:
-    case TopologyKind::kDsnE:
-    case TopologyKind::kDsnBidir:
-      mode_ = "dsn";
-      bound_ = analyze::make_route_function(topo, RoutingFamily::kDsn);
-      return;
-    case TopologyKind::kDsnD:
-      mode_ = "dsn-d";
-      bound_ = analyze::make_route_function(topo, RoutingFamily::kDsnD);
-      return;
-    case TopologyKind::kTorus2D:
-    case TopologyKind::kTorus3D:
-      mode_ = "dor";
-      bound_ = analyze::make_route_function(topo, RoutingFamily::kTorusDor);
-      return;
-    case TopologyKind::kKleinberg:
-      mode_ = "greedy";
-      bound_ = analyze::make_route_function(topo, RoutingFamily::kGreedyGrid);
-      return;
-    case TopologyKind::kDln:
-      mode_ = "dln-jump";
-      spans_ = dln_spans(topo);
-      return;
-    default:
-      break;
+  if (topo.kind == TopologyKind::kDln) {
+    mode_ = "dln-jump";
+    spans_ = dln_spans(topo);
+    return;
   }
-  if (topo.num_nodes() <= updown_max_n) {
-    mode_ = "updown";
-    bound_ = analyze::make_route_function(topo, RoutingFamily::kUpDown);
-  } else {
+  const analyze::RoutingFamily family = analyze::default_family(topo.kind);
+  if (family == analyze::RoutingFamily::kUpDown && topo.num_nodes() > updown_max_n) {
     mode_ = "bfs";
+    return;
   }
+  mode_ = analyze::to_string(family);
+  bound_ = analyze::make_route_function(topo, family);
 }
 
 void FlowRoutes::switch_path(NodeId s, NodeId t, Scratch& scratch,

@@ -1,20 +1,18 @@
 // dsn-slint: deterministic — flow routes feed byte-identical replay gates;
 // BFS tie-breaks follow CSR insertion order, never an address or hash.
 //
-// Switch-level route provider for the flow tier. Unlike the analyzer (which
-// sweeps all pairs and can afford O(n^2) up*/down* tables at small n), the
-// flow tier routes one pair per flow at up to millions of switches, so every
-// mode here is table-free or per-pair:
+// Switch-level route provider for the flow tier. A topology routes with the
+// analyzer's default family for its kind (analyze::default_family bound by
+// analyze::make_route_function: dsn, dsn-d, dor, greedy or updown), and the
+// mode is that family's name. Unlike the analyzer (which sweeps all pairs and
+// can afford O(n^2) up*/down* tables at small n), the flow tier routes one
+// pair per flow at up to millions of switches, so two modes are its own:
 //
-//   dsn / dsn-d / dor / greedy — the analyzer's own algebraic route bindings
-//                                (analysis::make_route_function), table-free;
-//   dln-jump                   — greedy clockwise distance-halving over the
-//                                DLN's power-of-two spans (loop-free: the
-//                                clockwise distance strictly decreases);
-//   updown                     — the analyzer's up*/down* binding, only below
-//                                `updown_max_n` switches;
-//   bfs                        — per-pair bidirectional BFS shortest path on
-//                                a CSR snapshot (random-regular and friends).
+//   dln-jump — greedy clockwise distance-halving over the DLN's power-of-two
+//              spans (loop-free: the clockwise distance strictly decreases);
+//   bfs      — per-pair bidirectional BFS shortest path on a CSR snapshot,
+//              in place of updown above `updown_max_n` switches
+//              (random-regular and friends).
 #pragma once
 
 #include <cstdint>

@@ -173,8 +173,7 @@ TreeLoads compute_tree_loads(const CsrView& csr, std::span<const NodeId> sources
 
   ThreadPool& pool = ThreadPool::global();
   const std::size_t batches = (sources.size() + kMsBfsBatch - 1) / kMsBfsBatch;
-  const std::size_t shards =
-      std::max<std::size_t>(1, std::min(batches, 4 * pool.size()));
+  const std::size_t shards = pool.shard_count(batches);
   std::vector<TreeLoads> shard_out(shards);
 
   const SortedArcs arcs(csr);

@@ -98,4 +98,19 @@ class Graph {
   std::vector<std::pair<NodeId, NodeId>> links_;
 };
 
+/// The graph without its dead links and switches: every link l with
+/// link_alive[l] set and both endpoints alive in node_alive, kept in link-id
+/// order. Node ids are preserved; a dead switch stays as an isolated node.
+inline Graph live_subgraph(const Graph& g, std::span<const std::uint8_t> link_alive,
+                           std::span<const std::uint8_t> node_alive) {
+  DSN_REQUIRE(link_alive.size() == g.num_links(), "link mask size mismatch");
+  DSN_REQUIRE(node_alive.size() == g.num_nodes(), "node mask size mismatch");
+  Graph out(g.num_nodes());
+  for (LinkId l = 0; l < g.num_links(); ++l) {
+    const auto [u, v] = g.link_endpoints(l);
+    if (link_alive[l] && node_alive[u] && node_alive[v]) out.add_link(u, v);
+  }
+  return out;
+}
+
 }  // namespace dsn

@@ -7,6 +7,10 @@
 
 namespace dsn {
 
+PlacementStrategy default_placement(const Topology& topo) {
+  return topo.dims.size() == 2 ? PlacementStrategy::kGrid2D : PlacementStrategy::kLinear;
+}
+
 FloorLayout::FloorLayout(const Topology& topo, const MachineRoomConfig& config,
                          PlacementStrategy strategy)
     : config_(config) {
@@ -38,12 +42,25 @@ FloorLayout::FloorLayout(const Topology& topo, const MachineRoomConfig& config,
         static_cast<std::uint32_t>(ceil_div(n, config.switches_per_cabinet));
     rows_ = static_cast<std::uint32_t>(isqrt_ceil(num_cabinets_));  // q = ceil(sqrt m)
     cols_ = static_cast<std::uint32_t>(ceil_div(num_cabinets_, rows_));
-    for (NodeId v = 0; v < n; ++v) {
-      const std::uint32_t cab = v / config.switches_per_cabinet;
-      cab_row_[v] = cab / cols_;
-      cab_col_[v] = cab % cols_;
-    }
+    for (NodeId v = 0; v < n; ++v) seat(v, v);
   }
+}
+
+FloorLayout::FloorLayout(const Topology& topo, const MachineRoomConfig& config,
+                         const std::vector<std::uint32_t>& slot_of)
+    : FloorLayout(topo, config, PlacementStrategy::kLinear) {
+  DSN_REQUIRE(slot_of.size() == cab_row_.size(), "placement size mismatch");
+  for (NodeId v = 0; v < slot_of.size(); ++v) {
+    DSN_REQUIRE(slot_of[v] < num_cabinets_ * config.switches_per_cabinet,
+                "slot out of range");
+    seat(v, slot_of[v]);
+  }
+}
+
+void FloorLayout::seat(NodeId v, std::uint32_t slot) {
+  const std::uint32_t cab = slot / config_.switches_per_cabinet;
+  cab_row_[v] = cab / cols_;
+  cab_col_[v] = cab % cols_;
 }
 
 std::pair<std::uint32_t, std::uint32_t> FloorLayout::cabinet_of(NodeId v) const {
@@ -60,6 +77,12 @@ double FloorLayout::cable_length_m(NodeId u, NodeId v) const {
   const double dc = std::abs(static_cast<double>(cab_col_[u]) - cab_col_[v]);
   return dc * config_.cabinet_width_m + dr * config_.cabinet_depth_m +
          config_.inter_cabinet_overhead_m;
+}
+
+void FloorLayout::swap_nodes(NodeId a, NodeId b) {
+  DSN_REQUIRE(a < cab_row_.size() && b < cab_row_.size(), "node id out of range");
+  std::swap(cab_row_[a], cab_row_[b]);
+  std::swap(cab_col_[a], cab_col_[b]);
 }
 
 CableReport compute_cable_report(const Topology& topo, const FloorLayout& layout) {
@@ -84,10 +107,7 @@ CableReport compute_cable_report(const Topology& topo, const FloorLayout& layout
 }
 
 CableReport compute_cable_report(const Topology& topo, const MachineRoomConfig& config) {
-  const bool grid = topo.dims.size() == 2;
-  FloorLayout layout(topo, config,
-                     grid ? PlacementStrategy::kGrid2D : PlacementStrategy::kLinear);
-  return compute_cable_report(topo, layout);
+  return compute_cable_report(topo, FloorLayout(topo, config, default_placement(topo)));
 }
 
 LineCableStats compute_line_cable_stats(const Topology& topo) {

@@ -35,11 +35,22 @@ enum class PlacementStrategy {
   kGrid2D,
 };
 
-/// Physical placement of every switch on the floor.
+/// The conventional placement of a topology: kGrid2D when its dims have
+/// rank 2 (2-D meshes/tori), kLinear otherwise.
+PlacementStrategy default_placement(const Topology& topo);
+
+/// Physical placement of every switch on the floor: the one §VI-B cable
+/// model behind every cable figure, the wire-latency estimate and the
+/// placement annealer.
 class FloorLayout {
  public:
   FloorLayout(const Topology& topo, const MachineRoomConfig& config,
               PlacementStrategy strategy);
+
+  /// Explicit placement on the kLinear cabinet grid: node v sits in slot
+  /// slot_of[v], and slot s in cabinet s / switches_per_cabinet.
+  FloorLayout(const Topology& topo, const MachineRoomConfig& config,
+              const std::vector<std::uint32_t>& slot_of);
 
   std::uint32_t num_cabinets() const { return num_cabinets_; }
   std::uint32_t rows() const { return rows_; }
@@ -51,9 +62,15 @@ class FloorLayout {
   /// Cable length in meters between two switches under the model.
   double cable_length_m(NodeId u, NodeId v) const;
 
+  /// Exchange the cabinets of two switches.
+  void swap_nodes(NodeId a, NodeId b);
+
   const MachineRoomConfig& config() const { return config_; }
 
  private:
+  /// Put v in slot `slot` of the kLinear grid.
+  void seat(NodeId v, std::uint32_t slot);
+
   MachineRoomConfig config_;
   std::uint32_t num_cabinets_ = 0;
   std::uint32_t rows_ = 0;
@@ -74,9 +91,7 @@ struct CableReport {
 
 CableReport compute_cable_report(const Topology& topo, const FloorLayout& layout);
 
-/// Convenience: pick the conventional placement for the topology kind
-/// (kGrid2D for 2-D meshes/tori with rank-2 dims, kLinear otherwise) and
-/// return its cable report.
+/// Convenience: the cable report under default_placement(topo).
 CableReport compute_cable_report(const Topology& topo,
                                  const MachineRoomConfig& config = {});
 

@@ -28,14 +28,11 @@ struct OptimizedPlacement {
 };
 
 /// Anneal the node->slot permutation starting from the identity (linear)
-/// placement. Deterministic for a given seed.
+/// placement, pricing every move with FloorLayout's cable model (a
+/// FloorLayout built from slot_of reports the result). Deterministic for a
+/// given seed.
 OptimizedPlacement optimize_placement(const Topology& topo,
                                       const MachineRoomConfig& room,
                                       const PlacementOptimizerConfig& config = {});
-
-/// Cable report for an explicit node->slot placement.
-CableReport compute_cable_report_with_slots(const Topology& topo,
-                                            const MachineRoomConfig& room,
-                                            const std::vector<std::uint32_t>& slot_of);
 
 }  // namespace dsn

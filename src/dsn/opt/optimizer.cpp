@@ -79,11 +79,7 @@ OptimizerResult optimize_shortcuts(const Topology& topo, const OptimizerConfig& 
   const auto pair_cable = [&layout](const std::pair<NodeId, NodeId>& e) {
     return layout.cable_length_m(e.first, e.second);
   };
-  double seed_cable = 0.0;
-  for (LinkId l = 0; l < result.links; ++l) {
-    const auto [u, v] = topo.graph.link_endpoints(l);
-    seed_cable += layout.cable_length_m(u, v);
-  }
+  const double seed_cable = compute_cable_report(topo, layout).total_m;
 
   // The seed placement is swept once; every pass starts from a copy.
   const MutableShortcutSet seed_view(topo);

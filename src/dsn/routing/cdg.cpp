@@ -335,8 +335,7 @@ ChannelDependencyGraph build_dsn_cdg(const Dsn& dsn, bool extended, bool nearest
   // channel buffer, and shards merge in fixed order (deterministic result).
   const NodeId n = dsn.n();
   ThreadPool& pool = ThreadPool::global();
-  const std::size_t num_shards =
-      std::max<std::size_t>(1, std::min<std::size_t>(n, 4 * pool.size()));
+  const std::size_t num_shards = pool.shard_count(n);
   std::vector<ChannelDependencyGraph> shards(num_shards);
   pool.parallel_for(0, num_shards, [&](std::size_t k) {
     const NodeId begin = static_cast<NodeId>(k * n / num_shards);

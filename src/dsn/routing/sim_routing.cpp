@@ -13,20 +13,6 @@ namespace {
 /// The up*/down* root of the pristine tables (degraded rebuilds pick theirs).
 constexpr NodeId kPristineRoot = 0;
 
-Graph alive_subgraph(const Graph& g, std::span<const std::uint8_t> link_alive,
-                     std::span<const std::uint8_t> switch_alive) {
-  DSN_REQUIRE(link_alive.size() == g.num_links(), "link_alive mask size mismatch");
-  DSN_REQUIRE(switch_alive.size() == g.num_nodes(), "switch_alive mask size mismatch");
-  Graph out(g.num_nodes());
-  for (LinkId l = 0; l < g.num_links(); ++l) {
-    if (!link_alive[l]) continue;
-    const auto [u, v] = g.link_endpoints(l);
-    if (!switch_alive[u] || !switch_alive[v]) continue;
-    out.add_link(u, v);
-  }
-  return out;
-}
-
 }  // namespace
 
 SimRouting::SimRouting(const Topology& topo, ThreadPool* pool)
@@ -39,8 +25,8 @@ SimRouting::SimRouting(const Topology& topo, std::span<const std::uint8_t> link_
                        ThreadPool* pool)
     : topo_(&topo),
       n_(topo.num_nodes()),
-      degraded_(std::make_unique<Graph>(alive_subgraph(topo.graph, link_alive,
-                                                       switch_alive))),
+      degraded_(std::make_unique<Graph>(live_subgraph(topo.graph, link_alive,
+                                                      switch_alive))),
       updown_(*degraded_, updown_root, /*allow_disconnected=*/true) {
   DSN_REQUIRE(updown_root < switch_alive.size() && switch_alive[updown_root],
               "up*/down* root must be an alive switch");

@@ -1,7 +1,7 @@
 // dsn-slint: deterministic — the active-set core must replay byte-identically
 // against the legacy full-scan core for any shard count; every work list is
 // kept in (or restored to) ascending component order before processing and
-// every cross-shard merge runs in shard order at an epoch barrier.
+// every cross-shard merge runs in shard order at a phase barrier.
 //
 // Active-set simulator engine. The legacy core pays O(switches × ports × vcs)
 // per cycle regardless of load, plus one Bernoulli draw per host per cycle;
@@ -56,7 +56,6 @@
 #include <utility>
 #include <vector>
 
-#include "dsn/common/epoch.hpp"
 #include "dsn/common/thread_pool.hpp"
 #include "dsn/sim/sim_metrics.hpp"
 #include "dsn/sim/simulator.hpp"
@@ -255,6 +254,18 @@ class ActiveCore {
   void phase_deliver_allocate(std::size_t s);
   void phase_switch_allocation(std::size_t s);
   void phase_nic_stream(std::size_t s);
+  /// Run a parallel phase for every shard and return once all are done (the
+  /// barrier before the next serial section). One shard runs inline on the
+  /// calling thread with no pool traffic: a sweep of one-shard simulations
+  /// already occupies every pool worker.
+  void each_shard(void (ActiveCore::*phase)(std::size_t)) {
+    if (nshards_ == 1) {
+      (this->*phase)(0);
+      return;
+    }
+    ThreadPool::global().parallel_for(0, nshards_,
+                                      [this, phase](std::size_t s) { (this->*phase)(s); });
+  }
   void serial_inject();
   void serial_ttl_purge();
   void serial_merge();
@@ -793,9 +804,6 @@ SimResult ActiveCore::run() {
                                  4ull * S.config_.packet_flits + 10'000;
   const std::uint64_t window_start = S.config_.warmup_cycles;
 
-  ThreadPool* pool = nshards_ > 1 ? &ThreadPool::global() : nullptr;
-  const ShardEpoch epoch(pool, nshards_);
-
   bool deadlock = false;
   std::uint64_t now = 0;
   S.last_progress_cycle_ = 0;
@@ -815,12 +823,12 @@ SimResult ActiveCore::run() {
       }
     }
 
-    epoch.run([this](std::size_t s) { phase_deliver_allocate(s); });
+    each_shard(&ActiveCore::phase_deliver_allocate);
     serial_inject();
     serial_ttl_purge();
-    epoch.run([this](std::size_t s) { phase_switch_allocation(s); });
+    each_shard(&ActiveCore::phase_switch_allocation);
     serial_merge();
-    epoch.run([this](std::size_t s) { phase_nic_stream(s); });
+    each_shard(&ActiveCore::phase_nic_stream);
 
     DSN_OBS_ONLY(S.emit_trace_sample(now);)
     DSN_OBS_GAUGE_SET(SimMetrics::get().in_flight,

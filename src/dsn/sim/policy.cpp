@@ -5,15 +5,17 @@
 
 namespace dsn {
 
-namespace {
+// ---------------------------------------------------------------------------
+// UpDownTablePolicy — the recovery step of both up*/down* policies: rebuild
+// the full SimRouting tables over the alive subgraph, rooted at the lowest
+// alive switch (the pristine root may be halted).
+// ---------------------------------------------------------------------------
 
-/// Shared recovery step of the up*/down*-based policies: rebuild the full
-/// SimRouting tables over the alive subgraph, rooted at the lowest alive
-/// switch (the pristine root may be halted). Returns nullptr when everything
-/// is alive again, which drops the policy back to its pristine tables.
-std::unique_ptr<SimRouting> rebuild_degraded_tables(const FaultView& view,
-                                                    ThreadPool* pool) {
-  if (view.all_alive()) return nullptr;
+void UpDownTablePolicy::on_fault_update(const FaultView& view) {
+  if (view.all_alive()) {
+    degraded_.reset();
+    return;
+  }
   NodeId root = kInvalidNode;
   for (NodeId v = 0; v < view.switch_alive.size(); ++v) {
     if (view.switch_alive[v]) {
@@ -22,11 +24,9 @@ std::unique_ptr<SimRouting> rebuild_degraded_tables(const FaultView& view,
     }
   }
   DSN_REQUIRE(root != kInvalidNode, "at least one switch must stay alive");
-  return std::make_unique<SimRouting>(*view.topo, view.link_alive, view.switch_alive,
-                                      root, pool);
+  degraded_ = std::make_unique<SimRouting>(*view.topo, view.link_alive, view.switch_alive,
+                                           root, rebuild_pool_);
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // AdaptiveUpDownPolicy — state bit 0 holds the escape "down-only" flag.
@@ -34,7 +34,7 @@ std::unique_ptr<SimRouting> rebuild_degraded_tables(const FaultView& view,
 
 AdaptiveUpDownPolicy::AdaptiveUpDownPolicy(const SimRouting& routing, std::uint32_t vcs,
                                            ThreadPool* rebuild_pool)
-    : routing_(&routing), vcs_(vcs), rebuild_pool_(rebuild_pool) {
+    : UpDownTablePolicy(routing, vcs, rebuild_pool) {
   DSN_REQUIRE(vcs >= 2, "adaptive policy needs >= 2 VCs (escape + adaptive)");
 }
 
@@ -60,17 +60,13 @@ void AdaptiveUpDownPolicy::candidates(NodeId u, NodeId t, std::uint8_t state,
   }
 }
 
-void AdaptiveUpDownPolicy::on_fault_update(const FaultView& view) {
-  degraded_ = rebuild_degraded_tables(view, rebuild_pool_);
-}
-
 // ---------------------------------------------------------------------------
 // UpDownOnlyPolicy — state bit 0 holds the sticky down-only flag.
 // ---------------------------------------------------------------------------
 
 UpDownOnlyPolicy::UpDownOnlyPolicy(const SimRouting& routing, std::uint32_t vcs,
                                    ThreadPool* rebuild_pool)
-    : routing_(&routing), vcs_(vcs), rebuild_pool_(rebuild_pool) {
+    : UpDownTablePolicy(routing, vcs, rebuild_pool) {
   DSN_REQUIRE(vcs >= 1, "need at least one VC");
 }
 
@@ -86,10 +82,6 @@ void UpDownOnlyPolicy::candidates(NodeId u, NodeId t, std::uint8_t state,
   for (std::uint32_t vc = 0; vc < vcs_; ++vc) {
     out.push_back({v, vc, /*escape=*/true, next});
   }
-}
-
-void UpDownOnlyPolicy::on_fault_update(const FaultView& view) {
-  degraded_ = rebuild_degraded_tables(view, rebuild_pool_);
 }
 
 // ---------------------------------------------------------------------------

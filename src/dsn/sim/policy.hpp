@@ -93,17 +93,11 @@ class SimRoutingPolicy {
   }
 };
 
-class AdaptiveUpDownPolicy final : public SimRoutingPolicy {
+/// The table state of the two up*/down* policies below: the pristine
+/// SimRouting tables, the VC count, and the degraded tables a fault event
+/// rebuilds.
+class UpDownTablePolicy : public SimRoutingPolicy {
  public:
-  /// vcs must be >= 2 (one escape VC + at least one adaptive VC).
-  /// `rebuild_pool` overrides the global thread pool for degraded-table
-  /// rebuilds on fault events (tables are identical for any worker count).
-  AdaptiveUpDownPolicy(const SimRouting& routing, std::uint32_t vcs,
-                       ThreadPool* rebuild_pool = nullptr);
-
-  const char* name() const override { return "adaptive-updown"; }
-  void candidates(NodeId u, NodeId t, std::uint8_t state,
-                  std::vector<RouteCandidate>& out) const override;
   /// Full recovery: re-derives APSP + up*/down* tables over the alive
   /// subgraph (root = lowest alive switch); drops back to the pristine
   /// tables once everything heals.
@@ -112,18 +106,36 @@ class AdaptiveUpDownPolicy final : public SimRoutingPolicy {
   /// under; stale bits must not constrain routes on the new orientation.
   bool reset_state_on_fault() const override { return true; }
 
- private:
+ protected:
+  /// `rebuild_pool` overrides the global thread pool for degraded-table
+  /// rebuilds on fault events (tables are identical for any worker count).
+  UpDownTablePolicy(const SimRouting& routing, std::uint32_t vcs, ThreadPool* rebuild_pool)
+      : vcs_(vcs), routing_(&routing), rebuild_pool_(rebuild_pool) {}
+
   const SimRouting& table() const { return degraded_ ? *degraded_ : *routing_; }
 
-  const SimRouting* routing_;
   std::uint32_t vcs_;
+
+ private:
+  const SimRouting* routing_;
   ThreadPool* rebuild_pool_;
   std::unique_ptr<SimRouting> degraded_;
 };
 
+class AdaptiveUpDownPolicy final : public UpDownTablePolicy {
+ public:
+  /// vcs must be >= 2 (one escape VC + at least one adaptive VC).
+  AdaptiveUpDownPolicy(const SimRouting& routing, std::uint32_t vcs,
+                       ThreadPool* rebuild_pool = nullptr);
+
+  const char* name() const override { return "adaptive-updown"; }
+  void candidates(NodeId u, NodeId t, std::uint8_t state,
+                  std::vector<RouteCandidate>& out) const override;
+};
+
 /// Deterministic up*/down*-only routing on all VCs (the routing the paper
 /// compares its custom routing against in the traffic-balance remark).
-class UpDownOnlyPolicy final : public SimRoutingPolicy {
+class UpDownOnlyPolicy final : public UpDownTablePolicy {
  public:
   UpDownOnlyPolicy(const SimRouting& routing, std::uint32_t vcs,
                    ThreadPool* rebuild_pool = nullptr);
@@ -131,16 +143,6 @@ class UpDownOnlyPolicy final : public SimRoutingPolicy {
   const char* name() const override { return "updown-only"; }
   void candidates(NodeId u, NodeId t, std::uint8_t state,
                   std::vector<RouteCandidate>& out) const override;
-  void on_fault_update(const FaultView& view) override;
-  bool reset_state_on_fault() const override { return true; }
-
- private:
-  const SimRouting& table() const { return degraded_ ? *degraded_ : *routing_; }
-
-  const SimRouting* routing_;
-  std::uint32_t vcs_;
-  ThreadPool* rebuild_pool_;
-  std::unique_ptr<SimRouting> degraded_;
 };
 
 /// The DSN custom routing (DSN-V) with the packet's DsnWalkState as its

@@ -7,6 +7,8 @@
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "dsn/common/cli.hpp"
 #include "dsn/common/error.hpp"
@@ -311,6 +313,60 @@ TEST(Cli, ParsesLists) {
   ASSERT_TRUE(cli.parse(1, argv));
   EXPECT_EQ(cli.get_uint_list("sizes"), (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_EQ(cli.get_double_list("loads"), (std::vector<double>{0.5, 1.5}));
+}
+
+TEST(Cli, ParsesStringLists) {
+  Cli cli("test");
+  cli.add_flag("traffics", "uniform,,neighboring", "traffics");
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(cli.parse(1, argv));
+  EXPECT_EQ(cli.get_list("traffics"), (std::vector<std::string>{"uniform", "neighboring"}));
+}
+
+TEST(Cli, RejectsMalformedNumbers) {
+  // Every number is read whole: a '+' (or a '-' on an unsigned), junk after
+  // the digits or a value out of the type's range is refused with the flag
+  // and its value.
+  const auto refusal = [](const std::string& value, bool as_list, bool as_double) {
+    Cli cli("test");
+    cli.add_flag("v", "0", "value");
+    const std::string arg = "--v=" + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    EXPECT_TRUE(cli.parse(2, argv));
+    try {
+      if (as_double) {
+        as_list ? (void)cli.get_double_list("v") : (void)cli.get_double("v");
+      } else {
+        as_list ? (void)cli.get_uint_list("v") : (void)cli.get_uint("v");
+      }
+    } catch (const PreconditionError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  for (const bool as_list : {false, true}) {
+    const std::string prefix = as_list ? "1," : "";
+    for (const std::string bad : {"64x", "-1", "+1", "1.5", "", "18446744073709551616"}) {
+      if (as_list && bad.empty()) continue;  // empty list items are skipped
+      const std::string what = refusal(prefix + bad, as_list, false);
+      EXPECT_NE(what.find("--v"), std::string::npos) << prefix + bad << ": " << what;
+      EXPECT_NE(what.find("'" + bad + "'"), std::string::npos) << prefix + bad << ": " << what;
+    }
+    for (const std::string bad : {"1.5x", "+1", "0.5 ", "1e999"}) {
+      const std::string what = refusal(prefix + bad, as_list, true);
+      EXPECT_NE(what.find("--v"), std::string::npos) << prefix + bad << ": " << what;
+      EXPECT_NE(what.find("'" + bad + "'"), std::string::npos) << prefix + bad << ": " << what;
+    }
+  }
+  // What the benchmark driver passes still parses.
+  Cli cli("test");
+  cli.add_flag("seconds", "1", "seconds");
+  cli.add_flag("seed", "0", "seed");
+  const char* argv[] = {"prog", "--seconds", "20.0", "--seed", "1"};
+  ASSERT_TRUE(cli.parse(5, argv));
+  EXPECT_EQ(cli.get_double("seconds"), 20.0);
+  EXPECT_EQ(cli.get_uint("seed"), 1u);
+  EXPECT_EQ(cli.get_uint_list("seed"), (std::vector<std::uint64_t>{1}));
 }
 
 TEST(Cli, DuplicateFlagRegistrationThrows) {

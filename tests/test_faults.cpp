@@ -1,6 +1,10 @@
-// Tests for the fault-tolerance analysis: graph surgery helpers and the
-// degradation evaluators.
+// Tests for the fault-tolerance analysis: the live subgraph the sweeps
+// evaluate and the degradation evaluators.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <initializer_list>
+#include <string>
 
 #include "dsn/analysis/factory.hpp"
 #include "dsn/analysis/faults.hpp"
@@ -9,9 +13,16 @@
 namespace dsn {
 namespace {
 
+/// Mask of `size` live entries with the given ids dead.
+std::vector<std::uint8_t> mask_without(std::size_t size, std::initializer_list<std::size_t> dead) {
+  std::vector<std::uint8_t> mask(size, 1);
+  for (const std::size_t id : dead) mask[id] = 0;
+  return mask;
+}
+
 TEST(FaultSurgery, RemoveLinks) {
   const Topology ring = make_ring(8);
-  const Graph g = remove_links(ring.graph, {0, 3});
+  const Graph g = live_subgraph(ring.graph, mask_without(8, {0, 3}), mask_without(8, {}));
   EXPECT_EQ(g.num_links(), 6u);
   EXPECT_FALSE(g.has_link(0, 1));
   EXPECT_FALSE(g.has_link(3, 4));
@@ -20,16 +31,47 @@ TEST(FaultSurgery, RemoveLinks) {
 
 TEST(FaultSurgery, RemoveNodes) {
   const Topology ring = make_ring(8);
-  const Graph g = remove_nodes(ring.graph, {3});
+  const Graph g = live_subgraph(ring.graph, mask_without(8, {}), mask_without(8, {3}));
   EXPECT_EQ(g.num_links(), 6u);  // both links of node 3 gone
   EXPECT_EQ(g.degree(3), 0u);
   EXPECT_TRUE(g.has_link(4, 5));
 }
 
 TEST(FaultSurgery, RejectsOutOfRange) {
+  // Ids no longer enter: a mask of the wrong size is refused.
   const Topology ring = make_ring(8);
-  EXPECT_THROW(remove_links(ring.graph, {99}), PreconditionError);
-  EXPECT_THROW(remove_nodes(ring.graph, {99}), PreconditionError);
+  EXPECT_THROW(live_subgraph(ring.graph, mask_without(99, {}), mask_without(8, {})),
+               PreconditionError);
+  EXPECT_THROW(live_subgraph(ring.graph, mask_without(8, {}), mask_without(99, {})),
+               PreconditionError);
+}
+
+// Both sweeps on DSN-128: the same trials see the same subgraphs, so the
+// connected counts and the averages are pinned bit for bit.
+TEST(FaultSweep, GoldenTrials) {
+  struct Golden {
+    double fraction;
+    bool switches;
+    std::uint32_t connected;
+    std::uint64_t diameter_bits, aspl_bits;
+  };
+  const Golden goldens[] = {
+      {0.05, false, 5, 0x4020000000000000ULL, 0x4011d3dae9053daeULL},
+      {0.05, true, 5, 0x4020666666666666ULL, 0x4011965a8639c870ULL},
+      {0.1, false, 5, 0x4022000000000000ULL, 0x4012b06da81d06daULL},
+      {0.1, true, 5, 0x402199999999999aULL, 0x40125a570f3d2aa8ULL},
+  };
+  const Topology topo = make_topology_by_name("dsn", 128);
+  for (const Golden& g : goldens) {
+    const FaultTrialResult r = g.switches ? evaluate_switch_faults(topo, g.fraction, 5, 1)
+                                          : evaluate_link_faults(topo, g.fraction, 5, 1);
+    const std::string what =
+        std::string(g.switches ? "switch " : "link ") + std::to_string(g.fraction);
+    EXPECT_EQ(r.connected_trials, g.connected) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.avg_diameter), g.diameter_bits)
+        << what << " " << r.avg_diameter;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.avg_aspl), g.aspl_bits) << what << " " << r.avg_aspl;
+  }
 }
 
 TEST(Faults, ZeroFractionIsBaseline) {
@@ -133,7 +175,8 @@ TEST(SubsetPathStats, MatchesBruteForceWithNodeFaults) {
 
 TEST(SubsetPathStats, DisconnectedReportsZeros) {
   const Topology ring = make_ring(16);
-  const Graph cut = remove_links(ring.graph, {0, 8});  // splits the cycle
+  // Links 0 and 8 split the cycle.
+  const Graph cut = live_subgraph(ring.graph, mask_without(16, {0, 8}), mask_without(16, {}));
   const std::vector<std::uint8_t> alive(16, 1);
   const auto s = subset_path_stats(cut, alive);
   EXPECT_FALSE(s.connected);

@@ -5,6 +5,8 @@
 // bytes across thread-pool widths). The fair-share solver itself is serial;
 // its bitwise oracle is FlowFairness.SolverMatchesSerialReferenceBitwise.
 // Registered under `ctest -L determinism` via the determinism.flow entry.
+// FlowRoutes.ModeFollowsTopologyKind pins which route mode each topology
+// kind binds.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -16,6 +18,7 @@
 
 #include "dsn/analysis/factory.hpp"
 #include "dsn/flow/flow_sim.hpp"
+#include "dsn/flow/routes.hpp"
 #include "dsn/flow/workload.hpp"
 
 namespace dsn::flow {
@@ -132,6 +135,25 @@ TEST(FlowDeterminism, LintFlowBytesInvariantUnderDsnThreads) {
     EXPECT_EQ(code, 0) << out;
     EXPECT_EQ(base, out) << "DSN_THREADS=" << threads;
   }
+}
+
+// The route each flow takes: the analyzer's default family for the kind,
+// except DLN's dln-jump and per-pair BFS in place of up*/down* tables above
+// updown_max_n. Pinned for every named family at n = 64.
+TEST(FlowRoutes, ModeFollowsTopologyKind) {
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"dsn", "dsn"},           {"torus", "dor"},      {"torus3d", "dor"},
+      {"random", "updown"},     {"ring", "updown"},    {"dln", "dln-jump"},
+      {"kleinberg", "greedy"},  {"random-regular", "updown"},
+      {"dsn-d", "dsn-d"},       {"dsn-e", "dsn"},      {"dsn-bidir", "dsn"}};
+  for (const auto& [family, mode] : expected) {
+    const Topology topo = make_topology_by_name(family, 64, 1);
+    const CsrView csr(topo.graph);
+    EXPECT_EQ(FlowRoutes(topo, csr).mode(), mode) << family;
+  }
+  const Topology rr = make_topology_by_name("random-regular", 64, 1);
+  const CsrView csr(rr.graph);
+  EXPECT_EQ(FlowRoutes(rr, csr, 32).mode(), "bfs");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // switching mode, including the ring-deadlock negative control.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
 
 #include "dsn/analysis/factory.hpp"
@@ -20,11 +21,37 @@ TEST(PlacementOpt, IdentitySlotsMatchLinearLayout) {
   const Topology topo = make_topology_by_name("dsn", 128);
   std::vector<std::uint32_t> identity(128);
   std::iota(identity.begin(), identity.end(), 0);
-  const auto with_slots = compute_cable_report_with_slots(topo, {}, identity);
+  const auto with_slots = compute_cable_report(topo, FloorLayout(topo, {}, identity));
   FloorLayout linear(topo, {}, PlacementStrategy::kLinear);
   const auto direct = compute_cable_report(topo, linear);
   EXPECT_NEAR(with_slots.total_m, direct.total_m, 1e-9);
   EXPECT_EQ(with_slots.inter_cabinet_links, direct.inter_cabinet_links);
+}
+
+/// FNV-1a over the little-endian bytes of each slot.
+std::uint64_t fnv1a(const std::vector<std::uint32_t>& slots) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const std::uint32_t s : slots) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (s >> (8 * b)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+// The annealer draws the same proposals and prices them with the same sums
+// in the same order, so the placement and both totals are pinned bit for bit.
+TEST(PlacementOpt, GoldenPlacement) {
+  const Topology topo = make_topology_by_name("random", 64, 3);
+  PlacementOptimizerConfig cfg;
+  cfg.iterations = 20'000;
+  const auto placed = optimize_placement(topo, {}, cfg);
+  EXPECT_EQ(fnv1a(placed.slot_of), 0x71931e872cf0dd55ULL);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(placed.initial_total_m), 0x4076733333333335ULL)
+      << placed.initial_total_m;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(placed.optimized_total_m), 0x4076f00000000002ULL)
+      << placed.optimized_total_m;
 }
 
 TEST(PlacementOpt, ResultIsAPermutation) {

@@ -68,6 +68,16 @@ TEST(LintCli, UsageErrorsExitTwo) {
       << "degenerate n must be a usage error, not a crash";
 }
 
+TEST(LintCli, MalformedNumberNamesTheFlag) {
+  // Lint mode and a subcommand both refuse "64x" instead of linting n = 64.
+  for (const char* args : {"--topology dsn --n 64x", "routes --topology dsn --n 64x"}) {
+    const CliResult r = run_lint(args);
+    EXPECT_NE(r.exit_code, 0) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("--n"), std::string::npos) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("64x"), std::string::npos) << args << "\n" << r.output;
+  }
+}
+
 TEST(LintCli, FamilyOverrideAppliesToDsnTargets) {
   // --family binds the named routing family to the dsn, dsn-e and dsn-d
   // targets too; without it they keep their native family.

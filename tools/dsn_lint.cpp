@@ -353,13 +353,13 @@ int run_drill_command(int argc, const char* const* argv) {
   if (fail_link != "none") {
     const dsn::LinkId victim = fail_link == "auto"
                                    ? auto_shortcut_link(topo)
-                                   : static_cast<dsn::LinkId>(std::stoul(fail_link));
+                                   : static_cast<dsn::LinkId>(cli.get_uint("fail-link"));
     schedule.link_down(cli.get_uint("fail-at"), victim);
     if (cli.get_uint("heal-at") != 0) schedule.link_up(cli.get_uint("heal-at"), victim);
   }
   const std::string fail_switch = cli.get("fail-switch");
   if (fail_switch != "none") {
-    const auto victim = static_cast<dsn::NodeId>(std::stoul(fail_switch));
+    const auto victim = static_cast<dsn::NodeId>(cli.get_uint("fail-switch"));
     schedule.switch_down(cli.get_uint("switch-fail-at"), victim);
     if (cli.get_uint("switch-heal-at") != 0)
       schedule.switch_up(cli.get_uint("switch-heal-at"), victim);
