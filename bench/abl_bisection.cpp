@@ -20,13 +20,12 @@ int main(int argc, char** argv) {
 
   dsn::Table table({"N", "topology", "bisection links", "links/node-pair",
                     "per-node"});
-  for (const auto size : cli.get_uint_list("sizes")) {
-    const auto n = static_cast<std::uint32_t>(size);
+  for (const std::uint32_t n : cli.get_uint32_list("sizes")) {
     for (const std::string family : {"torus", "random", "dsn", "dsn-bidir", "ring"}) {
       const dsn::Topology topo = dsn::make_topology_by_name(family, n, seed);
       const auto r = dsn::estimate_bisection(topo.graph, seed, starts);
       table.row()
-          .cell(size)
+          .cell(n)
           .cell(family)
           .cell(r.cut_links)
           .cell(static_cast<double>(r.cut_links) /

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   cli.add_flag("measure", "30000", "measurement cycles");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
+  const auto n = cli.get_uint32("n");
   const double load = cli.get_double("load");
 
   dsn::SimConfig cfg;

@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
   cli.add_flag("cdg_n", "128", "network size for the CDG analysis (O(n^2) routes)");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
-  const auto cdg_n = static_cast<std::uint32_t>(cli.get_uint("cdg_n"));
+  const auto n = cli.get_uint32("n");
+  const auto cdg_n = cli.get_uint32("cdg_n");
 
   {
     dsn::Table table({"topology", "links", "avg deg", "diameter", "ASPL",

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "1", "traffic seed");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
+  const auto n = cli.get_uint32("n");
   const dsn::Topology topo = dsn::make_topology_by_name("dsn-e", n);
   const dsn::LinkId victim = first_shortcut_link(topo);
 

@@ -16,8 +16,8 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "1", "seed");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
-  const auto trials = static_cast<std::uint32_t>(cli.get_uint("trials"));
+  const auto n = cli.get_uint32("n");
+  const auto trials = cli.get_uint32("trials");
   const auto fractions = cli.get_double_list("fractions");
   const auto seed = cli.get_uint("seed");
 

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "1", "seed");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
+  const auto n = cli.get_uint32("n");
   const auto pairs = cli.get_uint("pairs");
   const auto k = static_cast<std::size_t>(cli.get_uint("k"));
   const auto seed = cli.get_uint("seed");

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   cli.add_flag("measure", "16000", "measurement cycles per sim point");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
+  const auto n = cli.get_uint32("n");
   const auto loads = cli.get_double_list("loads");
 
   dsn::Table table({"topology", "offered [Gb/s/host]", "model [ns]", "sim [ns]",

@@ -41,12 +41,11 @@ int main(int argc, char** argv) {
   const auto seed = cli.get_uint("seed");
   dsn::Table table({"N", "construction", "avg deg", "max deg", "diameter", "ASPL",
                     "avg cable [m]"});
-  for (const auto size : cli.get_uint_list("sizes")) {
-    const auto n = static_cast<std::uint32_t>(size);
-    add_row(table, size, dsn::make_dln_random(n, 2, 2, seed));
-    add_row(table, size, dsn::make_dln_random_endpoints(n, 2, 2, seed));
-    add_row(table, size, dsn::make_random_regular(n, 4, seed));
-    add_row(table, size, dsn::make_dsn(n, dsn::dsn_default_x(n)));
+  for (const std::uint32_t n : cli.get_uint32_list("sizes")) {
+    add_row(table, n, dsn::make_dln_random(n, 2, 2, seed));
+    add_row(table, n, dsn::make_dln_random_endpoints(n, 2, 2, seed));
+    add_row(table, n, dsn::make_random_regular(n, 4, seed));
+    add_row(table, n, dsn::make_dsn(n, dsn::dsn_default_x(n)));
   }
   table.print(std::cout,
               "RANDOM construction sensitivity: matchings vs random endpoints vs "

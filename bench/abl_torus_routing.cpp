@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   cli.add_flag("measure", "20000", "measurement cycles");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
+  const auto n = cli.get_uint32("n");
   const auto loads = cli.get_double_list("loads");
 
   dsn::SimConfig cfg;

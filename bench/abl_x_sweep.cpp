@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   cli.add_flag("n", "512", "network size");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
+  const auto n = cli.get_uint32("n");
   const std::uint32_t p = dsn::ilog2_ceil(n);
 
   dsn::Table table({"x", "premise x>p-log p", "links", "avg deg", "diameter", "ASPL",

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   cli.add_flag("csv", "", "also write the table as CSV to this path");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto sizes = cli.get_uint_list("sizes");
+  const auto sizes = cli.get_uint32_list("sizes");
   const auto seed = cli.get_uint("seed");
 
   dsn::Table table({"log2(N)", "N", "2-D Torus", "RANDOM", "DSN"});

@@ -37,7 +37,7 @@ int run(int argc, char** argv) {
   cli.add_flag("csv", "", "also write each traffic's table to <csv>.<traffic>.csv");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
+  const auto n = cli.get_uint32("n");
   const auto loads = cli.get_double_list("loads");
   const auto seed = cli.get_uint("seed");
 
@@ -71,7 +71,7 @@ int run(int argc, char** argv) {
     std::cout << "policy " << policy << " does not apply to " << skipped << ": skipped\n";
   }
 
-  const auto replicas = static_cast<std::uint32_t>(cli.get_uint("seeds"));
+  const auto replicas = cli.get_uint32("seeds");
   for (const auto& traffic : traffics) {
     dsn::Table table({"topology", "offered [Gb/s/host]", "accepted [Gb/s/host]",
                       "latency [ns]", "+/- sd", "p99 [ns]", "avg hops", "status"});

@@ -70,7 +70,7 @@ void BM_UpDownTables(benchmark::State& state) {
   const auto topo = dsn::make_topology_by_name("dsn", n);
   for (auto _ : state) {
     dsn::UpDownRouting r(topo.graph, 0);
-    benchmark::DoNotOptimize(r.legal_distance(0, n - 1));
+    benchmark::DoNotOptimize(r.next_hop(0, n - 1));
   }
 }
 BENCHMARK(BM_UpDownTables)->RangeMultiplier(4)->Range(64, 512);

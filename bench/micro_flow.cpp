@@ -93,8 +93,6 @@ int main(int argc, char** argv) {
   // batches a congestion window per solve without moving the makespan.
   cli.add_flag("min-epoch", "512", "epoch floor in cycles");
   cli.add_flag("seed", "1", "placement / generator seed");
-  cli.add_flag("shards", "0",
-               "admission route shard count (0 = auto; result-invariant)");
   cli.add_flag("verify-max-n", "65536",
                "run the max-min invariant check on rows up to this n");
   cli.add_flag("bfs-max-n", "16384",
@@ -110,25 +108,23 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = cli.get_uint("seed");
 
   dsn::flow::FlowConfig base_cfg;
-  base_cfg.hosts_per_switch =
-      static_cast<std::uint32_t>(cli.get_uint("hosts-per-switch"));
+  base_cfg.hosts_per_switch = cli.get_uint32("hosts-per-switch");
   base_cfg.min_epoch_cycles = cli.get_uint("min-epoch");
-  base_cfg.shards = static_cast<std::uint32_t>(cli.get_uint("shards"));
 
   bool all_ok = true;
   dsn::Json results = dsn::Json::array();
-  for (const std::uint64_t n : cli.get_uint_list("n-list")) {
+  for (const std::uint32_t n : cli.get_uint32_list("n-list")) {
     for (const std::string& tname : cli.get_list("topology-list")) {
       const dsn::Topology topo =
-          dsn::make_topology_by_name(tname, static_cast<std::uint32_t>(n), seed);
+          dsn::make_topology_by_name(tname, n, seed);
 
       dsn::flow::WorkloadParams params;
-      params.hosts = static_cast<std::uint32_t>(n) * base_cfg.hosts_per_switch;
-      params.rack_hosts = static_cast<std::uint32_t>(cli.get_uint("rack-hosts"));
-      params.clients = static_cast<std::uint32_t>(cli.get_uint("clients"));
-      params.units = static_cast<std::uint32_t>(cli.get_uint("units"));
+      params.hosts = n * base_cfg.hosts_per_switch;
+      params.rack_hosts = cli.get_uint32("rack-hosts");
+      params.clients = cli.get_uint32("clients");
+      params.units = cli.get_uint32("units");
       params.unit_flits = cli.get_uint("unit-flits");
-      params.window = static_cast<std::uint32_t>(cli.get_uint("window"));
+      params.window = cli.get_uint32("window");
       params.seed = seed;
 
       {
@@ -145,15 +141,14 @@ int main(int argc, char** argv) {
         cfg.verify = n <= verify_max_n;
         dsn::flow::WorkloadParams wl_params = params;
         if (workload == "shuffle") {
-          wl_params.clients =
-              static_cast<std::uint32_t>(cli.get_uint("shuffle-clients"));
+          wl_params.clients = cli.get_uint32("shuffle-clients");
         }
         const TimedRun run = time_run(topo, cfg, workload, wl_params, repeat);
         const dsn::flow::FlowResult& res = run.res;
 
         dsn::Json row = dsn::Json::object();
         row.set("topology", topo.name);
-        row.set("n", n);
+        row.set("n", static_cast<std::uint64_t>(n));
         row.set("hosts", res.hosts);
         row.set("workload", workload);
         row.set("flows", res.flows);

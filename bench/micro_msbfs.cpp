@@ -148,9 +148,9 @@ int main(int argc, char** argv) {
   bool all_ok = true;
   dsn::Json results = dsn::Json::array();
   for (const std::string& topo_name : cli.get_list("topo-list")) {
-    for (const std::uint64_t n : cli.get_uint_list("n-list")) {
+    for (const std::uint32_t n : cli.get_uint32_list("n-list")) {
       const auto topo =
-          dsn::make_topology_by_name(topo_name, static_cast<std::uint32_t>(n), seed);
+          dsn::make_topology_by_name(topo_name, n, seed);
 
       std::vector<dsn::NodeId> all_sources(topo.num_nodes());
       std::iota(all_sources.begin(), all_sources.end(), dsn::NodeId{0});
@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
       dsn::Json row = dsn::Json::object();
       row.set("topology", topo.name);
       row.set("family", topo_name);
-      row.set("n", n);
+      row.set("n", static_cast<std::uint64_t>(n));
       row.set("links", static_cast<std::uint64_t>(topo.graph.num_links()));
       row.set("diameter", static_cast<std::uint64_t>(stats.diameter));
       row.set("aspl", stats.avg_shortest_path);

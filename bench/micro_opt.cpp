@@ -71,18 +71,17 @@ int main(int argc, char** argv) {
 
   dsn::opt::OptimizerConfig base_cfg;
   base_cfg.seed = seed;
-  base_cfg.passes = static_cast<std::uint32_t>(cli.get_uint("passes"));
-  base_cfg.iterations = static_cast<std::uint32_t>(cli.get_uint("iterations"));
-  base_cfg.plateau = static_cast<std::uint32_t>(cli.get_uint("plateau"));
-  base_cfg.estimator.sample_sources =
-      static_cast<std::uint32_t>(cli.get_uint("sample-sources"));
+  base_cfg.passes = cli.get_uint32("passes");
+  base_cfg.iterations = cli.get_uint32("iterations");
+  base_cfg.plateau = cli.get_uint32("plateau");
+  base_cfg.estimator.sample_sources = cli.get_uint32("sample-sources");
 
   bool all_ok = true;
   dsn::Json results = dsn::Json::array();
-  for (const std::uint64_t n : cli.get_uint_list("n-list")) {
+  for (const std::uint32_t n : cli.get_uint32_list("n-list")) {
     for (const std::string& tname : cli.get_list("topology-list")) {
       const dsn::Topology topo =
-          dsn::make_topology_by_name(tname, static_cast<std::uint32_t>(n), seed);
+          dsn::make_topology_by_name(tname, n, seed);
 
       const auto t0 = Clock::now();
       const dsn::opt::OptimizerResult res =

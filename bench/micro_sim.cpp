@@ -123,13 +123,11 @@ int main(int argc, char** argv) {
 
   bool all_ok = true;
   dsn::Json results = dsn::Json::array();
-  for (const std::uint64_t n : cli.get_uint_list("n-list")) {
-    const dsn::Dsn dsn_topo(static_cast<std::uint32_t>(n),
-                            dsn::dsn_default_x(static_cast<std::uint32_t>(n)));
+  for (const std::uint32_t n : cli.get_uint32_list("n-list")) {
+    const dsn::Dsn dsn_topo(n, dsn::dsn_default_x(n));
     const dsn::Topology& topo = dsn_topo.topology();
     dsn::DsnCustomPolicy policy(dsn_topo, base_cfg.vcs);
-    const std::uint32_t hosts =
-        static_cast<std::uint32_t>(n) * base_cfg.hosts_per_switch;
+    const std::uint32_t hosts = n * base_cfg.hosts_per_switch;
     const auto traffic = dsn::make_traffic(pattern, hosts);
 
     for (const double load : cli.get_double_list("load-list")) {
@@ -143,17 +141,17 @@ int main(int argc, char** argv) {
         legacy = time_run(topo, policy, *traffic, cfg, repeat);
       }
 
-      for (const std::uint64_t threads : cli.get_uint_list("threads-list")) {
+      for (const std::uint32_t threads : cli.get_uint32_list("threads-list")) {
         cfg.legacy_core = false;
-        cfg.sim_threads = static_cast<std::uint32_t>(threads);
+        cfg.sim_threads = threads;
         const TimedRun active = time_run(topo, policy, *traffic, cfg, repeat);
 
         dsn::Json row = dsn::Json::object();
         row.set("topology", topo.name);
-        row.set("n", n);
+        row.set("n", static_cast<std::uint64_t>(n));
         row.set("hosts", static_cast<std::uint64_t>(hosts));
         row.set("load_gbps_per_host", load);
-        row.set("sim_threads", threads);
+        row.set("sim_threads", static_cast<std::uint64_t>(threads));
         row.set("cycles", active.cycles);
         row.set("wall_ms", active.wall_ms);
         row.set("cycles_per_sec", cycles_per_sec(active));

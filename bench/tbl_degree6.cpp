@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
 
   dsn::Table table({"N", "topology", "avg deg", "diameter", "ASPL", "avg cable [m]",
                     "total cable [m]"});
-  for (const auto size : cli.get_uint_list("sizes")) {
-    const auto n = static_cast<std::uint32_t>(size);
+  for (const std::uint32_t n : cli.get_uint32_list("sizes")) {
     for (int which = 0; which < 2; ++which) {
       dsn::Topology topo;
       try {
@@ -31,7 +30,7 @@ int main(int argc, char** argv) {
       const auto paths = dsn::compute_path_stats(topo.graph);
       const auto cable = dsn::compute_cable_report(topo);
       table.row()
-          .cell(size)
+          .cell(n)
           .cell(topo.name)
           .cell(deg.avg_degree)
           .cell(static_cast<std::uint64_t>(paths.diameter))

@@ -15,19 +15,18 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "1", "seed for DLN-2-2");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto sizes = cli.get_uint_list("sizes");
+  const auto sizes = cli.get_uint32_list("sizes");
   const auto seed = cli.get_uint("seed");
 
   dsn::Table table({"N", "p", "DSN span", "~n/p bound", "DSN line", "DLN-2-2 line",
                     "n/3 ref", "saving factor", "p/3 ref"});
-  for (const auto size : sizes) {
-    const auto n = static_cast<std::uint32_t>(size);
+  for (const std::uint32_t n : sizes) {
     const dsn::Dsn d(n, dsn::dsn_default_x(n));
     const auto dsn_stats = dsn::compute_line_cable_stats(d.topology());
     const auto rnd = dsn::make_dln_random(n, 2, 2, seed);
     const auto rnd_stats = dsn::compute_line_cable_stats(rnd);
     table.row()
-        .cell(size)
+        .cell(n)
         .cell(static_cast<std::uint64_t>(d.p()))
         .cell(dsn_stats.avg_shortcut_span, 1)
         .cell(static_cast<double>(n) / d.p(), 1)

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   cli.add_flag("sizes", "32,64,128,256,512,1024,2048", "comma-separated switch counts");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto sizes = cli.get_uint_list("sizes");
+  const auto sizes = cli.get_uint32_list("sizes");
   dsn::Table table({"N", "p", "r", "max deg", "#deg5", "p bound", "diam",
                     "2.5p+r", "route diam", "3p+r", "E[route]", "2p bound",
                     "ASPL", "1.5p bound"});
@@ -25,8 +25,7 @@ int main(int argc, char** argv) {
   // basic scheme's cyclic channel dependency graph.
   dsn::analyze::RouteAnalysisOptions lengths_only;
   lengths_only.find_min_cycle = false;
-  for (const auto size : sizes) {
-    const auto n = static_cast<std::uint32_t>(size);
+  for (const std::uint32_t n : sizes) {
     const dsn::Dsn d(n, dsn::dsn_default_x(n));
     const auto deg = dsn::compute_degree_stats(d.topology().graph);
     const auto paths = dsn::compute_path_stats(d.topology().graph);
@@ -35,7 +34,7 @@ int main(int argc, char** argv) {
 
     const std::uint64_t deg5 = deg.histogram.size() > 5 ? deg.histogram[5] : 0;
     table.row()
-        .cell(size)
+        .cell(n)
         .cell(static_cast<std::uint64_t>(d.p()))
         .cell(static_cast<std::uint64_t>(d.r()))
         .cell(static_cast<std::uint64_t>(deg.max_degree))

@@ -21,8 +21,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   dsn::Table table({"N", "scheme", "state/switch [bytes]", "total [KiB]", "growth"});
-  for (const auto size : cli.get_uint_list("sizes")) {
-    const auto n = static_cast<std::uint32_t>(size);
+  for (const std::uint32_t n : cli.get_uint32_list("sizes")) {
     // DSN custom: n, p, x (constants shared) + per-switch level (1 byte) and
     // shortcut target (4 bytes) — the algorithm recomputes everything else.
     const double custom_per_switch = 3 * 4 + 1 + 4;
@@ -41,7 +40,7 @@ int main(int argc, char** argv) {
 
     const auto add = [&](const char* scheme, double per_switch, const char* growth) {
       table.row()
-          .cell(size)
+          .cell(n)
           .cell(scheme)
           .cell(per_switch, 0)
           .cell(per_switch * n / 1024.0, 1)

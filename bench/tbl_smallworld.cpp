@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "1", "seed");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
+  const auto n = cli.get_uint32("n");
   const auto seed = cli.get_uint("seed");
 
   {

@@ -25,13 +25,12 @@ int main(int argc, char** argv) {
 
   dsn::Table table({"N", "topology", "avg hops", "avg path cable [m]",
                     "avg latency [ns]", "max [ns]", "wire share"});
-  for (const auto size : cli.get_uint_list("sizes")) {
-    const auto n = static_cast<std::uint32_t>(size);
+  for (const std::uint32_t n : cli.get_uint32_list("sizes")) {
     for (const auto& family : dsn::paper_topology_trio()) {
       const dsn::Topology topo = dsn::make_topology_by_name(family, n, seed);
       const auto stats = dsn::estimate_wire_latency(topo, cfg);
       table.row()
-          .cell(size)
+          .cell(n)
           .cell(family)
           .cell(stats.avg_hops)
           .cell(stats.avg_cable_m, 1)

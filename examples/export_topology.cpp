@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
                           " empty prints to stdout");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
+  const auto n = cli.get_uint32("n");
   const dsn::Topology topo =
       dsn::make_topology_by_name(cli.get("topology"), n, cli.get_uint("seed"));
 

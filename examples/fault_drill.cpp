@@ -114,8 +114,8 @@ int main(int argc, char** argv) {
 #endif
   }
 
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
-  const auto trials = static_cast<std::uint32_t>(cli.get_uint("trials"));
+  const auto n = cli.get_uint32("n");
+  const auto trials = cli.get_uint32("trials");
   const auto seed = cli.get_uint("seed");
   const dsn::Topology topo = dsn::make_topology_by_name(cli.get("topology"), n, seed);
 
@@ -150,8 +150,7 @@ int main(int argc, char** argv) {
                              std::to_string(trials) + " trials/point)");
 
   if (cli.get_bool("live"))
-    run_live_drill(static_cast<std::uint32_t>(cli.get_uint("live-n")),
-                   cli.get_bool("json"));
+    run_live_drill(cli.get_uint32("live-n"), cli.get_bool("json"));
 
 #if DSN_OBS
   if (!trace_path.empty() && dsn::obs::stop_trace(trace_path))

@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
   cli.add_flag("dump_nodes", "true", "print the per-node structure table");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
-  const auto x_flag = static_cast<std::uint32_t>(cli.get_uint("x"));
+  const auto n = cli.get_uint32("n");
+  const auto x_flag = cli.get_uint32("x");
   const dsn::Dsn d(n, x_flag == 0 ? dsn::dsn_default_x(n) : x_flag);
 
   std::cout << "DSN-" << d.x() << "-" << d.n() << ": p = " << d.p() << ", r = " << d.r()
@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "  (avg " << deg.avg_degree << ")\n\n";
 
-  const auto src = static_cast<dsn::NodeId>(cli.get_uint("src"));
-  const auto dst = static_cast<dsn::NodeId>(cli.get_uint("dst"));
+  const auto src = cli.get_uint32("src");
+  const auto dst = cli.get_uint32("dst");
   const dsn::DsnRouter router(d);
   const dsn::Route route = router.route(src, dst);
   std::cout << "custom route " << src << " -> " << dst << " (" << route.length()

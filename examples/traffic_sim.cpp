@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   cli.add_flag("cycles", "30000", "measurement cycles");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
+  const auto n = cli.get_uint32("n");
   const dsn::Topology topo =
       dsn::make_topology_by_name(cli.get("topology"), n, cli.get_uint("seed"));
 

@@ -28,12 +28,11 @@ GraphSweepPoint evaluate_topology(const Topology& topo) {
 }
 
 std::vector<GraphSweepPoint> run_graph_sweep(const std::string& family,
-                                             const std::vector<std::uint64_t>& sizes,
+                                             const std::vector<std::uint32_t>& sizes,
                                              std::uint64_t seed) {
   std::vector<GraphSweepPoint> points(sizes.size());
   for (std::size_t i = 0; i < sizes.size(); ++i) {
-    const Topology topo =
-        make_topology_by_name(family, static_cast<std::uint32_t>(sizes[i]), seed);
+    const Topology topo = make_topology_by_name(family, sizes[i], seed);
     points[i] = evaluate_topology(topo);
     points[i].topology = family;
   }

@@ -27,7 +27,7 @@ struct GraphSweepPoint {
 
 /// Run the Fig. 7/8/9 sweep for one topology family over the given sizes.
 std::vector<GraphSweepPoint> run_graph_sweep(const std::string& family,
-                                             const std::vector<std::uint64_t>& sizes,
+                                             const std::vector<std::uint32_t>& sizes,
                                              std::uint64_t seed = 1);
 
 /// Compute one point (metrics + layout) for an already built topology.

@@ -26,33 +26,42 @@ SubsetPathStats subset_path_stats(const Graph& g, const std::vector<std::uint8_t
     return out;
   }
 
+  // Shards are contiguous ranges of 64-source MS-BFS batches, each with one
+  // scratch and one accumulator, merged in shard order: integer sums and a
+  // max, so the result is the same for any worker count.
   const CsrView csr(g);
+  ThreadPool& pool = ThreadPool::global();
   const std::size_t batches = (sources.size() + kMsBfsBatch - 1) / kMsBfsBatch;
-  struct BatchAcc {
+  const std::size_t shards = pool.shard_count(batches);
+  struct ShardAcc {
     std::uint64_t reached = 0;
     std::uint64_t total = 0;
     std::uint32_t diameter = 0;
   };
-  std::vector<BatchAcc> acc(batches);
-  ThreadPool::global().parallel_for(0, batches, [&](std::size_t b) {
-    const std::size_t lo = b * kMsBfsBatch;
-    const std::size_t count = std::min<std::size_t>(kMsBfsBatch, sources.size() - lo);
+  std::vector<ShardAcc> acc(shards);
+  pool.parallel_for(0, shards, [&](std::size_t k) {
     MsBfsScratch scratch;
-    BatchAcc& a = acc[b];
-    msbfs_sweep(csr, std::span<const NodeId>(sources).subspan(lo, count), scratch,
-                [&](NodeId v, std::uint32_t level, std::uint64_t fresh) {
-                  if (!alive[v]) return;
-                  const auto lanes = static_cast<std::uint32_t>(std::popcount(fresh));
-                  a.reached += lanes;
-                  a.total += static_cast<std::uint64_t>(level) * lanes;
-                  a.diameter = std::max(a.diameter, level);
-                });
+    ShardAcc& a = acc[k];
+    const std::size_t begin = k * batches / shards;
+    const std::size_t end = (k + 1) * batches / shards;
+    for (std::size_t b = begin; b < end; ++b) {
+      const std::size_t lo = b * kMsBfsBatch;
+      const std::size_t count = std::min<std::size_t>(kMsBfsBatch, sources.size() - lo);
+      msbfs_sweep(csr, std::span<const NodeId>(sources).subspan(lo, count), scratch,
+                  [&](NodeId v, std::uint32_t level, std::uint64_t fresh) {
+                    if (!alive[v]) return;
+                    const auto lanes = static_cast<std::uint32_t>(std::popcount(fresh));
+                    a.reached += lanes;
+                    a.total += static_cast<std::uint64_t>(level) * lanes;
+                    a.diameter = std::max(a.diameter, level);
+                  });
+    }
   });
 
   std::uint64_t reached = 0;
   std::uint64_t total = 0;
   std::uint32_t diameter = 0;
-  for (const BatchAcc& a : acc) {  // batch-order merge: worker-count invariant
+  for (const ShardAcc& a : acc) {
     reached += a.reached;
     total += a.total;
     diameter = std::max(diameter, a.diameter);

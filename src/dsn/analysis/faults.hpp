@@ -35,8 +35,9 @@ FaultTrialResult evaluate_switch_faults(const Topology& topo, double fraction,
 /// every alive node reaches every other alive node; diameter/ASPL are over
 /// alive pairs only (all zero when disconnected). Runs ceil(alive/64)
 /// bit-parallel MS-BFS sweeps over a CSR snapshot instead of one BFS per
-/// node; per-batch accumulators are merged in batch order, so the result is
-/// deterministic for any worker count.
+/// node, sharded by ThreadPool::shard_count; per-shard accumulators are
+/// merged in shard order, so the result is deterministic for any worker
+/// count.
 struct SubsetPathStats {
   bool connected = false;
   std::uint32_t diameter = 0;

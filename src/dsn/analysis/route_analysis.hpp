@@ -200,9 +200,9 @@ struct BoundRouting {
 /// Bind `family`'s routing function to `topo`, reconstructing routing
 /// parameters from the topology kind/name with require_dsn_params (throws
 /// dsn::PreconditionError when the family does not apply or parameters
-/// cannot be recovered). Note the up*/down* family materialises O(n^2)
-/// distance tables — callers that scale past small n must pick a table-free
-/// family.
+/// cannot be recovered). Note the up*/down* family materialises two n^2
+/// next-hop tables (8 n^2 bytes, 128 MiB at n = 4096) — callers that scale
+/// past small n must pick a table-free family.
 BoundRouting make_route_function(const Topology& topo, RoutingFamily family);
 
 /// Analyze a Topology with the given family (via make_route_function), from

@@ -19,8 +19,10 @@ T parse_number(const std::string& name, const std::string& token) {
   const char* const end = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(token.data(), end, value);
   if (ec != std::errc() || ptr != end) {
-    throw PreconditionError("flag --" + name + ": '" + token + "' is not " +
-                            (std::is_integral_v<T> ? "an unsigned integer" : "a number"));
+    const char* const what = std::is_floating_point_v<T>       ? "a number"
+                             : sizeof(T) == sizeof(std::uint32_t) ? "an unsigned 32-bit integer"
+                                                                  : "an unsigned integer";
+    throw PreconditionError("flag --" + name + ": '" + token + "' is not " + what);
   }
   return value;
 }
@@ -102,6 +104,10 @@ std::uint64_t Cli::get_uint(const std::string& name) const {
   return parse_number<std::uint64_t>(name, get(name));
 }
 
+std::uint32_t Cli::get_uint32(const std::string& name) const {
+  return parse_number<std::uint32_t>(name, get(name));
+}
+
 double Cli::get_double(const std::string& name) const {
   return parse_number<double>(name, get(name));
 }
@@ -123,6 +129,10 @@ std::vector<std::string> Cli::get_list(const std::string& name) const {
 
 std::vector<std::uint64_t> Cli::get_uint_list(const std::string& name) const {
   return parse_numbers<std::uint64_t>(name, get_list(name));
+}
+
+std::vector<std::uint32_t> Cli::get_uint32_list(const std::string& name) const {
+  return parse_numbers<std::uint32_t>(name, get_list(name));
 }
 
 std::vector<double> Cli::get_double_list(const std::string& name) const {

@@ -30,6 +30,9 @@ class Cli {
   /// '-' for get_uint): anything else, trailing characters or an out-of-range
   /// value throw dsn::PreconditionError naming the flag and its value.
   std::uint64_t get_uint(const std::string& name) const;
+  /// get_uint for values stored in 32 bits (switch counts, node, link and
+  /// host ids, ...): a value above 2^32 - 1 is refused the same way.
+  std::uint32_t get_uint32(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
@@ -37,6 +40,8 @@ class Cli {
   std::vector<std::string> get_list(const std::string& name) const;
   /// A comma-separated list of unsigned integers (e.g. "64,128,256").
   std::vector<std::uint64_t> get_uint_list(const std::string& name) const;
+  /// get_uint_list for 32-bit values, refused as get_uint32 refuses them.
+  std::vector<std::uint32_t> get_uint32_list(const std::string& name) const;
   /// A comma-separated list of doubles.
   std::vector<double> get_double_list(const std::string& name) const;
 

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "dsn/common/error.hpp"
-#include "dsn/common/thread_pool.hpp"
 #include "dsn/obs/obs.hpp"
 #include "dsn/sim/config.hpp"
 
@@ -85,16 +84,15 @@ FlowSimulator::FlowSimulator(const Topology& topo, const FlowConfig& config)
   routes_ = std::make_unique<FlowRoutes>(topo, csr_, config_.updown_max_n);
 }
 
-void FlowSimulator::map_route(HostId src, HostId dst, FlowRoutes::Scratch& scratch,
-                              std::vector<NodeId>& path,
-                              std::vector<std::uint32_t>& out) const {
+void FlowSimulator::map_route(HostId src, HostId dst) {
   DSN_REQUIRE(src < num_hosts_ && dst < num_hosts_, "demand host id out of range");
+  std::vector<std::uint32_t>& out = flows_.pool;
   const std::size_t arcs = csr_.num_arcs();
   out.push_back(static_cast<std::uint32_t>(arcs + src));
   routes_->switch_path(src / config_.hosts_per_switch, dst / config_.hosts_per_switch,
-                       scratch, path);
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const NodeId from = path[i], to = path[i + 1];
+                       route_scratch_, path_);
+  for (std::size_t i = 0; i + 1 < path_.size(); ++i) {
+    const NodeId from = path_[i], to = path_[i + 1];
     const auto nb = csr_.neighbors(from);
     std::size_t k = 0;
     while (k < nb.size() && nb[k] != to) ++k;
@@ -106,48 +104,21 @@ void FlowSimulator::map_route(HostId src, HostId dst, FlowRoutes::Scratch& scrat
 
 void FlowSimulator::admit(const std::vector<Demand>& demands) {
   const std::size_t base = flows_.count();
-  const std::size_t nd = demands.size();
-  ThreadPool& pool = ThreadPool::global();
-  const std::size_t num_shards =
-      config_.shards != 0 ? std::max<std::size_t>(1, std::min<std::size_t>(nd, config_.shards))
-                          : pool.shard_count(nd);
-
-  // Routes per shard, merged in shard (= demand) order.
-  std::vector<std::vector<std::uint32_t>> shard_pool(num_shards);
-  std::vector<std::vector<std::uint32_t>> shard_len(num_shards);
-  pool.parallel_for(0, num_shards, [&](std::size_t k) {
-    const std::size_t begin = nd * k / num_shards;
-    const std::size_t end = nd * (k + 1) / num_shards;
-    FlowRoutes::Scratch scratch;
-    std::vector<NodeId> path;
-    std::vector<std::uint32_t> route;
-    for (std::size_t i = begin; i < end; ++i) {
-      route.clear();
-      map_route(demands[i].src, demands[i].dst, scratch, path, route);
-      shard_len[k].push_back(static_cast<std::uint32_t>(route.size()));
-      shard_pool[k].insert(shard_pool[k].end(), route.begin(), route.end());
-    }
-  });
-
   if (flows_.route_begin.empty()) flows_.route_begin.push_back(0);
-  std::size_t i = 0;
-  for (std::size_t k = 0; k < num_shards; ++k) {
-    flows_.pool.insert(flows_.pool.end(), shard_pool[k].begin(), shard_pool[k].end());
-    for (const std::uint32_t len : shard_len[k]) {
-      const Demand& d = demands[i++];
-      DSN_REQUIRE(d.flits > 0, "demands must carry at least one flit");
-      flows_.src.push_back(d.src);
-      flows_.dst.push_back(d.dst);
-      flows_.remaining.push_back(static_cast<double>(d.flits));
-      flows_.size.push_back(d.flits);
-      flows_.fct.push_back(0.0);
-      flows_.route_begin.push_back(flows_.route_begin.back() + len);
-    }
+  for (const Demand& d : demands) {
+    map_route(d.src, d.dst);
+    DSN_REQUIRE(d.flits > 0, "demands must carry at least one flit");
+    flows_.src.push_back(d.src);
+    flows_.dst.push_back(d.dst);
+    flows_.remaining.push_back(static_cast<double>(d.flits));
+    flows_.size.push_back(d.flits);
+    flows_.fct.push_back(0.0);
+    flows_.route_begin.push_back(flows_.pool.size());
   }
-  active_.reserve(active_.size() + nd);
-  for (std::size_t f = 0; f < nd; ++f)
-    active_.push_back(static_cast<std::uint32_t>(base + f));
-  DSN_OBS_ONLY(DSN_OBS_ADD(FlowMetrics::get().flows, nd);)
+  active_.reserve(active_.size() + demands.size());
+  for (std::size_t f = base; f < flows_.count(); ++f)
+    active_.push_back(static_cast<std::uint32_t>(f));
+  DSN_OBS_ONLY(DSN_OBS_ADD(FlowMetrics::get().flows, demands.size());)
 }
 
 namespace {

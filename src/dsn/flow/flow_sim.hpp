@@ -1,13 +1,13 @@
 // dsn-slint: deterministic — FlowResult feeds byte-identical replay gates
-// across DSN_THREADS and admission shard counts: routes merge in shard order
+// across DSN_THREADS: admission routes each batch serially in demand order
 // and the fair-share solver is serial (see fair_share.hpp).
 //
 // The flow-level simulation tier. Where the flit simulator moves individual
 // flits cycle by cycle, this tier treats each demand as a fluid *flow* over
 // its switch-level route and advances time in discrete epochs:
 //
-//   1. admit newly emitted demands (routes computed in parallel shards,
-//      merged in shard order);
+//   1. admit newly emitted demands, routing each one in demand order
+//      straight into the route pool;
 //   2. solve the max-min fair rate allocation over per-resource capacities
 //      (directed link halves + host injection/ejection ports, each 1
 //      flit/cycle like the flit sim) by progressive water-filling, in a
@@ -46,9 +46,6 @@ struct FlowConfig {
   /// when millions of flows would otherwise each trigger a water-filling
   /// solve; 1 = exact completion-event stepping.
   std::uint64_t min_epoch_cycles = 1;
-  /// Admission route shards (per-pair routes run in parallel, merged in
-  /// shard order); 0 = auto from the global pool. The solver is serial.
-  std::uint32_t shards = 0;
   std::uint32_t updown_max_n = 4096;        ///< FlowRoutes table fallback cap
   bool verify = false;  ///< run check_max_min on every solve (tests, dsn-lint)
 
@@ -125,10 +122,9 @@ class FlowSimulator {
 
   void admit(const std::vector<Demand>& demands);
   FlowResult run_loop(WorkloadDriver& driver);
-  /// Map the switch path of (src, dst) to resource ids: injection port,
-  /// first matching directed arc per hop, ejection port.
-  void map_route(HostId src, HostId dst, FlowRoutes::Scratch& scratch,
-                 std::vector<NodeId>& path, std::vector<std::uint32_t>& out) const;
+  /// Append the resource ids of (src, dst)'s switch path to the route pool:
+  /// injection port, first matching directed arc per hop, ejection port.
+  void map_route(HostId src, HostId dst);
 
   const Topology* topo_;
   FlowConfig config_;
@@ -136,6 +132,8 @@ class FlowSimulator {
   std::vector<std::uint64_t> row_off_;  ///< node -> first arc index in csr_
   std::vector<double> capacity_;        ///< arcs, then inject, then eject
   std::unique_ptr<FlowRoutes> routes_;
+  FlowRoutes::Scratch route_scratch_;  ///< reused by every admitted route
+  std::vector<NodeId> path_;           ///< switch path being mapped
   std::uint32_t num_hosts_ = 0;
 
   Flows flows_;                        ///< this run's flows, admission order

@@ -2,6 +2,7 @@
 #include "dsn/flow/routes.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "dsn/common/error.hpp"
 
@@ -89,7 +90,10 @@ void FlowRoutes::switch_path(NodeId s, NodeId t, Scratch& scratch,
 void FlowRoutes::bfs_path(NodeId s, NodeId t, Scratch& scratch,
                           std::vector<NodeId>& path) const {
   const NodeId n = csr_->num_nodes();
-  if (scratch.stamp_fwd.size() != n) {
+  // A scratch lives as long as its simulator, so the generation may wrap:
+  // restart the stamps before it does.
+  if (scratch.stamp_fwd.size() != n ||
+      scratch.gen == std::numeric_limits<std::uint32_t>::max()) {
     scratch.stamp_fwd.assign(n, 0);
     scratch.stamp_bwd.assign(n, 0);
     scratch.parent_fwd.assign(n, kInvalidNode);

@@ -36,7 +36,7 @@ class FlowRoutes {
   const std::string& mode() const { return mode_; }
 
   /// Per-caller scratch: the route buffer the bound modes refill, and the
-  /// BFS mode's generation-stamped visit arrays (O(n) each). One per shard,
+  /// BFS mode's generation-stamped visit arrays (O(n) each). One per caller,
   /// never shared.
   struct Scratch {
     Route route;
@@ -47,8 +47,8 @@ class FlowRoutes {
   };
 
   /// Write the switch-level node path s .. t (both endpoints included) into
-  /// `path`. s == t yields the single-node path {s}. Deterministic for any
-  /// thread/shard count.
+  /// `path`. s == t yields the single-node path {s}. Deterministic: the
+  /// path depends only on (s, t).
   void switch_path(NodeId s, NodeId t, Scratch& scratch, std::vector<NodeId>& path) const;
 
  private:

@@ -45,13 +45,6 @@ class Graph {
     return id;
   }
 
-  /// Add u—v only if no such link exists yet. Returns the link id (existing
-  /// or new).
-  LinkId add_link_unique(NodeId u, NodeId v) {
-    if (const LinkId existing = find_link(u, v); existing != kInvalidLink) return existing;
-    return add_link(u, v);
-  }
-
   /// First link id between u and v, or kInvalidLink.
   LinkId find_link(NodeId u, NodeId v) const {
     DSN_REQUIRE(u < num_nodes() && v < num_nodes(), "node id out of range");
@@ -79,13 +72,6 @@ class Graph {
   std::pair<NodeId, NodeId> link_endpoints(LinkId id) const {
     DSN_REQUIRE(id < links_.size(), "link id out of range");
     return links_[id];
-  }
-
-  /// The endpoint of `id` that is not `from`.
-  NodeId link_other_end(LinkId id, NodeId from) const {
-    const auto [u, v] = link_endpoints(id);
-    DSN_REQUIRE(from == u || from == v, "node is not an endpoint of link");
-    return from == u ? v : u;
   }
 
   double average_degree() const {

@@ -4,68 +4,36 @@
 
 namespace dsn {
 
-namespace {
-
-struct Coords {
-  std::vector<std::uint32_t> c;
-};
-
-Coords coords_of(const Topology& topo, NodeId v) {
-  Coords out;
-  NodeId rest = v;
-  for (const std::uint32_t dim : topo.dims) {
-    out.c.push_back(rest % dim);
-    rest /= dim;
-  }
-  return out;
-}
-
-NodeId id_of(const Topology& topo, const Coords& coords) {
-  NodeId id = 0;
-  for (std::size_t k = topo.dims.size(); k-- > 0;) {
-    id = id * topo.dims[k] + coords.c[k];
-  }
-  return id;
-}
-
-/// Step coordinate `dim` one hop toward the target along the shorter wrap
-/// direction; ties go clockwise (+1).
-std::uint32_t step_toward(std::uint32_t from, std::uint32_t to, std::uint32_t size) {
-  const std::uint64_t fwd = ring_cw_distance(from, to, size);
-  const std::uint64_t bwd = size - fwd;
-  if (fwd <= bwd) return (from + 1) % size;
-  return from == 0 ? size - 1 : from - 1;
-}
-
-}  // namespace
-
 std::vector<NodeId> route_torus_dor(const Topology& topo, NodeId s, NodeId t) {
   DSN_REQUIRE(topo.kind == TopologyKind::kTorus2D || topo.kind == TopologyKind::kTorus3D,
               "DOR requires a torus topology");
   DSN_REQUIRE(s < topo.num_nodes() && t < topo.num_nodes(), "node id out of range");
   std::vector<NodeId> path{s};
-  Coords cur = coords_of(topo, s);
-  const Coords dst = coords_of(topo, t);
-  for (std::size_t dim = 0; dim < topo.dims.size(); ++dim) {
-    while (cur.c[dim] != dst.c[dim]) {
-      cur.c[dim] = step_toward(cur.c[dim], dst.c[dim], topo.dims[dim]);
-      path.push_back(id_of(topo, cur));
-    }
+  for (NodeId u = s; u != t;) {
+    u = torus_dor_next_hop(topo, u, t).next;
+    path.push_back(u);
   }
   return path;
 }
 
-NodeId torus_dor_next_hop(const Topology& topo, NodeId s, NodeId t) {
-  if (s == t) return kInvalidNode;
-  Coords cur = coords_of(topo, s);
-  const Coords dst = coords_of(topo, t);
-  for (std::size_t dim = 0; dim < topo.dims.size(); ++dim) {
-    if (cur.c[dim] != dst.c[dim]) {
-      cur.c[dim] = step_toward(cur.c[dim], dst.c[dim], topo.dims[dim]);
-      return id_of(topo, cur);
+DorStep torus_dor_next_hop(const Topology& topo, NodeId s, NodeId t) {
+  // Coordinate d of node v is (v / stride) % dims[d], stride the product of
+  // the lower dimensions' sizes.
+  NodeId stride = 1;
+  for (std::uint32_t d = 0; d < topo.dims.size(); ++d) {
+    const std::uint32_t size = topo.dims[d];
+    const std::uint32_t from = s / stride % size;
+    const std::uint32_t to = t / stride % size;
+    if (from != to) {
+      const std::uint64_t fwd = ring_cw_distance(from, to, size);
+      const std::uint32_t next =
+          fwd <= size - fwd ? (from + 1) % size : (from == 0 ? size - 1 : from - 1);
+      const bool wrap = (from == size - 1 && next == 0) || (from == 0 && next == size - 1);
+      return {s - from * stride + next * stride, d, wrap};
     }
+    stride *= size;
   }
-  return kInvalidNode;
+  return {};
 }
 
 }  // namespace dsn

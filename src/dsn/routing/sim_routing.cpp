@@ -16,24 +16,22 @@ constexpr NodeId kPristineRoot = 0;
 }  // namespace
 
 SimRouting::SimRouting(const Topology& topo, ThreadPool* pool)
-    : topo_(&topo), n_(topo.num_nodes()), updown_(topo.graph, kPristineRoot) {
-  build_tables(topo.graph, pool);
-}
+    : SimRouting(topo, topo.graph, kPristineRoot, /*allow_disconnected=*/false, pool) {}
 
 SimRouting::SimRouting(const Topology& topo, std::span<const std::uint8_t> link_alive,
                        std::span<const std::uint8_t> switch_alive, NodeId updown_root,
                        ThreadPool* pool)
-    : topo_(&topo),
-      n_(topo.num_nodes()),
-      degraded_(std::make_unique<Graph>(live_subgraph(topo.graph, link_alive,
-                                                      switch_alive))),
-      updown_(*degraded_, updown_root, /*allow_disconnected=*/true) {
+    : SimRouting(topo, live_subgraph(topo.graph, link_alive, switch_alive), updown_root,
+                 /*allow_disconnected=*/true, pool) {
   DSN_REQUIRE(updown_root < switch_alive.size() && switch_alive[updown_root],
               "up*/down* root must be an alive switch");
-  build_tables(*degraded_, pool);
 }
 
-void SimRouting::build_tables(const Graph& g, ThreadPool* pool) {
+SimRouting::SimRouting(const Topology& topo, const Graph& g, NodeId updown_root,
+                       bool allow_disconnected, ThreadPool* pool)
+    : topo_(&topo),
+      n_(topo.num_nodes()),
+      updown_(g, updown_root, allow_disconnected) {
   ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
   const std::size_t nn = static_cast<std::size_t>(n_) * n_;
   dist_.assign(nn, kUnreachable);

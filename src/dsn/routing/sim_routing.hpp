@@ -11,7 +11,6 @@
 // simply have no next hops until the topology heals.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -60,11 +59,13 @@ class SimRouting {
   bool escape_hop_is_down(NodeId u, NodeId v) const { return !updown_.is_up(u, v); }
 
  private:
-  void build_tables(const Graph& g, ThreadPool* pool);
+  /// Both builds' body: every table over `g` (topo.graph or its alive
+  /// subgraph, which no table keeps a reference to).
+  SimRouting(const Topology& topo, const Graph& g, NodeId updown_root,
+             bool allow_disconnected, ThreadPool* pool);
 
   const Topology* topo_;
   NodeId n_;
-  std::unique_ptr<Graph> degraded_;  ///< owned alive subgraph (masked builds only)
   UpDownRouting updown_;
   std::vector<std::uint32_t> dist_;       // n * n
   std::vector<NodeId> minimal_flat_;      // concatenated next-hop lists

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "dsn/graph/csr.hpp"
 #include "dsn/graph/graph.hpp"
 
 namespace dsn {
@@ -19,6 +18,9 @@ namespace dsn {
 class UpDownRouting {
  public:
   /// Builds tree levels and both next-hop tables (O(n * E) preprocessing).
+  /// The tables are all the object keeps: 2 n^2 node ids, 128 MiB at
+  /// n = 4096. Each destination's backward BFS runs on scratch its shard
+  /// reuses (a queue and two n-entry distance rows), and `g` is not kept.
   /// With `allow_disconnected` the graph may have several components (the
   /// degraded rebuilds of the fault-recovery path): nodes unreachable from
   /// the root keep kUnreachable tree levels — the (level, id) orientation
@@ -28,13 +30,9 @@ class UpDownRouting {
   UpDownRouting(const Graph& g, NodeId root, bool allow_disconnected = false);
 
   NodeId root() const { return root_; }
-  const Graph& graph() const { return *graph_; }
 
   /// True iff traversing u -> v is an "up" hop (toward the root).
   bool is_up(NodeId u, NodeId v) const;
-
-  /// Hop count of the shortest legal path from u to t (phase 0: up allowed).
-  std::uint32_t legal_distance(NodeId u, NodeId t) const;
 
   /// Next hop on a shortest legal path from u to t. `down_only` selects the
   /// table for packets whose previous hop (on the escape layer) was a down
@@ -46,14 +44,10 @@ class UpDownRouting {
   std::vector<NodeId> route(NodeId s, NodeId t) const;
 
  private:
-  const Graph* graph_;
-  CsrView csr_;  // traversal snapshot: table construction walks this
   NodeId root_;
-  std::vector<std::uint32_t> tree_level_;
-  // dist_[phase][t * n + u] = shortest legal hops from u to t given phase
-  // (0: up still allowed, 1: down only); kUnreachable if none.
-  std::vector<std::uint32_t> dist_[2];
-  // next_[phase][t * n + u] = next hop on such a path.
+  std::vector<std::uint32_t> tree_level_;  // BFS hops from the root, per node
+  // next_[phase][t * n + u] = next hop on a shortest legal path from u to t
+  // given phase (0: up still allowed, 1: down only); kInvalidNode if none.
   std::vector<NodeId> next_[2];
 };
 

@@ -183,35 +183,18 @@ TorusDorPolicy::TorusDorPolicy(const Topology& torus, std::uint32_t vcs)
               "dateline DOR needs 2 VCs per torus dimension");
 }
 
-std::uint32_t TorusDorPolicy::coord(NodeId v, std::size_t d) const {
-  NodeId rest = v;
-  for (std::size_t k = 0; k < d; ++k) rest /= topo_->dims[k];
-  return rest % topo_->dims[d];
-}
-
-std::size_t TorusDorPolicy::active_dimension(NodeId u, NodeId t) const {
-  for (std::size_t d = 0; d < topo_->dims.size(); ++d) {
-    if (coord(u, d) != coord(t, d)) return d;
-  }
-  return topo_->dims.size();
-}
-
 void TorusDorPolicy::candidates(NodeId u, NodeId t, std::uint8_t state,
                                 std::vector<RouteCandidate>& out) const {
   out.clear();
-  const NodeId next = torus_dor_next_hop(*topo_, u, t);
-  if (next == kInvalidNode) return;
-  const std::size_t dim = active_dimension(u, t);
+  const DorStep step = torus_dor_next_hop(*topo_, u, t);
+  if (step.next == kInvalidNode) return;
   const bool crossed =
-      static_cast<std::size_t>(state >> 1) == dim + 1 && (state & 1u) != 0;
+      static_cast<std::uint32_t>(state >> 1) == step.dim + 1 && (state & 1u) != 0;
   // Wrap hops (size-1 <-> 0) cross the dateline of the dimension.
-  const std::uint32_t cu = coord(u, dim);
-  const std::uint32_t cv = coord(next, dim);
-  const std::uint32_t size = topo_->dims[dim];
-  const bool wrap = (cu == size - 1 && cv == 0) || (cu == 0 && cv == size - 1);
-  out.push_back({next, static_cast<std::uint32_t>(2 * dim + (crossed ? 1 : 0)),
+  out.push_back({step.next, 2 * step.dim + (crossed ? 1u : 0u),
                  /*escape=*/false,
-                 static_cast<std::uint8_t>(((dim + 1) << 1) | ((crossed || wrap) ? 1u : 0u))});
+                 static_cast<std::uint8_t>(((step.dim + 1) << 1) |
+                                           ((crossed || step.wrap) ? 1u : 0u))});
 }
 
 }  // namespace dsn

@@ -220,11 +220,6 @@ class TorusDorPolicy final : public SimRoutingPolicy {
                   std::vector<RouteCandidate>& out) const override;
 
  private:
-  /// Coordinate of node v in dimension d.
-  std::uint32_t coord(NodeId v, std::size_t d) const;
-  /// First dimension in which u and t differ, or rank() if u == t.
-  std::size_t active_dimension(NodeId u, NodeId t) const;
-
   const Topology* topo_;
 };
 

@@ -325,37 +325,50 @@ TEST(Cli, ParsesStringLists) {
 
 TEST(Cli, RejectsMalformedNumbers) {
   // Every number is read whole: a '+' (or a '-' on an unsigned), junk after
-  // the digits or a value out of the type's range is refused with the flag
-  // and its value.
-  const auto refusal = [](const std::string& value, bool as_list, bool as_double) {
+  // the digits or a value out of the type's range (64 bits for get_uint, 32
+  // for get_uint32) is refused with the flag and its value.
+  enum class Read { kUint, kUint32, kDouble };
+  const auto refusal = [](const std::string& value, bool as_list, Read read) {
     Cli cli("test");
     cli.add_flag("v", "0", "value");
     const std::string arg = "--v=" + value;
     const char* argv[] = {"prog", arg.c_str()};
     EXPECT_TRUE(cli.parse(2, argv));
     try {
-      if (as_double) {
-        as_list ? (void)cli.get_double_list("v") : (void)cli.get_double("v");
-      } else {
-        as_list ? (void)cli.get_uint_list("v") : (void)cli.get_uint("v");
+      switch (read) {
+        case Read::kUint:
+          as_list ? (void)cli.get_uint_list("v") : (void)cli.get_uint("v");
+          break;
+        case Read::kUint32:
+          as_list ? (void)cli.get_uint32_list("v") : (void)cli.get_uint32("v");
+          break;
+        case Read::kDouble:
+          as_list ? (void)cli.get_double_list("v") : (void)cli.get_double("v");
+          break;
       }
     } catch (const PreconditionError& e) {
       return std::string(e.what());
     }
     return std::string("accepted");
   };
+  const auto expect_refused = [&](const std::string& prefix, const std::string& bad,
+                                  bool as_list, Read read) {
+    const std::string what = refusal(prefix + bad, as_list, read);
+    EXPECT_NE(what.find("--v"), std::string::npos) << prefix + bad << ": " << what;
+    EXPECT_NE(what.find("'" + bad + "'"), std::string::npos) << prefix + bad << ": " << what;
+  };
   for (const bool as_list : {false, true}) {
     const std::string prefix = as_list ? "1," : "";
     for (const std::string bad : {"64x", "-1", "+1", "1.5", "", "18446744073709551616"}) {
       if (as_list && bad.empty()) continue;  // empty list items are skipped
-      const std::string what = refusal(prefix + bad, as_list, false);
-      EXPECT_NE(what.find("--v"), std::string::npos) << prefix + bad << ": " << what;
-      EXPECT_NE(what.find("'" + bad + "'"), std::string::npos) << prefix + bad << ": " << what;
+      expect_refused(prefix, bad, as_list, Read::kUint);
+      expect_refused(prefix, bad, as_list, Read::kUint32);
     }
+    expect_refused(prefix, "4294967296", as_list, Read::kUint32);
+    EXPECT_EQ(refusal(prefix + "4294967296", as_list, Read::kUint), "accepted");
+    EXPECT_EQ(refusal(prefix + "4294967295", as_list, Read::kUint32), "accepted");
     for (const std::string bad : {"1.5x", "+1", "0.5 ", "1e999"}) {
-      const std::string what = refusal(prefix + bad, as_list, true);
-      EXPECT_NE(what.find("--v"), std::string::npos) << prefix + bad << ": " << what;
-      EXPECT_NE(what.find("'" + bad + "'"), std::string::npos) << prefix + bad << ": " << what;
+      expect_refused(prefix, bad, as_list, Read::kDouble);
     }
   }
   // What the benchmark driver passes still parses.
@@ -367,6 +380,8 @@ TEST(Cli, RejectsMalformedNumbers) {
   EXPECT_EQ(cli.get_double("seconds"), 20.0);
   EXPECT_EQ(cli.get_uint("seed"), 1u);
   EXPECT_EQ(cli.get_uint_list("seed"), (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(cli.get_uint32("seed"), 1u);
+  EXPECT_EQ(cli.get_uint32_list("seed"), (std::vector<std::uint32_t>{1}));
 }
 
 TEST(Cli, DuplicateFlagRegistrationThrows) {

@@ -57,15 +57,24 @@ TEST(Dor, TakesShorterWrapDirection) {
 }
 
 TEST(Dor, NextHopMatchesPath) {
+  // The step's node is the path's second node; its dimension is the first
+  // one where s and dst differ, and it wraps iff that coordinate jumps
+  // between 0 and 4.
   const Topology t = make_torus_2d(5, 5);
   for (NodeId s = 0; s < 25; ++s) {
     for (NodeId dst = 0; dst < 25; ++dst) {
+      const DorStep step = torus_dor_next_hop(t, s, dst);
       if (s == dst) {
-        EXPECT_EQ(torus_dor_next_hop(t, s, dst), kInvalidNode);
+        EXPECT_EQ(step.next, kInvalidNode);
         continue;
       }
       const auto path = route_torus_dor(t, s, dst);
-      EXPECT_EQ(torus_dor_next_hop(t, s, dst), path[1]);
+      EXPECT_EQ(step.next, path[1]);
+      const std::uint32_t dim = s % 5 != dst % 5 ? 0 : 1;
+      EXPECT_EQ(step.dim, dim) << s << "->" << dst;
+      const NodeId stride = dim == 0 ? 1 : 5;
+      const std::uint32_t from = s / stride % 5, to = step.next / stride % 5;
+      EXPECT_EQ(step.wrap, from + to == 4 && (from == 0 || to == 0)) << s << "->" << dst;
     }
   }
 }

@@ -1,9 +1,9 @@
-// Determinism gates for the flow tier: results must be byte-identical for
-// every admission shard count and for a simulator reused across runs
-// (in-process, comparing the full JSON projection), and for every
-// DSN_THREADS value (subprocess, comparing `dsn-lint flow --json` output
-// bytes across thread-pool widths). The fair-share solver itself is serial;
-// its bitwise oracle is FlowFairness.SolverMatchesSerialReferenceBitwise.
+// Determinism gates for the flow tier: results must match pinned digests of
+// their full JSON projection, be byte-identical for a simulator reused
+// across runs (in-process), and for every DSN_THREADS value (subprocess,
+// comparing `dsn-lint flow --json` output bytes across thread-pool widths).
+// Admission and the fair-share solver are serial; the solver's bitwise
+// oracle is FlowFairness.SolverMatchesSerialReferenceBitwise.
 // Registered under `ctest -L determinism` via the determinism.flow entry.
 // FlowRoutes.ModeFollowsTopologyKind pins which route mode each topology
 // kind binds.
@@ -11,9 +11,11 @@
 
 #include <sys/wait.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dsn/analysis/factory.hpp"
@@ -24,13 +26,11 @@
 namespace dsn::flow {
 namespace {
 
-/// One full closed-loop run, projected to bytes.
-std::string run_to_bytes(const std::string& topology, const std::string& workload,
-                         std::uint32_t n, std::uint32_t shards) {
+/// FNV-1a digest of one full closed-loop run's JSON projection, as hex.
+std::string run_digest(const std::string& topology, const std::string& workload,
+                       std::uint32_t n) {
   const Topology topo = make_topology_by_name(topology, n);
-  FlowConfig cfg;
-  cfg.shards = shards;
-  FlowSimulator sim(topo, cfg);
+  FlowSimulator sim(topo, FlowConfig{});
   WorkloadParams params;
   params.hosts = sim.num_hosts();
   params.clients = 16;
@@ -38,22 +38,23 @@ std::string run_to_bytes(const std::string& topology, const std::string& workloa
   params.unit_flits = 192;
   params.seed = 11;
   const std::unique_ptr<WorkloadDriver> driver = make_workload(workload, params);
-  return to_json(sim.run(*driver)).dump();
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : to_json(sim.run(*driver)).dump()) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
 }
 
-TEST(FlowDeterminism, ResultsByteIdenticalAcrossShardCounts) {
-  const std::vector<std::pair<std::string, std::string>> cases = {
-      {"dsn", "shuffle"},
-      {"random-regular", "hdfs-write"},
-      {"dln", "allreduce-ring"},
-  };
-  for (const auto& [topology, workload] : cases) {
-    const std::string base = run_to_bytes(topology, workload, 128, /*shards=*/1);
-    for (const std::uint32_t shards : {2u, 4u, 8u, 13u}) {
-      EXPECT_EQ(base, run_to_bytes(topology, workload, 128, shards))
-          << topology << "/" << workload << " shards=" << shards;
-    }
-  }
+TEST(FlowDeterminism, GoldenResults) {
+  // Pinned result bytes for the three route modes (dsn, updown, dln-jump).
+  // Recorded when admission still routed in parallel shards, where they held
+  // at 1, 2, 4, 8 and 13 shards.
+  EXPECT_EQ(run_digest("dsn", "shuffle", 128), "4c96d1937de57a4a");
+  EXPECT_EQ(run_digest("random-regular", "hdfs-write", 128), "43231112d5aeda6b");
+  EXPECT_EQ(run_digest("dln", "allreduce-ring", 128), "475981734d3d0473");
 }
 
 TEST(FlowDeterminism, StaticBatchMatchesRepeatedRun) {
@@ -80,29 +81,38 @@ TEST(FlowDeterminism, StaticBatchMatchesRepeatedRun) {
 }
 
 TEST(FlowDeterminism, ReusedSimulatorMatchesFreshOne) {
-  // A simulator carries only its topology, capacities, routes and solver
-  // workspace from one run to the next: back-to-back runs of different
-  // workloads must each report what a fresh simulator reports.
-  const Topology topo = make_topology_by_name("dsn", 128);
-  const FlowConfig cfg;
-  FlowSimulator reused(topo, cfg);
-  WorkloadParams params;
-  params.hosts = reused.num_hosts();
-  params.clients = 16;
-  params.units = 6;
-  params.seed = 3;
-  for (const char* workload : {"shuffle", "hdfs-read"}) {
-    const std::string fresh =
-        to_json(FlowSimulator(topo, cfg).run(*make_workload(workload, params))).dump();
-    for (int run = 0; run < 2; ++run) {
-      EXPECT_EQ(fresh, to_json(reused.run(*make_workload(workload, params))).dump())
-          << workload << " run " << run;
+  // A simulator carries only its topology, capacities, routes and its
+  // solver and route workspaces from one run to the next: back-to-back runs
+  // of different workloads must each report what a fresh simulator reports.
+  // The second case routes by per-pair BFS (random-regular above
+  // updown_max_n), whose visit stamps live in the kept route workspace.
+  const std::vector<std::pair<std::string, std::uint32_t>> cases = {
+      {"dsn", FlowConfig{}.updown_max_n}, {"random-regular", 32}};
+  for (const auto& [topology, updown_max_n] : cases) {
+    const Topology topo = make_topology_by_name(topology, 128);
+    FlowConfig cfg;
+    cfg.updown_max_n = updown_max_n;
+    FlowSimulator reused(topo, cfg);
+    WorkloadParams params;
+    params.hosts = reused.num_hosts();
+    params.clients = 16;
+    params.units = 6;
+    params.seed = 3;
+    for (const char* workload : {"shuffle", "hdfs-read"}) {
+      const std::string fresh =
+          to_json(FlowSimulator(topo, cfg).run(*make_workload(workload, params))).dump();
+      for (int run = 0; run < 2; ++run) {
+        EXPECT_EQ(fresh, to_json(reused.run(*make_workload(workload, params))).dump())
+            << topology << " " << workload << " run " << run;
+      }
     }
+    const std::vector<Demand> batch =
+        expand_all_demands(*make_workload("hdfs-read", params));
+    const std::string fresh = to_json(FlowSimulator(topo, cfg).run(batch)).dump();
+    for (int run = 0; run < 2; ++run)
+      EXPECT_EQ(fresh, to_json(reused.run(batch)).dump())
+          << topology << " static batch run " << run;
   }
-  const std::vector<Demand> batch = expand_all_demands(*make_workload("hdfs-read", params));
-  const std::string fresh = to_json(FlowSimulator(topo, cfg).run(batch)).dump();
-  for (int run = 0; run < 2; ++run)
-    EXPECT_EQ(fresh, to_json(reused.run(batch)).dump()) << "static batch run " << run;
 }
 
 /// Run the real dsn-lint binary (path injected by CMake as DSN_LINT_PATH)

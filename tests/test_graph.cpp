@@ -27,8 +27,6 @@ TEST(Graph, AddAndQueryLinks) {
   EXPECT_EQ(g.find_link(1, 2), l1);
   EXPECT_EQ(g.find_link(0, 3), kInvalidLink);
   EXPECT_EQ(g.link_endpoints(l0), (std::pair<NodeId, NodeId>{0, 1}));
-  EXPECT_EQ(g.link_other_end(l0, 0), 1u);
-  EXPECT_EQ(g.link_other_end(l0, 1), 0u);
 }
 
 TEST(Graph, RejectsSelfLoops) {
@@ -50,14 +48,6 @@ TEST(Graph, ParallelEdgesAllowed) {
   EXPECT_EQ(g.num_links(), 2u);
   EXPECT_EQ(g.degree(0), 2u);
   EXPECT_EQ(g.degree(1), 2u);
-}
-
-TEST(Graph, AddLinkUniqueCollapses) {
-  Graph g(3);
-  const LinkId a = g.add_link_unique(0, 1);
-  const LinkId b = g.add_link_unique(1, 0);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(g.num_links(), 1u);
 }
 
 TEST(Graph, AverageDegree) {

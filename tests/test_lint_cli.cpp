@@ -7,6 +7,7 @@
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -69,12 +70,20 @@ TEST(LintCli, UsageErrorsExitTwo) {
 }
 
 TEST(LintCli, MalformedNumberNamesTheFlag) {
-  // Lint mode and a subcommand both refuse "64x" instead of linting n = 64.
-  for (const char* args : {"--topology dsn --n 64x", "routes --topology dsn --n 64x"}) {
+  // Lint mode and a subcommand both refuse "64x" instead of linting n = 64,
+  // and a 32-bit value past 2^32 - 1 instead of wrapping it (n = 2^32 + 64
+  // would lint DSN-5-64; link 2^32 would fail link 0).
+  const std::vector<std::array<std::string, 3>> cases = {
+      {"--topology dsn --n 64x", "--n", "64x"},
+      {"routes --topology dsn --n 64x", "--n", "64x"},
+      {"--topology dsn --n 4294967360", "--n", "4294967360"},
+      {"drill --topology dsn --n 64 --fail-link 4294967296 --json", "--fail-link",
+       "4294967296"}};
+  for (const auto& [args, flag, value] : cases) {
     const CliResult r = run_lint(args);
     EXPECT_NE(r.exit_code, 0) << args << "\n" << r.output;
-    EXPECT_NE(r.output.find("--n"), std::string::npos) << args << "\n" << r.output;
-    EXPECT_NE(r.output.find("64x"), std::string::npos) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find(flag), std::string::npos) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find(value), std::string::npos) << args << "\n" << r.output;
   }
 }
 

@@ -1,8 +1,9 @@
 // Tests for up*/down* routing: legality of every produced path, completeness,
-// shortest-legal-path optimality against a reference search, and the
-// phase-consistency of the two next-hop tables.
+// shortest-legal-path optimality of the routes the next-hop tables walk
+// against a reference search, and the phase-consistency of the two tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 
 #include "dsn/analysis/factory.hpp"
@@ -24,12 +25,42 @@ void expect_legal(const UpDownRouting& ud, const std::vector<NodeId>& path) {
   }
 }
 
+/// Brute-force shortest legal hop count from `s` to every node: BFS over
+/// (node, phase) states in the forward direction, independent of the
+/// production implementation (which searches backward from each destination).
+std::vector<std::uint32_t> legal_hops_from(const Graph& g, const UpDownRouting& ud, NodeId s) {
+  const NodeId n = g.num_nodes();
+  std::vector<std::uint32_t> dist(2 * n, kUnreachable);
+  std::deque<std::uint32_t> q;
+  dist[2 * s] = 0;
+  q.push_back(2 * s);
+  while (!q.empty()) {
+    const auto state = q.front();
+    q.pop_front();
+    const NodeId u = state / 2;
+    const bool down_only = state % 2;
+    for (const AdjHalf& h : g.neighbors(u)) {
+      const bool up = ud.is_up(u, h.to);
+      if (down_only && up) continue;
+      const std::uint32_t next_state = 2 * h.to + (up ? (down_only ? 1 : 0) : 1);
+      if (dist[next_state] == kUnreachable) {
+        dist[next_state] = dist[state] + 1;
+        q.push_back(next_state);
+      }
+    }
+  }
+  std::vector<std::uint32_t> hops(n);
+  for (NodeId t = 0; t < n; ++t) hops[t] = std::min(dist[2 * t], dist[2 * t + 1]);
+  return hops;
+}
+
 class UpDownTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(UpDownTest, AllPairsLegalAndComplete) {
   const Topology topo = make_topology_by_name(GetParam(), 64, 3);
   const UpDownRouting ud(topo.graph, 0);
   for (NodeId s = 0; s < 64; ++s) {
+    const std::vector<std::uint32_t> shortest = legal_hops_from(topo.graph, ud, s);
     for (NodeId t = 0; t < 64; ++t) {
       if (s == t) continue;
       const auto path = ud.route(s, t);
@@ -40,7 +71,7 @@ TEST_P(UpDownTest, AllPairsLegalAndComplete) {
         EXPECT_TRUE(topo.graph.has_link(path[i], path[i + 1]));
       }
       expect_legal(ud, path);
-      EXPECT_EQ(path.size() - 1, ud.legal_distance(s, t));
+      EXPECT_EQ(path.size() - 1, shortest[t]) << s << "->" << t;
     }
   }
 }
@@ -55,42 +86,22 @@ TEST(UpDown, LegalDistanceAtLeastBfs) {
     const auto bfs = bfs_distances(topo.graph, s);
     for (NodeId t = 0; t < 128; ++t) {
       if (s == t) continue;
-      EXPECT_GE(ud.legal_distance(s, t), bfs[t]);
+      EXPECT_GE(ud.route(s, t).size() - 1, bfs[t]);
     }
   }
 }
 
 TEST(UpDown, LegalDistanceOptimalAgainstBruteForce) {
-  // Brute-force shortest legal path via BFS over (node, phase) states in the
-  // forward direction, independent of the production implementation.
+  // Following the next-hop tables (route()) walks a shortest legal path for
+  // every ordered pair.
   const Topology topo = make_topology_by_name("random", 32, 11);
-  const Graph& g = topo.graph;
-  const UpDownRouting ud(g, 0);
-  const NodeId n = g.num_nodes();
+  const UpDownRouting ud(topo.graph, 0);
+  const NodeId n = topo.graph.num_nodes();
   for (NodeId s = 0; s < n; ++s) {
-    std::vector<std::uint32_t> dist(2 * n, kUnreachable);
-    std::deque<std::uint32_t> q;
-    dist[2 * s] = 0;
-    q.push_back(2 * s);
-    while (!q.empty()) {
-      const auto state = q.front();
-      q.pop_front();
-      const NodeId u = state / 2;
-      const bool down_only = state % 2;
-      for (const AdjHalf& h : g.neighbors(u)) {
-        const bool up = ud.is_up(u, h.to);
-        if (down_only && up) continue;
-        const std::uint32_t next_state = 2 * h.to + (up ? (down_only ? 1 : 0) : 1);
-        if (dist[next_state] == kUnreachable) {
-          dist[next_state] = dist[state] + 1;
-          q.push_back(next_state);
-        }
-      }
-    }
+    const std::vector<std::uint32_t> shortest = legal_hops_from(topo.graph, ud, s);
     for (NodeId t = 0; t < n; ++t) {
       if (s == t) continue;
-      const std::uint32_t expect = std::min(dist[2 * t], dist[2 * t + 1]);
-      EXPECT_EQ(ud.legal_distance(s, t), expect) << s << "->" << t;
+      EXPECT_EQ(ud.route(s, t).size() - 1, shortest[t]) << s << "->" << t;
     }
   }
 }

@@ -155,8 +155,8 @@ dsn::analyze::RoutingFamily parse_family(const std::string& name) {
 /// same topology with the extended classes realized as virtual channels, so
 /// its family is fixed; "dsn-e" carries them on physical Up/Extra links.
 dsn::analyze::RouteAnalysis run_analysis(const dsn::Cli& cli, dsn::Topology& topo) {
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
-  const auto x = static_cast<std::uint32_t>(cli.get_uint("x"));
+  const auto n = cli.get_uint32("n");
+  const auto x = cli.get_uint32("x");
   const std::string tname = cli.get("topology");
   const std::string family = cli.get("family");
 
@@ -304,7 +304,7 @@ int run_drill_command(int argc, const char* const* argv) {
 
   if (!cli.parse(argc, argv)) return kExitClean;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
+  const auto n = cli.get_uint32("n");
   const std::string tname = cli.get("topology");
   const std::string pname = cli.get("policy");
 
@@ -342,7 +342,7 @@ int run_drill_command(int argc, const char* const* argv) {
   cfg.seed = cli.get_uint("seed");
   cfg.epoch_cycles = cli.get_uint("epoch");
   cfg.packet_ttl_cycles = cli.get_uint("ttl");
-  cfg.max_retries = static_cast<std::uint32_t>(cli.get_uint("retries"));
+  cfg.max_retries = cli.get_uint32("retries");
   if (cli.get_bool("no-recovery")) {
     cfg.rebuild_routing_on_fault = false;
     cfg.retry_on_fault = false;
@@ -353,13 +353,13 @@ int run_drill_command(int argc, const char* const* argv) {
   if (fail_link != "none") {
     const dsn::LinkId victim = fail_link == "auto"
                                    ? auto_shortcut_link(topo)
-                                   : static_cast<dsn::LinkId>(cli.get_uint("fail-link"));
+                                   : cli.get_uint32("fail-link");
     schedule.link_down(cli.get_uint("fail-at"), victim);
     if (cli.get_uint("heal-at") != 0) schedule.link_up(cli.get_uint("heal-at"), victim);
   }
   const std::string fail_switch = cli.get("fail-switch");
   if (fail_switch != "none") {
-    const auto victim = static_cast<dsn::NodeId>(cli.get_uint("fail-switch"));
+    const auto victim = cli.get_uint32("fail-switch");
     schedule.switch_down(cli.get_uint("switch-fail-at"), victim);
     if (cli.get_uint("switch-heal-at") != 0)
       schedule.switch_up(cli.get_uint("switch-heal-at"), victim);
@@ -456,32 +456,29 @@ int run_flow_command(int argc, const char* const* argv) {
   cli.add_flag("min-epoch", "1",
                "epoch floor in cycles (batches completions per solve; 1 = "
                "exact event stepping)");
-  cli.add_flag("shards", "0",
-               "admission route shard count (0 = auto; result-invariant)");
   cli.add_flag("no-verify", "false",
                "skip the per-solve max-min invariant check (faster)");
   cli.add_flag("json", "false", "emit a machine-readable JSON report");
 
   if (!cli.parse(argc, argv)) return kExitClean;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
+  const auto n = cli.get_uint32("n");
   const dsn::Topology topo =
       dsn::make_topology_by_name(cli.get("topology"), n, cli.get_uint("seed"));
 
   dsn::flow::FlowConfig cfg;
-  cfg.hosts_per_switch = static_cast<std::uint32_t>(cli.get_uint("hosts-per-switch"));
+  cfg.hosts_per_switch = cli.get_uint32("hosts-per-switch");
   cfg.min_epoch_cycles = cli.get_uint("min-epoch");
-  cfg.shards = static_cast<std::uint32_t>(cli.get_uint("shards"));
   cfg.verify = !cli.get_bool("no-verify");
   dsn::flow::FlowSimulator sim(topo, cfg);
 
   dsn::flow::WorkloadParams params;
   params.hosts = sim.num_hosts();
-  params.rack_hosts = static_cast<std::uint32_t>(cli.get_uint("rack-hosts"));
-  params.clients = static_cast<std::uint32_t>(cli.get_uint("clients"));
-  params.units = static_cast<std::uint32_t>(cli.get_uint("units"));
+  params.rack_hosts = cli.get_uint32("rack-hosts");
+  params.clients = cli.get_uint32("clients");
+  params.units = cli.get_uint32("units");
   params.unit_flits = cli.get_uint("unit-flits");
-  params.window = static_cast<std::uint32_t>(cli.get_uint("window"));
+  params.window = cli.get_uint32("window");
   params.seed = cli.get_uint("seed");
   const std::unique_ptr<dsn::flow::WorkloadDriver> driver =
       dsn::flow::make_workload(cli.get("workload"), params);
@@ -546,17 +543,16 @@ int run_optimize_command(int argc, const char* const* argv) {
 
   if (!cli.parse(argc, argv)) return kExitClean;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
+  const auto n = cli.get_uint32("n");
   const dsn::Topology topo =
       dsn::make_topology_by_name(cli.get("topology"), n, cli.get_uint("seed"));
 
   dsn::opt::OptimizerConfig cfg;
   cfg.seed = cli.get_uint("seed");
-  cfg.passes = static_cast<std::uint32_t>(cli.get_uint("passes"));
-  cfg.iterations = static_cast<std::uint32_t>(cli.get_uint("iterations"));
-  cfg.plateau = static_cast<std::uint32_t>(cli.get_uint("plateau"));
-  cfg.estimator.sample_sources =
-      static_cast<std::uint32_t>(cli.get_uint("sample-sources"));
+  cfg.passes = cli.get_uint32("passes");
+  cfg.iterations = cli.get_uint32("iterations");
+  cfg.plateau = cli.get_uint32("plateau");
+  cfg.estimator.sample_sources = cli.get_uint32("sample-sources");
   const dsn::opt::OptimizerResult res = dsn::opt::optimize_shortcuts(topo, cfg);
 
   // Independent view of the seed placement through the shared analysis-layer
@@ -692,7 +688,7 @@ int run_stats_command(int argc, const char* const* argv) {
                "instrumentation call sites are compiled out\n";
   return kExitUsage;
 #else
-  const auto n = static_cast<std::uint32_t>(cli.get_uint("n"));
+  const auto n = cli.get_uint32("n");
   dsn::obs::set_metrics_enabled(true);
   const std::string trace_path = cli.get("trace");
   if (!trace_path.empty()) dsn::obs::start_trace();
@@ -932,8 +928,8 @@ int main(int argc, char** argv) {
       lint_one(dsn::read_edge_list(in), opts, quiet, stats);
     } else {
       const std::string which = cli.get("topology");
-      std::vector<std::uint64_t> sizes = cli.get_uint_list("n-list");
-      if (sizes.empty()) sizes.push_back(cli.get_uint("n"));
+      std::vector<std::uint32_t> sizes = cli.get_uint32_list("n-list");
+      if (sizes.empty()) sizes.push_back(cli.get_uint32("n"));
       const auto seed = cli.get_uint("seed");
 
       std::vector<std::string> names;
@@ -950,8 +946,7 @@ int main(int argc, char** argv) {
         names.push_back(which);
       }
 
-      for (const std::uint64_t size : sizes) {
-        const auto n = static_cast<std::uint32_t>(size);
+      for (const std::uint32_t n : sizes) {
         for (const std::string& name : names) {
           try {
             if (name == "dsn" && cli.get_bool("x-sweep")) {
