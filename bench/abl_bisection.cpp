@@ -8,7 +8,9 @@
 #include "dsn/common/table.hpp"
 #include "dsn/graph/bisection.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   dsn::Cli cli("Ablation: estimated bisection width (KL-refined upper bound).");
   cli.add_flag("sizes", "64,128,256,512", "comma-separated switch counts");
   cli.add_flag("seed", "1", "seed");
@@ -16,7 +18,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   const auto seed = cli.get_uint("seed");
-  const auto starts = static_cast<int>(cli.get_uint("starts"));
+  const std::uint32_t starts = cli.get_uint32("starts");
 
   dsn::Table table({"N", "topology", "bisection links", "links/node-pair",
                     "per-node"});
@@ -37,3 +39,7 @@ int main(int argc, char** argv) {
   table.print(std::cout, "Estimated bisection width (upper bound via Kernighan-Lin)");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

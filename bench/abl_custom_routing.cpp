@@ -43,9 +43,7 @@ std::vector<std::uint64_t> count_usages(
   return counts;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   dsn::Cli cli("Ablation: custom routing vs up*/down* traffic balance on DSN.");
   cli.add_flag("n", "64", "number of switches");
   cli.add_flag("load", "2.0", "offered load in Gbit/s per host");
@@ -79,9 +77,8 @@ int main(int argc, char** argv) {
           .cell(s.max_over_mean)
           .cell(s.coefficient_of_variation);
     };
-    const dsn::UpDownRouting ud(topo.graph, 0);
     report("up*/down*", count_usages(topo.graph, [&](dsn::NodeId s, dsn::NodeId t) {
-             return ud.route(s, t);
+             return routing.updown().route(s, t);
            }));
     const dsn::DsnRouter router(dsn_struct);
     report("DSN custom", count_usages(topo.graph, [&](dsn::NodeId s, dsn::NodeId t) {
@@ -148,3 +145,7 @@ int main(int argc, char** argv) {
                              " Gb/s/host uniform");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

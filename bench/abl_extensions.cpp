@@ -16,7 +16,9 @@
 #include "dsn/topology/dsn.hpp"
 #include "dsn/topology/dsn_ext.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   dsn::Cli cli("Ablation: DSN-D / DSN-E / flexible DSN extensions (Section V).");
   cli.add_flag("n", "512", "network size");
   cli.add_flag("cdg_n", "128", "network size for the CDG analysis (O(n^2) routes)");
@@ -116,3 +118,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

@@ -28,22 +28,7 @@
 
 namespace {
 
-/// First non-ring link — the interesting victim, since ring hops always have
-/// a parallel partner in DSN-E while a shortcut's loss forces a reroute.
-dsn::LinkId first_shortcut_link(const dsn::Topology& topo) {
-  const dsn::Graph& g = topo.graph;
-  const dsn::NodeId n = g.num_nodes();
-  for (dsn::LinkId l = 0; l < g.num_links(); ++l) {
-    const auto [u, v] = g.link_endpoints(l);
-    const dsn::NodeId gap = u < v ? v - u : u - v;
-    if (gap != 1 && gap != n - 1) return l;
-  }
-  return 0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   dsn::Cli cli("Ablation: recovery mechanisms under a mid-run link failure on DSN-E.");
   cli.add_flag("n", "48", "number of switches");
   cli.add_flag("load", "1.0", "offered load in Gbit/s per host");
@@ -59,7 +44,7 @@ int main(int argc, char** argv) {
 
   const auto n = cli.get_uint32("n");
   const dsn::Topology topo = dsn::make_topology_by_name("dsn-e", n);
-  const dsn::LinkId victim = first_shortcut_link(topo);
+  const dsn::LinkId victim = dsn::drill_victim_link(topo);
 
   dsn::SimConfig base;
   base.warmup_cycles = 0;
@@ -141,3 +126,7 @@ int main(int argc, char** argv) {
                              std::to_string(base.epoch_cycles) + " cycles)");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

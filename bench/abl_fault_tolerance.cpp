@@ -8,7 +8,9 @@
 #include "dsn/common/cli.hpp"
 #include "dsn/common/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   dsn::Cli cli("Ablation: connectivity/ASPL degradation under random failures.");
   cli.add_flag("n", "256", "network size");
   cli.add_flag("trials", "20", "trials per point");
@@ -45,3 +47,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

@@ -9,7 +9,9 @@
 #include "dsn/common/table.hpp"
 #include "dsn/layout/optimize.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   dsn::Cli cli("Ablation: simulated-annealing cabinet placement optimization.");
   cli.add_flag("n", "256", "network size");
   cli.add_flag("iters", "200000", "annealing iterations");
@@ -46,3 +48,7 @@ int main(int argc, char** argv) {
                "tori differs from the natural 2-D tiling used in Figure 9.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

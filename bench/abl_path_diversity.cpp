@@ -10,7 +10,9 @@
 #include "dsn/common/table.hpp"
 #include "dsn/graph/paths.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   dsn::Cli cli("Ablation: edge-disjoint path diversity and k-shortest path spread.");
   cli.add_flag("n", "128", "network size");
   cli.add_flag("pairs", "60", "sampled (s, t) pairs");
@@ -58,3 +60,7 @@ int main(int argc, char** argv) {
                              std::to_string(k) + ")");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

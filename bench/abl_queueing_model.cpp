@@ -10,7 +10,9 @@
 #include "dsn/common/table.hpp"
 #include "dsn/sim/simulator.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   dsn::Cli cli("Ablation: M/D/1 queueing model vs cycle-accurate simulation.");
   cli.add_flag("n", "64", "number of switches");
   cli.add_flag("loads", "2,6,10", "offered loads in Gbit/s per host");
@@ -52,3 +54,7 @@ int main(int argc, char** argv) {
                              std::to_string(n) + " switches");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

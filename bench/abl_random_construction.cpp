@@ -30,9 +30,7 @@ void add_row(dsn::Table& table, std::uint64_t n, const dsn::Topology& topo) {
       .cell(cable.average_m);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   dsn::Cli cli("Ablation: RANDOM (DLN-2-2) construction sensitivity.");
   cli.add_flag("sizes", "128,512,2048", "comma-separated switch counts");
   cli.add_flag("seed", "1", "seed");
@@ -54,3 +52,7 @@ int main(int argc, char** argv) {
                "cable; the Figure 7-9 orderings do not depend on the construction.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

@@ -19,9 +19,7 @@ dsn::SimResult run_point(const dsn::Topology& topo, const dsn::SimRouting& routi
   return dsn::run_simulation(topo, policy, traffic, cfg);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   dsn::Cli cli("Ablation: VC count / packet length / buffer depth sensitivity.");
   cli.add_flag("n", "64", "number of switches");
   cli.add_flag("load", "6.0", "offered Gbit/s per host");
@@ -73,3 +71,7 @@ int main(int argc, char** argv) {
                   std::to_string(base.offered_gbps_per_host) + " Gb/s/host");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

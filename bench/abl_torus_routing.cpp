@@ -10,7 +10,9 @@
 #include "dsn/routing/sim_routing.hpp"
 #include "dsn/sim/simulator.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   dsn::Cli cli("Ablation: adaptive+up*/down* vs native dateline DOR on the torus.");
   cli.add_flag("n", "64", "number of switches (must factor into a 2-D torus)");
   cli.add_flag("loads", "1,3,5,7,9,11", "offered loads in Gbit/s per host");
@@ -55,3 +57,7 @@ int main(int argc, char** argv) {
   table.print(std::cout, "Torus routing ablation on " + topo.name + ", uniform traffic");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

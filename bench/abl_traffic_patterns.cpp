@@ -7,7 +7,9 @@
 #include "dsn/common/cli.hpp"
 #include "dsn/common/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   dsn::Cli cli("Ablation: latency across all traffic patterns at one load.");
   cli.add_flag("n", "64", "number of switches");
   cli.add_flag("load", "4.0", "offered Gbit/s per host");
@@ -49,3 +51,7 @@ int main(int argc, char** argv) {
                              " Gb/s/host, " + std::to_string(n) + " switches");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

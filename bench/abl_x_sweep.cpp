@@ -12,7 +12,9 @@
 #include "dsn/layout/layout.hpp"
 #include "dsn/topology/dsn.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   dsn::Cli cli("Ablation: shortcut-set size x for DSN-x-n.");
   cli.add_flag("n", "512", "network size");
   if (!cli.parse(argc, argv)) return 0;
@@ -48,3 +50,7 @@ int main(int argc, char** argv) {
                              " over the shortcut-set size x (p = " + std::to_string(p) + ")");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

@@ -7,7 +7,9 @@
 #include "dsn/common/cli.hpp"
 #include "dsn/common/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   dsn::Cli cli("Figure 7 reproduction: diameter vs network size (hops).");
   cli.add_flag("sizes", "32,64,128,256,512,1024,2048", "comma-separated switch counts");
   cli.add_flag("seed", "1", "seed for the random topology");
@@ -39,3 +41,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

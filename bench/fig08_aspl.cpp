@@ -8,7 +8,9 @@
 #include "dsn/common/cli.hpp"
 #include "dsn/common/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   dsn::Cli cli("Figure 8 reproduction: average shortest path length vs network size.");
   cli.add_flag("sizes", "32,64,128,256,512,1024,2048", "comma-separated switch counts");
   cli.add_flag("seed", "1", "seed for the random topology");
@@ -40,3 +42,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

@@ -14,7 +14,6 @@
 #include "dsn/analysis/experiments.hpp"
 #include "dsn/analysis/factory.hpp"
 #include "dsn/common/cli.hpp"
-#include "dsn/common/error.hpp"
 #include "dsn/common/table.hpp"
 
 namespace {
@@ -108,11 +107,4 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const dsn::PreconditionError& e) {
-    std::cerr << "fig10_latency: " << e.what() << "\n";
-    return 2;
-  }
-}
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

@@ -64,9 +64,7 @@ TimedRun time_run(const dsn::Topology& topo, const dsn::flow::FlowConfig& cfg,
   return best;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   dsn::Cli cli(
       "Flow-tier scale microbenchmark: datacenter workloads on the fluid "
       "max-min simulator across topology families up to a million hosts");
@@ -208,3 +206,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

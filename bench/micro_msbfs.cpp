@@ -101,9 +101,7 @@ bool same_stats(const dsn::PathStats& a, const dsn::PathStats& b) {
          a.avg_shortest_path == b.avg_shortest_path && a.hop_histogram == b.hop_histogram;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   dsn::Cli cli(
       "CSR + 64-way bit-parallel MS-BFS all-pairs microbenchmark "
       "(baseline: per-source adjacency-list BFS under a merge mutex)");
@@ -242,3 +240,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

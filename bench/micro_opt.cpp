@@ -43,9 +43,7 @@ double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   dsn::Cli cli(
       "Shortcut-placement optimizer microbenchmark: annealing throughput and "
       "the cable-vs-ASPL Pareto front across topology families and sizes");
@@ -141,3 +139,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

@@ -70,9 +70,7 @@ double cycles_per_sec(const TimedRun& run) {
              : 0.0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   dsn::Cli cli(
       "Active-set simulator core microbenchmark (baseline: the legacy "
       "full-scan core; both cores produce byte-identical SimResult)");
@@ -205,3 +203,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

@@ -11,7 +11,9 @@
 #include "dsn/topology/dsn_ext.hpp"
 #include "dsn/topology/generators.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   dsn::Cli cli("Degree-6 DSN vs 3-D torus: cable length and path metrics (Section VI-B remark).");
   cli.add_flag("sizes", "64,128,256,512,1024,2048", "comma-separated switch counts");
   if (!cli.parse(argc, argv)) return 0;
@@ -42,3 +44,7 @@ int main(int argc, char** argv) {
   table.print(std::cout, "Degree-6 DSN (bidirectional shortcuts) vs 3-D torus");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

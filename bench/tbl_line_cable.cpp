@@ -9,7 +9,9 @@
 #include "dsn/topology/dsn.hpp"
 #include "dsn/topology/generators.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   dsn::Cli cli("Theorem 2b reproduction: shortcut lengths in the 1-D line model.");
   cli.add_flag("sizes", "64,128,256,512,1024,2048", "comma-separated node counts");
   cli.add_flag("seed", "1", "seed for DLN-2-2");
@@ -41,3 +43,7 @@ int main(int argc, char** argv) {
               "ring distance; line = |u-v| on the physical line)");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

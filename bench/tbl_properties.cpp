@@ -12,7 +12,9 @@
 #include "dsn/graph/metrics.hpp"
 #include "dsn/topology/dsn.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   dsn::Cli cli("Empirical verification of Facts 1-3 and Theorems 1-2 on basic DSN.");
   cli.add_flag("sizes", "32,64,128,256,512,1024,2048", "comma-separated switch counts");
   if (!cli.parse(argc, argv)) return 0;
@@ -53,3 +55,7 @@ int main(int argc, char** argv) {
               "DSN structural properties vs paper bounds (Facts 1-3, Theorems 1-2)");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

@@ -24,9 +24,7 @@ void add_row(dsn::Table& table, const dsn::Topology& topo) {
       .cell(paths.avg_shortest_path);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   dsn::Cli cli("Section III related-work topologies: measured diameter-and-degree.");
   if (!cli.parse(argc, argv)) return 0;
 
@@ -41,3 +39,7 @@ int main(int argc, char** argv) {
   std::cout << "Paper quotes: De Bruijn 12-and-4 @3072, Kautz 11-and-4, CCC 23-and-3.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

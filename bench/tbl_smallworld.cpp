@@ -14,7 +14,9 @@
 #include "dsn/topology/generators.hpp"
 #include "dsn/topology/dsn.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   dsn::Cli cli("Small-world metrics and routing stretch (Section II context).");
   cli.add_flag("n", "1024", "network size (square number recommended)");
   cli.add_flag("seed", "1", "seed");
@@ -85,3 +87,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

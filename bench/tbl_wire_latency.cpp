@@ -10,7 +10,9 @@
 #include "dsn/common/cli.hpp"
 #include "dsn/common/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   dsn::Cli cli("Zero-load latency estimate: router hops + cable propagation.");
   cli.add_flag("sizes", "64,256,1024,2048", "comma-separated switch counts");
   cli.add_flag("router_ns", "100", "per-switch-traversal delay [ns]");
@@ -45,3 +47,7 @@ int main(int argc, char** argv) {
                   std::to_string(static_cast<int>(cfg.cable_ns_per_m)) + " ns/m)");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dsn::run_main(argc, argv, run); }

@@ -33,15 +33,7 @@ void run_live_drill(std::uint32_t n, bool emit_json) {
 
   // First non-ring link: its loss actually forces a reroute (every ring hop
   // of DSN-E has a parallel partner link).
-  dsn::LinkId victim = 0;
-  for (dsn::LinkId l = 0; l < topo.graph.num_links(); ++l) {
-    const auto [u, v] = topo.graph.link_endpoints(l);
-    const dsn::NodeId gap = u < v ? v - u : u - v;
-    if (gap != 1 && gap != n - 1) {
-      victim = l;
-      break;
-    }
-  }
+  const dsn::LinkId victim = dsn::drill_victim_link(topo);
 
   dsn::SimConfig cfg;
   cfg.warmup_cycles = 0;

@@ -45,13 +45,14 @@ std::vector<double> uniform_link_rates(const Topology& topo, const SimRouting& r
     for (const NodeId u : order) {
       if (u == t) continue;
       const double flow = per_switch_pair_rate + inflow[u];
-      const auto next = routing.minimal_next_hops(u, t);
-      DSN_ASSERT(!next.empty(), "connected graph must provide next hops");
-      const double share = flow / static_cast<double>(next.size());
-      for (const NodeId w : next) {
+      std::size_t count = 0;
+      routing.for_each_minimal_next_hop(u, t, [&](NodeId) { ++count; });
+      DSN_ASSERT(count > 0, "connected graph must provide next hops");
+      const double share = flow / static_cast<double>(count);
+      routing.for_each_minimal_next_hop(u, t, [&](NodeId w) {
         inflow[w] += share;
         rates[dir_index(g, u, w)] += share;
-      }
+      });
     }
   }
   return rates;
@@ -108,14 +109,15 @@ QueueingPrediction predict_uniform_latency(const Topology& topo,
     hops[t] = 0.0;
     for (const NodeId u : order) {
       if (u == t) continue;
-      const auto next = routing.minimal_next_hops(u, t);
       double acc = 0.0, h = 0.0;
-      for (const NodeId w : next) {
+      std::size_t count = 0;
+      routing.for_each_minimal_next_hop(u, t, [&](NodeId w) {
         acc += wait[dir_index(g, u, w)] + d[w];
         h += hops[w];
-      }
-      d[u] = acc / static_cast<double>(next.size());
-      hops[u] = 1.0 + h / static_cast<double>(next.size());
+        ++count;
+      });
+      d[u] = acc / static_cast<double>(count);
+      hops[u] = 1.0 + h / static_cast<double>(count);
     }
     for (NodeId s = 0; s < n; ++s) {
       if (s == t) continue;

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 #include <type_traits>
 
 #include "dsn/common/error.hpp"
@@ -148,6 +149,16 @@ std::string Cli::usage(const std::string& argv0) const {
        << ")\n      " << f.help << "\n";
   }
   return os.str();
+}
+
+int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const PreconditionError& e) {
+    const std::string_view path = argc > 0 && argv[0] != nullptr ? argv[0] : "";
+    std::cerr << path.substr(path.find_last_of('/') + 1) << ": " << e.what() << "\n";
+    return 2;
+  }
 }
 
 }  // namespace dsn

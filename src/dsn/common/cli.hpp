@@ -59,4 +59,8 @@ class Cli {
   std::vector<std::string> order_;
 };
 
+/// A program's main: body(argc, argv), except that a PreconditionError it
+/// throws prints one "<argv[0]'s file name>: <reason>" line and returns 2.
+int run_main(int argc, char** argv, int (*body)(int, char**));
+
 }  // namespace dsn

@@ -110,7 +110,8 @@ BisectionResult kernighan_lin_refine(const Graph& g, std::vector<std::uint8_t> s
   return result;
 }
 
-BisectionResult estimate_bisection(const Graph& g, std::uint64_t seed, int random_starts) {
+BisectionResult estimate_bisection(const Graph& g, std::uint64_t seed,
+                                   std::uint32_t random_starts) {
   const NodeId n = g.num_nodes();
   DSN_REQUIRE(n >= 2 && n % 2 == 0, "bisection needs an even node count >= 2");
 
@@ -138,7 +139,7 @@ BisectionResult estimate_bisection(const Graph& g, std::uint64_t seed, int rando
   Rng rng(seed);
   std::vector<NodeId> perm(n);
   std::iota(perm.begin(), perm.end(), 0);
-  for (int r = 0; r < random_starts; ++r) {
+  for (std::uint32_t r = 0; r < random_starts; ++r) {
     for (std::size_t i = n - 1; i > 0; --i) {
       const auto j = static_cast<std::size_t>(rng.next_below(i + 1));
       std::swap(perm[i], perm[j]);

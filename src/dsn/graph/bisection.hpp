@@ -35,6 +35,6 @@ BisectionResult kernighan_lin_refine(const Graph& g, std::vector<std::uint8_t> s
 /// half), an interleaved split, and `random_starts` random balanced splits,
 /// refining each with Kernighan-Lin; returns the smallest cut found.
 BisectionResult estimate_bisection(const Graph& g, std::uint64_t seed = 1,
-                                   int random_starts = 4);
+                                   std::uint32_t random_starts = 4);
 
 }  // namespace dsn

@@ -5,6 +5,9 @@
 // Duato's theory for virtual cut-through: the escape subnetwork (up*/down*)
 // has an acyclic channel dependency graph and is connected.
 //
+// It keeps the routed graph, the n^2 distance table and the up*/down* tables;
+// minimal next hops are read off the distance table per lookup, not stored.
+//
 // The masked constructor supports live fault recovery: it builds the same
 // tables over the alive subgraph only (dead links and halted switches
 // removed), allowing disconnected intermediate states — unreachable pairs
@@ -14,7 +17,7 @@
 #include <span>
 #include <vector>
 
-#include "dsn/graph/metrics.hpp"
+#include "dsn/graph/csr.hpp"
 #include "dsn/routing/updown.hpp"
 #include "dsn/topology/topology.hpp"
 
@@ -24,10 +27,10 @@ class ThreadPool;
 
 class SimRouting {
  public:
-  /// Builds APSP distances, minimal next-hop sets and up*/down* tables
-  /// rooted at switch 0. `pool` overrides the global thread pool for table
-  /// construction (the deterministic-replay tests rebuild with explicit
-  /// 1/4/8-worker pools; the tables are identical for any worker count).
+  /// Builds APSP distances and up*/down* tables rooted at switch 0. `pool`
+  /// overrides the global thread pool for the distance sweep (the
+  /// deterministic-replay tests rebuild with explicit 1/4/8-worker pools; the
+  /// tables are identical for any worker count).
   explicit SimRouting(const Topology& topo, ThreadPool* pool = nullptr);
 
   /// Degraded rebuild over the alive subgraph (link_alive indexed by LinkId,
@@ -37,7 +40,6 @@ class SimRouting {
              std::span<const std::uint8_t> switch_alive, NodeId updown_root,
              ThreadPool* pool = nullptr);
 
-  const Topology& topology() const { return *topo_; }
   const UpDownRouting& updown() const { return updown_; }
 
   /// Hop distance between switches (kUnreachable across dead regions).
@@ -45,9 +47,18 @@ class SimRouting {
     return dist_[static_cast<std::size_t>(u) * n_ + t];
   }
 
-  /// Minimal adaptive next hops from u toward t (neighbors one hop closer;
-  /// empty when t is unreachable).
-  std::span<const NodeId> minimal_next_hops(NodeId u, NodeId t) const;
+  /// Calls f(v) for each minimal adaptive next hop v from u toward t: every
+  /// neighbour of u in the routed graph one hop closer to t, in adjacency
+  /// order, once per parallel link. Nothing when u == t or t is unreachable.
+  template <class F>
+  void for_each_minimal_next_hop(NodeId u, NodeId t, F&& f) const {
+    DSN_REQUIRE(u < n_ && t < n_, "node id out of range");
+    const std::uint32_t du = distance(u, t);
+    if (du == 0 || du == kUnreachable) return;
+    for (const NodeId v : graph_.neighbors(u)) {
+      if (distance(v, t) + 1 == du) f(v);
+    }
+  }
 
   /// Escape next hop (up*/down*). `down_only` reflects whether the packet's
   /// previous consecutive escape hop was a down hop.
@@ -60,16 +71,13 @@ class SimRouting {
 
  private:
   /// Both builds' body: every table over `g` (topo.graph or its alive
-  /// subgraph, which no table keeps a reference to).
-  SimRouting(const Topology& topo, const Graph& g, NodeId updown_root,
-             bool allow_disconnected, ThreadPool* pool);
+  /// subgraph, snapshotted into graph_).
+  SimRouting(const Graph& g, NodeId updown_root, bool allow_disconnected, ThreadPool* pool);
 
-  const Topology* topo_;
   NodeId n_;
+  CsrView graph_;
   UpDownRouting updown_;
-  std::vector<std::uint32_t> dist_;       // n * n
-  std::vector<NodeId> minimal_flat_;      // concatenated next-hop lists
-  std::vector<std::uint32_t> minimal_off_;  // (n*n + 1) offsets into minimal_flat_
+  std::vector<std::uint32_t> dist_;  // n * n
 };
 
 }  // namespace dsn

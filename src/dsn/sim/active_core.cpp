@@ -398,13 +398,10 @@ void ActiveCore::build() {
   nic_listed_.assign(S.num_hosts_, 0);
 
   // Horizon covering every bounded registration delay (wire/credit pushes,
-  // head-ready, and the common retry-backoff range); rarer far events (long
-  // backoffs under a large cap) spill into the per-shard heap.
+  // head-ready, and retry backoffs up to their cap); rarer far events (the
+  // injection look-ahead at low load) spill into the per-shard heap.
   const std::uint64_t span =
-      std::max({S.link_delay_, S.router_delay_,
-                std::min<std::uint64_t>(S.config_.retry_backoff_cap_cycles,
-                                        16384)}) +
-      2;
+      std::max({S.link_delay_, S.router_delay_, kRetryBackoffCapCycles}) + 2;
   const std::uint64_t horizon = next_pow2(span);
 
   shards_.resize(nshards_);

@@ -7,8 +7,8 @@
 //   - 64 switches with 4 compute hosts each.
 //
 // Internally the simulator is cycle-stepped with one cycle equal to the flit
-// serialization time (flit_bits / link_bw), so every link moves at most one
-// flit per cycle and all ns-valued delays are rounded up to whole cycles.
+// serialization time (kFlitBits / kLinkBwGbps), so every link moves at most
+// one flit per cycle and all ns-valued delays are rounded up to whole cycles.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +24,12 @@ namespace dsn {
 /// switches (which is why its deadlock analysis needs indirect dependencies).
 enum class SwitchingMode : std::uint8_t { kVirtualCutThrough, kWormhole };
 
+/// Flit width in bits and effective link bandwidth in Gbit/s (§VII-A).
+inline constexpr double kFlitBits = 256.0;
+inline constexpr double kLinkBwGbps = 96.0;
+/// Longest delay a packet requeued after a fault waits before its retry.
+inline constexpr std::uint64_t kRetryBackoffCapCycles = 4096;
+
 struct SimConfig {
   SwitchingMode switching = SwitchingMode::kVirtualCutThrough;
   std::uint32_t vcs = 4;
@@ -31,8 +37,6 @@ struct SimConfig {
   /// at least one full packet; VC allocation demands packet_flits credits.
   std::uint32_t buffer_flits = 33;
   std::uint32_t packet_flits = 33;  ///< incl. 1 header flit
-  double flit_bits = 256.0;
-  double link_bw_gbps = 96.0;
   double router_delay_ns = 100.0;
   double link_delay_ns = 20.0;  ///< flit injection delay + link delay
   std::uint32_t hosts_per_switch = 4;
@@ -63,9 +67,8 @@ struct SimConfig {
   bool retry_on_fault = true;
   std::uint32_t max_retries = 8;
   /// First-retry delay; the k-th retry of a packet waits
-  /// min(retry_backoff_cycles << (k-1), retry_backoff_cap_cycles).
+  /// min(retry_backoff_cycles << (k-1), kRetryBackoffCapCycles).
   std::uint64_t retry_backoff_cycles = 64;
-  std::uint64_t retry_backoff_cap_cycles = 4096;
   /// Drop packets older than this many cycles at their next routing attempt
   /// (0 disables). Livelock guard for destinations inside a dead region.
   std::uint64_t packet_ttl_cycles = 0;
@@ -83,7 +86,7 @@ struct SimConfig {
   std::uint32_t sim_threads = 1;
 
   /// Nanoseconds per simulator cycle (= flit serialization time).
-  double cycle_ns() const { return flit_bits / link_bw_gbps; }
+  double cycle_ns() const { return kFlitBits / kLinkBwGbps; }
   std::uint64_t router_delay_cycles() const {
     return static_cast<std::uint64_t>((router_delay_ns + cycle_ns() - 1e-9) / cycle_ns());
   }
@@ -92,14 +95,14 @@ struct SimConfig {
   }
   /// Offered load in flits per cycle per host (1.0 saturates a link).
   double injection_rate_flits_per_cycle() const {
-    return offered_gbps_per_host / link_bw_gbps;
+    return offered_gbps_per_host / kLinkBwGbps;
   }
   /// Bernoulli packet-generation probability per host per cycle.
   double packet_rate_per_cycle() const {
     return injection_rate_flits_per_cycle() / static_cast<double>(packet_flits);
   }
   /// Convert a measured flits/cycle/host rate back to Gbit/s per host.
-  double flits_per_cycle_to_gbps(double rate) const { return rate * link_bw_gbps; }
+  double flits_per_cycle_to_gbps(double rate) const { return rate * kLinkBwGbps; }
 
   void validate() const {
     DSN_REQUIRE(vcs >= 1, "need at least one virtual channel");
@@ -108,11 +111,9 @@ struct SimConfig {
     DSN_REQUIRE(switching == SwitchingMode::kWormhole || buffer_flits >= packet_flits,
                 "virtual cut-through needs buffers holding a whole packet");
     DSN_REQUIRE(hosts_per_switch >= 1, "need at least one host per switch");
-    DSN_REQUIRE(link_bw_gbps > 0 && flit_bits > 0, "bandwidth and flit size must be positive");
     DSN_REQUIRE(offered_gbps_per_host >= 0, "offered load must be non-negative");
-    DSN_REQUIRE(retry_backoff_cycles >= 1, "retry backoff must be positive");
-    DSN_REQUIRE(retry_backoff_cap_cycles >= retry_backoff_cycles,
-                "retry backoff cap must be >= the base backoff");
+    DSN_REQUIRE(retry_backoff_cycles >= 1 && retry_backoff_cycles <= kRetryBackoffCapCycles,
+                "retry backoff must be in [1, 4096] cycles (the cap)");
   }
 };
 

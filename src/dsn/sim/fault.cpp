@@ -3,6 +3,7 @@
 #include "dsn/sim/fault.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "dsn/common/json.hpp"
 #include "dsn/common/rng.hpp"
@@ -52,16 +53,27 @@ FaultSchedule& FaultSchedule::switch_up(std::uint64_t cycle, NodeId node) {
 }
 
 void FaultSchedule::validate(const Topology& topo) const {
-  const Graph& g = topo.graph;
   for (const FaultEvent& ev : events_) {
-    const bool link_event =
-        ev.kind == FaultKind::kLinkDown || ev.kind == FaultKind::kLinkUp;
-    if (link_event) {
-      DSN_REQUIRE(ev.id < g.num_links(), "fault schedule link id out of range");
-    } else {
-      DSN_REQUIRE(ev.id < g.num_nodes(), "fault schedule switch id out of range");
+    const bool link = ev.kind == FaultKind::kLinkDown || ev.kind == FaultKind::kLinkUp;
+    const std::size_t count = link ? topo.graph.num_links() : topo.graph.num_nodes();
+    if (ev.id >= count) {
+      throw PreconditionError("fault schedule: " + std::string(fault_kind_name(ev.kind)) + " " +
+                              std::to_string(ev.id) + " at cycle " + std::to_string(ev.cycle) +
+                              " is outside [0, " + std::to_string(count) + "), the topology's " +
+                              (link ? "links" : "switches"));
     }
   }
+}
+
+LinkId drill_victim_link(const Topology& topo) {
+  const Graph& g = topo.graph;
+  const NodeId n = g.num_nodes();
+  for (LinkId l = 0; l < g.num_links(); ++l) {
+    const auto [u, v] = g.link_endpoints(l);
+    const NodeId gap = u < v ? v - u : u - v;
+    if (gap != 1 && gap != n - 1) return l;
+  }
+  return 0;
 }
 
 FaultSchedule make_link_flap_schedule(const Topology& topo, double down_prob,

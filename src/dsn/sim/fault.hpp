@@ -59,6 +59,10 @@ class FaultSchedule {
   std::vector<FaultEvent> events_;  ///< sorted by cycle, stable
 };
 
+/// The link a fault drill downs: the first whose endpoints are not ring
+/// neighbours (|u - v| is neither 1 nor n - 1), else link 0.
+LinkId drill_victim_link(const Topology& topo);
+
 /// Seeded Bernoulli link-flap model: every `check_interval` cycles each live
 /// candidate link goes down with probability `down_prob` and comes back
 /// `repair_cycles` later (repairs past `horizon` are still scheduled so no

@@ -46,11 +46,11 @@ void AdaptiveUpDownPolicy::candidates(NodeId u, NodeId t, std::uint8_t state,
   // down-only restriction applies to *consecutive* escape hops: virtual
   // cut-through absorbs whole packets on adaptive channels, which resets the
   // escape history (Duato's theory for VCT).
-  for (const NodeId v : tables.minimal_next_hops(u, t)) {
+  tables.for_each_minimal_next_hop(u, t, [&](NodeId v) {
     for (std::uint32_t vc = 1; vc < vcs_; ++vc) {
       out.push_back({v, vc, /*escape=*/false, /*state=*/0});
     }
-  }
+  });
   // Escape hop on VC 0 following up*/down*, honoring the down-only state.
   const bool down_only = (state & 1u) != 0;
   const NodeId esc = tables.escape_next_hop(u, t, down_only);

@@ -3,6 +3,7 @@
 // AdaptiveUpDownPolicy implements the paper's §VII-A scheme [24]: fully
 // adaptive minimal routing on VCs 1..V-1 with up*/down* shortest legal paths
 // as the escape layer on VC 0 (Duato's methodology for virtual cut-through).
+// Its minimal hops are read per call off SimRouting's distance table.
 //
 // DsnCustomPolicy runs the paper's deadlock-free custom routing (Theorem 3,
 // DSN-V realization) by calling DsnRouter::step at every switch, with the
@@ -94,13 +95,12 @@ class SimRoutingPolicy {
 };
 
 /// The table state of the two up*/down* policies below: the pristine
-/// SimRouting tables, the VC count, and the degraded tables a fault event
-/// rebuilds.
+/// SimRouting (distance and up*/down* tables), the VC count, and the
+/// degraded SimRouting a fault event rebuilds over the live subgraph.
 class UpDownTablePolicy : public SimRoutingPolicy {
  public:
-  /// Full recovery: re-derives APSP + up*/down* tables over the alive
-  /// subgraph (root = lowest alive switch); drops back to the pristine
-  /// tables once everything heals.
+  /// Full recovery: re-derives SimRouting over the alive subgraph (root =
+  /// lowest alive switch); drops back to the pristine tables once healed.
   void on_fault_update(const FaultView& view) override;
   /// The down-only bit refers to the orientation the packet was routed
   /// under; stale bits must not constrain routes on the new orientation.

@@ -608,7 +608,7 @@ void Simulator::purge_packets(std::vector<PacketSlot>& slots, std::uint64_t now,
       pkt.hops = 0;
       pkt.route_state = policy_->initial_state();
       const std::uint32_t shift = pkt.retries - 1;
-      std::uint64_t backoff = config_.retry_backoff_cap_cycles;
+      std::uint64_t backoff = kRetryBackoffCapCycles;
       if (shift < 32) {
         backoff = std::min(backoff, config_.retry_backoff_cycles << shift);
       }

@@ -17,18 +17,6 @@
 namespace dsn {
 namespace {
 
-// A non-ring ("shortcut") link of the topology, or any link when none jumps.
-LinkId find_shortcut_link(const Topology& topo) {
-  const Graph& g = topo.graph;
-  const NodeId n = g.num_nodes();
-  for (LinkId l = 0; l < g.num_links(); ++l) {
-    const auto [u, v] = g.link_endpoints(l);
-    const NodeId gap = u < v ? v - u : u - v;
-    if (gap != 1 && gap != n - 1) return l;
-  }
-  return 0;
-}
-
 SimConfig drill_config() {
   SimConfig cfg;
   cfg.warmup_cycles = 0;
@@ -130,7 +118,7 @@ TEST(FaultRecovery, ReroutesAroundDeadShortcut) {
   SimConfig cfg = drill_config();
 
   FaultSchedule schedule;
-  schedule.link_down(500, find_shortcut_link(topo));
+  schedule.link_down(500, drill_victim_link(topo));
   Simulator sim(topo, policy, traffic, cfg);
   sim.set_fault_schedule(schedule);
   const SimResult res = sim.run();
@@ -155,7 +143,7 @@ TEST(FaultRecovery, DsnCustomPolicyRingFallbackSurvivesShortcutLoss) {
   cfg.offered_gbps_per_host = 0.5;
 
   FaultSchedule schedule;
-  schedule.link_down(500, find_shortcut_link(topo));
+  schedule.link_down(500, drill_victim_link(topo));
   Simulator sim(topo, policy, traffic, cfg);
   sim.set_fault_schedule(schedule);
   const SimResult res = sim.run();
@@ -173,7 +161,7 @@ TEST(FaultRecovery, HealRestoresAndMeasuresReconnect) {
   UniformTraffic traffic(32 * 4);
   SimConfig cfg = drill_config();
 
-  const LinkId victim = find_shortcut_link(topo);
+  const LinkId victim = drill_victim_link(topo);
   FaultSchedule schedule;
   // Both events land inside the 2'000-cycle generation window so the sim
   // cannot drain before the repair.
@@ -248,7 +236,7 @@ TEST(FaultRecovery, ExhaustedRetriesBecomeDrops) {
   cfg.max_retries = 0;  // first damage is final
 
   FaultSchedule schedule;
-  schedule.link_down(500, find_shortcut_link(topo));
+  schedule.link_down(500, drill_victim_link(topo));
   Simulator sim(topo, policy, traffic, cfg);
   sim.set_fault_schedule(schedule);
   const SimResult res = sim.run();
@@ -268,7 +256,7 @@ TEST(FaultRecovery, RedundantEventsAreIgnored) {
   UniformTraffic traffic(32 * 4);
   SimConfig cfg = drill_config();
 
-  const LinkId victim = find_shortcut_link(topo);
+  const LinkId victim = drill_victim_link(topo);
   FaultSchedule schedule;
   schedule.link_down(500, victim).link_down(600, victim).link_up(601, victim);
   Simulator sim(topo, policy, traffic, cfg);
@@ -294,7 +282,7 @@ TEST(FaultRecovery, EpochTotalsMatchGlobalCounters) {
   cfg.epoch_cycles = 1'000;
 
   FaultSchedule schedule;
-  schedule.link_down(700, find_shortcut_link(topo));
+  schedule.link_down(700, drill_victim_link(topo));
   Simulator sim(topo, policy, traffic, cfg);
   sim.set_fault_schedule(schedule);
   const SimResult res = sim.run();
@@ -327,7 +315,7 @@ TEST(FaultRecovery, JsonReportsExposeTheDegradationCurve) {
   cfg.epoch_cycles = 1'000;
 
   FaultSchedule schedule;
-  schedule.link_down(700, find_shortcut_link(topo));
+  schedule.link_down(700, drill_victim_link(topo));
   Simulator sim(topo, policy, traffic, cfg);
   sim.set_fault_schedule(schedule);
   const SimResult res = sim.run();
@@ -361,7 +349,7 @@ TEST(FaultDeterminism, ByteIdenticalAcrossRebuildWorkerCounts) {
   // Switch 11 never revives: packets headed there must age out.
   cfg.packet_ttl_cycles = 3'000;
 
-  const LinkId victim = find_shortcut_link(topo);
+  const LinkId victim = drill_victim_link(topo);
   FaultSchedule schedule;
   schedule.link_down(400, victim).link_up(4'000, victim).switch_down(1'500, 11);
 
@@ -397,7 +385,7 @@ TEST(FaultDeterminism, ShardedActiveCoreMatchesLegacyUnderFaults) {
   // Switch 11 never revives: packets headed there must age out.
   cfg.packet_ttl_cycles = 3'000;
 
-  const LinkId victim = find_shortcut_link(topo);
+  const LinkId victim = drill_victim_link(topo);
   FaultSchedule schedule;
   schedule.link_down(400, victim).link_up(4'000, victim).switch_down(1'500, 11);
 
@@ -443,7 +431,7 @@ TEST(FaultDeterminism, TraceReplayWithFaultsIsReproducible) {
                           static_cast<HostId>((c * 13 + 5) % 64)});
   }
   FaultSchedule schedule;
-  schedule.link_down(200, find_shortcut_link(topo)).switch_down(600, 3);
+  schedule.link_down(200, drill_victim_link(topo)).switch_down(600, 3);
 
   const auto run_once = [&] {
     Simulator sim(topo, policy, unused, cfg);

@@ -87,6 +87,23 @@ TEST(LintCli, MalformedNumberNamesTheFlag) {
   }
 }
 
+TEST(LintCli, OutOfRangeFaultIdNamesTheIdAndRange) {
+  // A drill fault on a link or switch DSN-5-64 does not have (118 links, 64
+  // switches) is a usage error that names the id and the valid range, not
+  // the C++ check or its source file.
+  const std::vector<std::array<std::string, 3>> cases = {
+      {"drill --topology dsn --n 64 --fail-link 999 --json", "link-down 999", "[0, 118)"},
+      {"drill --topology dsn --n 64 --fail-switch 999 --json", "switch-down 999", "[0, 64)"}};
+  for (const auto& [args, id, range] : cases) {
+    const CliResult r = run_lint(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find(id), std::string::npos) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find(range), std::string::npos) << args << "\n" << r.output;
+    EXPECT_EQ(r.output.find("precondition failed"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("fault.cpp"), std::string::npos) << r.output;
+  }
+}
+
 TEST(LintCli, FamilyOverrideAppliesToDsnTargets) {
   // --family binds the named routing family to the dsn, dsn-e and dsn-d
   // targets too; without it they keep their native family.

@@ -70,18 +70,6 @@ SimConfig equivalence_config() {
   return cfg;
 }
 
-// A non-ring ("shortcut") link of the topology, or any link when none jumps.
-LinkId find_shortcut_link(const Topology& topo) {
-  const Graph& g = topo.graph;
-  const NodeId n = g.num_nodes();
-  for (LinkId l = 0; l < g.num_links(); ++l) {
-    const auto [u, v] = g.link_endpoints(l);
-    const NodeId gap = u < v ? v - u : u - v;
-    if (gap != 1 && gap != n - 1) return l;
-  }
-  return 0;
-}
-
 TEST(CoreEquivalence, SixTrafficPatternsByteIdentical) {
   // 64 switches x 4 hosts = 256 hosts: a square, power-of-two count, so the
   // 2-D (neighboring/transpose) and bit-permutation patterns all apply.
@@ -222,7 +210,7 @@ TEST(CoreEquivalence, TraceReplayWithFaultsByteIdentical) {
                           static_cast<HostId>((c * 13 + 5) % 64)});
   }
   FaultSchedule schedule;
-  schedule.link_down(250, find_shortcut_link(topo)).switch_down(650, 3);
+  schedule.link_down(250, drill_victim_link(topo)).switch_down(650, 3);
   const auto traffic = make_traffic("uniform", 16 * cfg.hosts_per_switch);
   expect_cores_identical(topo, policy, *traffic, cfg, &schedule, &injections);
 }

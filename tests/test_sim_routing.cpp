@@ -2,6 +2,8 @@
 // three routing policies' candidate sets.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -10,7 +12,10 @@
 #include "dsn/routing/cdg.hpp"
 #include "dsn/routing/dsn_routing.hpp"
 #include "dsn/routing/sim_routing.hpp"
+#include "dsn/sim/fault.hpp"
 #include "dsn/sim/policy.hpp"
+#include "dsn/sim/simulator.hpp"
+#include "dsn/sim/traffic.hpp"
 #include "dsn/topology/dsn.hpp"
 
 namespace dsn {
@@ -27,12 +32,19 @@ TEST(SimRouting, DistancesMatchBfs) {
   }
 }
 
+/// The minimal next hops SimRouting yields for (u, t), in yield order.
+std::vector<NodeId> minimal_hops(const SimRouting& routing, NodeId u, NodeId t) {
+  std::vector<NodeId> hops;
+  routing.for_each_minimal_next_hop(u, t, [&](NodeId v) { hops.push_back(v); });
+  return hops;
+}
+
 TEST(SimRouting, MinimalNextHopsAreExactlyCloserNeighbors) {
   const Topology topo = make_topology_by_name("random", 32, 3);
   const SimRouting routing(topo);
   for (NodeId u = 0; u < 32; ++u) {
     for (NodeId t = 0; t < 32; ++t) {
-      const auto hops = routing.minimal_next_hops(u, t);
+      const std::vector<NodeId> hops = minimal_hops(routing, u, t);
       if (u == t) {
         EXPECT_TRUE(hops.empty());
         continue;
@@ -60,6 +72,109 @@ TEST(SimRouting, EscapeNextHopMatchesUpDown) {
       EXPECT_EQ(routing.escape_next_hop(u, t, false), routing.updown().next_hop(u, t, false));
     }
   }
+}
+
+// --------------------------------------------------------------------------
+// Goldens: pinned digests of the minimal next-hop lists (order and parallel
+// link repeats included) and of whole runs under both up*/down* policies.
+// --------------------------------------------------------------------------
+
+/// 64-bit FNV-1a, fed 32-bit values little-endian or raw bytes.
+struct Fnv1a {
+  std::uint64_t h = 1469598103934665603ULL;
+  void byte(unsigned char c) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  void u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
+  }
+  std::string hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+    return buf;
+  }
+};
+
+/// Every (u, t)'s minimal next-hop list: its length, then its entries.
+std::string next_hop_digest(const SimRouting& routing, NodeId n) {
+  Fnv1a f;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId t = 0; t < n; ++t) {
+      const std::vector<NodeId> hops = minimal_hops(routing, u, t);
+      f.u32(static_cast<std::uint32_t>(hops.size()));
+      for (const NodeId v : hops) f.u32(v);
+    }
+  }
+  return f.hex();
+}
+
+TEST(SimRouting, GoldenMinimalNextHops) {
+  struct Case {
+    const char* family;
+    std::uint32_t n;
+    std::uint64_t seed;
+    const char* pristine;
+    const char* degraded;
+  };
+  const Case cases[] = {
+      {"dsn-e", 96, 1, "c67d0ce21018ee36", "35a8254bb9c26db3"},
+      {"torus", 96, 1, "c30f9fabea982a03", "a30275f37e443d6c"},
+      {"random-regular", 96, 3, "85fe2a667ade2a84", "6fa9dc80e103fbcb"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.family) + "-" + std::to_string(c.n));
+    const Topology topo = make_topology_by_name(c.family, c.n, c.seed);
+    EXPECT_EQ(next_hop_digest(SimRouting(topo), c.n), c.pristine);
+    // Every 7th link down and switch 5 halted, up*/down* rooted at 0.
+    std::vector<std::uint8_t> link_alive(topo.graph.num_links(), 1);
+    for (LinkId l = 6; l < link_alive.size(); l += 7) link_alive[l] = 0;
+    std::vector<std::uint8_t> switch_alive(c.n, 1);
+    switch_alive[5] = 0;
+    EXPECT_EQ(next_hop_digest(SimRouting(topo, link_alive, switch_alive, 0), c.n), c.degraded);
+  }
+}
+
+std::string run_digest(const Topology& topo, SimRoutingPolicy& policy, const SimConfig& cfg,
+                       const FaultSchedule& schedule = {}) {
+  UniformTraffic traffic(topo.num_nodes() * cfg.hosts_per_switch);
+  Simulator sim(topo, policy, traffic, cfg);
+  sim.set_fault_schedule(schedule);
+  Fnv1a f;
+  for (const char c : to_json(sim.run()).dump()) f.byte(static_cast<unsigned char>(c));
+  return f.hex();
+}
+
+TEST(SimRouting, GoldenRuns) {
+  SimConfig cfg;
+  cfg.warmup_cycles = 1'000;
+  cfg.measure_cycles = 3'000;
+  cfg.drain_cycles = 30'000;
+  const Topology dsn = make_topology_by_name("dsn", 64);
+  const SimRouting routing(dsn);
+  AdaptiveUpDownPolicy adaptive(routing, cfg.vcs);
+  EXPECT_EQ(run_digest(dsn, adaptive, cfg), "a14ff7ddaba015eb");
+  UpDownOnlyPolicy updown(routing, cfg.vcs);
+  EXPECT_EQ(run_digest(dsn, updown, cfg), "fbb09b2fe486bbe1");
+
+  // DSN-E-48: switch 5 halts for good (the TTL accounts the packets bound for
+  // it), and ring link 20-21 goes down and comes back while its parallel Up
+  // link stays up, so the degraded tables list the hop 20 -> 21 once, not
+  // twice.
+  const Topology dsn_e = make_topology_by_name("dsn-e", 48);
+  const LinkId ring = dsn_e.graph.find_link(20, 21);
+  ASSERT_EQ(dsn_e.link_roles[ring], LinkRole::kRing);
+  SimConfig fault_cfg;
+  fault_cfg.warmup_cycles = 0;
+  fault_cfg.measure_cycles = 2'000;
+  fault_cfg.drain_cycles = 40'000;
+  fault_cfg.epoch_cycles = 250;
+  fault_cfg.packet_ttl_cycles = 4'000;
+  FaultSchedule schedule;
+  schedule.switch_down(300, 5).link_down(500, ring).link_up(1'500, ring);
+  const SimRouting e_routing(dsn_e);
+  AdaptiveUpDownPolicy e_adaptive(e_routing, fault_cfg.vcs);
+  EXPECT_EQ(run_digest(dsn_e, e_adaptive, fault_cfg, schedule), "d1ad4a977dbe39c2");
 }
 
 // --------------------------------------------------------------------------

@@ -186,7 +186,8 @@ dsn::analyze::RouteAnalysis run_analysis(const dsn::Cli& cli, dsn::Topology& top
       topo, family.empty() ? dsn::analyze::default_family(topo.kind) : parse_family(family));
 }
 
-int run_analysis_command(const std::string& cmd, int argc, const char* const* argv) {
+int run_analysis_command(int argc, const char* const* argv) {
+  const std::string cmd = argv[0];  // routes, cdg or load
   dsn::Cli cli("dsn-lint " + cmd +
                ": whole-network route analysis (exit 0 = proven clean, 1 = a "
                "property was refuted, 2 = usage/internal error)");
@@ -253,18 +254,6 @@ int run_analysis_command(const std::string& cmd, int argc, const char* const* ar
 // ---------------------------------------------------------------------------
 // Fault drill subcommand
 // ---------------------------------------------------------------------------
-
-/// A non-ring ("shortcut") link, or link 0 when every link is a ring hop.
-dsn::LinkId auto_shortcut_link(const dsn::Topology& topo) {
-  const dsn::Graph& g = topo.graph;
-  const dsn::NodeId n = g.num_nodes();
-  for (dsn::LinkId l = 0; l < g.num_links(); ++l) {
-    const auto [u, v] = g.link_endpoints(l);
-    const dsn::NodeId gap = u < v ? v - u : u - v;
-    if (gap != 1 && gap != n - 1) return l;
-  }
-  return 0;
-}
 
 int run_drill_command(int argc, const char* const* argv) {
   dsn::Cli cli(
@@ -352,7 +341,7 @@ int run_drill_command(int argc, const char* const* argv) {
   const std::string fail_link = cli.get("fail-link");
   if (fail_link != "none") {
     const dsn::LinkId victim = fail_link == "auto"
-                                   ? auto_shortcut_link(topo)
+                                   ? dsn::drill_victim_link(topo)
                                    : cli.get_uint32("fail-link");
     schedule.link_down(cli.get_uint("fail-at"), victim);
     if (cli.get_uint("heal-at") != 0) schedule.link_up(cli.get_uint("heal-at"), victim);
@@ -740,7 +729,7 @@ int run_stats_command(int argc, const char* const* argv) {
     cfg.seed = cli.get_uint("seed");
     cfg.packet_ttl_cycles = 4000;
     dsn::FaultSchedule schedule;
-    const dsn::LinkId victim = auto_shortcut_link(d.topology());
+    const dsn::LinkId victim = dsn::drill_victim_link(d.topology());
     schedule.link_down(300, victim);
     schedule.link_up(900, victim);
     dsn::UniformTraffic traffic(d.topology().num_nodes() * cfg.hosts_per_switch);
@@ -843,49 +832,28 @@ int run_stats_command(int argc, const char* const* argv) {
 #endif  // DSN_OBS
 }
 
+/// The subcommands; each sees argv shifted by one, so its name is argv[0].
+struct Subcommand {
+  const char* name;
+  int (*run)(int argc, const char* const* argv);
+};
+constexpr Subcommand kSubcommands[] = {
+    {"routes", run_analysis_command}, {"cdg", run_analysis_command},
+    {"load", run_analysis_command},   {"drill", run_drill_command},
+    {"flow", run_flow_command},       {"optimize", run_optimize_command},
+    {"stats", run_stats_command}};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc >= 2) {
     const std::string cmd = argv[1];
-    if (cmd == "routes" || cmd == "cdg" || cmd == "load") {
+    for (const Subcommand& sub : kSubcommands) {
+      if (cmd != sub.name) continue;
       try {
-        // Shift argv so the subcommand name acts as the program name.
-        return run_analysis_command(cmd, argc - 1, argv + 1);
+        return sub.run(argc - 1, argv + 1);
       } catch (const std::exception& e) {
         std::cerr << "dsn-lint " << cmd << ": " << e.what() << "\n";
-        return kExitUsage;
-      }
-    }
-    if (cmd == "drill") {
-      try {
-        return run_drill_command(argc - 1, argv + 1);
-      } catch (const std::exception& e) {
-        std::cerr << "dsn-lint drill: " << e.what() << "\n";
-        return kExitUsage;
-      }
-    }
-    if (cmd == "flow") {
-      try {
-        return run_flow_command(argc - 1, argv + 1);
-      } catch (const std::exception& e) {
-        std::cerr << "dsn-lint flow: " << e.what() << "\n";
-        return kExitUsage;
-      }
-    }
-    if (cmd == "optimize") {
-      try {
-        return run_optimize_command(argc - 1, argv + 1);
-      } catch (const std::exception& e) {
-        std::cerr << "dsn-lint optimize: " << e.what() << "\n";
-        return kExitUsage;
-      }
-    }
-    if (cmd == "stats") {
-      try {
-        return run_stats_command(argc - 1, argv + 1);
-      } catch (const std::exception& e) {
-        std::cerr << "dsn-lint stats: " << e.what() << "\n";
         return kExitUsage;
       }
     }
