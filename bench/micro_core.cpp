@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include "dsn/analysis/factory.hpp"
+#include "dsn/common/thread_pool.hpp"
 #include "dsn/graph/metrics.hpp"
 #include "dsn/routing/cdg.hpp"
 #include "dsn/routing/dsn_routing.hpp"
@@ -68,8 +69,9 @@ BENCHMARK(BM_DsnRoute)->RangeMultiplier(4)->Range(64, 4096);
 void BM_UpDownTables(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const auto topo = dsn::make_topology_by_name("dsn", n);
+  const dsn::CsrView csr(topo.graph);
   for (auto _ : state) {
-    dsn::UpDownRouting r(topo.graph, 0);
+    dsn::UpDownRouting r(csr, 0, dsn::ThreadPool::global());
     benchmark::DoNotOptimize(r.next_hop(0, n - 1));
   }
 }

@@ -422,9 +422,9 @@ BoundRouting make_route_function(const Topology& topo, RoutingFamily family) {
       return b;
     }
     case RoutingFamily::kUpDown: {
-      DSN_REQUIRE(is_connected(topo.graph),
-                  "up*/down* analysis needs a connected topology");
-      auto state = std::make_shared<const UpDownRouting>(topo.graph, 0);
+      const CsrView csr(topo.graph);
+      DSN_REQUIRE(is_connected(csr), "up*/down* analysis needs a connected topology");
+      auto state = std::make_shared<const UpDownRouting>(csr, 0, ThreadPool::global());
       b.hop_bound_law = "no analytic per-pair bound for up*/down*";
       b.fill_route = [state](NodeId s, NodeId t, Route& out) {
         path_to_route(s, t, state->route(s, t), out);

@@ -53,7 +53,9 @@ bool Cli::parse(int argc, const char* const* argv) {
       std::cout << usage(argv[0]);
       return false;
     }
-    DSN_REQUIRE(arg.starts_with("--"), "expected --flag, got: " + arg);
+    if (!arg.starts_with("--")) {
+      throw PreconditionError("expected a --flag, got '" + arg + "'");
+    }
     arg = arg.substr(2);
     std::string value;
     bool has_value = false;
@@ -63,7 +65,7 @@ bool Cli::parse(int argc, const char* const* argv) {
       has_value = true;
     }
     auto it = flags_.find(arg);
-    DSN_REQUIRE(it != flags_.end(), "unknown flag: --" + arg);
+    if (it == flags_.end()) throw PreconditionError("unknown flag --" + arg);
     if (!has_value) {
       const bool is_bool =
           it->second.default_value == "false" || it->second.default_value == "true";
@@ -79,7 +81,7 @@ bool Cli::parse(int argc, const char* const* argv) {
           }
         }
       } else {
-        DSN_REQUIRE(i + 1 < argc, "missing value for --" + arg);
+        if (i + 1 >= argc) throw PreconditionError("flag --" + arg + ": missing value");
         value = argv[++i];
       }
     }

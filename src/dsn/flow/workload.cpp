@@ -2,6 +2,7 @@
 #include "dsn/flow/workload.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "dsn/common/error.hpp"
 #include "dsn/common/rng.hpp"
@@ -9,12 +10,18 @@
 namespace dsn::flow {
 
 void WorkloadParams::validate() const {
-  DSN_REQUIRE(hosts > 0, "workload needs a host count");
-  DSN_REQUIRE(rack_hosts > 0, "rack size must be positive");
-  DSN_REQUIRE(clients > 0 && clients <= hosts,
-              "need 1 <= clients <= hosts participants");
-  DSN_REQUIRE(units > 0 && unit_flits > 0, "work units must be non-empty");
-  DSN_REQUIRE(window > 0, "need at least one flow in flight per participant");
+  const auto refuse = [](const char* field, std::uint64_t value, const std::string& rule) {
+    throw PreconditionError("workload " + std::string(field) + ": " + std::to_string(value) +
+                            " is not " + rule);
+  };
+  if (hosts == 0) refuse("hosts", hosts, "positive");
+  if (rack_hosts == 0) refuse("rack_hosts", rack_hosts, "positive");
+  if (clients == 0 || clients > hosts) {
+    refuse("clients", clients, "in [1, " + std::to_string(hosts) + "], the host count");
+  }
+  if (units == 0) refuse("units", units, "positive");
+  if (unit_flits == 0) refuse("unit_flits", unit_flits, "positive");
+  if (window == 0) refuse("window", window, "positive");
 }
 
 namespace {

@@ -213,15 +213,15 @@ void express_walk(const DsnD& dd, NodeId& u, NodeId target, bool succ_ward,
 
 }  // namespace
 
-Route route_dsn_d(const DsnD& dd, NodeId s, NodeId t, DsnRoutingOptions options) {
+Route route_dsn_d(const DsnD& dd, NodeId s, NodeId t) {
   Route r;
-  route_dsn_d(dd, s, t, r, options);
+  route_dsn_d(dd, s, t, r);
   return r;
 }
 
-void route_dsn_d(const DsnD& dd, NodeId s, NodeId t, Route& r, DsnRoutingOptions options) {
+void route_dsn_d(const DsnD& dd, NodeId s, NodeId t, Route& r) {
   const Dsn& d = dd.base();
-  const DsnRouter router(d, options);
+  const DsnRouter router(d);
   const std::uint32_t n = d.n();
   const std::uint32_t p = d.p();
   DSN_REQUIRE(s < n && t < n, "node id out of range");
@@ -290,7 +290,7 @@ void route_dsn_d(const DsnD& dd, NodeId s, NodeId t, Route& r, DsnRoutingOptions
 // Flexible DSN routing (§V-C).
 // ---------------------------------------------------------------------------
 
-Route route_dsn_flex(const FlexDsn& f, NodeId s, NodeId t, DsnRoutingOptions options) {
+Route route_dsn_flex(const FlexDsn& f, NodeId s, NodeId t) {
   const std::uint32_t n_total = f.num_total();
   DSN_REQUIRE(s < n_total && t < n_total, "node id out of range");
 
@@ -318,7 +318,7 @@ Route route_dsn_flex(const FlexDsn& f, NodeId s, NodeId t, DsnRoutingOptions opt
   const NodeId s_major = f.major_of(u);
   const NodeId t_major = f.major_of(t_major_phys);
   if (s_major != t_major) {
-    DsnRouter base_router(f.base(), options);
+    DsnRouter base_router(f.base());
     const Route logical = base_router.route(s_major, t_major);
     for (const RouteHop& lh : logical.hops) {
       const NodeId pa = f.phys_of(lh.from);

@@ -82,14 +82,13 @@ class DsnRouter {
 };
 
 /// Route on a DSN-D using express links to shorten PRE-WORK and FINISH.
-Route route_dsn_d(const DsnD& d, NodeId s, NodeId t, DsnRoutingOptions options = {});
+Route route_dsn_d(const DsnD& d, NodeId s, NodeId t);
 
 /// The same route written into `out` (see Route::reset).
-void route_dsn_d(const DsnD& d, NodeId s, NodeId t, Route& out,
-                 DsnRoutingOptions options = {});
+void route_dsn_d(const DsnD& d, NodeId s, NodeId t, Route& out);
 
 /// Route on a flexible DSN: minor destinations are reached through the
 /// preceding major node, then by succ links (§V-C).
-Route route_dsn_flex(const FlexDsn& f, NodeId s, NodeId t, DsnRoutingOptions options = {});
+Route route_dsn_flex(const FlexDsn& f, NodeId s, NodeId t);
 
 }  // namespace dsn

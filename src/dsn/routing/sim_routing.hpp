@@ -28,7 +28,7 @@ class ThreadPool;
 class SimRouting {
  public:
   /// Builds APSP distances and up*/down* tables rooted at switch 0. `pool`
-  /// overrides the global thread pool for the distance sweep (the
+  /// overrides the global thread pool for both table sweeps (the
   /// deterministic-replay tests rebuild with explicit 1/4/8-worker pools; the
   /// tables are identical for any worker count).
   explicit SimRouting(const Topology& topo, ThreadPool* pool = nullptr);
@@ -71,8 +71,8 @@ class SimRouting {
 
  private:
   /// Both builds' body: every table over `g` (topo.graph or its alive
-  /// subgraph, snapshotted into graph_).
-  SimRouting(const Graph& g, NodeId updown_root, bool allow_disconnected, ThreadPool* pool);
+  /// subgraph, snapshotted into graph_), swept on `pool`.
+  SimRouting(const Graph& g, NodeId updown_root, bool allow_disconnected, ThreadPool& pool);
 
   NodeId n_;
   CsrView graph_;

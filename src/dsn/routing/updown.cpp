@@ -5,20 +5,18 @@
 #include <algorithm>
 
 #include "dsn/common/thread_pool.hpp"
-#include "dsn/graph/metrics.hpp"
 #include "dsn/graph/msbfs.hpp"
 
 namespace dsn {
 
-UpDownRouting::UpDownRouting(const Graph& g, NodeId root, bool allow_disconnected)
+UpDownRouting::UpDownRouting(const CsrView& csr, NodeId root, ThreadPool& pool,
+                             bool allow_disconnected)
     : root_(root) {
-  const NodeId n = g.num_nodes();
+  const NodeId n = csr.num_nodes();
   DSN_REQUIRE(root < n, "root out of range");
-  const CsrView csr(g);
-  DSN_REQUIRE(allow_disconnected || is_connected(csr),
+  tree_level_ = csr_bfs_distances(csr, root);  // also the connectivity check
+  DSN_REQUIRE(allow_disconnected || std::ranges::count(tree_level_, kUnreachable) == 0,
               "up*/down* requires a connected graph");
-
-  tree_level_ = csr_bfs_distances(csr, root);
 
   const std::size_t nn = static_cast<std::size_t>(n) * n;
   next_[0].assign(nn, kInvalidNode);
@@ -29,7 +27,6 @@ UpDownRouting::UpDownRouting(const Graph& g, NodeId root, bool allow_disconnecte
   // Shards are contiguous destination ranges; each owns its queue and its
   // two distance rows (d0: up still allowed, d1: down only) and writes only
   // its destinations' table rows.
-  ThreadPool& pool = ThreadPool::global();
   const std::size_t shards = pool.shard_count(n);
   pool.parallel_for(0, shards, [&](std::size_t k) {
     // State encoding: node * 2 + phase. Each state is queued at most once.

@@ -11,23 +11,27 @@
 #include <cstdint>
 #include <vector>
 
-#include "dsn/graph/graph.hpp"
+#include "dsn/graph/csr.hpp"
 
 namespace dsn {
 
+class ThreadPool;
+
 class UpDownRouting {
  public:
-  /// Builds tree levels and both next-hop tables (O(n * E) preprocessing).
-  /// The tables are all the object keeps: 2 n^2 node ids, 128 MiB at
+  /// Builds tree levels and both next-hop tables (O(n * E) preprocessing),
+  /// sweeping destinations on `pool` (any worker count gives the same
+  /// tables). The tables are all the object keeps: 2 n^2 node ids, 128 MiB at
   /// n = 4096. Each destination's backward BFS runs on scratch its shard
-  /// reuses (a queue and two n-entry distance rows), and `g` is not kept.
+  /// reuses (a queue and two n-entry distance rows), and `csr` is not kept.
   /// With `allow_disconnected` the graph may have several components (the
   /// degraded rebuilds of the fault-recovery path): nodes unreachable from
   /// the root keep kUnreachable tree levels — the (level, id) orientation
   /// stays a total order, so legality is still acyclic — and pairs in
   /// different components simply have no legal paths (next_hop returns
   /// kInvalidNode for them).
-  UpDownRouting(const Graph& g, NodeId root, bool allow_disconnected = false);
+  UpDownRouting(const CsrView& csr, NodeId root, ThreadPool& pool,
+                bool allow_disconnected = false);
 
   NodeId root() const { return root_; }
 

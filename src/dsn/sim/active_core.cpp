@@ -238,11 +238,10 @@ class ActiveCore {
       // precondition); recompute its membership after the pop.
       if (went_idle || ivc.buffer.empty()) C->sa_remove(u, idx);
       // Tail departure exposes the next packet's head (if buffered): re-arm
-      // its allocation wakeup from the recorded ready time.
+      // its allocation wakeup from the packet's routable cycle.
       if (went_idle && !ivc.buffer.empty() && ivc.buffer.front().head) {
-        DSN_ASSERT(!ivc.head_ready.empty(), "queued head must have a ready time");
         const std::uint32_t gid = C->ivc_base_[u] + idx;
-        sh->cal.schedule(std::max(ivc.head_ready.front(), C->now_ + 1), C->now_,
+        sh->cal.schedule(std::max(C->S.front_routable_at(ivc), C->now_ + 1), C->now_,
                          enc_event(kEvHead, gid));
       }
     }
@@ -281,7 +280,7 @@ class ActiveCore {
     sh.alloc_pending.push_back(ivc_gid);
     sh.alloc_dirty = true;
   }
-  /// List input VC `local` of switch `u` as active (state kActive with a
+  /// List input VC `local` of switch `u` as active (allocated, with a
   /// nonempty buffer) for switch allocation, listing the switch itself on
   /// first membership. The per-switch lists are unordered sets — the
   /// sa_switch_active kernel re-sorts by round-robin key, so insertion and
@@ -438,18 +437,17 @@ void ActiveCore::rebuild_active_sets() {
     const std::uint32_t ivcs = sw.num_ports * S.config_.vcs;
     for (std::uint32_t i = 0; i < ivcs; ++i) {
       InputVc& ivc = sw.in[i];
-      if (ivc.state == InputVc::State::kActive && !ivc.buffer.empty()) {
+      if (ivc.active() && !ivc.buffer.empty()) {
         sa_member_[ivc_base_[u] + i] = 1;
         sa_active_[u].push_back(i);
       }
-      if (ivc.state == InputVc::State::kIdle && !ivc.buffer.empty() &&
-          ivc.buffer.front().head) {
-        DSN_ASSERT(!ivc.head_ready.empty(), "head flit must have a ready time");
+      if (!ivc.active() && !ivc.buffer.empty() && ivc.buffer.front().head) {
         const std::uint32_t gid = ivc_base_[u] + i;
-        if (ivc.head_ready.front() <= now_) {
+        const std::uint64_t ready = S.front_routable_at(ivc);
+        if (ready <= now_) {
           list_alloc(gid);
         } else {
-          sh.cal.schedule(ivc.head_ready.front(), now_, enc_event(kEvHead, gid));
+          sh.cal.schedule(ready, now_, enc_event(kEvHead, gid));
         }
       }
     }
@@ -462,7 +460,8 @@ void ActiveCore::rebuild_active_sets() {
     const NicState& nic = S.nics_[h];
     // Conservative: NICs whose only work is a far-future retry get listed
     // too; their first visit computes the exact wakeup and unlists them.
-    if (nic.busy || !nic.source_queue.empty() || !nic.retry_queue.empty()) {
+    if (nic.streaming != kInvalidPacketSlot || !nic.source_queue.empty() ||
+        !nic.retry_queue.empty()) {
       list_nic(h);
     }
   }
@@ -481,12 +480,12 @@ void ActiveCore::deliver_wire(Shard& sh, std::uint32_t wire_gid) {
                "credit flow control must prevent buffer overflow");
     const bool was_empty = ivc.buffer.empty();
     if (a.flit.head) {
-      ivc.head_ready.push_back(now_ + S.router_delay_);
+      S.packets_[a.flit.packet].routable_at = now_ + S.router_delay_;
       sh.cal.schedule(now_ + S.router_delay_, now_,
                       enc_event(kEvHead, ivc_base_[u] + port * S.config_.vcs + a.vc));
     }
     ivc.buffer.push_back(a.flit);
-    if (was_empty && ivc.state == InputVc::State::kActive) {
+    if (was_empty && ivc.active()) {
       sa_add(u, port * S.config_.vcs + a.vc);
     }
   }
@@ -507,14 +506,10 @@ void ActiveCore::arm_host(Shard& sh, HostId h, std::uint64_t from) {
 
 void ActiveCore::consider_alloc_listing(std::uint32_t ivc_gid) {
   const NodeId u = ivc_switch_[ivc_gid];
-  const InputVc& ivc = S.switches_[u].in[ivc_gid - ivc_base_[u]];
   // Lazy event: list only if the VC is allocatable right now. A stale
-  // registration (head already granted, purged, or re-timed by a purge
-  // rebuild) is a no-op — the rebuild registered a fresh event if needed.
-  if (ivc.state != InputVc::State::kIdle) return;
-  if (ivc.buffer.empty() || !ivc.buffer.front().head) return;
-  if (ivc.head_ready.empty() || ivc.head_ready.front() > now_) return;
-  list_alloc(ivc_gid);
+  // registration (head already granted, purged, or re-timed by a purge) is a
+  // no-op — the rebuild registered a fresh event if needed.
+  if (S.head_routable(S.switches_[u].in[ivc_gid - ivc_base_[u]], now_)) list_alloc(ivc_gid);
 }
 
 void ActiveCore::phase_deliver_allocate(std::size_t s) {
@@ -588,11 +583,7 @@ void ActiveCore::phase_deliver_allocate(std::size_t s) {
     const std::uint32_t local = gid - ivc_base_[u];
     InputVc& ivc = S.switches_[u].in[local];
     ++sh.c_alloc_checks;
-    const bool eligible = ivc.state == InputVc::State::kIdle &&
-                          !ivc.buffer.empty() && ivc.buffer.front().head &&
-                          !ivc.head_ready.empty() &&
-                          ivc.head_ready.front() <= now_;
-    if (!eligible) {
+    if (!S.head_routable(ivc, now_)) {
       alloc_listed_[gid] = 0;
       continue;
     }
@@ -609,7 +600,6 @@ void ActiveCore::phase_deliver_allocate(std::size_t s) {
     const std::uint32_t port = local / S.config_.vcs;
     const std::uint32_t vc = local % S.config_.vcs;
     if (S.try_allocate(u, port, vc, now_, sh.cand_scratch)) {
-      ivc.head_ready.pop_front();
       alloc_listed_[gid] = 0;
       sa_add(u, local);
     } else {

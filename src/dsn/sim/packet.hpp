@@ -15,12 +15,11 @@ using PacketSlot = std::uint32_t;
 inline constexpr PacketSlot kInvalidPacketSlot = 0xffffffffu;
 
 struct Packet {
-  std::uint64_t id = 0;  ///< monotonically increasing, for debugging
+  std::uint64_t id = 0;  ///< generation order: packets generated before this one
   HostId src_host = 0;
   HostId dst_host = 0;
   NodeId src_switch = 0;
   NodeId dst_switch = 0;
-  std::uint32_t size_flits = 0;
   std::uint64_t gen_cycle = 0;     ///< creation time (enters the source queue)
   std::uint64_t inject_cycle = 0;  ///< head flit leaves the NIC
   std::uint32_t hops = 0;          ///< switch-to-switch hops taken
@@ -30,11 +29,14 @@ struct Packet {
   std::uint8_t route_state = 0;
   std::uint32_t retries = 0;   ///< fault requeues so far (bounded by max_retries)
   std::uint64_t retry_at = 0;  ///< earliest re-injection cycle while queued for retry
+  /// Cycle from which the head flit may be routed at the switch it last
+  /// entered (set on arrival; a fault purge re-times unallocated heads).
+  std::uint64_t routable_at = 0;
 };
 
+/// Each packet has exactly one head flit (a one-flit packet's is its tail).
 struct Flit {
   PacketSlot packet = 0;
-  std::uint32_t seq = 0;  ///< 0 = head; size-1 = tail
   bool head = false;
   bool tail = false;
 };

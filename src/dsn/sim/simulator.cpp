@@ -147,12 +147,11 @@ void Simulator::enqueue_packet(HostId src, HostId dst, std::uint64_t now) {
   const PacketSlot slot = alloc_packet();
   Packet& pkt = packets_[slot];
   pkt = Packet{};
-  pkt.id = next_packet_id_++;
+  pkt.id = generated_total_;
   pkt.src_host = src;
   pkt.dst_host = dst;
   pkt.src_switch = src / config_.hosts_per_switch;
   pkt.dst_switch = pkt.dst_host / config_.hosts_per_switch;
-  pkt.size_flits = config_.packet_flits;
   pkt.gen_cycle = now;
   pkt.measured = now >= config_.warmup_cycles && now < window_end;
   pkt.route_state = policy_->initial_state();
@@ -198,7 +197,7 @@ bool Simulator::nic_step(HostId h, std::uint64_t now, std::uint64_t* wake_at) {
   const std::uint32_t start_credits =
       config_.switching == SwitchingMode::kVirtualCutThrough ? config_.packet_flits
                                                              : 1;
-  if (!nic.busy) {
+  if (nic.streaming == kInvalidPacketSlot) {
     if (nic.source_queue.empty() && nic.retry_queue.empty()) return false;
     // Virtual cut-through from the NIC too: pick a VC whose injection
     // buffer can hold the whole packet (one flit under wormhole).
@@ -236,7 +235,6 @@ bool Simulator::nic_step(HostId h, std::uint64_t now, std::uint64_t* wake_at) {
       slot = nic.source_queue.front();
       nic.source_queue.pop_front();
     }
-    nic.busy = true;
     nic.streaming = slot;
     nic.flits_sent = 0;
     nic.stream_vc = chosen;
@@ -249,20 +247,17 @@ bool Simulator::nic_step(HostId h, std::uint64_t now, std::uint64_t* wake_at) {
     DSN_OBS_ADD(SimMetrics::get().credit_stalls, 1);
     return true;
   }
-  Packet& pkt = packets_[nic.streaming];
-  NodeId sw_id = pkt.src_switch;
-  SwitchState& sw = switches_[sw_id];
+  SwitchState& sw = switches_[packets_[nic.streaming].src_switch];
   const std::uint32_t in_port =
       sw.num_net_ports + (h % config_.hosts_per_switch);
   Flit flit;
   flit.packet = nic.streaming;
-  flit.seq = nic.flits_sent;
   flit.head = nic.flits_sent == 0;
-  flit.tail = nic.flits_sent + 1 == pkt.size_flits;
+  flit.tail = nic.flits_sent + 1 == config_.packet_flits;
   sw.wire[in_port].push_back({now + link_delay_, flit, nic.stream_vc});
   --nic.credits[nic.stream_vc];
   ++nic.flits_sent;
-  if (nic.flits_sent == pkt.size_flits) nic.busy = false;
+  if (flit.tail) nic.streaming = kInvalidPacketSlot;
   return true;
 }
 
@@ -281,7 +276,7 @@ void Simulator::deliver_wire_flits(std::uint64_t now) {
         InputVc& ivc = sw.in[port * config_.vcs + a.vc];
         DSN_ASSERT(ivc.buffer.size() < config_.buffer_flits,
                    "credit flow control must prevent buffer overflow");
-        if (a.flit.head) ivc.head_ready.push_back(now + router_delay_);
+        if (a.flit.head) packets_[a.flit.packet].routable_at = now + router_delay_;
         ivc.buffer.push_back(a.flit);
       }
     }
@@ -313,9 +308,6 @@ bool Simulator::try_allocate(NodeId sw_id, std::uint32_t in_port, std::uint32_t 
       OutputVc& o = sw.out[out_port * config_.vcs + ovc];
       if (o.owned) continue;
       o.owned = true;
-      o.owner_port = in_port;
-      o.owner_vc = vc;
-      ivc.state = InputVc::State::kActive;
       ivc.out_port = out_port;
       ivc.out_vc = ovc;
       ivc.cur_packet = head.packet;
@@ -369,16 +361,13 @@ bool Simulator::try_allocate(NodeId sw_id, std::uint32_t in_port, std::uint32_t 
     // VCT: the downstream buffer must absorb the whole packet. Wormhole:
     // one flit of space suffices (the packet may stall spanning switches).
     const std::uint32_t needed =
-        config_.switching == SwitchingMode::kVirtualCutThrough ? pkt.size_flits : 1;
+        config_.switching == SwitchingMode::kVirtualCutThrough ? config_.packet_flits : 1;
     apply_due_credits(sw, ovc, now);
     if (o.credits < needed) {
       DSN_OBS_ADD(SimMetrics::get().credit_stalls, 1);
       continue;
     }
     o.owned = true;
-    o.owner_port = in_port;
-    o.owner_vc = vc;
-    ivc.state = InputVc::State::kActive;
     ivc.out_port = out_port;
     ivc.out_vc = cand.vc;
     ivc.cur_packet = head.packet;
@@ -406,13 +395,9 @@ void Simulator::allocate_vcs(std::uint64_t now) {
     SwitchState& sw = switches_[u];
     for (std::uint32_t port = 0; port < sw.num_ports; ++port) {
       for (std::uint32_t vc = 0; vc < config_.vcs; ++vc) {
-        InputVc& ivc = sw.in[port * config_.vcs + vc];
-        if (ivc.state != InputVc::State::kIdle) continue;
-        if (ivc.buffer.empty()) continue;
+        const InputVc& ivc = sw.in[port * config_.vcs + vc];
+        if (!head_routable(ivc, now)) continue;
         const Flit& front = ivc.buffer.front();
-        if (!front.head) continue;  // tail of a previous packet still draining
-        DSN_ASSERT(!ivc.head_ready.empty(), "head flit must have a ready time");
-        if (ivc.head_ready.front() > now) continue;
         // TTL guard: packets stuck past their deadline (a destination inside
         // a dead region, or a livelocked detour) are collected and purged
         // after the scan so the drop accounting stays exact.
@@ -421,9 +406,7 @@ void Simulator::allocate_vcs(std::uint64_t now) {
           ttl_expired_.push_back(front.packet);
           continue;
         }
-        if (try_allocate(u, port, vc, now, scratch_candidates_)) {
-          ivc.head_ready.pop_front();
-        }
+        try_allocate(u, port, vc, now, scratch_candidates_);
       }
     }
   }
@@ -518,9 +501,7 @@ void Simulator::collect_link_packets(LinkId l, std::vector<PacketSlot>& out) con
     // Packets mid-stream across the link: an allocation at this endpoint
     // whose output port is the link's port streams toward the other side.
     for (const InputVc& ivc : sw.in) {
-      if (ivc.state == InputVc::State::kActive && ivc.out_port == port) {
-        out.push_back(ivc.cur_packet);
-      }
+      if (ivc.active() && ivc.out_port == port) out.push_back(ivc.cur_packet);
     }
   }
 }
@@ -530,7 +511,7 @@ void Simulator::collect_switch_packets(NodeId s, std::vector<PacketSlot>& out) c
   // Everything buffered inside the halted switch is lost.
   for (const InputVc& ivc : sw.in) {
     for (const Flit& f : ivc.buffer) out.push_back(f.packet);
-    if (ivc.state == InputVc::State::kActive) out.push_back(ivc.cur_packet);
+    if (ivc.active()) out.push_back(ivc.cur_packet);
   }
   for (const auto& wire : sw.wire) {
     for (const Arrival& a : wire) out.push_back(a.flit.packet);
@@ -540,7 +521,7 @@ void Simulator::collect_switch_packets(NodeId s, std::vector<PacketSlot>& out) c
   // NIC streams of the halted switch's hosts have nowhere to land.
   for (std::uint32_t k = 0; k < config_.hosts_per_switch; ++k) {
     const NicState& nic = nics_[s * config_.hosts_per_switch + k];
-    if (nic.busy) out.push_back(nic.streaming);
+    if (nic.streaming != kInvalidPacketSlot) out.push_back(nic.streaming);
   }
 }
 
@@ -555,7 +536,9 @@ void Simulator::purge_packets(std::vector<PacketSlot>& slots, std::uint64_t now,
   // Abort NIC streams of dead packets (their sent flits are purged below; a
   // requeued packet restarts from flit 0).
   for (NicState& nic : nics_) {
-    if (nic.busy && dead[nic.streaming]) nic.busy = false;
+    if (nic.streaming != kInvalidPacketSlot && dead[nic.streaming]) {
+      nic.streaming = kInvalidPacketSlot;
+    }
   }
 
   std::uint64_t flits_removed = 0;
@@ -566,10 +549,9 @@ void Simulator::purge_packets(std::vector<PacketSlot>& slots, std::uint64_t now,
     }
     for (InputVc& ivc : sw.in) {
       bool touched = false;
-      if (ivc.state == InputVc::State::kActive && dead[ivc.cur_packet]) {
+      if (ivc.active() && dead[ivc.cur_packet]) {
         // Release the allocation the dead stream held.
         sw.out[ivc.out_port * config_.vcs + ivc.out_vc].owned = false;
-        ivc.state = InputVc::State::kIdle;
         ivc.cur_packet = kInvalidPacketSlot;
         touched = true;
       }
@@ -580,19 +562,13 @@ void Simulator::purge_packets(std::vector<PacketSlot>& slots, std::uint64_t now,
         touched = true;
       }
       if (!touched) continue;
-      // Rebuild head_ready: one entry per unallocated head flit left in the
-      // buffer, routable after a fresh router delay (the post-fault
-      // re-route). The active stream's own head (if still buffered) already
-      // consumed its entry at allocation and gets none.
-      ivc.head_ready.clear();
-      bool skipped_active_head = ivc.state != InputVc::State::kActive;
+      // Every unallocated head left in the buffer becomes routable after a
+      // fresh router delay (the post-fault re-route); the active stream's
+      // own head, if still buffered, keeps its allocation.
       for (const Flit& f : ivc.buffer) {
-        if (!f.head) continue;
-        if (!skipped_active_head && f.packet == ivc.cur_packet) {
-          skipped_active_head = true;
-          continue;
+        if (f.head && f.packet != ivc.cur_packet) {
+          packets_[f.packet].routable_at = now + router_delay_;
         }
-        ivc.head_ready.push_back(now + router_delay_);
       }
     }
   }

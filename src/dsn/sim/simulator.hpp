@@ -114,22 +114,21 @@ class Simulator {
   std::uint32_t num_hosts() const { return num_hosts_; }
 
  private:
+  /// A waiting head's routable cycle lives on its packet (routable_at).
   struct InputVc {
     RingQueue<Flit> buffer;
-    RingQueue<std::uint64_t> head_ready;  ///< routable cycles of queued head flits
-    enum class State : std::uint8_t { kIdle, kActive } state = State::kIdle;
-    std::uint32_t out_port = 0;
+    std::uint32_t out_port = 0;  ///< allocated output (active only)
     std::uint32_t out_vc = 0;
-    /// Packet owning the current allocation (kActive only). The buffer can
-    /// momentarily hold zero of its flits mid-stream, so the fault purge
-    /// cannot infer the owner from the buffer front.
+    /// Packet owning the current allocation; kInvalidPacketSlot while idle.
+    /// The buffer can momentarily hold zero of its flits mid-stream, so the
+    /// fault purge cannot infer the owner from the buffer front.
     PacketSlot cur_packet = kInvalidPacketSlot;
+
+    bool active() const { return cur_packet != kInvalidPacketSlot; }
   };
 
   struct OutputVc {
-    bool owned = false;
-    std::uint32_t owner_port = 0;
-    std::uint32_t owner_vc = 0;
+    bool owned = false;  ///< allocated to an input VC's packet
     std::uint32_t credits = 0;
   };
 
@@ -151,6 +150,17 @@ class Simulator {
     std::vector<std::uint32_t> sa_rr;  ///< round-robin pointer per output port
   };
 
+  /// Routable cycle of the head flit at the front of `ivc`'s buffer.
+  std::uint64_t front_routable_at(const InputVc& ivc) const {
+    return packets_[ivc.buffer.front().packet].routable_at;
+  }
+  /// VC allocation's precondition (both cores): `ivc` is idle and the head
+  /// flit at its buffer front may be routed at `now`.
+  bool head_routable(const InputVc& ivc, std::uint64_t now) const {
+    return !ivc.active() && !ivc.buffer.empty() && ivc.buffer.front().head &&
+           front_routable_at(ivc) <= now;
+  }
+
   /// Add output VC `idx`'s credit returns due by `now` to its count. VC and
   /// switch allocation call this right before they read a credit count, so
   /// the active core needs no per-return event; each queue's due cycles are
@@ -169,8 +179,9 @@ class Simulator {
     /// Fault-damaged packets awaiting re-injection (Packet::retry_at holds
     /// each packet's bounded-exponential-backoff deadline).
     RingQueue<PacketSlot> retry_queue;
-    PacketSlot streaming = 0;
-    bool busy = false;
+    /// Packet being streamed into the injection port; kInvalidPacketSlot
+    /// while the NIC is idle.
+    PacketSlot streaming = kInvalidPacketSlot;
     std::uint32_t flits_sent = 0;
     std::uint32_t stream_vc = 0;
     std::vector<std::uint32_t> credits;  ///< per VC at the injection port
@@ -219,7 +230,7 @@ class Simulator {
   void sa_switch(NodeId u, std::uint64_t now, bool in_window, SaScratch& scratch,
                  Sink& sink);
   /// Same arbitration restricted to the caller's list of active input VCs
-  /// (state kActive with a nonempty buffer) — O(active) per switch instead
+  /// (allocated, with a nonempty buffer) — O(active) per switch instead
   /// of O(ports x vcs). Grant decisions and credit-stall counts are
   /// byte-identical to sa_switch; the active core maintains the lists.
   template <class Sink>
@@ -258,9 +269,10 @@ class Simulator {
   /// on any of its links (everything a halted switch loses).
   void collect_switch_packets(NodeId s, std::vector<PacketSlot>& out) const;
   /// Remove every flit of the given packets from wires, buffers and NIC
-  /// streams, release their allocations, rebuild head_ready bookkeeping, and
-  /// requeue (bounded retries) or drop each packet with accounting. Sorts
-  /// and dedupes `slots` in place. Callers must recompute_credits() after.
+  /// streams, release their allocations, give the unallocated heads left in
+  /// the VCs it touched a fresh router delay, and requeue (bounded retries)
+  /// or drop each packet with accounting. Sorts and dedupes `slots` in
+  /// place. Callers must recompute_credits() after.
   void purge_packets(std::vector<PacketSlot>& slots, std::uint64_t now,
                      bool allow_requeue, bool ttl, FaultRecord* record);
   /// Reset every credit counter exactly from the flow-control invariant:
@@ -292,7 +304,6 @@ class Simulator {
 
   std::vector<Packet> packets_;
   std::vector<PacketSlot> free_slots_;
-  std::uint64_t next_packet_id_ = 0;
 
   std::vector<std::uint64_t> link_flits_;
   std::vector<PacketTrace> traces_;
@@ -326,7 +337,7 @@ class Simulator {
   /// delivery (time-to-reconnect measurement).
   std::vector<std::size_t> pending_reconnect_;
   std::vector<EpochStats> epochs_;
-  std::uint64_t generated_total_ = 0;
+  std::uint64_t generated_total_ = 0;  ///< also the next packet's id
   std::uint64_t delivered_total_ = 0;
   std::uint64_t dropped_total_ = 0;
   std::uint64_t dropped_ttl_ = 0;

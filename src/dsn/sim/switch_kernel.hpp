@@ -15,7 +15,7 @@
 //     Every output port scans every input VC from its round-robin pointer.
 //   - sa_switch_active: the active-set walk, O(active log active) per
 //     switch. It visits only the input VCs the caller lists as active
-//     (state kActive with a nonempty buffer) in exactly the cyclic
+//     (allocated, with a nonempty buffer) in exactly the cyclic
 //     round-robin order the full scan would have encountered them, so the
 //     grant decisions AND the credit-stall counter increments are
 //     byte-identical: VCs the full scan skips without observable effect
@@ -77,7 +77,7 @@ void Simulator::sa_apply_grant(NodeId u, std::uint32_t op, std::uint32_t granted
     Packet& pkt = packets_[flit.packet];
     if (flit.tail) {
       const std::uint64_t eject = now + link_delay_;
-      if (in_window) sink.add_ejected_flits(pkt.size_flits);
+      if (in_window) sink.add_ejected_flits(config_.packet_flits);
       if (pkt.measured) sink.on_measured_delivery(pkt, eject);
       sink.on_delivery(now, eject);
       sink.release_packet(flit.packet);
@@ -107,7 +107,6 @@ void Simulator::sa_apply_grant(NodeId u, std::uint32_t op, std::uint32_t granted
   bool went_idle = false;
   if (flit.tail) {
     o.owned = false;
-    ivc.state = InputVc::State::kIdle;
     ivc.cur_packet = kInvalidPacketSlot;
     went_idle = true;
   }
@@ -131,7 +130,7 @@ void Simulator::sa_switch(NodeId u, std::uint64_t now, bool in_window,
     for (std::uint32_t k = 0; k < total_ivcs; ++k) {
       const std::uint32_t idx = (rr + k) % total_ivcs;
       const InputVc& ivc = sw.in[idx];
-      if (ivc.state != InputVc::State::kActive || ivc.out_port != op) continue;
+      if (!ivc.active() || ivc.out_port != op) continue;
       const std::uint32_t in_port = idx / config_.vcs;
       if (input_used[in_port]) continue;
       if (ivc.buffer.empty()) continue;
@@ -186,7 +185,7 @@ void Simulator::sa_switch_active(NodeId u, std::uint64_t now, bool in_window,
       const InputVc& ivc = sw.in[idx];
       // The guards mirror the full scan exactly — a listed VC that fails
       // them is skipped with the same (non-)effects the scan would produce.
-      if (ivc.state != InputVc::State::kActive || ivc.out_port != op) continue;
+      if (!ivc.active() || ivc.out_port != op) continue;
       const std::uint32_t in_port = idx / config_.vcs;
       if (input_used[in_port]) continue;
       if (ivc.buffer.empty()) continue;

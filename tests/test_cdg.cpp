@@ -11,6 +11,7 @@
 #include "dsn/analysis/factory.hpp"
 #include "dsn/analysis/route_analysis.hpp"
 #include "dsn/common/rng.hpp"
+#include "dsn/common/thread_pool.hpp"
 #include "dsn/routing/cdg.hpp"
 #include "dsn/routing/dsn_routing.hpp"
 #include "dsn/routing/updown.hpp"
@@ -383,7 +384,7 @@ TEST(Cdg, PrefixSkipMatchesReferenceOnAllPairs) {
     });
   }
   const Topology rr = make_topology_by_name("random-regular", 48, 3);
-  const UpDownRouting ud(rr.graph, 0);
+  const UpDownRouting ud(CsrView(rr.graph), 0, ThreadPool::global());
   check("up*/down* random-regular-48", 48, [&](NodeId s, NodeId t) {
     const std::vector<NodeId> path = ud.route(s, t);
     std::vector<Channel> out;

@@ -104,6 +104,25 @@ TEST(LintCli, OutOfRangeFaultIdNamesTheIdAndRange) {
   }
 }
 
+TEST(LintCli, RefusalsNameTheReasonNotTheCheck) {
+  // A stray token, an unknown flag, a missing value and an infeasible flow
+  // workload are usage errors whose one line names the flag or field and
+  // the offending value, never the C++ check or its source file.
+  const std::vector<std::array<std::string, 3>> cases = {
+      {"drill --bogus 1", "--bogus", "unknown flag"},
+      {"drill stray", "'stray'", "expected a --flag"},
+      {"drill --topology", "--topology", "missing value"},
+      {"flow --topology dsn --n 64 --clients 1000", "clients", "1000"}};
+  for (const auto& [args, name, reason] : cases) {
+    const CliResult r = run_lint(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find(name), std::string::npos) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find(reason), std::string::npos) << args << "\n" << r.output;
+    EXPECT_EQ(r.output.find("precondition failed"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find(".cpp:"), std::string::npos) << r.output;
+  }
+}
+
 TEST(LintCli, FamilyOverrideAppliesToDsnTargets) {
   // --family binds the named routing family to the dsn, dsn-e and dsn-d
   // targets too; without it they keep their native family.

@@ -8,11 +8,17 @@
 
 #include "dsn/analysis/factory.hpp"
 #include "dsn/analysis/route_analysis.hpp"
+#include "dsn/common/thread_pool.hpp"
 #include "dsn/graph/metrics.hpp"
 #include "dsn/routing/updown.hpp"
 
 namespace dsn {
 namespace {
+
+/// Tables over a fresh CSR snapshot of `g`, swept on the global pool.
+UpDownRouting updown_over(const Graph& g, NodeId root) {
+  return UpDownRouting(CsrView(g), root, ThreadPool::global());
+}
 
 void expect_legal(const UpDownRouting& ud, const std::vector<NodeId>& path) {
   bool gone_down = false;
@@ -58,7 +64,7 @@ class UpDownTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(UpDownTest, AllPairsLegalAndComplete) {
   const Topology topo = make_topology_by_name(GetParam(), 64, 3);
-  const UpDownRouting ud(topo.graph, 0);
+  const UpDownRouting ud = updown_over(topo.graph, 0);
   for (NodeId s = 0; s < 64; ++s) {
     const std::vector<std::uint32_t> shortest = legal_hops_from(topo.graph, ud, s);
     for (NodeId t = 0; t < 64; ++t) {
@@ -81,7 +87,7 @@ INSTANTIATE_TEST_SUITE_P(Topologies, UpDownTest,
 
 TEST(UpDown, LegalDistanceAtLeastBfs) {
   const Topology topo = make_topology_by_name("dsn", 128);
-  const UpDownRouting ud(topo.graph, 0);
+  const UpDownRouting ud = updown_over(topo.graph, 0);
   for (NodeId s = 0; s < 128; s += 5) {
     const auto bfs = bfs_distances(topo.graph, s);
     for (NodeId t = 0; t < 128; ++t) {
@@ -95,7 +101,7 @@ TEST(UpDown, LegalDistanceOptimalAgainstBruteForce) {
   // Following the next-hop tables (route()) walks a shortest legal path for
   // every ordered pair.
   const Topology topo = make_topology_by_name("random", 32, 11);
-  const UpDownRouting ud(topo.graph, 0);
+  const UpDownRouting ud = updown_over(topo.graph, 0);
   const NodeId n = topo.graph.num_nodes();
   for (NodeId s = 0; s < n; ++s) {
     const std::vector<std::uint32_t> shortest = legal_hops_from(topo.graph, ud, s);
@@ -108,7 +114,7 @@ TEST(UpDown, LegalDistanceOptimalAgainstBruteForce) {
 
 TEST(UpDown, RootHasLevelZero) {
   const Topology topo = make_topology_by_name("torus", 16);
-  const UpDownRouting ud(topo.graph, 5);
+  const UpDownRouting ud = updown_over(topo.graph, 5);
   EXPECT_EQ(ud.root(), 5u);
   // Every hop away from the root on a tree path is a down hop.
   const auto path = ud.route(5, 0);
@@ -119,7 +125,7 @@ TEST(UpDown, DownOnlyTableConsistent) {
   // Following next_hop with the phase threaded exactly as route() does must
   // terminate for every pair (no cycles between the two tables).
   const Topology topo = make_topology_by_name("dsn", 100);
-  const UpDownRouting ud(topo.graph, 0);
+  const UpDownRouting ud = updown_over(topo.graph, 0);
   for (NodeId s = 0; s < 100; ++s) {
     for (NodeId t = 0; t < 100; ++t) {
       if (s == t) continue;
@@ -157,12 +163,52 @@ TEST(UpDown, UpDownInflatesPathsOnTorus) {
 TEST(UpDown, RejectsDisconnected) {
   Graph g(4);
   g.add_link(0, 1);
-  EXPECT_THROW(UpDownRouting(g, 0), PreconditionError);
+  EXPECT_THROW(updown_over(g, 0), PreconditionError);
 }
 
 TEST(UpDown, RejectsBadRoot) {
   const Topology topo = make_topology_by_name("ring", 8);
-  EXPECT_THROW(UpDownRouting(topo.graph, 8), PreconditionError);
+  EXPECT_THROW(updown_over(topo.graph, 8), PreconditionError);
+}
+
+TEST(UpDown, NextHopsInvariantAcrossPoolWorkers) {
+  // The destination sweep runs on the caller's pool; the tables must not
+  // depend on its worker count. DSN-E lists parallel links twice; the
+  // disconnected case is a degraded rebuild's two-component graph.
+  Graph split(40);
+  for (NodeId u = 0; u < 40; ++u) {
+    if (u % 20 != 19) split.add_link(u, u + 1);
+    if (u + 7 < 40 && u / 20 == (u + 7) / 20) split.add_link(u, u + 7);
+  }
+  struct Case {
+    std::string name;
+    Graph graph;
+    bool allow_disconnected;
+  };
+  const Case cases[] = {
+      {"dsn-e-96", make_topology_by_name("dsn-e", 96).graph, false},
+      {"random-regular-96", make_topology_by_name("random-regular", 96, 3).graph, false},
+      {"two-components-40", split, true},
+  };
+  ThreadPool one(1), four(4), eight(8);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const CsrView csr(c.graph);
+    const NodeId n = csr.num_nodes();
+    const UpDownRouting base(csr, 0, one, c.allow_disconnected);
+    for (ThreadPool* pool : {&four, &eight}) {
+      const UpDownRouting ud(csr, 0, *pool, c.allow_disconnected);
+      for (NodeId u = 0; u < n; ++u) {
+        for (NodeId t = 0; t < n; ++t) {
+          for (const bool down_only : {false, true}) {
+            ASSERT_EQ(ud.next_hop(u, t, down_only), base.next_hop(u, t, down_only))
+                << u << "->" << t << " down_only=" << down_only
+                << " workers=" << pool->size();
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
