@@ -5,6 +5,8 @@
 //
 //   ./examples/example_topology_explorer --n 32 --src 3 --dst 27
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "dsn/common/cli.hpp"
 #include "dsn/common/table.hpp"
@@ -31,6 +33,14 @@ int main(int argc, char** argv) {
   if (cli.get_bool("dump_nodes")) {
     dsn::Table table({"node", "super", "level", "height", "shortcut ->", "span",
                       "incoming", "degree"});
+    // Sources of the shortcuts into each node, in ascending order.
+    std::vector<std::string> incoming(n);
+    for (dsn::NodeId i = 0; i < n; ++i) {
+      const dsn::NodeId sc = d.shortcut_target(i);
+      if (sc == dsn::kInvalidNode) continue;
+      if (!incoming[sc].empty()) incoming[sc] += ",";
+      incoming[sc] += std::to_string(i);
+    }
     for (dsn::NodeId i = 0; i < n; ++i) {
       const dsn::NodeId sc = d.shortcut_target(i);
       std::string span = "-";
@@ -39,11 +49,6 @@ int main(int argc, char** argv) {
         target = std::to_string(sc);
         span = std::to_string((sc + n - i) % n);
       }
-      std::string incoming;
-      for (const auto from : d.incoming_shortcuts(i)) {
-        if (!incoming.empty()) incoming += ",";
-        incoming += std::to_string(from);
-      }
       table.row()
           .cell(static_cast<std::uint64_t>(i))
           .cell(static_cast<std::uint64_t>(d.super_node(i)))
@@ -51,7 +56,7 @@ int main(int argc, char** argv) {
           .cell(static_cast<std::uint64_t>(d.height(i)))
           .cell(target)
           .cell(span)
-          .cell(incoming.empty() ? "-" : incoming)
+          .cell(incoming[i].empty() ? "-" : incoming[i])
           .cell(static_cast<std::uint64_t>(d.topology().graph.degree(i)));
     }
     table.print(std::cout, "Per-node structure");

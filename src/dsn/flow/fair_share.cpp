@@ -4,7 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
+#include <utility>
 
 #include "dsn/common/error.hpp"
 
@@ -16,15 +16,30 @@ namespace {
 /// noise relative to its capacity is full.
 double saturation_eps(double capacity) { return 1e-9 * std::max(1.0, capacity); }
 
-/// `FairShareScratch::local` entry of a resource the current solve has not
-/// numbered (every entry, between solves).
-constexpr std::uint32_t kUnmapped = ~std::uint32_t{0};
+/// An unmapped resource, an unlinked entry.
+constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
-/// The input contract shared by the solver and the checker; returns the flow
-/// count.
-std::size_t checked_flow_count(const std::vector<double>& capacity,
-                               const std::vector<std::uint32_t>& route_pool,
-                               const std::vector<std::uint64_t>& route_begin) {
+/// The route contract of FairShareProblem::open and check_max_min.
+void check_route(const std::vector<double>& capacity, std::span<const std::uint32_t> route) {
+  DSN_REQUIRE(!route.empty(), "every flow must cross at least one resource");
+  for (const std::uint32_t c : route) {
+    DSN_REQUIRE(c < capacity.size(), "route resource index out of range");
+    DSN_REQUIRE(capacity[c] > 0.0 && std::isfinite(capacity[c]),
+                "a used resource must have positive finite capacity");
+  }
+}
+
+/// Flow f's route in a pool; its offsets must have passed flow_count.
+std::span<const std::uint32_t> route_of(const std::vector<std::uint32_t>& route_pool,
+                                        const std::vector<std::uint64_t>& route_begin,
+                                        std::size_t f) {
+  return {route_pool.data() + route_begin[f], route_begin[f + 1] - route_begin[f]};
+}
+
+/// The offsets contract of the one-shot solver and the checker; returns the
+/// flow count.
+std::size_t flow_count(const std::vector<std::uint32_t>& route_pool,
+                       const std::vector<std::uint64_t>& route_begin) {
   DSN_REQUIRE(!route_begin.empty(), "route_begin must hold flows + 1 offsets");
   DSN_REQUIRE(route_begin.back() == route_pool.size(),
               "route_begin does not cover the route pool");
@@ -32,124 +47,134 @@ std::size_t checked_flow_count(const std::vector<double>& capacity,
   for (std::size_t f = 0; f < flows; ++f) {
     DSN_REQUIRE(route_begin[f + 1] > route_begin[f],
                 "every flow must cross at least one resource");
-    for (std::uint64_t i = route_begin[f]; i < route_begin[f + 1]; ++i) {
-      const std::uint32_t c = route_pool[i];
-      DSN_REQUIRE(c < capacity.size(), "route resource index out of range");
-      DSN_REQUIRE(capacity[c] > 0.0, "a used resource must have positive capacity");
-    }
   }
   return flows;
 }
 
 }  // namespace
 
-FairShareResult max_min_fair_rates(const std::vector<double>& capacity,
-                                   const std::vector<std::uint32_t>& route_pool,
-                                   const std::vector<std::uint64_t>& route_begin,
-                                   FairShareScratch& s, std::uint32_t max_rounds) {
-  const std::size_t flows = checked_flow_count(capacity, route_pool, route_begin);
-  DSN_REQUIRE(flows < kNoBottleneck, "flow count exceeds the 32-bit flow id range");
+FairShareProblem::FairShareProblem(std::vector<double> capacity)
+    : capacity_(std::move(capacity)), local_(capacity_.size(), kNone) {}
 
-  FairShareResult res;
-  res.rate.assign(flows, 0.0);
-  res.bottleneck.assign(flows, kNoBottleneck);
-  if (flows == 0) return res;
+std::uint32_t FairShareProblem::open(std::span<const std::uint32_t> route) {
+  check_route(capacity_, route);
+  const std::size_t length = route.size();
+  if (free_flows_.size() <= length) free_flows_.resize(length + 1);
+  std::uint32_t f = 0;
+  if (!free_flows_[length].empty()) {
+    f = free_flows_[length].back();
+    free_flows_[length].pop_back();
+  } else {
+    DSN_REQUIRE(flows_.size() < kNone && entries_.size() + length < kNone,
+                "open flows exceed the 32-bit flow and route entry ids");
+    f = static_cast<std::uint32_t>(flows_.size());
+    flows_.push_back({static_cast<std::uint32_t>(entries_.size()),
+                      static_cast<std::uint32_t>(length), kNoBottleneck, 0.0});
+    entries_.resize(entries_.size() + length);
+  }
 
-  // Number the used resources in first-use order and translate the routes to
-  // those local ids. Both arrays are sized first, so nothing can throw while
-  // `local` holds this solve's entries; they are reset before the rounds.
-  const std::uint64_t base = route_begin.front();
-  const std::size_t entries = route_pool.size() - base;
-  if (s.local.size() < capacity.size()) s.local.resize(capacity.size(), kUnmapped);
-  s.global.clear();
-  s.global.reserve(std::min(entries, capacity.size()));
-  s.route.resize(entries);
-  for (std::size_t i = 0; i < entries; ++i) {
-    std::uint32_t& id = s.local[route_pool[base + i]];
-    if (id == kUnmapped) {
-      id = static_cast<std::uint32_t>(s.global.size());
-      s.global.push_back(route_pool[base + i]);
+  // Number resources no open route crosses yet, and push each entry onto
+  // its resource's user list.
+  const std::uint32_t begin = flows_[f].begin;
+  for (std::uint32_t k = 0; k < length; ++k) {
+    std::uint32_t& l = local_[route[k]];
+    if (l == kNone) {
+      if (free_local_.empty()) {
+        l = static_cast<std::uint32_t>(resources_.size());
+        resources_.emplace_back();
+        full_.push_back(0.0);
+        residual_.push_back(0.0);
+        count_.push_back(0);
+        saturated_.push_back(0);
+      } else {
+        l = free_local_.back();
+        free_local_.pop_back();
+      }
+      resources_[l] = {route[k], 0, kNone};
     }
-    s.route[i] = id;
+    Resource& r = resources_[l];
+    entries_[begin + k] = {l, f, kNone, r.head};
+    if (r.head != kNone) entries_[r.head].prev = begin + k;
+    r.head = begin + k;
+    ++r.open;
   }
-  for (const std::uint32_t c : s.global) s.local[c] = kUnmapped;
-  const std::size_t used = s.global.size();
+  ++open_flows_;
+  return f;
+}
 
-  // Per local resource: residual capacity, saturation threshold and the
-  // number of unfrozen route entries crossing it (a repeated resource counts
-  // once per entry).
-  s.residual.resize(used);
-  s.full.resize(used);
-  for (std::size_t l = 0; l < used; ++l) {
-    s.residual[l] = capacity[s.global[l]];
-    s.full[l] = saturation_eps(s.residual[l]);
+void FairShareProblem::close(std::uint32_t f) {
+  const Flow& flow = flows_[f];
+  for (std::uint32_t e = flow.begin; e < flow.begin + flow.length; ++e) {
+    const Entry& entry = entries_[e];
+    Resource& r = resources_[entry.resource];
+    if (entry.prev != kNone)
+      entries_[entry.prev].next = entry.next;
+    else
+      r.head = entry.next;
+    if (entry.next != kNone) entries_[entry.next].prev = entry.prev;
+    if (--r.open == 0) {
+      local_[r.id] = kNone;
+      free_local_.push_back(entry.resource);
+    }
   }
-  s.count.assign(used, 0);
-  for (const std::uint32_t l : s.route) ++s.count[l];
-  s.saturated.assign(used, 0);
+  free_flows_[flow.length].push_back(f);
+  --open_flows_;
+}
 
-  // Resource -> flow index (CSR): each list is filled backwards from its end,
-  // so the flows come out in flow order.
-  s.users_begin.resize(used + 1);
-  std::uint64_t end_offset = 0;
-  for (std::size_t l = 0; l < used; ++l) {
-    end_offset += s.count[l];
-    s.users_begin[l] = end_offset;
-  }
-  s.users_begin[used] = entries;
-  s.users.resize(entries);
-  for (std::size_t f = flows; f-- > 0;) {
-    for (std::uint64_t i = route_begin[f + 1] - base; i-- > route_begin[f] - base;)
-      s.users[--s.users_begin[s.route[i]]] = static_cast<std::uint32_t>(f);
-  }
-
-  // Every resource starts live; the first increment is the tightest share.
-  s.live.resize(used);
-  std::iota(s.live.begin(), s.live.end(), 0u);
+std::uint32_t FairShareProblem::solve() {
+  // Every resource an open flow crosses starts live at full capacity; the
+  // first increment is the tightest share.
+  live_.clear();
   double share = std::numeric_limits<double>::infinity();
-  for (const std::uint32_t l : s.live) share = std::min(share, s.residual[l] / s.count[l]);
+  for (std::uint32_t l = 0; l < resources_.size(); ++l) {
+    const Resource& r = resources_[l];
+    if (r.open == 0) continue;
+    residual_[l] = capacity_[r.id];
+    full_[l] = saturation_eps(residual_[l]);
+    count_[l] = r.open;
+    saturated_[l] = 0;
+    live_.push_back(l);
+    share = std::min(share, residual_[l] / count_[l]);
+  }
+  for (Flow& flow : flows_) flow.bottleneck = kNoBottleneck;
 
-  // Every round saturates at least one resource, so the loop needs at most
-  // |used resources| rounds; max_rounds 0 means exactly that natural bound.
-  const std::uint32_t round_limit =
-      max_rounds != 0
-          ? max_rounds
-          : static_cast<std::uint32_t>(std::min<std::size_t>(used, ~std::uint32_t{0}));
   // The water level: the shares summed in round order. A flow frozen in round
   // r holds the level after round r, the same additions a per-flow running
   // sum would make, so the rates are bitwise those of the textbook loop.
   double level = 0.0;
-  std::size_t unfrozen = flows;
-  while (unfrozen > 0 && res.rounds < round_limit) {
-    ++res.rounds;
-    if (!std::isfinite(share)) break;  // every live resource is uncapacitated
+  std::uint32_t rounds = 0;
+  std::uint32_t unfrozen = open_flows_;
+  while (unfrozen > 0) {
+    ++rounds;
     level += share;
 
-    s.saturating.clear();
-    for (const std::uint32_t l : s.live) {
-      s.residual[l] -= share * s.count[l];
-      if (s.residual[l] <= s.full[l]) {
-        s.saturated[l] = 1;
-        s.saturating.push_back(l);
+    // The resource that set the share ends within a few ulps of 0, below
+    // its threshold, so every round saturates at least one live resource.
+    saturating_.clear();
+    for (const std::uint32_t l : live_) {
+      residual_[l] -= share * count_[l];
+      if (residual_[l] <= full_[l]) {
+        saturated_[l] = 1;
+        saturating_.push_back(l);
       }
     }
+    DSN_ASSERT(!saturating_.empty(), "a water-filling round saturated no resource");
 
     // Freeze the unfrozen flows under each saturated resource; their counts
     // leave the sharing pool so the survivors split the remaining headroom.
     // Every flag is set before any flow freezes, so a flow's bottleneck (the
     // first saturated resource on its route) does not depend on which
     // resource's list reached it first.
-    for (const std::uint32_t l : s.saturating) {
-      for (std::uint64_t k = s.users_begin[l]; k < s.users_begin[l + 1]; ++k) {
-        const std::uint32_t f = s.users[k];
-        if (res.bottleneck[f] != kNoBottleneck) continue;  // frozen already
-        const std::uint64_t begin = route_begin[f] - base;
-        const std::uint64_t end = route_begin[f + 1] - base;
-        std::uint64_t i = begin;
-        while (s.saturated[s.route[i]] == 0) ++i;
-        res.bottleneck[f] = s.global[s.route[i]];
-        res.rate[f] = level;
-        for (i = begin; i < end; ++i) --s.count[s.route[i]];
+    for (const std::uint32_t l : saturating_) {
+      for (std::uint32_t e = resources_[l].head; e != kNone; e = entries_[e].next) {
+        Flow& flow = flows_[entries_[e].flow];
+        if (flow.bottleneck != kNoBottleneck) continue;  // frozen already
+        const Entry* route = entries_.data() + flow.begin;
+        std::uint32_t i = 0;
+        while (saturated_[route[i].resource] == 0) ++i;
+        flow.bottleneck = resources_[route[i].resource].id;
+        flow.rate = level;
+        for (i = 0; i < flow.length; ++i) --count_[route[i].resource];
         --unfrozen;
       }
     }
@@ -158,28 +183,33 @@ FairShareResult max_min_fair_rates(const std::vector<double>& capacity,
     // residual share among the rest is the next round's increment.
     share = std::numeric_limits<double>::infinity();
     std::size_t kept = 0;
-    for (const std::uint32_t l : s.live) {
-      if (s.count[l] == 0) continue;
-      s.live[kept++] = l;
-      share = std::min(share, s.residual[l] / s.count[l]);
+    for (const std::uint32_t l : live_) {
+      if (count_[l] == 0) continue;
+      live_[kept++] = l;
+      share = std::min(share, residual_[l] / count_[l]);
     }
-    s.live.resize(kept);
+    live_.resize(kept);
   }
-  if (unfrozen > 0) {
-    for (std::size_t f = 0; f < flows; ++f) {
-      if (res.bottleneck[f] == kNoBottleneck) res.rate[f] = level;
-    }
-  }
-  res.converged = unfrozen == 0;
-  return res;
+  return rounds;
 }
 
 FairShareResult max_min_fair_rates(const std::vector<double>& capacity,
                                    const std::vector<std::uint32_t>& route_pool,
-                                   const std::vector<std::uint64_t>& route_begin,
-                                   std::uint32_t max_rounds) {
-  FairShareScratch scratch;
-  return max_min_fair_rates(capacity, route_pool, route_begin, scratch, max_rounds);
+                                   const std::vector<std::uint64_t>& route_begin) {
+  const std::size_t flows = flow_count(route_pool, route_begin);
+  FairShareProblem problem(capacity);
+  std::vector<std::uint32_t> id(flows);
+  for (std::size_t f = 0; f < flows; ++f)
+    id[f] = problem.open(route_of(route_pool, route_begin, f));
+  FairShareResult res;
+  res.rounds = problem.solve();
+  res.rate.resize(flows);
+  res.bottleneck.resize(flows);
+  for (std::size_t f = 0; f < flows; ++f) {
+    res.rate[f] = problem.rate(id[f]);
+    res.bottleneck[f] = problem.bottleneck(id[f]);
+  }
+  return res;
 }
 
 std::vector<std::string> check_max_min(const std::vector<double>& capacity,
@@ -187,7 +217,9 @@ std::vector<std::string> check_max_min(const std::vector<double>& capacity,
                                        const std::vector<std::uint64_t>& route_begin,
                                        const FairShareResult& result, double tol,
                                        std::size_t max_violations) {
-  const std::size_t flows = checked_flow_count(capacity, route_pool, route_begin);
+  const std::size_t flows = flow_count(route_pool, route_begin);
+  for (std::size_t f = 0; f < flows; ++f)
+    check_route(capacity, route_of(route_pool, route_begin, f));
   DSN_REQUIRE(result.rate.size() == flows && result.bottleneck.size() == flows,
               "the result must hold one rate and one bottleneck per flow");
   const std::size_t caps = capacity.size();
@@ -215,8 +247,7 @@ std::vector<std::string> check_max_min(const std::vector<double>& capacity,
   for (std::size_t f = 0; f < flows; ++f) {
     const std::uint32_t c = result.bottleneck[f];
     if (c == kNoBottleneck) {
-      if (result.converged)
-        report("flow " + std::to_string(f) + " has no bottleneck on a converged solve");
+      report("flow " + std::to_string(f) + " has no bottleneck");
       continue;
     }
     DSN_REQUIRE(c < caps, "bottleneck id is neither a resource nor kNoBottleneck");

@@ -10,71 +10,110 @@
 // fair allocation: every flow is bottlenecked at a saturated resource where
 // it holds a maximal rate.
 //
-// A solve works only on the resources its flows use, numbered in first-use
-// order, and each round only on the *live* ones (crossed by at least one
-// unfrozen flow). A resource -> flow index lets a round freeze just the flows
-// under the resources that saturated in it.
+// A FairShareProblem holds the open flows between solves. A flow's route is
+// checked and translated to local resource ids once, when it opens, and
+// threaded into one user list per resource; a solve resets only the
+// resources open flows cross and runs the rounds, each only on the *live*
+// resources (crossed by at least one unfrozen flow), freezing just the flows
+// listed under the resources that saturated in it.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace dsn::flow {
 
-/// Sentinel bottleneck for a flow the solver never froze (only possible on a
-/// non-converged solve).
+/// Bottleneck of a flow no solve froze; check_max_min reports it.
 inline constexpr std::uint32_t kNoBottleneck = ~std::uint32_t{0};
 
 struct FairShareResult {
   std::vector<double> rate;               ///< flits/cycle per flow
   std::vector<std::uint32_t> bottleneck;  ///< saturated resource that froze the flow
   std::uint32_t rounds = 0;               ///< water-filling rounds used
-  bool converged = true;                  ///< false iff max_rounds was hit
 };
 
-/// Reusable solver workspace, one per caller (never shared between threads).
-/// `local` is the only array sized to all resources: it maps a resource id to
-/// its solve-local id, and every solve resets exactly the entries it set, so
-/// one scratch serves any sequence of problems. The rest is sized to the
-/// resources, route entries and flows of the current solve.
-struct FairShareScratch {
-  std::vector<std::uint32_t> local;        ///< resource -> local id (unmapped between solves)
-  std::vector<std::uint32_t> global;       ///< local id -> resource, first-use order
-  std::vector<std::uint32_t> route;        ///< the route pool in local ids
-  std::vector<double> residual;            ///< per local resource
-  std::vector<double> full;                ///< saturation threshold per local resource
-  std::vector<std::uint32_t> count;        ///< unfrozen route entries per local resource
-  std::vector<std::uint8_t> saturated;     ///< per local resource
-  std::vector<std::uint64_t> users_begin;  ///< local resource -> its flows in `users`
-  std::vector<std::uint32_t> users;        ///< flow ids per resource, in flow order
-  std::vector<std::uint32_t> live;         ///< local resources an unfrozen flow crosses
-  std::vector<std::uint32_t> saturating;   ///< local resources saturated this round
+/// The max-min problem of a changing set of flows, one per caller (never
+/// shared between threads). Every solve converges: the resource that sets a
+/// round's share saturates in it and every flow crossing it freezes, so the
+/// rounds never outnumber the resources the open flows cross.
+class FairShareProblem {
+ public:
+  FairShareProblem() = default;
+  /// `capacity[c]` is the capacity of resource c in flits/cycle; only the
+  /// resources an open route crosses need a positive finite one.
+  explicit FairShareProblem(std::vector<double> capacity);
+
+  const std::vector<double>& capacity() const { return capacity_; }
+
+  /// Open a flow over `route`, at least one resource id (a repeated
+  /// resource counts once per entry), and return its flow id; a closed
+  /// flow's id may be handed out again. A refused route changes nothing.
+  std::uint32_t open(std::span<const std::uint32_t> route);
+  /// Close open flow `id`.
+  void close(std::uint32_t id);
+
+  /// Solve the max-min allocation of the open flows; returns the rounds.
+  std::uint32_t solve();
+  /// Open flow `id`'s rate in flits/cycle and the saturated resource that
+  /// froze it, as of the last solve.
+  double rate(std::uint32_t id) const { return flows_[id].rate; }
+  std::uint32_t bottleneck(std::uint32_t id) const { return flows_[id].bottleneck; }
+
+ private:
+  /// A resource some open route crosses, under its local id.
+  struct Resource {
+    std::uint32_t id;    ///< the resource's own id
+    std::uint32_t open;  ///< open route entries crossing it; 0 = local id free
+    std::uint32_t head;  ///< first entry of its user list
+  };
+  /// One route entry of an open flow, linked into its resource's user list.
+  struct Entry {
+    std::uint32_t resource;  ///< local id
+    std::uint32_t flow;
+    std::uint32_t prev, next;
+  };
+  /// A flow id's route entries are entries_[begin, begin + length); a
+  /// closed id keeps them for the next route of the same length.
+  struct Flow {
+    std::uint32_t begin;
+    std::uint32_t length;
+    std::uint32_t bottleneck;
+    double rate;
+  };
+
+  std::vector<double> capacity_;
+  std::vector<std::uint32_t> local_;  ///< resource -> local id, or none
+  std::vector<Resource> resources_;   ///< by local id
+  // The round loop's state, by local id: saturation threshold, headroom,
+  // unfrozen route entries crossing the resource, saturated flag.
+  std::vector<double> full_, residual_;
+  std::vector<std::uint32_t> count_;
+  std::vector<std::uint8_t> saturated_;
+  std::vector<std::uint32_t> free_local_;
+  std::vector<Entry> entries_;
+  std::vector<Flow> flows_;  ///< by flow id
+  std::vector<std::vector<std::uint32_t>> free_flows_;  ///< closed ids by route length
+  std::uint32_t open_flows_ = 0;
+  std::vector<std::uint32_t> live_;        ///< local ids an unfrozen flow crosses
+  std::vector<std::uint32_t> saturating_;  ///< local ids saturated this round
 };
 
-/// Solve the max-min allocation. Flow f uses resources
-/// `route_pool[route_begin[f] .. route_begin[f+1])`; `capacity[c]` > 0 is the
-/// capacity of resource c in flits/cycle. Every flow must cross at least one
-/// resource. `max_rounds` 0 uses the natural bound (one saturated resource
-/// per round, so at most the number of used resources); a positive value is
-/// an explicit ceiling below which the solve may report converged=false.
+/// One-shot solve of the max-min allocation. Flow f uses resources
+/// `route_pool[route_begin[f] .. route_begin[f+1])`; `capacity[c]` is the
+/// capacity of resource c in flits/cycle, positive and finite wherever a
+/// route crosses it. Every flow must cross at least one resource.
 FairShareResult max_min_fair_rates(const std::vector<double>& capacity,
                                    const std::vector<std::uint32_t>& route_pool,
-                                   const std::vector<std::uint64_t>& route_begin,
-                                   FairShareScratch& scratch, std::uint32_t max_rounds = 0);
-
-/// One-shot solve with a scratch of its own.
-FairShareResult max_min_fair_rates(const std::vector<double>& capacity,
-                                   const std::vector<std::uint32_t>& route_pool,
-                                   const std::vector<std::uint64_t>& route_begin,
-                                   std::uint32_t max_rounds = 0);
+                                   const std::vector<std::uint64_t>& route_begin);
 
 /// Verify the max-min invariant on a solution: (a) feasibility — no resource
-/// is used beyond capacity * (1 + tol); (b) bottleneck — every flow's
-/// bottleneck resource is saturated (usage >= capacity * (1 - tol)) and the
-/// flow holds a maximal rate there (rate >= max rate across the resource
-/// - tol). Returns human-readable violations (empty = invariant holds),
-/// capped at `max_violations`. Malformed input (the route checks of
+/// is used beyond capacity * (1 + tol); (b) bottleneck — every flow has a
+/// bottleneck resource, saturated there (usage >= capacity * (1 - tol)) and
+/// holding a maximal rate (rate >= max rate across the resource - tol).
+/// Returns human-readable violations (empty = invariant holds), capped at
+/// `max_violations`. Malformed input (the route checks of
 /// max_min_fair_rates, a result shorter than the flow count, a bottleneck id
 /// that is neither a resource nor kNoBottleneck) throws PreconditionError.
 /// Used by the property tests and dsn-lint flow.

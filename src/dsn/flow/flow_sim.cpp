@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <utility>
 
 #include "dsn/common/error.hpp"
 #include "dsn/obs/obs.hpp"
@@ -65,7 +67,7 @@ FlowSimulator::FlowSimulator(const Topology& topo, const FlowConfig& config)
   // arc of the pair (map_route always picks the first), so the remaining
   // parallel arcs are never referenced.
   const std::size_t arcs = csr_.num_arcs();
-  capacity_.assign(arcs + 2ULL * num_hosts_, kPortCapacity);
+  std::vector<double> capacity(arcs + 2ULL * num_hosts_, kPortCapacity);
   for (NodeId u = 0; u < n; ++u) {
     const auto nb = csr_.neighbors(u);
     for (std::size_t k = 0; k < nb.size(); ++k) {
@@ -76,10 +78,11 @@ FlowSimulator::FlowSimulator(const Topology& topo, const FlowConfig& config)
         ++mult;
         if (j < k) first = false;
       }
-      capacity_[row_off_[u] + k] =
+      capacity[row_off_[u] + k] =
           first ? kPortCapacity * static_cast<double>(mult) : kPortCapacity;
     }
   }
+  problem_ = FairShareProblem(std::move(capacity));
 
   routes_ = std::make_unique<FlowRoutes>(topo, csr_, config_.updown_max_n);
 }
@@ -103,21 +106,23 @@ void FlowSimulator::map_route(HostId src, HostId dst) {
 }
 
 void FlowSimulator::admit(const std::vector<Demand>& demands) {
-  const std::size_t base = flows_.count();
   if (flows_.route_begin.empty()) flows_.route_begin.push_back(0);
+  active_.reserve(active_.size() + demands.size());
   for (const Demand& d : demands) {
+    const std::uint64_t begin = flows_.pool.size();
     map_route(d.src, d.dst);
     DSN_REQUIRE(d.flits > 0, "demands must carry at least one flit");
+    const auto f = static_cast<std::uint32_t>(flows_.count());
     flows_.src.push_back(d.src);
     flows_.dst.push_back(d.dst);
     flows_.remaining.push_back(static_cast<double>(d.flits));
     flows_.size.push_back(d.flits);
     flows_.fct.push_back(0.0);
     flows_.route_begin.push_back(flows_.pool.size());
+    const std::span<const std::uint32_t> route(flows_.pool.data() + begin,
+                                               flows_.pool.size() - begin);
+    active_.push_back({f, problem_.open(route)});
   }
-  active_.reserve(active_.size() + demands.size());
-  for (std::size_t f = base; f < flows_.count(); ++f)
-    active_.push_back(static_cast<std::uint32_t>(f));
   DSN_OBS_ONLY(DSN_OBS_ADD(FlowMetrics::get().flows, demands.size());)
 }
 
@@ -154,6 +159,8 @@ FlowResult FlowSimulator::run_loop(WorkloadDriver& driver) {
   res.workload = driver.name();
   res.hosts = num_hosts_;
   flows_ = Flows{};
+  // A run cut short (epoch ceiling, zero-rate flow) leaves its flows open.
+  for (const Open& open : active_) problem_.close(open.problem);
   active_.clear();
 
   std::vector<Demand> pending;
@@ -182,23 +189,25 @@ FlowResult FlowSimulator::run_loop(WorkloadDriver& driver) {
     DSN_OBS_ONLY(DSN_OBS_GAUGE_SET(FlowMetrics::get().active,
                                    static_cast<std::int64_t>(active_.size()));)
 
-    // Restrict the fair-share problem to the open flows (admission order).
-    solve_begin.assign(1, 0);
-    solve_pool.clear();
-    for (const std::uint32_t f : active_) {
-      solve_pool.insert(solve_pool.end(), flows_.pool.begin() + flows_.route_begin[f],
-                        flows_.pool.begin() + flows_.route_begin[f + 1]);
-      solve_begin.push_back(solve_pool.size());
-    }
-    const FairShareResult fs =
-        max_min_fair_rates(capacity_, solve_pool, solve_begin, solver_scratch_);
-    res.max_waterfill_rounds = std::max(res.max_waterfill_rounds, fs.rounds);
-    res.waterfill_rounds_total += fs.rounds;
-    DSN_OBS_ONLY(DSN_OBS_ADD(FlowMetrics::get().waterfill_rounds, fs.rounds);)
-    if (!fs.converged) res.converged = false;
+    const std::uint32_t rounds = problem_.solve();
+    res.max_waterfill_rounds = std::max(res.max_waterfill_rounds, rounds);
+    res.waterfill_rounds_total += rounds;
+    DSN_OBS_ONLY(DSN_OBS_ADD(FlowMetrics::get().waterfill_rounds, rounds);)
     if (config_.verify) {
+      // The open flows as a one-shot problem, in admission order.
+      FairShareResult fs;
+      fs.rounds = rounds;
+      solve_begin.assign(1, 0);
+      solve_pool.clear();
+      for (const auto& [f, id] : active_) {
+        solve_pool.insert(solve_pool.end(), flows_.pool.begin() + flows_.route_begin[f],
+                          flows_.pool.begin() + flows_.route_begin[f + 1]);
+        solve_begin.push_back(solve_pool.size());
+        fs.rate.push_back(problem_.rate(id));
+        fs.bottleneck.push_back(problem_.bottleneck(id));
+      }
       const std::vector<std::string> violations =
-          check_max_min(capacity_, solve_pool, solve_begin, fs);
+          check_max_min(problem_.capacity(), solve_pool, solve_begin, fs);
       res.verify_violations += violations.size();
       if (res.verify_first.empty() && !violations.empty())
         res.verify_first = violations.front();
@@ -207,9 +216,9 @@ FlowResult FlowSimulator::run_loop(WorkloadDriver& driver) {
     // Earliest completion under the solved rates; clamp into the epoch
     // bounds. All of this is serial in admission order.
     double t_min = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      if (fs.rate[i] > 0.0)
-        t_min = std::min(t_min, flows_.remaining[active_[i]] / fs.rate[i]);
+    for (const auto& [f, id] : active_) {
+      const double rate = problem_.rate(id);
+      if (rate > 0.0) t_min = std::min(t_min, flows_.remaining[f] / rate);
     }
     if (!std::isfinite(t_min)) {
       res.converged = false;  // a zero-rate flow can never finish
@@ -221,9 +230,9 @@ FlowResult FlowSimulator::run_loop(WorkloadDriver& driver) {
 
     completed.clear();
     std::size_t kept = 0;
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      const std::uint32_t f = active_[i];
-      const double rate = fs.rate[i];
+    for (const Open& open : active_) {
+      const std::uint32_t f = open.flow;
+      const double rate = problem_.rate(open.problem);
       const double delivered = rate * dt;
       if (rate > 0.0 && flows_.remaining[f] <= delivered * (1.0 + 1e-12)) {
         const double fct = now + flows_.remaining[f] / rate;
@@ -231,10 +240,11 @@ FlowResult FlowSimulator::run_loop(WorkloadDriver& driver) {
         flows_.remaining[f] = 0.0;
         flows_.fct[f] = fct;
         completed.emplace_back(f, fct);
+        problem_.close(open.problem);
       } else {
         flows_.remaining[f] -= delivered;
         res.flits_delivered += delivered;
-        active_[kept++] = f;
+        active_[kept++] = open;
       }
     }
     active_.resize(kept);

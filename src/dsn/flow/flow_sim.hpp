@@ -10,8 +10,9 @@
 //      straight into the route pool;
 //   2. solve the max-min fair rate allocation over per-resource capacities
 //      (directed link halves + host injection/ejection ports, each 1
-//      flit/cycle like the flit sim) by progressive water-filling, in a
-//      solver workspace the simulator keeps across epochs;
+//      flit/cycle like the flit sim) by progressive water-filling, on one
+//      fair-share problem the run keeps across epochs: a flow joins it when
+//      admitted and leaves it when retired;
 //   3. advance to the earliest flow completion (clamped to the epoch
 //      bounds), retire completed flows at their exact completion time, and
 //      hand them to the workload driver, which may emit successors.
@@ -65,8 +66,7 @@ struct FlowResult {
   double makespan_cycles = 0.0;  ///< last completion time (exact, sub-epoch)
   std::uint32_t max_waterfill_rounds = 0;
   std::uint64_t waterfill_rounds_total = 0;
-  /// True iff every water-filling solve converged, every flow completed and
-  /// the epoch ceiling was not hit.
+  /// True iff every flow completed and the epoch ceiling was not hit.
   bool converged = true;
   double aggregate_flits_per_cycle = 0.0;  ///< flits_delivered / makespan
   double per_host_flits_per_cycle = 0.0;
@@ -130,15 +130,20 @@ class FlowSimulator {
   FlowConfig config_;
   CsrView csr_;
   std::vector<std::uint64_t> row_off_;  ///< node -> first arc index in csr_
-  std::vector<double> capacity_;        ///< arcs, then inject, then eject
   std::unique_ptr<FlowRoutes> routes_;
   FlowRoutes::Scratch route_scratch_;  ///< reused by every admitted route
   std::vector<NodeId> path_;           ///< switch path being mapped
   std::uint32_t num_hosts_ = 0;
 
-  Flows flows_;                        ///< this run's flows, admission order
-  std::vector<std::uint32_t> active_;  ///< open flow ids, admission order
-  FairShareScratch solver_scratch_;    ///< reused by every epoch's solve
+  Flows flows_;  ///< this run's flows, admission order
+  /// Capacities of the arcs, then the inject ports, then the eject ports,
+  /// and this run's open flows.
+  FairShareProblem problem_;
+  struct Open {
+    std::uint32_t flow;     ///< index into flows_
+    std::uint32_t problem;  ///< flow id in problem_
+  };
+  std::vector<Open> active_;  ///< open flows, admission order
 };
 
 }  // namespace dsn::flow

@@ -13,7 +13,6 @@ Dsn::Dsn(std::uint32_t n, std::uint32_t x) : n_(n), p_(0), x_(x), r_(0) {
   DSN_REQUIRE(x >= 1 && x <= p_ - 1, "DSN requires 1 <= x <= p-1");
 
   shortcut_target_.assign(n_, kInvalidNode);
-  incoming_shortcuts_.assign(n_, {});
 
   topology_.name = "dsn-" + std::to_string(x_) + "-" + std::to_string(n_);
   topology_.kind = TopologyKind::kDsn;
@@ -45,7 +44,6 @@ Dsn::Dsn(std::uint32_t n, std::uint32_t x) : n_(n), p_(0), x_(x), r_(0) {
     }
     DSN_ASSERT(j != i, "shortcut degenerated to a self loop");
     shortcut_target_[i] = j;
-    incoming_shortcuts_[j].push_back(i);
     // A minimal-span shortcut can coincide with the ring link (i, i+1) when
     // floor(n/2^l) == 1; keep the structural target but do not duplicate the
     // physical link.

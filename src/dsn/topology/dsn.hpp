@@ -44,11 +44,6 @@ class Dsn {
   /// Outgoing shortcut target of node i, or kInvalidNode when level(i) > x.
   NodeId shortcut_target(NodeId i) const { return shortcut_target_[i]; }
 
-  /// Nodes whose shortcut points at i (0, 1 or 2 of them — Fact 1).
-  const std::vector<NodeId>& incoming_shortcuts(NodeId i) const {
-    return incoming_shortcuts_[i];
-  }
-
   /// Super node index of node i (groups of p consecutive ids).
   std::uint32_t super_node(NodeId i) const { return i / p_; }
 
@@ -62,7 +57,6 @@ class Dsn {
   std::uint32_t x_;
   std::uint32_t r_;
   std::vector<NodeId> shortcut_target_;
-  std::vector<std::vector<NodeId>> incoming_shortcuts_;
   Topology topology_;
 };
 

@@ -3,6 +3,9 @@
 // network sizes of the evaluation plus adversarial non-power-of-two sizes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "dsn/common/math.hpp"
 #include "dsn/graph/metrics.hpp"
 #include "dsn/topology/dsn.hpp"
@@ -64,21 +67,6 @@ TEST(Dsn, ShortcutLevelsAndTargets) {
       EXPECT_NE(d.level(cand), l + 1) << "node " << i << " closer candidate " << cand;
     }
   }
-}
-
-TEST(Dsn, IncomingShortcutsMatchOutgoing) {
-  const Dsn d(100, 6);
-  std::size_t outgoing = 0;
-  for (NodeId i = 0; i < 100; ++i) {
-    if (d.shortcut_target(i) != kInvalidNode) {
-      ++outgoing;
-      const auto& inc = d.incoming_shortcuts(d.shortcut_target(i));
-      EXPECT_NE(std::find(inc.begin(), inc.end(), i), inc.end());
-    }
-  }
-  std::size_t incoming = 0;
-  for (NodeId i = 0; i < 100; ++i) incoming += d.incoming_shortcuts(i).size();
-  EXPECT_EQ(incoming, outgoing);
 }
 
 TEST(Dsn, HighestLevelShortcutHalvesRing) {
@@ -167,8 +155,12 @@ TEST(DsnTheorem1b, ExactDiameterAndAsplWherePDividesN) {
 TEST_P(DsnFact1Test, AtMostTwoIncomingShortcuts) {
   const std::uint32_t n = GetParam();
   const Dsn d(n, dsn_default_x(n));
+  std::vector<std::uint32_t> incoming(n, 0);
   for (NodeId i = 0; i < n; ++i) {
-    EXPECT_LE(d.incoming_shortcuts(i).size(), 2u) << "node " << i << ", n " << n;
+    if (d.shortcut_target(i) != kInvalidNode) ++incoming[d.shortcut_target(i)];
+  }
+  for (NodeId i = 0; i < n; ++i) {
+    EXPECT_LE(incoming[i], 2u) << "node " << i << ", n " << n;
   }
 }
 

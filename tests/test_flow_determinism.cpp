@@ -26,26 +26,35 @@
 namespace dsn::flow {
 namespace {
 
-/// FNV-1a digest of one full closed-loop run's JSON projection, as hex.
-std::string run_digest(const std::string& topology, const std::string& workload,
-                       std::uint32_t n) {
-  const Topology topo = make_topology_by_name(topology, n);
-  FlowSimulator sim(topo, FlowConfig{});
-  WorkloadParams params;
-  params.hosts = sim.num_hosts();
-  params.clients = 16;
-  params.units = 6;
-  params.unit_flits = 192;
-  params.seed = 11;
-  const std::unique_ptr<WorkloadDriver> driver = make_workload(workload, params);
+/// FNV-1a digest of a result's JSON projection, as hex.
+std::string digest(const FlowResult& result) {
   std::uint64_t h = 1469598103934665603ULL;
-  for (const unsigned char c : to_json(sim.run(*driver)).dump()) {
+  for (const unsigned char c : to_json(result).dump()) {
     h ^= c;
     h *= 1099511628211ULL;
   }
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
   return buf;
+}
+
+/// The pinned runs' workload parameters on `sim`'s hosts.
+WorkloadParams golden_params(const FlowSimulator& sim) {
+  WorkloadParams params;
+  params.hosts = sim.num_hosts();
+  params.clients = 16;
+  params.units = 6;
+  params.unit_flits = 192;
+  params.seed = 11;
+  return params;
+}
+
+/// Digest of one full closed-loop run.
+std::string run_digest(const std::string& topology, const std::string& workload,
+                       std::uint32_t n, const FlowConfig& cfg = {}) {
+  const Topology topo = make_topology_by_name(topology, n);
+  FlowSimulator sim(topo, cfg);
+  return digest(sim.run(*make_workload(workload, golden_params(sim))));
 }
 
 TEST(FlowDeterminism, GoldenResults) {
@@ -55,6 +64,24 @@ TEST(FlowDeterminism, GoldenResults) {
   EXPECT_EQ(run_digest("dsn", "shuffle", 128), "4c96d1937de57a4a");
   EXPECT_EQ(run_digest("random-regular", "hdfs-write", 128), "43231112d5aeda6b");
   EXPECT_EQ(run_digest("dln", "allreduce-ring", 128), "475981734d3d0473");
+}
+
+TEST(FlowDeterminism, GoldenResultsAcrossSolverShapes) {
+  // Pinned result bytes for what GoldenResults leaves out: DSN-E's Up links
+  // run parallel to the ring, so those arcs pool their capacity; an epoch
+  // floor of 512 cycles retires several flows per epoch, as the benchmark's
+  // shuffle does; a static batch starts every flow at once; and the torus
+  // routes by DOR.
+  EXPECT_EQ(run_digest("dsn-e", "hdfs-read", 128), "3196ebcdb15e60c3");
+  FlowConfig coarse;
+  coarse.min_epoch_cycles = 512;
+  EXPECT_EQ(run_digest("dsn", "shuffle", 1024, coarse), "2e87b2eba1d4b920");
+  const Topology dln = make_topology_by_name("dln", 128);
+  FlowSimulator sim(dln, FlowConfig{});
+  const std::vector<Demand> batch =
+      expand_all_demands(*make_workload("hdfs-write", golden_params(sim)));
+  EXPECT_EQ(digest(sim.run(batch)), "b67230ec038cc520");
+  EXPECT_EQ(run_digest("torus", "allreduce-tree", 128), "92e7a16a9778c11a");
 }
 
 TEST(FlowDeterminism, StaticBatchMatchesRepeatedRun) {
@@ -81,9 +108,10 @@ TEST(FlowDeterminism, StaticBatchMatchesRepeatedRun) {
 }
 
 TEST(FlowDeterminism, ReusedSimulatorMatchesFreshOne) {
-  // A simulator carries only its topology, capacities, routes and its
-  // solver and route workspaces from one run to the next: back-to-back runs
-  // of different workloads must each report what a fresh simulator reports.
+  // A simulator carries only its topology, routes, route workspace and its
+  // fair-share problem (capacities, recycled ids and storage, no open flows)
+  // from one run to the next: back-to-back runs of different workloads must
+  // each report what a fresh simulator reports.
   // The second case routes by per-pair BFS (random-regular above
   // updown_max_n), whose visit stamps live in the kept route workspace.
   const std::vector<std::pair<std::string, std::uint32_t>> cases = {

@@ -477,8 +477,8 @@ int run_flow_command(int argc, const char* const* argv) {
   std::vector<Finding> findings;
   if (!res.converged)
     findings.push_back({"flow-not-converged",
-                        "a water-filling solve or the epoch loop hit its "
-                        "iteration ceiling, or a flow had rate zero"});
+                        "the epoch loop hit its ceiling, or a flow had rate "
+                        "zero"});
   if (res.verify_violations > 0)
     findings.push_back({"max-min-violated",
                         std::to_string(res.verify_violations) +
