@@ -29,7 +29,9 @@
 #include "dsn/common/cli.hpp"
 #include "dsn/common/json.hpp"
 #include "dsn/flow/flow_sim.hpp"
+#include "dsn/flow/routes.hpp"
 #include "dsn/flow/workload.hpp"
+#include "dsn/graph/csr.hpp"
 #include "dsn/topology/topology.hpp"
 
 namespace {
@@ -126,8 +128,9 @@ int run(int argc, char** argv) {
       params.seed = seed;
 
       {
-        const dsn::flow::FlowSimulator probe(topo, base_cfg);
-        if (probe.routes().mode() == "bfs" && n > cli.get_uint("bfs-max-n")) {
+        const dsn::CsrView csr(topo.graph);
+        const dsn::flow::FlowRoutes probe(topo, csr, base_cfg.updown_max_n);
+        if (probe.mode() == "bfs" && n > cli.get_uint("bfs-max-n")) {
           std::cerr << "skip " << topo.name
                     << ": per-pair BFS routes above --bfs-max-n\n";
           continue;

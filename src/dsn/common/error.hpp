@@ -21,6 +21,17 @@ class InternalError : public std::logic_error {
   using std::logic_error::logic_error;
 };
 
+/// Refuse a configuration value: throws "<field>: <value> is not <rule>",
+/// e.g. "flow min_epoch_cycles: 0 is not in [1, 1048576] cycles", naming
+/// neither the C++ check nor its source file.
+template <typename T>
+[[noreturn]] void refuse_field(const std::string& field, const T& value,
+                               const std::string& rule) {
+  std::ostringstream os;
+  os << field << ": " << value << " is not " << rule;
+  throw PreconditionError(os.str());
+}
+
 namespace detail {
 
 [[noreturn]] inline void throw_precondition(const char* expr, const char* file, int line,

@@ -193,6 +193,12 @@ std::uint32_t FairShareProblem::solve() {
   return rounds;
 }
 
+void FairShareProblem::append_route(std::uint32_t f, std::vector<std::uint32_t>& out) const {
+  const Flow& flow = flows_[f];
+  for (std::uint32_t e = flow.begin; e < flow.begin + flow.length; ++e)
+    out.push_back(resources_[entries_[e].resource].id);
+}
+
 FairShareResult max_min_fair_rates(const std::vector<double>& capacity,
                                    const std::vector<std::uint32_t>& route_pool,
                                    const std::vector<std::uint64_t>& route_begin) {

@@ -60,6 +60,9 @@ class FairShareProblem {
   /// froze it, as of the last solve.
   double rate(std::uint32_t id) const { return flows_[id].rate; }
   std::uint32_t bottleneck(std::uint32_t id) const { return flows_[id].bottleneck; }
+  /// Append open flow `id`'s resource ids to `out`, in route order: the
+  /// route it was opened with.
+  void append_route(std::uint32_t id, std::vector<std::uint32_t>& out) const;
 
  private:
   /// A resource some open route crosses, under its local id.

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <span>
 #include <utility>
 
 #include "dsn/common/error.hpp"
@@ -20,6 +19,23 @@ constexpr double kPortCapacity = 1.0;
 /// Epoch length ceiling in cycles, and epochs before a run gives up.
 constexpr std::uint64_t kMaxEpochCycles = 1ULL << 20;
 constexpr std::uint64_t kMaxEpochs = 1ULL << 20;
+
+/// `topo`'s host count under `config`, refused unless the hosts and the
+/// resources (arcs, then two ports per host) fit the 32-bit ids.
+std::uint32_t checked_hosts(const Topology& topo, const FlowConfig& config) {
+  config.validate();
+  constexpr std::uint64_t kMaxIds = std::numeric_limits<std::uint32_t>::max();
+  const std::uint64_t n = topo.num_nodes();
+  const std::uint64_t hosts = n * config.hosts_per_switch;
+  if (hosts > kMaxIds || 2ULL * topo.graph.num_links() + 2 * hosts > kMaxIds) {
+    throw PreconditionError("flow hosts_per_switch: " +
+                            std::to_string(config.hosts_per_switch) + " on n = " +
+                            std::to_string(n) + " switches gives " + std::to_string(hosts) +
+                            " hosts; hosts and resources (arcs + 2 x hosts) must fit the "
+                            "32-bit ids");
+  }
+  return static_cast<std::uint32_t>(hosts);
+}
 
 }  // namespace
 
@@ -48,27 +64,25 @@ struct FlowMetrics {
 #endif  // DSN_OBS
 
 void FlowConfig::validate() const {
-  DSN_REQUIRE(hosts_per_switch > 0, "need at least one host per switch");
-  DSN_REQUIRE(min_epoch_cycles > 0 && min_epoch_cycles <= kMaxEpochCycles,
-              "epoch floor must lie in [1, 2^20] cycles");
+  if (hosts_per_switch == 0) refuse_field("flow hosts_per_switch", hosts_per_switch, "positive");
+  if (min_epoch_cycles == 0 || min_epoch_cycles > kMaxEpochCycles) {
+    refuse_field("flow min_epoch_cycles", min_epoch_cycles,
+                 "in [1, " + std::to_string(kMaxEpochCycles) + "] cycles");
+  }
 }
 
 FlowSimulator::FlowSimulator(const Topology& topo, const FlowConfig& config)
-    : topo_(&topo), config_(config), csr_(topo.graph) {
-  config_.validate();
-  num_hosts_ = topo.num_nodes() * config_.hosts_per_switch;
-
-  const NodeId n = csr_.num_nodes();
-  row_off_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (NodeId u = 0; u < n; ++u) row_off_[u + 1] = row_off_[u] + csr_.degree(u);
-
+    : topo_(&topo),
+      config_(config),
+      num_hosts_(checked_hosts(topo, config)),
+      csr_(topo.graph) {
   // Resource capacities: one per directed arc, then per-host injection and
   // ejection ports. Parallel (u, v) links pool their bandwidth on the first
   // arc of the pair (map_route always picks the first), so the remaining
   // parallel arcs are never referenced.
   const std::size_t arcs = csr_.num_arcs();
   std::vector<double> capacity(arcs + 2ULL * num_hosts_, kPortCapacity);
-  for (NodeId u = 0; u < n; ++u) {
+  for (NodeId u = 0; u < csr_.num_nodes(); ++u) {
     const auto nb = csr_.neighbors(u);
     for (std::size_t k = 0; k < nb.size(); ++k) {
       std::size_t mult = 0;
@@ -78,7 +92,7 @@ FlowSimulator::FlowSimulator(const Topology& topo, const FlowConfig& config)
         ++mult;
         if (j < k) first = false;
       }
-      capacity[row_off_[u] + k] =
+      capacity[csr_.first_arc(u) + k] =
           first ? kPortCapacity * static_cast<double>(mult) : kPortCapacity;
     }
   }
@@ -89,9 +103,8 @@ FlowSimulator::FlowSimulator(const Topology& topo, const FlowConfig& config)
 
 void FlowSimulator::map_route(HostId src, HostId dst) {
   DSN_REQUIRE(src < num_hosts_ && dst < num_hosts_, "demand host id out of range");
-  std::vector<std::uint32_t>& out = flows_.pool;
   const std::size_t arcs = csr_.num_arcs();
-  out.push_back(static_cast<std::uint32_t>(arcs + src));
+  route_.assign(1, static_cast<std::uint32_t>(arcs + src));
   routes_->switch_path(src / config_.hosts_per_switch, dst / config_.hosts_per_switch,
                        route_scratch_, path_);
   for (std::size_t i = 0; i + 1 < path_.size(); ++i) {
@@ -100,30 +113,9 @@ void FlowSimulator::map_route(HostId src, HostId dst) {
     std::size_t k = 0;
     while (k < nb.size() && nb[k] != to) ++k;
     DSN_REQUIRE(k < nb.size(), "route hop is not a physical link");
-    out.push_back(static_cast<std::uint32_t>(row_off_[from] + k));
+    route_.push_back(static_cast<std::uint32_t>(csr_.first_arc(from) + k));
   }
-  out.push_back(static_cast<std::uint32_t>(arcs + num_hosts_ + dst));
-}
-
-void FlowSimulator::admit(const std::vector<Demand>& demands) {
-  if (flows_.route_begin.empty()) flows_.route_begin.push_back(0);
-  active_.reserve(active_.size() + demands.size());
-  for (const Demand& d : demands) {
-    const std::uint64_t begin = flows_.pool.size();
-    map_route(d.src, d.dst);
-    DSN_REQUIRE(d.flits > 0, "demands must carry at least one flit");
-    const auto f = static_cast<std::uint32_t>(flows_.count());
-    flows_.src.push_back(d.src);
-    flows_.dst.push_back(d.dst);
-    flows_.remaining.push_back(static_cast<double>(d.flits));
-    flows_.size.push_back(d.flits);
-    flows_.fct.push_back(0.0);
-    flows_.route_begin.push_back(flows_.pool.size());
-    const std::span<const std::uint32_t> route(flows_.pool.data() + begin,
-                                               flows_.pool.size() - begin);
-    active_.push_back({f, problem_.open(route)});
-  }
-  DSN_OBS_ONLY(DSN_OBS_ADD(FlowMetrics::get().flows, demands.size());)
+  route_.push_back(static_cast<std::uint32_t>(arcs + num_hosts_ + dst));
 }
 
 namespace {
@@ -158,7 +150,6 @@ FlowResult FlowSimulator::run_loop(WorkloadDriver& driver) {
   res.route_mode = routes_->mode();
   res.workload = driver.name();
   res.hosts = num_hosts_;
-  flows_ = Flows{};
   // A run cut short (epoch ceiling, zero-rate flow) leaves its flows open.
   for (const Open& open : active_) problem_.close(open.problem);
   active_.clear();
@@ -168,15 +159,24 @@ FlowResult FlowSimulator::run_loop(WorkloadDriver& driver) {
 
   double now = 0.0;
   double fct_duration_sum = 0.0;
-  std::vector<double> admit_cycle;  // per flow, parallel to flows_
+  std::uint64_t switch_hops = 0;
   std::vector<std::uint64_t> solve_begin;
   std::vector<std::uint32_t> solve_pool;
-  std::vector<std::pair<std::uint32_t, double>> completed;  // (flow, fct)
+  std::vector<std::pair<std::uint64_t, double>> completed;  // (index, fct)
 
   while (true) {
     if (!pending.empty()) {
-      admit(pending);
-      admit_cycle.resize(flows_.count(), now);
+      // Admission: open each demand in order and count it into the totals.
+      active_.reserve(active_.size() + pending.size());
+      for (const Demand& d : pending) {
+        map_route(d.src, d.dst);
+        DSN_REQUIRE(d.flits > 0, "demands must carry at least one flit");
+        switch_hops += route_.size() - 2;  // inject + arcs + eject
+        res.flits_total += d.flits;
+        active_.push_back(
+            {res.flows++, problem_.open(route_), static_cast<double>(d.flits), now});
+      }
+      DSN_OBS_ONLY(DSN_OBS_ADD(FlowMetrics::get().flows, pending.size());)
       pending.clear();
     }
     if (active_.empty()) break;
@@ -199,12 +199,11 @@ FlowResult FlowSimulator::run_loop(WorkloadDriver& driver) {
       fs.rounds = rounds;
       solve_begin.assign(1, 0);
       solve_pool.clear();
-      for (const auto& [f, id] : active_) {
-        solve_pool.insert(solve_pool.end(), flows_.pool.begin() + flows_.route_begin[f],
-                          flows_.pool.begin() + flows_.route_begin[f + 1]);
+      for (const Open& open : active_) {
+        problem_.append_route(open.problem, solve_pool);
         solve_begin.push_back(solve_pool.size());
-        fs.rate.push_back(problem_.rate(id));
-        fs.bottleneck.push_back(problem_.bottleneck(id));
+        fs.rate.push_back(problem_.rate(open.problem));
+        fs.bottleneck.push_back(problem_.bottleneck(open.problem));
       }
       const std::vector<std::string> violations =
           check_max_min(problem_.capacity(), solve_pool, solve_begin, fs);
@@ -216,9 +215,9 @@ FlowResult FlowSimulator::run_loop(WorkloadDriver& driver) {
     // Earliest completion under the solved rates; clamp into the epoch
     // bounds. All of this is serial in admission order.
     double t_min = std::numeric_limits<double>::infinity();
-    for (const auto& [f, id] : active_) {
-      const double rate = problem_.rate(id);
-      if (rate > 0.0) t_min = std::min(t_min, flows_.remaining[f] / rate);
+    for (const Open& open : active_) {
+      const double rate = problem_.rate(open.problem);
+      if (rate > 0.0) t_min = std::min(t_min, open.remaining / rate);
     }
     if (!std::isfinite(t_min)) {
       res.converged = false;  // a zero-rate flow can never finish
@@ -228,49 +227,39 @@ FlowResult FlowSimulator::run_loop(WorkloadDriver& driver) {
         std::clamp(t_min, static_cast<double>(config_.min_epoch_cycles),
                    static_cast<double>(kMaxEpochCycles));
 
+    // Retire the flows this epoch completes, in admission order. The driver
+    // hears of them once active_ holds only open flows again, so a driver
+    // that throws leaves a simulator the next run can reset.
     completed.clear();
     std::size_t kept = 0;
-    for (const Open& open : active_) {
-      const std::uint32_t f = open.flow;
+    for (Open& open : active_) {
       const double rate = problem_.rate(open.problem);
       const double delivered = rate * dt;
-      if (rate > 0.0 && flows_.remaining[f] <= delivered * (1.0 + 1e-12)) {
-        const double fct = now + flows_.remaining[f] / rate;
-        res.flits_delivered += flows_.remaining[f];
-        flows_.remaining[f] = 0.0;
-        flows_.fct[f] = fct;
-        completed.emplace_back(f, fct);
+      if (rate > 0.0 && open.remaining <= delivered * (1.0 + 1e-12)) {
+        const double fct = now + open.remaining / rate;
+        res.flits_delivered += open.remaining;
         problem_.close(open.problem);
+        ++res.flows_completed;
+        const double duration = fct - open.admitted;
+        fct_duration_sum += duration;
+        res.max_fct_cycles = std::max(res.max_fct_cycles, duration);
+        res.makespan_cycles = std::max(res.makespan_cycles, fct);
+        DSN_OBS_ONLY(DSN_OBS_ADD(FlowMetrics::get().completed, 1);)
+        DSN_OBS_ONLY(DSN_OBS_OBSERVE(FlowMetrics::get().fct_cycles,
+                                     static_cast<std::uint64_t>(duration));)
+        completed.emplace_back(open.index, fct);
       } else {
-        flows_.remaining[f] -= delivered;
+        open.remaining -= delivered;
         res.flits_delivered += delivered;
         active_[kept++] = open;
       }
     }
     active_.resize(kept);
     now += dt;
-
-    for (const auto& [f, fct] : completed) {
-      ++res.flows_completed;
-      const double duration = fct - admit_cycle[f];
-      fct_duration_sum += duration;
-      res.max_fct_cycles = std::max(res.max_fct_cycles, duration);
-      res.makespan_cycles = std::max(res.makespan_cycles, fct);
-      DSN_OBS_ONLY(DSN_OBS_ADD(FlowMetrics::get().completed, 1);)
-      DSN_OBS_ONLY(DSN_OBS_OBSERVE(FlowMetrics::get().fct_cycles,
-                                   static_cast<std::uint64_t>(duration));)
-      driver.on_complete(f, fct, pending);
-    }
+    for (const auto& [index, fct] : completed) driver.on_complete(index, fct, pending);
   }
 
-  res.flows = flows_.count();
   if (!active_.empty()) res.converged = false;
-  for (const std::uint64_t s : flows_.size) res.flits_total += s;
-  std::uint64_t switch_hops = 0;
-  for (std::size_t f = 0; f < flows_.count(); ++f) {
-    // Route resources = inject + arcs + eject, so arcs = len - 2.
-    switch_hops += flows_.route_begin[f + 1] - flows_.route_begin[f] - 2;
-  }
   if (res.flows > 0)
     res.avg_route_hops = static_cast<double>(switch_hops) / static_cast<double>(res.flows);
   if (res.flows_completed > 0)

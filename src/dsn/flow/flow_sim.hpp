@@ -6,8 +6,8 @@
 // flits cycle by cycle, this tier treats each demand as a fluid *flow* over
 // its switch-level route and advances time in discrete epochs:
 //
-//   1. admit newly emitted demands, routing each one in demand order
-//      straight into the route pool;
+//   1. admit newly emitted demands in demand order, routing each one and
+//      opening it on the fair-share problem, which keeps its route;
 //   2. solve the max-min fair rate allocation over per-resource capacities
 //      (directed link halves + host injection/ejection ports, each 1
 //      flit/cycle like the flit sim) by progressive water-filling, on one
@@ -106,42 +106,33 @@ class FlowSimulator {
   /// Run a closed-loop workload to completion; demand indices start at 0.
   FlowResult run(WorkloadDriver& driver);
 
-  const FlowRoutes& routes() const { return *routes_; }
   std::uint32_t num_hosts() const { return num_hosts_; }
 
  private:
-  struct Flows {
-    std::vector<HostId> src, dst;
-    std::vector<double> remaining;   // flits left
-    std::vector<std::uint64_t> size; // original flits
-    std::vector<double> fct;         // completion cycle (set on retire)
-    std::vector<std::uint64_t> route_begin;  // size flows+1, into pool
-    std::vector<std::uint32_t> pool;         // resource ids
-    std::size_t count() const { return src.size(); }
-  };
-
-  void admit(const std::vector<Demand>& demands);
   FlowResult run_loop(WorkloadDriver& driver);
-  /// Append the resource ids of (src, dst)'s switch path to the route pool:
+  /// Write the resource ids of (src, dst)'s switch path into route_:
   /// injection port, first matching directed arc per hop, ejection port.
   void map_route(HostId src, HostId dst);
 
   const Topology* topo_;
   FlowConfig config_;
+  /// Declared before csr_: its initializer refuses a configuration whose
+  /// ids overflow before anything is allocated.
+  std::uint32_t num_hosts_;
   CsrView csr_;
-  std::vector<std::uint64_t> row_off_;  ///< node -> first arc index in csr_
   std::unique_ptr<FlowRoutes> routes_;
   FlowRoutes::Scratch route_scratch_;  ///< reused by every admitted route
   std::vector<NodeId> path_;           ///< switch path being mapped
-  std::uint32_t num_hosts_ = 0;
+  std::vector<std::uint32_t> route_;   ///< resource ids being mapped
 
-  Flows flows_;  ///< this run's flows, admission order
   /// Capacities of the arcs, then the inject ports, then the eject ports,
-  /// and this run's open flows.
+  /// and this run's open flows with their routes.
   FairShareProblem problem_;
   struct Open {
-    std::uint32_t flow;     ///< index into flows_
+    std::uint64_t index;    ///< admission index, the driver's demand index
     std::uint32_t problem;  ///< flow id in problem_
+    double remaining;       ///< flits left
+    double admitted;        ///< admission cycle
   };
   std::vector<Open> active_;  ///< open flows, admission order
 };

@@ -10,18 +10,15 @@
 namespace dsn::flow {
 
 void WorkloadParams::validate() const {
-  const auto refuse = [](const char* field, std::uint64_t value, const std::string& rule) {
-    throw PreconditionError("workload " + std::string(field) + ": " + std::to_string(value) +
-                            " is not " + rule);
-  };
-  if (hosts == 0) refuse("hosts", hosts, "positive");
-  if (rack_hosts == 0) refuse("rack_hosts", rack_hosts, "positive");
+  if (hosts == 0) refuse_field("workload hosts", hosts, "positive");
+  if (rack_hosts == 0) refuse_field("workload rack_hosts", rack_hosts, "positive");
   if (clients == 0 || clients > hosts) {
-    refuse("clients", clients, "in [1, " + std::to_string(hosts) + "], the host count");
+    refuse_field("workload clients", clients,
+                 "in [1, " + std::to_string(hosts) + "], the host count");
   }
-  if (units == 0) refuse("units", units, "positive");
-  if (unit_flits == 0) refuse("unit_flits", unit_flits, "positive");
-  if (window == 0) refuse("window", window, "positive");
+  if (units == 0) refuse_field("workload units", units, "positive");
+  if (unit_flits == 0) refuse_field("workload unit_flits", unit_flits, "positive");
+  if (window == 0) refuse_field("workload window", window, "positive");
 }
 
 namespace {

@@ -53,6 +53,13 @@ class CsrView {
     return offsets_[u + 1] - offsets_[u];
   }
 
+  /// Arc id of u's first neighbor: neighbors(u)[k] is arc first_arc(u) + k,
+  /// and arc ids run over [0, num_arcs()).
+  std::size_t first_arc(NodeId u) const {
+    DSN_REQUIRE(u < num_nodes_, "node id out of range");
+    return offsets_[u];
+  }
+
   /// Sorted, parallel-link-deduplicated neighbor set of u. Only available
   /// after build_sorted_neighbors() (intersection kernels opt in; plain BFS
   /// consumers skip the sort cost).

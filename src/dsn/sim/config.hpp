@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "dsn/common/error.hpp"
 
@@ -104,16 +105,23 @@ struct SimConfig {
   /// Convert a measured flits/cycle/host rate back to Gbit/s per host.
   double flits_per_cycle_to_gbps(double rate) const { return rate * kLinkBwGbps; }
 
+  /// Throws PreconditionError naming the first refused field and its value.
   void validate() const {
-    DSN_REQUIRE(vcs >= 1, "need at least one virtual channel");
-    DSN_REQUIRE(packet_flits >= 1, "packets need at least one flit");
-    DSN_REQUIRE(buffer_flits >= 1, "buffers need at least one flit");
-    DSN_REQUIRE(switching == SwitchingMode::kWormhole || buffer_flits >= packet_flits,
-                "virtual cut-through needs buffers holding a whole packet");
-    DSN_REQUIRE(hosts_per_switch >= 1, "need at least one host per switch");
-    DSN_REQUIRE(offered_gbps_per_host >= 0, "offered load must be non-negative");
-    DSN_REQUIRE(retry_backoff_cycles >= 1 && retry_backoff_cycles <= kRetryBackoffCapCycles,
-                "retry backoff must be in [1, 4096] cycles (the cap)");
+    if (vcs < 1) refuse_field("sim vcs", vcs, "positive");
+    if (packet_flits < 1) refuse_field("sim packet_flits", packet_flits, "positive");
+    if (buffer_flits < 1) refuse_field("sim buffer_flits", buffer_flits, "positive");
+    if (switching != SwitchingMode::kWormhole && buffer_flits < packet_flits) {
+      refuse_field("sim buffer_flits", buffer_flits,
+                   "at least packet_flits = " + std::to_string(packet_flits) +
+                       " under virtual cut-through");
+    }
+    if (hosts_per_switch < 1) refuse_field("sim hosts_per_switch", hosts_per_switch, "positive");
+    if (!(offered_gbps_per_host >= 0))
+      refuse_field("sim offered_gbps_per_host", offered_gbps_per_host, "non-negative");
+    if (retry_backoff_cycles < 1 || retry_backoff_cycles > kRetryBackoffCapCycles) {
+      refuse_field("sim retry_backoff_cycles", retry_backoff_cycles,
+                   "in [1, " + std::to_string(kRetryBackoffCapCycles) + "] cycles (the cap)");
+    }
   }
 };
 

@@ -1,7 +1,9 @@
 // Determinism gates for the flow tier: results must match pinned digests of
-// their full JSON projection, be byte-identical for a simulator reused
-// across runs (in-process), and for every DSN_THREADS value (subprocess,
-// comparing `dsn-lint flow --json` output bytes across thread-pool widths).
+// their full JSON projection, with the per-solve max-min check off and on
+// (the check reads every open route back from the fair-share problem), be
+// byte-identical for a simulator reused across runs (in-process), and for
+// every DSN_THREADS value (subprocess, comparing `dsn-lint flow --json`
+// output bytes across thread-pool widths).
 // Admission and the fair-share solver are serial; the solver's bitwise
 // oracle is FlowFairness.SolverMatchesSerialReferenceBitwise.
 // Registered under `ctest -L determinism` via the determinism.flow entry.
@@ -49,39 +51,64 @@ WorkloadParams golden_params(const FlowSimulator& sim) {
   return params;
 }
 
+/// Digest of `result`; a verified run must also have found no violation.
+std::string checked_digest(const FlowResult& result, const FlowConfig& cfg) {
+  if (cfg.verify) {
+    EXPECT_EQ(result.verify_violations, 0u) << result.verify_first;
+  }
+  return digest(result);
+}
+
 /// Digest of one full closed-loop run.
 std::string run_digest(const std::string& topology, const std::string& workload,
                        std::uint32_t n, const FlowConfig& cfg = {}) {
   const Topology topo = make_topology_by_name(topology, n);
   FlowSimulator sim(topo, cfg);
-  return digest(sim.run(*make_workload(workload, golden_params(sim))));
+  return checked_digest(sim.run(*make_workload(workload, golden_params(sim))), cfg);
 }
+
+// Every pinned run holds its digest with the max-min check off and on: the
+// check changes no reported field while it finds nothing.
 
 TEST(FlowDeterminism, GoldenResults) {
   // Pinned result bytes for the three route modes (dsn, updown, dln-jump).
   // Recorded when admission still routed in parallel shards, where they held
   // at 1, 2, 4, 8 and 13 shards.
-  EXPECT_EQ(run_digest("dsn", "shuffle", 128), "4c96d1937de57a4a");
-  EXPECT_EQ(run_digest("random-regular", "hdfs-write", 128), "43231112d5aeda6b");
-  EXPECT_EQ(run_digest("dln", "allreduce-ring", 128), "475981734d3d0473");
+  for (const bool verify : {false, true}) {
+    SCOPED_TRACE(verify ? "verify" : "no verify");
+    FlowConfig cfg;
+    cfg.verify = verify;
+    EXPECT_EQ(run_digest("dsn", "shuffle", 128, cfg), "4c96d1937de57a4a");
+    EXPECT_EQ(run_digest("random-regular", "hdfs-write", 128, cfg), "43231112d5aeda6b");
+    EXPECT_EQ(run_digest("dln", "allreduce-ring", 128, cfg), "475981734d3d0473");
+  }
 }
 
 TEST(FlowDeterminism, GoldenResultsAcrossSolverShapes) {
   // Pinned result bytes for what GoldenResults leaves out: DSN-E's Up links
   // run parallel to the ring, so those arcs pool their capacity; an epoch
   // floor of 512 cycles retires several flows per epoch, as the benchmark's
-  // shuffle does; a static batch starts every flow at once; and the torus
-  // routes by DOR.
-  EXPECT_EQ(run_digest("dsn-e", "hdfs-read", 128), "3196ebcdb15e60c3");
-  FlowConfig coarse;
-  coarse.min_epoch_cycles = 512;
-  EXPECT_EQ(run_digest("dsn", "shuffle", 1024, coarse), "2e87b2eba1d4b920");
-  const Topology dln = make_topology_by_name("dln", 128);
-  FlowSimulator sim(dln, FlowConfig{});
-  const std::vector<Demand> batch =
-      expand_all_demands(*make_workload("hdfs-write", golden_params(sim)));
-  EXPECT_EQ(digest(sim.run(batch)), "b67230ec038cc520");
-  EXPECT_EQ(run_digest("torus", "allreduce-tree", 128), "92e7a16a9778c11a");
+  // shuffle does; a static batch starts every flow at once; the torus
+  // routes by DOR; and random-regular above updown_max_n routes each pair
+  // by BFS.
+  for (const bool verify : {false, true}) {
+    SCOPED_TRACE(verify ? "verify" : "no verify");
+    FlowConfig cfg;
+    cfg.verify = verify;
+    EXPECT_EQ(run_digest("dsn-e", "hdfs-read", 128, cfg), "3196ebcdb15e60c3");
+    FlowConfig coarse = cfg;
+    coarse.min_epoch_cycles = 512;
+    EXPECT_EQ(run_digest("dsn", "shuffle", 1024, coarse), "2e87b2eba1d4b920");
+    const Topology dln = make_topology_by_name("dln", 128);
+    FlowSimulator sim(dln, cfg);
+    const std::vector<Demand> batch =
+        expand_all_demands(*make_workload("hdfs-write", golden_params(sim)));
+    EXPECT_EQ(checked_digest(sim.run(batch), cfg), "b67230ec038cc520");
+    EXPECT_EQ(run_digest("torus", "allreduce-tree", 128, cfg), "92e7a16a9778c11a");
+    FlowConfig bfs = cfg;
+    bfs.updown_max_n = 32;
+    EXPECT_EQ(run_digest("random-regular", "hdfs-write", 128, bfs), "b0270c3a546f96f9");
+  }
 }
 
 TEST(FlowDeterminism, StaticBatchMatchesRepeatedRun) {

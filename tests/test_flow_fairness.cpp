@@ -4,7 +4,8 @@
 // resource where it holds a maximal rate), the solution must be invariant
 // under flow-id permutation, it must equal the textbook serial
 // water-filling bit for bit, and a problem kept across opens and closes must
-// solve as a fresh one-shot does. All randomness is seeded.
+// solve as a fresh one-shot does and hand back each open route as opened.
+// All randomness is seeded.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -295,6 +296,42 @@ TEST(FlowFairness, MalformedInputThrows) {
   EXPECT_EQ(kept.rate(b), good.rate[1]);
   EXPECT_EQ(kept.bottleneck(a), good.bottleneck[0]);
   EXPECT_EQ(kept.bottleneck(b), good.bottleneck[1]);
+}
+
+TEST(FlowFairness, OpenRoutesReadBackInRouteOrder) {
+  // append_route returns what open was given, repeats included, whatever
+  // local ids the resources took; a closed id reopened for a route of the
+  // same length reads back the new route.
+  FairShareProblem kept(std::vector<double>(8, 1.0));
+  const auto route_of = [&](std::uint32_t id) {
+    std::vector<std::uint32_t> out;
+    kept.append_route(id, out);
+    return out;
+  };
+  const std::vector<std::uint32_t> ra = {5, 2, 7}, rb = {2, 2, 0}, rc = {6};
+  const std::uint32_t a = kept.open(ra);
+  const std::uint32_t b = kept.open(rb);
+  const std::uint32_t c = kept.open(rc);
+  EXPECT_EQ(route_of(a), ra);
+  EXPECT_EQ(route_of(b), rb);
+  EXPECT_EQ(route_of(c), rc);
+
+  // Closing a frees the local ids of resources 5 and 7 (b still crosses 2);
+  // the reopened id hands them to resources 3 and 7.
+  kept.close(a);
+  EXPECT_EQ(route_of(b), rb);
+  EXPECT_EQ(route_of(c), rc);
+  const std::vector<std::uint32_t> rd = {3, 7, 5};
+  const std::uint32_t d = kept.open(rd);
+  EXPECT_EQ(d, a);
+  EXPECT_EQ(route_of(d), rd);
+  EXPECT_EQ(route_of(b), rb);
+
+  // Appending keeps what `out` held.
+  std::vector<std::uint32_t> both;
+  kept.append_route(c, both);
+  kept.append_route(d, both);
+  EXPECT_EQ(both, (std::vector<std::uint32_t>{6, 3, 7, 5}));
 }
 
 TEST(FlowFairness, SingleLinkSharedEqually) {

@@ -105,14 +105,24 @@ TEST(LintCli, OutOfRangeFaultIdNamesTheIdAndRange) {
 }
 
 TEST(LintCli, RefusalsNameTheReasonNotTheCheck) {
-  // A stray token, an unknown flag, a missing value and an infeasible flow
-  // workload are usage errors whose one line names the flag or field and
-  // the offending value, never the C++ check or its source file.
+  // A stray token, an unknown flag, a missing value, an infeasible flow
+  // workload, a refused flow or sim config and a host count past the 32-bit
+  // ids (65536 x 65537 wraps to 65536 in 32 bits) are usage errors whose
+  // one line names the flag or field and the offending value, never the C++
+  // check or its source file. No case overflows only the resource ids: were
+  // that check lost, the run would fill 2^32 capacities (32 GiB).
   const std::vector<std::array<std::string, 3>> cases = {
       {"drill --bogus 1", "--bogus", "unknown flag"},
       {"drill stray", "'stray'", "expected a --flag"},
       {"drill --topology", "--topology", "missing value"},
-      {"flow --topology dsn --n 64 --clients 1000", "clients", "1000"}};
+      {"flow --topology dsn --n 64 --clients 1000", "clients", "1000"},
+      {"flow --topology dsn --n 64 --hosts-per-switch 0", "hosts_per_switch",
+       "0 is not positive"},
+      {"flow --topology dsn --n 64 --min-epoch 0", "min_epoch_cycles", "0 is not in"},
+      {"drill --topology dsn --n 64 --load -1", "offered_gbps_per_host",
+       "-1 is not non-negative"},
+      {"flow --topology ring --n 65536 --hosts-per-switch 65537",
+       "hosts_per_switch: 65537 on n = 65536", "32-bit ids"}};
   for (const auto& [args, name, reason] : cases) {
     const CliResult r = run_lint(args);
     EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
@@ -120,6 +130,7 @@ TEST(LintCli, RefusalsNameTheReasonNotTheCheck) {
     EXPECT_NE(r.output.find(reason), std::string::npos) << args << "\n" << r.output;
     EXPECT_EQ(r.output.find("precondition failed"), std::string::npos) << r.output;
     EXPECT_EQ(r.output.find(".cpp:"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find(".hpp:"), std::string::npos) << r.output;
   }
 }
 
